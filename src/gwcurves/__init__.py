@@ -3,7 +3,7 @@ surfaces: exact GW(Q) arithmetic, tropical enumeration through stretched
 point configurations, and the wall-crossing recursion over quadratic
 extensions."""
 
-from .betapoly import BetaPolynomial, beta_symbol, format_poly, mul_step, poly_add, poly_scale
+from .betapoly import BetaPolynomial, beta_symbol, format_poly
 from .expr import ExprError, parse_expression, parse_gw
 from .gw import (
     H,
@@ -16,9 +16,7 @@ from .gw import (
     delta,
     form,
     format_gw,
-    gw_add,
     gw_equal,
-    gw_mul,
     hilbert_symbol,
     square_class,
     trace_form,
@@ -47,5 +45,3 @@ from .wallcross import (
     quartic_chain,
     wall_cross_step,
 )
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -23,13 +23,15 @@ from .gw import (
     H,
     ONE,
     ZERO,
+    UNICODE_GLYPHS,
     DomainError,
     Rational,
     beta,
+    display_terms,
     format_gw,
     gw_equal,
     hyperbolic_part,
-    visible_h_multiples,
+    signed_term,
 )
 
 Monomial = tuple[int, ...]
@@ -209,18 +211,6 @@ def beta_symbol(index: int) -> BetaPolynomial:
     return BetaPolynomial.from_dict({_mono((index,)): ONE})
 
 
-def poly_add(p: BetaPolynomial, q: BetaPolynomial) -> BetaPolynomial:
-    return p + q
-
-
-def poly_scale(g: GWElement, p: BetaPolynomial) -> BetaPolynomial:
-    return p.scale(g)
-
-
-def mul_step(p: BetaPolynomial, index: int) -> BetaPolynomial:
-    return p.mul_step(index)
-
-
 SUBSCRIPTS = str.maketrans("0123456789", "₀₁₂₃₄₅₆₇₈₉")
 
 
@@ -234,35 +224,14 @@ def format_poly(p: BetaPolynomial, unicode: bool = False) -> str:
     """Fully distributed canonical display, one printed term per square
     class of each coefficient, e.g. ``2h + 6*<1> + b1`` or ``2*h*b1``.
     """
-    dot = "·" if unicode else "*"
-    pieces: list[str] = []
-    for m, g in sorted(p.monomials, key=lambda it: _mono_key(it[0])):
+    out = ""
+    for m, g in p.monomials:
         if not m:
-            pieces.append(format_gw(g, unicode=unicode))
+            out = format_gw(g)
             continue
         bfac = _beta_factor(m, unicode)
-        k, rest = visible_h_multiples(g)
-        groups: list[tuple[int, str]] = []
-        if k:
-            groups.append((k, "h"))
-        for c, n in sorted(rest.terms, key=lambda t: (abs(t[0]), t[0] < 0)):
-            cls = f"⟨{c}⟩" if unicode else f"<{c}>"
-            groups.append((n, cls))
-        for n, body in groups:
-            mag = abs(n)
-            if unicode:
-                stem = bfac if body == "⟨1⟩" else f"{body}{bfac}"
-                text = stem if mag == 1 else f"{mag}{dot}{stem}"
-            else:
-                stem = bfac if body == "<1>" else f"{body}*{bfac}"
-                text = stem if mag == 1 else f"{mag}*{stem}"
-            pieces.append(("-" if n < 0 else "") + text)
-    if not pieces:
-        return "0"
-    out = pieces[0]
-    for piece in pieces[1:]:
-        if piece.startswith("-"):
-            out += " - " + piece[1:]
-        else:
-            out += " + " + piece
-    return out
+        for n, body in display_terms(g):
+            stem = bfac if body == "<1>" else f"{body}{'' if unicode else '*'}{bfac}"
+            out += signed_term(n, stem if abs(n) == 1 else f"{abs(n)}*{stem}", not out)
+    out = out or "0"
+    return out.translate(UNICODE_GLYPHS) if unicode else out

@@ -220,7 +220,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="wall-crossing invariant tables")
     p.add_argument("--chain", required=True, help="e.g. p2:4 or a comma-separated polygon list")
-    p.add_argument("--markdown", action="store_true", help="markdown output (default)")
     p.add_argument("--json", action="store_true")
     p.add_argument("--specialize", metavar="C1,C2,...")
     p.add_argument("--signature", choices=["neg", "pos"])

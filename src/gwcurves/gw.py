@@ -118,25 +118,13 @@ def hilbert_symbol(a: Rational, b: Rational, place: Place = REAL_PLACE) -> int:
     return _hilbert_int(square_class(a), square_class(b), place)
 
 
-def _term_string(coeff: int, body: str, first: bool) -> str:
-    sign = "-" if coeff < 0 else ("" if first else "+")
-    mag = abs(coeff)
-    if body == "h":
-        text = "h" if mag == 1 else f"{mag}h"
-    else:
-        text = body if mag == 1 else f"{mag}{'*' if body[0] == '<' else ''}{body}"
-    if first:
-        return f"{sign}{text}"
-    return f" {sign} {text}"
-
-
 @dataclass(frozen=True)
 class GWElement:
     """A virtual diagonal form: map square class -> nonzero integer weight.
 
     Stored as a tuple of (class, coefficient) pairs with classes strictly
     ascending.  Structural equality (==) compares stored terms; use
-    ``is_isometric`` / ``gw_equal`` for equality in GW(Q).
+    ``gw_equal`` for equality in GW(Q).
     """
 
     terms: tuple[tuple[int, int], ...] = ()
@@ -242,9 +230,6 @@ class GWElement:
                 m -= n
         return GWElement.from_dict(d), m
 
-    def is_isometric(self, other: "GWElement") -> bool:
-        return gw_equal(self, other)
-
     # -- presentation ----------------------------------------------------
 
     def __str__(self) -> str:
@@ -272,14 +257,6 @@ def form(*classes: Rational) -> GWElement:
 
 ONE = form(1)
 H = form(1, -1)
-
-
-def gw_add(q1: GWElement, q2: GWElement) -> GWElement:
-    return q1 + q2
-
-
-def gw_mul(q1: GWElement, q2: GWElement) -> GWElement:
-    return q1 * q2
 
 
 def hyperbolic_part(q: GWElement) -> tuple[int, GWElement]:
@@ -320,24 +297,35 @@ def visible_h_multiples(q: GWElement) -> tuple[int, GWElement]:
     return m, GWElement.from_dict(d)
 
 
-def format_gw(q: GWElement, unicode: bool = False) -> str:
-    """Canonical display, e.g. ``2h + 8*<1> + <-3>``.
+UNICODE_GLYPHS = str.maketrans({"<": "⟨", ">": "⟩", "*": "·"})
 
-    H-multiples visible in the <1>, <-1> coefficients are extracted greedily
-    and printed first; remaining classes follow ordered by (|class|, sign).
-    """
+
+def signed_term(coeff: int, text: str, first: bool) -> str:
+    """One term of a displayed sum: ``text`` or ``-text`` when first,
+    `` + text`` or `` - text`` after."""
+    sign = "-" if coeff < 0 else ("" if first else "+")
+    return f"{sign}{text}" if first else f" {sign} {text}"
+
+
+def display_terms(q: GWElement) -> list[tuple[int, str]]:
+    """(coefficient, body) pairs in display order: the h-multiple visible in
+    the <1>, <-1> coefficients first (body ``h``), then the remaining classes
+    ordered by (|class|, sign) (body ``<c>``)."""
     m, rest = visible_h_multiples(q)
-    pieces: list[tuple[int, str]] = []
-    if m:
-        pieces.append((m, "h"))
-    for c, n in sorted(rest.terms, key=lambda t: (abs(t[0]), t[0] < 0)):
-        pieces.append((n, f"<{c}>"))
-    if not pieces:
-        return "0"
-    out = "".join(_term_string(n, body, i == 0) for i, (n, body) in enumerate(pieces))
-    if unicode:
-        out = out.replace("<", "⟨").replace(">", "⟩").replace("*", "·")
+    out = [(m, "h")] if m else []
+    out += [(n, f"<{c}>") for c, n in sorted(rest.terms, key=lambda t: (abs(t[0]), t[0] < 0))]
     return out
+
+
+def format_gw(q: GWElement, unicode: bool = False) -> str:
+    """Canonical display, e.g. ``2h + 8*<1> + <-3>``, in the order of
+    :func:`display_terms`."""
+    out = ""
+    for n, body in display_terms(q):
+        text = body if abs(n) == 1 else f"{abs(n)}{'' if body == 'h' else '*'}{body}"
+        out += signed_term(n, text, not out)
+    out = out or "0"
+    return out.translate(UNICODE_GLYPHS) if unicode else out
 
 
 def gw_equal(q1: GWElement, q2: GWElement) -> bool:
@@ -426,13 +414,4 @@ def beta(c: Rational) -> GWElement:
 def delta(c: Rational) -> GWElement:
     """Wall-crossing defect 2<1> - beta(c): rank 0, signature 2 for c < 0."""
     return 2 * ONE - beta(c)
-
-
-def random_gw(rng, size: int = 4, bound: int = 30) -> GWElement:
-    """Small random virtual form, for property tests."""
-    out = ZERO
-    for _ in range(rng.randrange(size + 1)):
-        a = rng.choice([-1, 1]) * rng.randrange(1, bound)
-        out = out + rng.choice([-2, -1, 1, 2]) * form(a)
-    return out
 

@@ -38,6 +38,19 @@ def lattice_length(a: Point, b: Point) -> int:
     return gcd(abs(a[0] - b[0]), abs(a[1] - b[1]))
 
 
+def _area2(vs) -> int:
+    """Twice the signed area of a vertex cycle (shoelace)."""
+    return sum(vs[i - 1][0] * vs[i][1] - vs[i][0] * vs[i - 1][1] for i in range(len(vs)))
+
+
+def _as_point(p) -> Point:
+    """A vertex from outside input: a pair of integer coordinates (a bool
+    is not one, although Python counts it as an int)."""
+    if not (isinstance(p, (tuple, list)) and len(p) == 2 and all(type(c) is int for c in p)):
+        raise DomainError(f"bad vertex {p!r}: need two integer coordinates")
+    return tuple(p)
+
+
 def primitive(v: Point) -> Point:
     g = gcd(abs(v[0]), abs(v[1]))
     return (v[0] // g, v[1] // g)
@@ -52,8 +65,8 @@ class LatticePolygon:
         if len(vs) < 3:
             raise DomainError("a polygon needs at least 3 vertices")
         for v in vs:
-            if not (isinstance(v, tuple) and len(v) == 2 and all(isinstance(c, int) for c in v)):
-                raise DomainError(f"bad vertex {v!r}")
+            if _as_point(v) != v:
+                raise DomainError(f"bad vertex {v!r}: not a tuple")
         n = len(vs)
         for i in range(n):
             if _cross(vs[i], vs[(i + 1) % n], vs[(i + 2) % n]) <= 0:
@@ -66,11 +79,7 @@ class LatticePolygon:
     @cached_property
     def area2(self) -> int:
         """Twice the Euclidean area (shoelace)."""
-        vs = self.vertices
-        return sum(
-            vs[i][0] * vs[(i + 1) % len(vs)][1] - vs[(i + 1) % len(vs)][0] * vs[i][1]
-            for i in range(len(vs))
-        )
+        return _area2(self.vertices)
 
     def edges(self) -> list[tuple[Point, Point]]:
         vs = self.vertices
@@ -81,9 +90,6 @@ class LatticePolygon:
 
     def strictly_contains(self, p: Point) -> bool:
         return all(_cross(a, b, p) > 0 for a, b in self.edges())
-
-    def on_boundary(self, p: Point) -> bool:
-        return self.contains(p) and not self.strictly_contains(p)
 
     def segment_on_boundary(self, p: Point, q: Point) -> bool:
         """True iff the whole segment [p, q] lies inside one polygon edge."""
@@ -171,7 +177,7 @@ class LatticePolygon:
 
     @classmethod
     def from_json(cls, data) -> "LatticePolygon":
-        return polygon([tuple(v) for v in data["vertices"]])
+        return polygon(data["vertices"])
 
     def __str__(self) -> str:
         return "conv{" + ", ".join(f"({x},{y})" for x, y in self.vertices) + "}"
@@ -180,14 +186,10 @@ class LatticePolygon:
 def polygon(points) -> LatticePolygon:
     """Build a polygon from a counterclockwise or clockwise vertex cycle;
     rotates to the canonical start, reverses clockwise input."""
-    vs = [tuple(int(c) for c in p) for p in points]
+    vs = [_as_point(p) for p in points]
     if len(set(vs)) != len(vs):
         raise DomainError("repeated vertices")
-    area2 = sum(
-        vs[i][0] * vs[(i + 1) % len(vs)][1] - vs[(i + 1) % len(vs)][0] * vs[i][1]
-        for i in range(len(vs))
-    )
-    if area2 < 0:
+    if _area2(vs) < 0:
         vs.reverse()
     k = vs.index(min(vs))
     return LatticePolygon(tuple(vs[k:] + vs[:k]))
@@ -195,7 +197,7 @@ def polygon(points) -> LatticePolygon:
 
 def convex_hull(points) -> LatticePolygon:
     """Convex hull (Andrew monotone chain) of a lattice point set."""
-    pts = sorted({tuple(int(c) for c in p) for p in points})
+    pts = sorted({_as_point(p) for p in points})
     if len(pts) < 3:
         raise DomainError("need at least 3 points")
 

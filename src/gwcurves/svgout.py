@@ -9,7 +9,7 @@ enumeration.
 
 from __future__ import annotations
 
-from .tropical import Cell, Enumeration, _par_cycle, triangle_edge_lengths
+from .tropical import Cell, Enumeration, triangle_edge_lengths
 
 _FILL_ODD = "#f4a460"  # rank-one summand present
 _FILL_H = "#9ec9e2"  # pure hyperbolic multiple
@@ -20,12 +20,6 @@ def _cell_fill(cell: Cell) -> str:
     if cell.kind == "parallelogram":
         return _FILL_PAR
     return _FILL_ODD if all(l % 2 for l in triangle_edge_lengths(cell)) else _FILL_H
-
-
-def _cell_points(cell: Cell) -> list:
-    if cell.kind == "triangle":
-        return list(cell.vertices)
-    return list(_par_cycle(cell))
 
 
 def render_svg(enum: Enumeration, scale: int = 24, columns: int = 6) -> str:
@@ -58,7 +52,7 @@ def render_svg(enum: Enumeration, scale: int = 24, columns: int = 6) -> str:
         ox = (idx % cols) * cell_w
         oy = (idx // cols) * cell_h
         for cell in curve.subdivision.cells:
-            pts = " ".join(pt(p, ox, oy) for p in _cell_points(cell))
+            pts = " ".join(pt(p, ox, oy) for p in cell.cycle)
             out.append(
                 f'<polygon points="{pts}" fill="{_cell_fill(cell)}" '
                 f'stroke="#555555" stroke-width="1"/>'

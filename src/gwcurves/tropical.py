@@ -30,11 +30,10 @@ import logging
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from math import gcd
+from dataclasses import dataclass, field
 
 from .gw import GWElement, ONE, form, gw_equal
-from .polygon import LatticePolygon, Point, lattice_length, _add, _sub
+from .polygon import LatticePolygon, Point, lattice_length, _add, _area2, _cross as _orient, _sub
 
 logger = logging.getLogger(__name__)
 
@@ -55,12 +54,21 @@ def lambda_key(p: Point) -> tuple[int, int]:
 class Cell:
     kind: str  # "triangle" | "parallelogram"
     vertices: tuple[Point, ...]  # sorted
+    cycle: tuple[Point, ...] = field(compare=False, repr=False)  # boundary order
 
     def area2(self) -> int:
-        if self.kind == "parallelogram":
-            return 2 * _par_area(self)
-        a, b, c = self.vertices
-        return abs((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
+        a, b, c = self.cycle[:3]
+        return abs(_orient(a, b, c)) * (2 if self.kind == "parallelogram" else 1)
+
+    def sides(self) -> list[tuple[Point, Point]]:
+        """Sides as sorted endpoint pairs, in cycle order."""
+        c = self.cycle
+        return [tuple(sorted((c[i - 1], c[i]))) for i in range(len(c))]
+
+    def opposite(self, side: tuple[Point, Point]) -> tuple[Point, Point]:
+        """The parallelogram side parallel to ``side``."""
+        sides = self.sides()
+        return sides[(sides.index(side) + 2) % 4]
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "vertices": [list(v) for v in self.vertices]}
@@ -70,57 +78,23 @@ def triangle(a: Point, b: Point, c: Point) -> Cell:
     pts = tuple(sorted((a, b, c)))
     if _orient(*pts) == 0:
         raise InternalInvariantError("degenerate triangle")
-    return Cell("triangle", pts)
+    return Cell("triangle", pts, pts)
 
 
 def parallelogram(a: Point, b: Point, c: Point, d: Point) -> Cell:
-    cell = Cell("parallelogram", tuple(sorted((a, b, c, d))))
-    _par_cycle(cell)  # validates
-    return cell
+    pts = tuple(sorted((a, b, c, d)))
+    return Cell("parallelogram", pts, _par_cycle(pts))
 
 
-def _orient(a: Point, b: Point, c: Point) -> int:
-    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-
-def _par_cycle(cell: Cell) -> tuple[Point, Point, Point, Point]:
-    """Vertices in cycle order p, p+u, p+u+v, p+v."""
-    p, q, r, s = cell.vertices
+def _par_cycle(pts) -> tuple[Point, Point, Point, Point]:
+    """Sorted vertices in cycle order p, p+u, p+u+v, p+v."""
+    p, q, r, s = pts
     for far, m1, m2 in ((q, r, s), (r, q, s), (s, q, r)):
         if _add(p, far) == _add(m1, m2):
             if _orient(p, m1, m2) == 0:
                 break
             return (p, m1, far, m2)
-    raise InternalInvariantError(f"not a parallelogram: {cell.vertices}")
-
-
-def _par_area(cell: Cell) -> int:
-    p, a, _, b = _par_cycle(cell)
-    return abs(_orient(p, a, b))
-
-
-def cell_sides(cell: Cell) -> list[tuple[Point, Point]]:
-    if cell.kind == "triangle":
-        a, b, c = cell.vertices
-        return [tuple(sorted((a, b))), tuple(sorted((a, c))), tuple(sorted((b, c)))]
-    p, q, r, s = _par_cycle(cell)
-    return [
-        tuple(sorted((p, q))),
-        tuple(sorted((q, r))),
-        tuple(sorted((r, s))),
-        tuple(sorted((s, p))),
-    ]
-
-
-def parallelogram_opposite(cell: Cell, side: tuple[Point, Point]) -> tuple[Point, Point]:
-    p, q, r, s = _par_cycle(cell)
-    pairs = {
-        tuple(sorted((p, q))): tuple(sorted((s, r))),
-        tuple(sorted((s, r))): tuple(sorted((p, q))),
-        tuple(sorted((q, r))): tuple(sorted((p, s))),
-        tuple(sorted((p, s))): tuple(sorted((q, r))),
-    }
-    return pairs[side]
+    raise InternalInvariantError(f"not a parallelogram: {pts}")
 
 
 # -- motivic vertex and curve multiplicities -----------------------------------
@@ -212,16 +186,11 @@ def enumerate_paths(poly: LatticePolygon):
         yield (first,) + chosen + (last,)
 
 
-def _shoelace(seq) -> int:
-    return sum(
-        seq[i][0] * seq[i + 1][1] - seq[i + 1][0] * seq[i][1]
-        for i in range(len(seq) - 1)
-    )
-
-
 def _arc_shoelaces(poly: LatticePolygon) -> tuple[int, int]:
     """Shoelace sums of the two boundary arcs from the lambda-min point to
-    the lambda-max point: (left arc, right arc).
+    the lambda-max point, each closed by the chord back: (left arc, right
+    arc).  Every path shares these endpoints, so its own closed sum minus
+    an arc's is twice the area between them.
 
     Walking the counterclockwise boundary from the minimum reaches the
     maximum along the right-hand side of any increasing path.
@@ -234,7 +203,7 @@ def _arc_shoelaces(poly: LatticePolygon) -> tuple[int, int]:
     j = bd.index(hi)
     right = bd[: j + 1]
     left = [lo] + bd[: j - 1 : -1]
-    return _shoelace(left), _shoelace(right)
+    return _area2(left), _area2(right)
 
 
 def complete_path(path, side: int, poly: LatticePolygon):
@@ -253,7 +222,7 @@ def complete_path(path, side: int, poly: LatticePolygon):
     cache: dict[tuple, list[tuple[Cell, ...]]] = {}
 
     def area2_to_side(p) -> int:
-        s = _shoelace(p)
+        s = _area2(p)
         return s - s_left if side == 1 else s_right - s
 
     def rec(p) -> list[tuple[Cell, ...]]:
@@ -294,87 +263,72 @@ def complete_path(path, side: int, poly: LatticePolygon):
 # -- gluing and validity -----------------------------------------------------------
 
 
-def _dual_graph(cells, poly: LatticePolygon):
+def _side_owners(cells, poly: LatticePolygon) -> dict[tuple[Point, Point], list[int]]:
+    """Map each cell side to the indices of the cells it bounds.
+
+    Raises InternalInvariantError on inconsistent tilings: a side bounding
+    more than two cells, or an interior side bounding only one.
+    """
+    owners: dict[tuple[Point, Point], list[int]] = {}
+    for idx, cell in enumerate(cells):
+        for side in cell.sides():
+            owners.setdefault(side, []).append(idx)
+    for side, ids in owners.items():
+        if len(ids) > 2:
+            raise InternalInvariantError(f"edge {side} shared by {len(ids)} cells")
+        if len(ids) == 1 and not poly.segment_on_boundary(*side):
+            raise InternalInvariantError(f"interior edge {side} has a single cell")
+    return owners
+
+
+def _dual_graph(cells, owners):
     """Thread the dual curve through the cells.
 
-    Returns (triangle count, arcs between trivalent vertices, ray count,
-    vertex-free line count).  Raises InternalInvariantError on inconsistent
-    tilings (an interior edge not shared by exactly two cells).
+    A strand of the curve crosses parallelograms from one side to the
+    opposite one and ends at a triangle (a trivalent vertex) or at the
+    polygon boundary.  Each strand is walked once, from one of its ends: a
+    triangle-triangle strand is an arc, triangle-boundary a ray and
+    boundary-boundary a vertex-free line.  Returns (triangle ids, arcs
+    between trivalent vertices, line count).
     """
-    side_cells: dict[tuple[Point, Point], list[int]] = {}
-    for idx, cell in enumerate(cells):
-        for side in cell_sides(cell):
-            side_cells.setdefault(side, []).append(idx)
-
-    for side, owners in side_cells.items():
-        if len(owners) > 2:
-            raise InternalInvariantError(f"edge {side} shared by {len(owners)} cells")
-        if len(owners) == 1 and not poly.segment_on_boundary(*side):
-            raise InternalInvariantError(f"interior edge {side} has a single cell")
-
     tri_ids = [i for i, c in enumerate(cells) if c.kind == "triangle"]
     arcs: list[tuple[int, int]] = []
     rays = 0
     lines = 0
-    seen: set[tuple[int, tuple[Point, Point]]] = set()
 
-    def walk(start_cell: int, side):
-        """Follow a strand from a port; returns ('ray', None) or ('vertex', id)."""
-        cell_id, s = start_cell, side
+    def walk(side, cell_id):
+        """Cross ``side`` away from ``cell_id`` (None: from outside) and
+        follow the strand to its far end, returned in the same form."""
         while True:
-            owners = side_cells[s]
-            nxt = [o for o in owners if o != cell_id]
+            nxt = [o for o in owners[side] if o != cell_id]
             if not nxt:
-                return ("ray", None)
-            o = nxt[0]
-            if cells[o].kind == "triangle":
-                seen.add((o, s))
-                return ("vertex", o)
-            s = parallelogram_opposite(cells[o], s)
-            cell_id = o
+                return side, None
+            cell_id = nxt[0]
+            if cells[cell_id].kind == "triangle":
+                return side, cell_id
+            side = cells[cell_id].opposite(side)
 
-    for t in tri_ids:
-        for side in cell_sides(cells[t]):
-            if (t, side) in seen:
-                continue
-            seen.add((t, side))
-            kind, other = walk(t, side)
-            if kind == "ray":
-                rays += 1
-            else:
-                arcs.append((t, other))
-
-    # strands that never touch a trivalent vertex: boundary-to-boundary runs
-    # through parallelograms only (a straight-line component of the curve)
-    par_seen: set[tuple[int, tuple[Point, Point]]] = set()
-    for idx, cell in enumerate(cells):
-        if cell.kind != "parallelogram":
+    ends = [(side, t) for t in tri_ids for side in cells[t].sides()]
+    ends += [(side, None) for side, ids in owners.items() if len(ids) == 1]
+    seen: set = set()
+    for end in ends:
+        if end in seen:
             continue
-        for side in cell_sides(cell):
-            if side_cells[side] != [idx] or (idx, side) in par_seen:
-                continue
-            cur, s = idx, side
-            touched_triangle = False
-            while True:
-                par_seen.add((cur, s))
-                s2 = parallelogram_opposite(cells[cur], s)
-                par_seen.add((cur, s2))
-                owners = [o for o in side_cells[s2] if o != cur]
-                if not owners:
-                    break
-                if cells[owners[0]].kind == "triangle":
-                    touched_triangle = True
-                    break
-                cur, s = owners[0], s2
-            if not touched_triangle:
-                lines += 1
+        far = walk(*end)
+        seen.add(far)
+        if end[1] is None and far[1] is None:
+            lines += 1
+        elif end[1] is None or far[1] is None:
+            rays += 1
+        else:
+            arcs.append((end[1], far[1]))
 
     if 3 * len(tri_ids) != 2 * len(arcs) + rays:
         raise InternalInvariantError("dual graph slot count mismatch")
-    return len(tri_ids), arcs, rays, lines
+    return tri_ids, arcs, lines
 
 
-def _connected(n_nodes: int, node_ids, arcs) -> bool:
+def _connected(node_ids, arcs) -> bool:
     parent = {t: t for t in node_ids}
 
     def find(x):
@@ -393,21 +347,18 @@ def validate_subdivision(sub: MarkedSubdivision, poly: LatticePolygon):
     weight-one ends; otherwise a short reason string."""
     if sum(c.area2() for c in sub.cells) != poly.area2:
         raise InternalInvariantError("cells do not tile the polygon")
+    owners = _side_owners(sub.cells, poly)
+    if any(len(ids) == 1 and lattice_length(*side) != 1 for side, ids in owners.items()):
+        return "boundary-weight"
 
-    for cell in sub.cells:
-        for a, b in cell_sides(cell):
-            if poly.segment_on_boundary(a, b) and gcd(abs(a[0] - b[0]), abs(a[1] - b[1])) != 1:
-                return "boundary-weight"
-
-    n_tri, arcs, _rays, lines = _dual_graph(sub.cells, poly)
+    tri_ids, arcs, lines = _dual_graph(sub.cells, owners)
     if lines:
         return "line-component"
-    if n_tri == 0:
+    if not tri_ids:
         return "no-trivalent-vertex"
-    tri_ids = [i for i, c in enumerate(sub.cells) if c.kind == "triangle"]
-    if not _connected(n_tri, tri_ids, arcs):
+    if not _connected(tri_ids, arcs):
         return "disconnected"
-    if len(arcs) != n_tri - 1:
+    if len(arcs) != len(tri_ids) - 1:
         return "positive-genus"
     return None
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .betapoly import BetaPolynomial, mul_step
+from .betapoly import BetaPolynomial
 from .gw import GWElement, DomainError
 from .polygon import LatticePolygon, preset, sl2z_equivalent
 from .tropical import count_invariants
@@ -66,7 +66,7 @@ def wall_cross_step(
         raise DomainError(f"index {next_index} already in use")
     if used and max(used) >= next_index:
         raise DomainError("indices must be crossed in increasing order")
-    return n_surface + mul_step(n_blowup, next_index)
+    return n_surface + n_blowup.mul_step(next_index)
 
 
 @dataclass(frozen=True)
@@ -82,8 +82,13 @@ class SurfaceChain:
             raise DomainError("empty chain")
         if polys[-1].interior_count() != 0:
             raise DomainError("chain must end with an interior-point-free polygon")
-        if len(polys) - 1 != polys[0].interior_count():
-            raise DomainError("chain length must be 1 + interior count of the top")
+        top, interior, chops = polys[0], polys[0].interior_count(), len(polys) - 1
+        if chops != interior:
+            raise DomainError(
+                "a wall-crossing chain needs one depth-2 corner chop per interior "
+                f"point: {top} has {interior} interior points but {chops} chops were "
+                "found (chains exist for p2:1 to p2:4, f1_4_2e, blf1 and bl2f1)"
+            )
         for a, b in zip(polys, polys[1:]):
             if a.point_budget() - 2 != b.point_budget():
                 raise DomainError("point budget must drop by 2 at each chop")

@@ -2,14 +2,15 @@
 
 These deliberately avoid the closed-form machinery they are checking:
 local solvability is decided by enumerating square values in residue
-charts, and triangle interior counts by scanning the bounding box.
+charts, and triangle interior counts by scanning the bounding box.  Also
+home to the random form generator of the property tests.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from gwcurves.gw import square_class
+from gwcurves.gw import ZERO, GWElement, form, square_class
 
 PLACES = [None, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
@@ -53,3 +54,12 @@ def hilbert_oracle(a, b, place) -> int:
     if key not in _cache:
         _cache[key] = _oracle(key[0], key[1], place)
     return _cache[key]
+
+
+def random_gw(rng, size: int = 4, bound: int = 30) -> GWElement:
+    """Small random virtual form, for property tests."""
+    out = ZERO
+    for _ in range(rng.randrange(size + 1)):
+        a = rng.choice([-1, 1]) * rng.randrange(1, bound)
+        out = out + rng.choice([-2, -1, 1, 2]) * form(a)
+    return out

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from gwcurves.cli import main
 
 
@@ -76,6 +78,14 @@ class TestInvariant:
     def test_unknown_polygon(self, capsys):
         assert run(capsys, "invariant", "--polygon", "nope")[0] == 2
 
+    @pytest.mark.parametrize("bad", [2.7, True])
+    def test_non_integer_polygon_file(self, capsys, tmp_path, bad):
+        ppath = tmp_path / "poly.json"
+        ppath.write_text(json.dumps({"vertices": [[0, 0], [bad, 0], [0, 2]]}))
+        code, out, err = run(capsys, "invariant", "--polygon", str(ppath))
+        assert (code, out) == (2, "")
+        assert "integer coordinates" in err
+
 
 class TestTropical:
     def test_summary_and_files(self, capsys, tmp_path):
@@ -146,6 +156,13 @@ class TestTable:
     def test_explicit_chain_list(self, capsys):
         code, out, _ = run(capsys, "table", "--chain", "blf1,bl2f1")
         assert code == 0
+
+    def test_unsupported_chain_explains_refusal(self, capsys):
+        code, out, err = run(capsys, "table", "--chain", "p2:5")
+        assert (code, out) == (2, "")
+        assert "one depth-2 corner chop per interior point" in err
+        assert "conv{(0,0), (5,0), (0,5)} has 6 interior points but 3 chops" in err
+        assert "p2:1 to p2:4, f1_4_2e, blf1 and bl2f1" in err
 
 
 class TestOracle:

@@ -8,7 +8,9 @@ import pytest
 
 from gwcurves.betapoly import BetaPolynomial, format_poly
 from gwcurves.expr import ExprError, parse_expression, parse_gw
-from gwcurves.gw import H, ONE, form, format_gw, random_gw
+from gwcurves.gw import H, ONE, form, format_gw
+
+from oracles import random_gw
 
 
 class TestParsing:

@@ -22,10 +22,11 @@ from gwcurves.gw import (
     format_gw,
     gw_equal,
     hilbert_symbol,
-    random_gw,
     square_class,
     trace_form,
 )
+
+from oracles import random_gw
 
 nonzero_rationals = st.fractions(
     min_value=Fraction(-60), max_value=Fraction(60), max_denominator=40

@@ -37,6 +37,21 @@ class TestConstruction:
         q = preset("f1_4_2e")
         assert LatticePolygon.from_json(q.to_json()) == q
 
+    @pytest.mark.parametrize("bad", [2.7, 2.0, True, "2", None])
+    def test_rejects_non_integer_coordinates(self, bad):
+        # int() would silently turn 2.7 into 2 and True into 1
+        with pytest.raises(DomainError, match="integer"):
+            polygon([(0, 0), (bad, 0), (0, 2)])
+        with pytest.raises(DomainError, match="integer"):
+            convex_hull([(0, 0), (bad, 0), (0, 2), (1, 1)])
+
+    @pytest.mark.parametrize("bad", [(2, 0, 1), (2,), 5])
+    def test_rejects_malformed_vertices(self, bad):
+        with pytest.raises(DomainError, match="integer"):
+            polygon([(0, 0), bad, (0, 2)])
+        with pytest.raises(DomainError, match="integer"):
+            convex_hull([(0, 0), bad, (0, 2), (1, 1)])
+
 
 class TestPresets:
     def test_p2_4(self):

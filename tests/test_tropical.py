@@ -124,12 +124,13 @@ def alt_completions(path, side, poly):
 
     The completion set must not depend on the resolution order.
     """
-    from gwcurves.tropical import _arc_shoelaces, _shoelace, parallelogram
+    from gwcurves.polygon import _area2
+    from gwcurves.tropical import _arc_shoelaces, parallelogram
 
     s_left, s_right = _arc_shoelaces(poly)
 
     def area2(p):
-        s = _shoelace(p)
+        s = _area2(p)
         return s - s_left if side == 1 else s_right - s
 
     def rec(p):
@@ -253,6 +254,25 @@ class TestEnumerate:
         # curves and must be dropped for the counts to be right.
         enum = enumerate_curves(p2(3))
         assert dict(enum.dropped) == {"boundary-weight": 6}
+
+    @pytest.mark.parametrize("reason", ["boundary-weight", "disconnected"])
+    def test_quartic_total_needs_the_filter(self, quartic_enum, monkeypatch, reason):
+        # README: the totals are provably wrong without the filter.  Keep the
+        # candidates dropped for one reason and the rank leaves N = 620.
+        from gwcurves import tropical
+
+        assert reason in quartic_enum.dropped
+        assert quartic_enum.motivic_total().rank() == 620
+        validate = tropical.validate_subdivision
+
+        def keep_reason(sub, poly):
+            got = validate(sub, poly)
+            return None if got == reason else got
+
+        monkeypatch.setattr(tropical, "validate_subdivision", keep_reason)
+        enum = enumerate_curves(p2(4), jobs=1)
+        assert reason not in enum.dropped
+        assert enum.motivic_total().rank() != 620
 
     def test_every_emitted_curve_revalidates(self):
         for name in ["p2:3", "blf1"]:

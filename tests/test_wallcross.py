@@ -117,6 +117,13 @@ class TestChains:
         with pytest.raises(DomainError):
             SurfaceChain((p2(4), preset("f1_4_2e")))
 
+    def test_refusal_lists_the_presets_that_chain(self):
+        # the refusal message names these presets as the ones that work
+        for name in ["p2:1", "p2:2", "p2:3", "p2:4", "f1_4_2e", "blf1", "bl2f1"]:
+            chain_from(preset(name))
+        with pytest.raises(DomainError, match="p2:1 to p2:4, f1_4_2e, blf1 and bl2f1"):
+            chain_from(p2(5))
+
     def test_rejects_non_chop(self):
         with pytest.raises(DomainError):
             SurfaceChain((preset("blf1"), polygon([(0, 0), (1, 0), (0, 1)])))
