@@ -91,17 +91,23 @@ class LatticePolygon:
     def strictly_contains(self, p: Point) -> bool:
         return all(_cross(a, b, p) > 0 for a, b in self.edges())
 
+    @cached_property
+    def _edges_through(self) -> dict[Point, frozenset[int]]:
+        """Each boundary lattice point mapped to the indices of the edges
+        (in ``edges()`` order) that contain it: two at a vertex, one
+        elsewhere."""
+        out: dict[Point, set[int]] = {}
+        for i, (a, b) in enumerate(self.edges()):
+            step = primitive(_sub(b, a))
+            for k in range(lattice_length(a, b) + 1):
+                out.setdefault(_add(a, (step[0] * k, step[1] * k)), set()).add(i)
+        return {p: frozenset(ids) for p, ids in out.items()}
+
     def segment_on_boundary(self, p: Point, q: Point) -> bool:
-        """True iff the whole segment [p, q] lies inside one polygon edge."""
-        for a, b in self.edges():
-            if _cross(a, b, p) == 0 and _cross(a, b, q) == 0:
-                lo = (min(a[0], b[0]), min(a[1], b[1]))
-                hi = (max(a[0], b[0]), max(a[1], b[1]))
-                if all(
-                    lo[k] <= c[k] <= hi[k] for c in (p, q) for k in range(2)
-                ):
-                    return True
-        return False
+        """True iff the whole segment [p, q] between two lattice points lies
+        inside one polygon edge."""
+        through = self._edges_through
+        return p in through and q in through and not through[p].isdisjoint(through[q])
 
     # -- lattice point counts ------------------------------------------------
 
@@ -177,7 +183,12 @@ class LatticePolygon:
 
     @classmethod
     def from_json(cls, data) -> "LatticePolygon":
-        return polygon(data["vertices"])
+        if not isinstance(data, dict):
+            raise DomainError("a polygon file holds an object {\"vertices\": [[x, y], ...]}")
+        vertices = data["vertices"]
+        if not isinstance(vertices, list):
+            raise DomainError(f"\"vertices\" must be a list of [x, y] pairs, not {vertices!r}")
+        return polygon(vertices)
 
     def __str__(self) -> str:
         return "conv{" + ", ".join(f"({x},{y})" for x, y in self.vertices) + "}"

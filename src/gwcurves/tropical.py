@@ -11,6 +11,13 @@ the result is kept when its dual graph is a connected tree whose unbounded
 edges all have weight one (an irreducible rational curve), and dropped with
 a counted diagnostic otherwise.
 
+Every boundary side of a tiling comes from exactly one of its two
+completions, so an end of weight >= 2 is decided by one side alone: the
+completions with a boundary side of lattice length >= 2 are set aside before
+gluing, and ``boundary-weight`` still counts glued pairs, as
+|L|*|R| - |L_ok|*|R_ok| for L and R the completions of a path and L_ok, R_ok
+those kept.
+
 Each trivalent vertex, dual to a triangle with edge lattice lengths
 l1, l2, l3, twice-area A2 and I interior lattice points, carries the
 multiplicity
@@ -31,6 +38,7 @@ import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .gw import GWElement, ONE, form, gw_equal
 from .polygon import LatticePolygon, Point, lattice_length, _add, _area2, _cross as _orient, _sub
@@ -114,6 +122,7 @@ def triangle_interior_count(cell: Cell) -> int:
     return i2 // 2
 
 
+@lru_cache(maxsize=4096)
 def vertex_mult(cell: Cell) -> GWElement:
     """Motivic multiplicity of the trivalent vertex dual to a triangle."""
     if cell.kind != "triangle":
@@ -281,6 +290,16 @@ def _side_owners(cells, poly: LatticePolygon) -> dict[tuple[Point, Point], list[
     return owners
 
 
+def _heavy_boundary(cells, poly: LatticePolygon) -> bool:
+    """True if some cell side lies on the boundary with lattice length >= 2
+    (an end of weight >= 2)."""
+    return any(
+        poly.segment_on_boundary(*side) and lattice_length(*side) != 1
+        for cell in cells
+        for side in cell.sides()
+    )
+
+
 def _dual_graph(cells, owners):
     """Thread the dual curve through the cells.
 
@@ -353,9 +372,8 @@ def validate_subdivision(sub: MarkedSubdivision, poly: LatticePolygon):
 
     tri_ids, arcs, lines = _dual_graph(sub.cells, owners)
     if lines:
+        # also every tiling without a triangle: its strands all end on the boundary
         return "line-component"
-    if not tri_ids:
-        return "no-trivalent-vertex"
     if not _connected(tri_ids, arcs):
         return "disconnected"
     if len(arcs) != len(tri_ids) - 1:
@@ -409,8 +427,14 @@ def _curves_for_path(poly: LatticePolygon, path) -> tuple[list[TropicalCurve], C
     dropped: Counter = Counter()
     left = complete_path(path, 1, poly)
     right = complete_path(path, -1, poly)
-    for cl in left:
-        for cr in right:
+    left_ok = [c for c in left if not _heavy_boundary(c, poly)]
+    right_ok = [c for c in right if not _heavy_boundary(c, poly)]
+    heavy = len(left) * len(right) - len(left_ok) * len(right_ok)
+    if heavy:
+        dropped["boundary-weight"] = heavy
+        logger.debug("dropped %d boundary-weight completions of path %s", heavy, path)
+    for cl in left_ok:
+        for cr in right_ok:
             sub = MarkedSubdivision(tuple(path), tuple(sorted(cl + cr, key=_cell_key)))
             reason = validate_subdivision(sub, poly)
             if reason is None:
@@ -430,21 +454,28 @@ def _curve_key(curve: TropicalCurve):
 
 
 def default_jobs() -> int:
+    """Worker processes from ``GWCURVES_THREADS``, at most the CPU count; a
+    value that is not a positive integer gives 1 with a warning."""
+    raw = os.environ.get("GWCURVES_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("GWCURVES_THREADS", "1")))
+        jobs = int(raw)
     except ValueError:
+        jobs = 0
+    if jobs < 1:
+        logger.warning("GWCURVES_THREADS=%r is not a positive integer; using 1 process", raw)
         return 1
+    return min(jobs, os.cpu_count() or 1)
 
 
 def enumerate_curves(poly: LatticePolygon, jobs: int | None = None) -> Enumeration:
     """All irreducible rational tropical curves of degree ``poly`` through a
     vertically stretched configuration, with multiplicities, in canonical
     order.  Dropped completions are tallied in ``Enumeration.dropped``."""
-    jobs = default_jobs() if jobs is None else max(1, jobs)
     paths = list(enumerate_paths(poly))
+    jobs = max(1, min(default_jobs() if jobs is None else jobs, len(paths)))
     curves: list[TropicalCurve] = []
     dropped: Counter = Counter()
-    if jobs > 1 and len(paths) > 1:
+    if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunk = max(1, len(paths) // (4 * jobs))
             results = pool.map(_curves_for_path, itertools.repeat(poly), paths, chunksize=chunk)

@@ -2,8 +2,9 @@
 
 These deliberately avoid the closed-form machinery they are checking:
 local solvability is decided by enumerating square values in residue
-charts, and triangle interior counts by scanning the bounding box.  Also
-home to the random form generator of the property tests.
+charts, triangle interior counts by scanning the bounding box, and
+boundary segments by testing each polygon edge.  Also home to the random
+form generator of the property tests.
 """
 
 from __future__ import annotations
@@ -54,6 +55,20 @@ def hilbert_oracle(a, b, place) -> int:
     if key not in _cache:
         _cache[key] = _oracle(key[0], key[1], place)
     return _cache[key]
+
+
+def segment_on_boundary_scan(poly, p, q) -> bool:
+    """Whether [p, q] lies inside one edge of ``poly``: both ends on the
+    edge's line and inside its bounding box."""
+    for a, b in poly.edges():
+        on_line = all(
+            (b[0] - a[0]) * (c[1] - a[1]) == (b[1] - a[1]) * (c[0] - a[0]) for c in (p, q)
+        )
+        if on_line and all(
+            min(a[k], b[k]) <= c[k] <= max(a[k], b[k]) for c in (p, q) for k in range(2)
+        ):
+            return True
+    return False
 
 
 def random_gw(rng, size: int = 4, bound: int = 30) -> GWElement:

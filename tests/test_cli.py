@@ -86,6 +86,14 @@ class TestInvariant:
         assert (code, out) == (2, "")
         assert "integer coordinates" in err
 
+    @pytest.mark.parametrize("data", [[[0, 0], [1, 0], [0, 1]], {"vertices": 5}])
+    def test_malformed_polygon_file(self, capsys, tmp_path, data):
+        ppath = tmp_path / "poly.json"
+        ppath.write_text(json.dumps(data))
+        code, out, err = run(capsys, "invariant", "--polygon", str(ppath))
+        assert (code, out) == (2, "")
+        assert "cannot read polygon" in err
+
 
 class TestTropical:
     def test_summary_and_files(self, capsys, tmp_path):
@@ -175,12 +183,33 @@ class TestRuntime:
     def test_threads_env_var(self, capsys, monkeypatch):
         from gwcurves.tropical import default_jobs
 
+        monkeypatch.setattr("os.cpu_count", lambda: 8)
         monkeypatch.setenv("GWCURVES_THREADS", "3")
         assert default_jobs() == 3
         monkeypatch.setenv("GWCURVES_THREADS", "junk")
         assert default_jobs() == 1
         code, out, _ = run(capsys, "invariant", "--polygon", "bl2f1")
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "value, cpus, jobs, warns",
+        [
+            ("64", 2, 2, False),
+            ("2", 8, 2, False),
+            ("5", None, 1, False),
+            ("junk", 8, 1, True),
+            ("0", 8, 1, True),
+            ("-3", 8, 1, True),
+        ],
+    )
+    def test_threads_env_var_is_capped(self, monkeypatch, caplog, value, cpus, jobs, warns):
+        from gwcurves.tropical import default_jobs
+
+        monkeypatch.setattr("os.cpu_count", lambda: cpus)
+        monkeypatch.setenv("GWCURVES_THREADS", value)
+        with caplog.at_level("WARNING", logger="gwcurves.tropical"):
+            assert default_jobs() == jobs
+        assert ("GWCURVES_THREADS" in caplog.text) == warns
 
     def test_internal_error_exit_code(self, capsys, monkeypatch):
         from gwcurves import cli

@@ -18,6 +18,8 @@ from gwcurves.polygon import (
     sl2z_equivalent,
 )
 
+from oracles import segment_on_boundary_scan
+
 
 class TestConstruction:
     def test_rejects_collinear(self):
@@ -44,6 +46,13 @@ class TestConstruction:
             polygon([(0, 0), (bad, 0), (0, 2)])
         with pytest.raises(DomainError, match="integer"):
             convex_hull([(0, 0), (bad, 0), (0, 2), (1, 1)])
+
+    @pytest.mark.parametrize(
+        "data", [[[0, 0], [1, 0], [0, 1]], {"vertices": 5}, {"vertices": "abc"}]
+    )
+    def test_from_json_rejects_malformed_files(self, data):
+        with pytest.raises(DomainError):
+            LatticePolygon.from_json(data)
 
     @pytest.mark.parametrize("bad", [(2, 0, 1), (2,), 5])
     def test_rejects_malformed_vertices(self, bad):
@@ -185,6 +194,46 @@ def test_segment_on_boundary():
     assert q.segment_on_boundary((2, 1), (1, 2))
     assert not q.segment_on_boundary((0, 0), (1, 1))
     assert not q.segment_on_boundary((1, 1), (2, 1))
+
+
+def _agrees_with_edge_scan(q: LatticePolygon) -> None:
+    xs = [v[0] for v in q.vertices]
+    ys = [v[1] for v in q.vertices]
+    box = [
+        (x, y)
+        for x in range(min(xs) - 1, max(xs) + 2)
+        for y in range(min(ys) - 1, max(ys) + 2)
+    ]
+    for p in box:
+        for r in box:
+            assert q.segment_on_boundary(p, r) == segment_on_boundary_scan(q, p, r), (q, p, r)
+
+
+@pytest.mark.parametrize(
+    "q",
+    [
+        p2(4),
+        preset("f1_4_2e"),
+        preset("blf1"),
+        preset("bl2f1"),
+        polygon([(0, 0), (3, 0), (3, 3), (0, 3)]),
+        polygon([(0, 0), (5, 0), (2, 3), (0, 3)]),
+        polygon([(5, -1), (9, -1), (13, 3)]),
+    ],
+    ids=str,
+)
+def test_segment_on_boundary_matches_edge_scan(q):
+    _agrees_with_edge_scan(q)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=3, max_size=7))
+def test_segment_on_boundary_matches_edge_scan_on_random_hulls(points):
+    try:
+        q = convex_hull(points)
+    except DomainError:  # fewer than 3 distinct points, or all collinear
+        return
+    _agrees_with_edge_scan(q)
 
 
 def test_lattice_length():

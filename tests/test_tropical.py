@@ -12,6 +12,7 @@ from gwcurves.tropical import (
     Cell,
     InternalInvariantError,
     MarkedSubdivision,
+    TropicalCurve,
     _cell_key,
     _orient,
     complete_path,
@@ -20,6 +21,7 @@ from gwcurves.tropical import (
     enumerate_curves,
     enumerate_paths,
     lambda_key,
+    parallelogram,
     triangle,
     triangle_edge_lengths,
     triangle_interior_count,
@@ -270,6 +272,9 @@ class TestEnumerate:
             return None if got == reason else got
 
         monkeypatch.setattr(tropical, "validate_subdivision", keep_reason)
+        if reason == "boundary-weight":
+            # the per-side filter drops these before validation; let them through
+            monkeypatch.setattr(tropical, "_heavy_boundary", lambda cells, poly: False)
         enum = enumerate_curves(p2(4), jobs=1)
         assert reason not in enum.dropped
         assert enum.motivic_total().rank() != 620
@@ -313,6 +318,26 @@ class TestEnumerate:
         assert (inv.n, inv.w) == (96, 48)
         assert gw_equal(inv.motivic, 24 * H + 48 * ONE)
 
+    def test_tiling_without_triangle_is_a_line_component(self):
+        square = polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+        cell = parallelogram((0, 0), (1, 0), (1, 1), (0, 1))
+        sub = MarkedSubdivision(((0, 0), (1, 0), (1, 1)), (cell,))
+        assert validate_subdivision(sub, square) == "line-component"
+
+    def test_jobs_capped_at_path_count(self, monkeypatch):
+        # one path: a pool would be wasted, and none may be started
+        from gwcurves import tropical
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("process pool started")
+
+        monkeypatch.setattr(tropical, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr("os.cpu_count", lambda: 8)
+        monkeypatch.setenv("GWCURVES_THREADS", "4")
+        for jobs in (4, None):
+            enum = enumerate_curves(preset("bl2f1"), jobs=jobs)
+            assert len(enum.curves) == 1
+
     def test_parallel_run_is_byte_identical(self):
         serial = enumerate_curves(p2(3), jobs=1)
         parallel = enumerate_curves(p2(3), jobs=2)
@@ -341,3 +366,45 @@ class TestQuartic:
             for c in quartic_enum.curves
         ]
         assert keys == sorted(keys)
+
+
+def _glue_everything(poly):
+    """The enumeration from public functions, without the per-side filter:
+    every pair of completions is glued and validated."""
+
+    def cell_key(cell):
+        return (cell.kind, cell.vertices)
+
+    curves = []
+    dropped = {}
+    for path in enumerate_paths(poly):
+        for cl in complete_path(path, 1, poly):
+            for cr in complete_path(path, -1, poly):
+                sub = MarkedSubdivision(tuple(path), tuple(sorted(cl + cr, key=cell_key)))
+                reason = validate_subdivision(sub, poly)
+                if reason is None:
+                    curves.append(TropicalCurve(sub, curve_mult(sub)))
+                else:
+                    dropped[reason] = dropped.get(reason, 0) + 1
+    curves.sort(key=lambda c: (c.subdivision.path, tuple(map(cell_key, c.subdivision.cells))))
+    return curves, dropped
+
+
+@pytest.mark.parametrize(
+    "poly",
+    [
+        p2(3),
+        p2(4),
+        preset("blf1"),
+        preset("bl2f1"),
+        preset("f1_4_2e"),
+        polygon([(5, -1), (9, -1), (13, 3)]),  # p2:4 under (x + 2y + 5, y - 1)
+    ],
+    ids=str,
+)
+def test_pruned_enumeration_matches_glue_everything(poly):
+    curves, dropped = _glue_everything(poly)
+    enum = enumerate_curves(poly, jobs=1)
+    got, want = ([c.to_json() for c in cs] for cs in (enum.curves, curves))
+    assert json.dumps(got) == json.dumps(want)
+    assert dict(enum.dropped) == dropped
