@@ -58,7 +58,10 @@ class _Scanner:
             self.pos += 1
         if self.pos == start:
             raise ExprError("expected an integer", start)
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # longer than int() accepts (sys.get_int_max_str_digits)
+            raise ExprError(f"integer literal of {self.pos - start} digits is too long", start) from None
 
     def rational(self) -> Fraction:
         self.skip_ws()

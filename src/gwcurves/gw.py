@@ -13,6 +13,14 @@ rank are isometric iff their signatures, discriminants and Hasse invariants
 agree at the real place, at 2 and at every odd prime dividing a stored
 representative.
 
+Square classes, discriminants and the odd places of a Hasse check all come
+from factoring integers.  ``_factor`` does it with the standard library
+alone: trial division by the primes below 1000, Baillie-PSW primality and
+Pollard-Brent rho, all within the fixed work bound FACTOR_EFFORT.  An
+integer it cannot split within that bound (two prime factors well above
+10**9, or a cofactor of more than about 780 digits) raises DomainError,
+which the command line reports with exit status 2.
+
 The hyperbolic plane h = <1> + <-1> is not a separate primitive; the
 pretty-printer extracts h-multiples greedily (min of the <1> and <-1>
 coefficients), which is how values like ``190h + 240*<1>`` are displayed.
@@ -23,10 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
-from typing import Mapping, Union
-
-from sympy import factorint, isprime
+from itertools import count
+from math import comb, gcd, isqrt
+from typing import Callable, Mapping, Union
 
 Rational = Union[int, Fraction]
 
@@ -45,11 +52,180 @@ def _as_fraction(a: Rational) -> Fraction:
     return Fraction(a)
 
 
-@lru_cache(maxsize=None)
+# -- integer factorization (Cohen, A Course in Computational Algebraic Number
+# Theory, chapters 8 and 10) ---------------------------------------------------
+
+#: Work one call of ``_factor`` may spend before it gives up, counted in
+#: steps of Pollard-Brent rho on numbers below 2**256.  A step modulo a b-bit
+#: number costs ``_step_cost`` of them, which grows like the time of one
+#: multiplication modulo it, and a primality test 2*b steps.  Products of
+#: powers of two primes near 10**9 factor inside it.  A 70-digit semiprime
+#: is refused after about 0.2 s of work, a prime of more than about 780
+#: digits before it is tested.
+FACTOR_EFFORT = 1 << 19
+
+#: Size of each cache on the integer helpers below.
+_CACHE_SIZE = 1 << 14
+
+_SMALL_PRIMES = tuple(p for p in range(2, 1000) if all(p % q for q in range(2, isqrt(p) + 1)))
+
+
+def _is_strong_base2_probable_prime(n: int) -> bool:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(2, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    a %= n
+    out = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                out = -out
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            out = -out
+        a %= n
+    return out if n == 1 else 0
+
+
+def _is_strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test with Selfridge's parameters: D the first of
+    5, -7, 9, -11, ... with (D/n) = -1, P = 1, Q = (1 - D)/4."""
+    if isqrt(n) ** 2 == n:
+        return False
+    d = 5
+    while (j := _jacobi(d, n)) != -1:
+        if j == 0:
+            return False
+        d = -d - 2 if d > 0 else -d + 2
+    q = (1 - d) // 4
+    k, s = n + 1, 0
+    while k % 2 == 0:
+        k, s = k // 2, s + 1
+
+    def half(x: int) -> int:
+        return (x + n * (x & 1)) // 2
+
+    u, v, qk = 1, 1, q % n  # U_1, V_1, Q^1 for P = 1
+    for bit in bin(k)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v, qk = half((u + v) % n), half((d * u + v) % n), qk * q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
+
+
+def _is_prime(n: int) -> bool:
+    """Baillie-PSW: trial division by the primes below 1000, then a strong
+    base-2 Miller-Rabin and a strong Lucas test.  No composite passing both
+    is known; below 2**64 there is none."""
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    if n < 1000 * 1000:
+        return n > 1
+    return _is_strong_base2_probable_prime(n) and _is_strong_lucas_probable_prime(n)
+
+
+def _step_cost(n: int) -> int:
+    return 1 + (n.bit_length() >> 8) ** 2
+
+
+def _brent_rho(n: int, spend: Callable[[int], None]) -> int:
+    """A proper divisor of the odd composite non-square n by Pollard-Brent
+    rho, paying for each doubling of the search before it runs."""
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            spend(2 * r * _step_cost(n))
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                steps = min(128, r - k)
+                for _ in range(steps):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += steps
+            r *= 2
+        if g == n:  # the batch overshot: replay it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _factor(n: int) -> tuple[tuple[int, int], ...]:
+    """Prime factorization of n >= 1 as ascending (prime, exponent) pairs.
+
+    Trial division by the primes below 1000, then Baillie-PSW and
+    Pollard-Brent rho on what is left, within FACTOR_EFFORT; raises
+    DomainError when the effort runs out."""
+    left = FACTOR_EFFORT
+
+    def spend(units: int) -> None:
+        nonlocal left
+        left -= units
+        if left < 0:
+            raise DomainError(f"cannot factor a {n.bit_length()}-bit integer within the effort bound")
+
+    out: dict[int, int] = {}
+    m = n
+    for p in _SMALL_PRIMES:
+        if p * p > m:
+            break
+        while m % p == 0:
+            m //= p
+            out[p] = out.get(p, 0) + 1
+    todo = [m] if m > 1 else []
+    while todo:
+        m = todo.pop()
+        spend(2 * m.bit_length() * _step_cost(m))
+        if _is_prime(m):
+            # divide m out of the cofactors still to split, so that a prime
+            # power costs one search rather than one per exponent
+            e = 1
+            for i, r in enumerate(todo):
+                while r % m == 0:
+                    r, e = r // m, e + 1
+                todo[i] = r
+            todo = [r for r in todo if r > 1]
+            out[m] = out.get(m, 0) + e
+        elif isqrt(m) ** 2 == m:
+            todo += [isqrt(m)] * 2
+        else:
+            d = _brent_rho(m, spend)
+            todo += [m // d, d]
+    return tuple(sorted(out.items()))
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
 def _squarefree_part(n: int) -> int:
     """Squarefree part of a nonzero integer (sign preserved)."""
     out = -1 if n < 0 else 1
-    for p, e in factorint(abs(n)).items():
+    for p, e in _factor(abs(n)):
         if e % 2:
             out *= p
     return out
@@ -67,9 +243,9 @@ def square_class(a: Rational) -> int:
     return _squarefree_part(a.numerator * a.denominator)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _odd_prime_divisors(c: int) -> tuple[int, ...]:
-    return tuple(p for p in factorint(abs(c)) if p != 2)
+    return tuple(p for p, _ in _factor(abs(c)) if p != 2)
 
 
 def _legendre(u: int, p: int) -> int:
@@ -86,7 +262,7 @@ def _split(n: int, p: int) -> tuple[int, int]:
     return v, n
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _hilbert_int(a: int, b: int, place: Place) -> int:
     if place is REAL_PLACE:
         return -1 if a < 0 and b < 0 else 1
@@ -113,7 +289,7 @@ def hilbert_symbol(a: Rational, b: Rational, place: Place = REAL_PLACE) -> int:
 
     ``place`` is a prime number or REAL_PLACE (None).
     """
-    if place is not REAL_PLACE and not (isinstance(place, int) and isprime(place)):
+    if place is not REAL_PLACE and not (type(place) is int and _is_prime(place)):
         raise DomainError(f"not a place of Q: {place!r}")
     return _hilbert_int(square_class(a), square_class(b), place)
 

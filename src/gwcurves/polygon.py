@@ -131,6 +131,10 @@ class LatticePolygon:
         return len(self.interior_points)
 
     def boundary_count(self) -> int:
+        return self._boundary_count
+
+    @cached_property
+    def _boundary_count(self) -> int:
         scanned = len(self.lattice_points) - len(self.interior_points)
         by_gcd = sum(lattice_length(a, b) for a, b in self.edges())
         if scanned != by_gcd:

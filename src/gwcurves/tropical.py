@@ -63,20 +63,19 @@ class Cell:
     kind: str  # "triangle" | "parallelogram"
     vertices: tuple[Point, ...]  # sorted
     cycle: tuple[Point, ...] = field(compare=False, repr=False)  # boundary order
+    _sides: tuple[tuple[Point, Point], ...] = field(compare=False, repr=False)
 
     def area2(self) -> int:
         a, b, c = self.cycle[:3]
         return abs(_orient(a, b, c)) * (2 if self.kind == "parallelogram" else 1)
 
-    def sides(self) -> list[tuple[Point, Point]]:
+    def sides(self) -> tuple[tuple[Point, Point], ...]:
         """Sides as sorted endpoint pairs, in cycle order."""
-        c = self.cycle
-        return [tuple(sorted((c[i - 1], c[i]))) for i in range(len(c))]
+        return self._sides
 
     def opposite(self, side: tuple[Point, Point]) -> tuple[Point, Point]:
         """The parallelogram side parallel to ``side``."""
-        sides = self.sides()
-        return sides[(sides.index(side) + 2) % 4]
+        return self._sides[(self._sides.index(side) + 2) % 4]
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "vertices": [list(v) for v in self.vertices]}
@@ -86,12 +85,17 @@ def triangle(a: Point, b: Point, c: Point) -> Cell:
     pts = tuple(sorted((a, b, c)))
     if _orient(*pts) == 0:
         raise InternalInvariantError("degenerate triangle")
-    return Cell("triangle", pts, pts)
+    return _cell("triangle", pts, pts)
 
 
 def parallelogram(a: Point, b: Point, c: Point, d: Point) -> Cell:
     pts = tuple(sorted((a, b, c, d)))
-    return Cell("parallelogram", pts, _par_cycle(pts))
+    return _cell("parallelogram", pts, _par_cycle(pts))
+
+
+def _cell(kind: str, pts: tuple[Point, ...], cycle: tuple[Point, ...]) -> Cell:
+    sides = tuple(tuple(sorted((cycle[i - 1], cycle[i]))) for i in range(len(cycle)))
+    return Cell(kind, pts, cycle, sides)
 
 
 def _par_cycle(pts) -> tuple[Point, Point, Point, Point]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from time import perf_counter
 
 import pytest
 
@@ -46,6 +47,14 @@ class TestGwEval:
         code, _, err = run(capsys, "gw-eval", "<oops>")
         assert code == 2
         assert "position" in err
+
+    @pytest.mark.parametrize("template, pos", [("<{}>", 1), ("tr({}; 1)", 3)])
+    def test_overlong_literal_is_usage(self, capsys, template, pos):
+        t0 = perf_counter()
+        code, _, err = run(capsys, "gw-eval", template.format("7" * 5000))
+        assert code == 2
+        assert err == f"error: integer literal of 5000 digits is too long (at position {pos})\n"
+        assert perf_counter() - t0 < 1.0
 
 
 class TestGwEqual:

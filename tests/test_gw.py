@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import prod
+from time import perf_counter
 
 import pytest
-from hypothesis import given
+import sympy
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gwcurves import cli
 from gwcurves.gw import (
     H,
     ONE,
@@ -24,6 +28,9 @@ from gwcurves.gw import (
     hilbert_symbol,
     square_class,
     trace_form,
+    _factor,
+    _is_prime,
+    _squarefree_part,
 )
 
 from oracles import random_gw
@@ -50,6 +57,64 @@ class TestSquareClass:
     @given(st.integers(min_value=1, max_value=30), st.integers(min_value=1, max_value=30))
     def test_fraction_reduces_like_product(self, p, q):
         assert square_class(Fraction(p, q)) == square_class(p * q)
+
+
+# -- the in-house factorizer against sympy, used here as an independent oracle --
+
+#: Semiprimes of 70 and 40 digits: two prime factors far above what the
+#: effort bound lets Pollard-Brent rho find.
+SEMIPRIME_70 = (10**34 + 193) * (3 * 10**35 + 199)
+SEMIPRIME_40 = (10**19 + 51) * (3 * 10**19 + 41)
+
+
+class TestFactorization:
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.lists(
+            st.tuples(st.integers(10**5, 10**9).map(sympy.prevprime), st.integers(1, 3)),
+            min_size=1,
+            max_size=2,
+        ),
+        st.integers(1, 10**4),
+        st.sampled_from([1, -1]),
+    )
+    def test_squarefree_part_matches_factorint(self, powers, t, sign):
+        n = sign * t * t * prod(p**k for p, k in powers)
+        want = sympy.factorint(abs(n))
+        assert dict(_factor(abs(n))) == want
+        assert _squarefree_part(n) == sign * prod(p for p, e in want.items() if e % 2)
+
+    def test_is_prime_small(self):
+        assert [n for n in range(2, 10**5) if _is_prime(n)] == list(sympy.primerange(2, 10**5))
+
+    @pytest.mark.parametrize(
+        "n",
+        [2047, 3277, 4033, 3215031751, 561, 41041]
+        # no prime factor below 1000: only the Lucas half of Baillie-PSW
+        # rejects these strong base-2 pseudoprimes
+        + [1194649, 12327121, 3825123056546413051, 318665857834031151167461],
+    )
+    def test_is_prime_pseudoprimes(self, n):
+        # strong base-2 pseudoprimes and Carmichael numbers
+        assert not _is_prime(n)
+        assert not sympy.isprime(n)
+
+    def test_is_prime_large(self):
+        rng = random.Random(41)
+        odd = [rng.randrange(10**19, 10**40) | 1 for _ in range(400)]
+        primes = [sympy.nextprime(rng.randrange(10**19, 10**40)) for _ in range(40)]
+        for n in odd + primes:
+            assert _is_prime(n) == sympy.isprime(n), n
+
+    @pytest.mark.parametrize("n", [SEMIPRIME_70, SEMIPRIME_40], ids=["70-digit", "40-digit"])
+    def test_semiprime_is_refused_fast(self, capsys, n):
+        t0 = perf_counter()
+        code = cli.main(["gw-eval", f"<{n}>"])
+        elapsed = perf_counter() - t0
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: cannot factor") and err.count("\n") == 1
+        assert elapsed < 1.0
 
 
 class TestRingOps:
@@ -109,8 +174,9 @@ class TestHilbertSymbol:
         assert hilbert_symbol(2, 3, 5) == 1
 
     def test_place_validation(self):
-        with pytest.raises(DomainError):
-            hilbert_symbol(1, 1, 4)
+        for place in (4, 1, True, 2.0):
+            with pytest.raises(DomainError, match="not a place of Q"):
+                hilbert_symbol(2, 3, place)
 
     def test_against_oracle_all_integers_to_30(self):
         values = [v for v in range(-30, 31) if v]
