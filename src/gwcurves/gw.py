@@ -28,6 +28,7 @@ coefficients), which is how values like ``190h + 240*<1>`` are displayed.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -483,10 +484,29 @@ def signed_term(coeff: int, text: str, first: bool) -> str:
     return f"{sign}{text}" if first else f" {sign} {text}"
 
 
+def _check_printable(n: int) -> None:
+    """Raise DomainError if ``n`` has more decimal digits than Python will
+    print (``sys.get_int_max_str_digits``, 4300 by default)."""
+    limit = sys.get_int_max_str_digits()
+    if limit and n.bit_length() > 3 * limit:  # below 8**limit every int prints
+        # 2**(b-1) <= |n| < 2**b leaves two candidates for the digit count
+        digits = int((n.bit_length() - 1) * 0.30102999566398120) + 1
+        digits += abs(n) >= 10**digits
+        if digits > limit:
+            raise DomainError(
+                f"result has a {digits}-digit number; Python prints at most {limit} digits"
+            )
+
+
 def display_terms(q: GWElement) -> list[tuple[int, str]]:
     """(coefficient, body) pairs in display order: the h-multiple visible in
     the <1>, <-1> coefficients first (body ``h``), then the remaining classes
-    ordered by (|class|, sign) (body ``<c>``)."""
+    ordered by (|class|, sign) (body ``<c>``).  Raises DomainError if a
+    stored class or coefficient is too long to print; no displayed or JSON
+    number is longer than the stored ones."""
+    for c, n in q.terms:
+        _check_printable(c)
+        _check_printable(n)
     m, rest = visible_h_multiples(q)
     out = [(m, "h")] if m else []
     out += [(n, f"<{c}>") for c, n in sorted(rest.terms, key=lambda t: (abs(t[0]), t[0] < 0))]

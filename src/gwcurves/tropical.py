@@ -9,7 +9,10 @@ parallelogram obtained by reflecting the turn vertex.  Gluing a positive and
 a negative completion tiles the polygon with triangles and parallelograms;
 the result is kept when its dual graph is a connected tree whose unbounded
 edges all have weight one (an irreducible rational curve), and dropped with
-a counted diagnostic otherwise.
+a counted diagnostic otherwise.  The dual graph is read off by grouping cell
+sides (parallelograms join opposite sides, triangles all three): each group
+is a connected component, one without a triangle a line, and a connected
+curve with T triangles and B boundary sides is a tree iff T = B - 2.
 
 Every boundary side of a tiling comes from exactly one of its two
 completions, so an end of weight >= 2 is decided by one side alone: the
@@ -72,10 +75,6 @@ class Cell:
     def sides(self) -> tuple[tuple[Point, Point], ...]:
         """Sides as sorted endpoint pairs, in cycle order."""
         return self._sides
-
-    def opposite(self, side: tuple[Point, Point]) -> tuple[Point, Point]:
-        """The parallelogram side parallel to ``side``."""
-        return self._sides[(self._sides.index(side) + 2) % 4]
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "vertices": [list(v) for v in self.vertices]}
@@ -231,18 +230,14 @@ def complete_path(path, side: int, poly: LatticePolygon):
     """
     if side not in (1, -1):
         raise ValueError("side must be +1 or -1")
-    s_left, s_right = _arc_shoelaces(poly)
     cache: dict[tuple, list[tuple[Cell, ...]]] = {}
 
-    def area2_to_side(p) -> int:
-        s = _area2(p)
-        return s - s_left if side == 1 else s_right - s
-
-    def rec(p) -> list[tuple[Cell, ...]]:
+    def rec(p, area: int) -> list[tuple[Cell, ...]]:
+        """Completions of ``p``, with ``area`` twice the area between ``p``
+        and the boundary arc; each peel removes its own cell's area."""
         hit = cache.get(p)
         if hit is not None:
             return hit
-        area = area2_to_side(p)
         if area < 0:
             raise InternalInvariantError("path escaped its completion region")
         if area == 0:
@@ -260,17 +255,19 @@ def complete_path(path, side: int, poly: LatticePolygon):
         i = turn
         out: list[tuple[Cell, ...]] = []
         tri = triangle(p[i - 1], p[i], p[i + 1])
-        for rest in rec(p[:i] + p[i + 1 :]):
+        for rest in rec(p[:i] + p[i + 1 :], area - tri.area2()):
             out.append(rest + (tri,))
         reflected = _sub(_add(p[i - 1], p[i + 1]), p[i])
         if poly.contains(reflected):
             par = parallelogram(p[i - 1], p[i], p[i + 1], reflected)
-            for rest in rec(p[:i] + (reflected,) + p[i + 1 :]):
+            for rest in rec(p[:i] + (reflected,) + p[i + 1 :], area - par.area2()):
                 out.append(rest + (par,))
         cache[p] = out
         return out
 
-    return rec(tuple(path))
+    path = tuple(path)
+    s, (s_left, s_right) = _area2(path), _arc_shoelaces(poly)
+    return rec(path, s - s_left if side == 1 else s_right - s)
 
 
 # -- gluing and validity -----------------------------------------------------------
@@ -304,83 +301,50 @@ def _heavy_boundary(cells, poly: LatticePolygon) -> bool:
     )
 
 
-def _dual_graph(cells, owners):
-    """Thread the dual curve through the cells.
-
-    A strand of the curve crosses parallelograms from one side to the
-    opposite one and ends at a triangle (a trivalent vertex) or at the
-    polygon boundary.  Each strand is walked once, from one of its ends: a
-    triangle-triangle strand is an arc, triangle-boundary a ray and
-    boundary-boundary a vertex-free line.  Returns (triangle ids, arcs
-    between trivalent vertices, line count).
-    """
-    tri_ids = [i for i, c in enumerate(cells) if c.kind == "triangle"]
-    arcs: list[tuple[int, int]] = []
-    rays = 0
-    lines = 0
-
-    def walk(side, cell_id):
-        """Cross ``side`` away from ``cell_id`` (None: from outside) and
-        follow the strand to its far end, returned in the same form."""
-        while True:
-            nxt = [o for o in owners[side] if o != cell_id]
-            if not nxt:
-                return side, None
-            cell_id = nxt[0]
-            if cells[cell_id].kind == "triangle":
-                return side, cell_id
-            side = cells[cell_id].opposite(side)
-
-    ends = [(side, t) for t in tri_ids for side in cells[t].sides()]
-    ends += [(side, None) for side, ids in owners.items() if len(ids) == 1]
-    seen: set = set()
-    for end in ends:
-        if end in seen:
-            continue
-        far = walk(*end)
-        seen.add(far)
-        if end[1] is None and far[1] is None:
-            lines += 1
-        elif end[1] is None or far[1] is None:
-            rays += 1
-        else:
-            arcs.append((end[1], far[1]))
-
-    if 3 * len(tri_ids) != 2 * len(arcs) + rays:
-        raise InternalInvariantError("dual graph slot count mismatch")
-    return tri_ids, arcs, lines
-
-
-def _connected(node_ids, arcs) -> bool:
-    parent = {t: t for t in node_ids}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in arcs:
-        parent[find(a)] = find(b)
-    return len({find(t) for t in node_ids}) <= 1
-
-
 def validate_subdivision(sub: MarkedSubdivision, poly: LatticePolygon):
     """None if the subdivision is an irreducible rational curve with
-    weight-one ends; otherwise a short reason string."""
+    weight-one ends; otherwise a short reason string.
+
+    A parallelogram joins each side to the opposite one (the strand crossing
+    it), a triangle joins its three sides (a trivalent vertex); the smaller
+    group is relabelled into the larger.  With T triangles and B boundary
+    sides (rays), 3T = 2*arcs + B once no line exists.
+    """
     if sum(c.area2() for c in sub.cells) != poly.area2:
         raise InternalInvariantError("cells do not tile the polygon")
     owners = _side_owners(sub.cells, poly)
-    if any(len(ids) == 1 and lattice_length(*side) != 1 for side, ids in owners.items()):
+    rays = [side for side, ids in owners.items() if len(ids) == 1]
+    if any(lattice_length(*side) != 1 for side in rays):
         return "boundary-weight"
 
-    tri_ids, arcs, lines = _dual_graph(sub.cells, owners)
-    if lines:
+    group = {side: [side] for side in owners}
+    vertices = []  # one side of each triangle
+    for cell in sub.cells:
+        s = cell.sides()
+        if cell.kind == "triangle":
+            vertices.append(s[0])
+            joins = ((s[0], s[1]), (s[0], s[2]))
+        else:
+            joins = ((s[0], s[2]), (s[1], s[3]))
+        for a, b in joins:
+            big, small = group[a], group[b]
+            if big is small:
+                continue
+            if len(big) < len(small):
+                big, small = small, big
+            big.extend(small)
+            for side in small:
+                group[side] = big
+    if (len(vertices) - len(rays)) % 2:
+        # every strand has two ends, so 3T + B is even
+        raise InternalInvariantError("dual graph slot count mismatch")
+    components = {id(g) for g in group.values()}
+    if len({id(group[side]) for side in vertices}) < len(components):
         # also every tiling without a triangle: its strands all end on the boundary
         return "line-component"
-    if not _connected(tri_ids, arcs):
+    if len(components) > 1:
         return "disconnected"
-    if len(arcs) != len(tri_ids) - 1:
+    if len(vertices) != len(rays) - 2:
         return "positive-genus"
     return None
 

@@ -18,8 +18,6 @@ table covers every choice of the extensions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from math import comb
 
 from .betapoly import BetaPolynomial
 from .gw import GWElement, DomainError
@@ -27,28 +25,47 @@ from .polygon import LatticePolygon, preset, sl2z_equivalent
 from .tropical import count_invariants
 
 
+#: The largest degree whose count prints under Python's default limit of
+#: 4300 digits for int-to-str conversion: N_571 has 4295 digits, N_572 has 4304.
+KONTSEVICH_MAX_DEGREE = 571
+
+
 def kontsevich_nd(d: int) -> int:
     """Count of rational degree-d plane curves through 3d-1 generic points,
     by the classical recursion in exact integer arithmetic."""
     if d < 1:
         raise DomainError("degree must be >= 1")
-    return _kontsevich(d)
-
-
-@lru_cache(maxsize=None)
-def _kontsevich(d: int) -> int:
-    if d == 1:
-        return 1
-    total = 0
-    for da in range(1, d):
-        db = d - da
-        total += (
-            _kontsevich(da)
-            * _kontsevich(db)
-            * da * da * db
-            * (db * comb(3 * d - 4, 3 * da - 2) - da * comb(3 * d - 4, 3 * da - 1))
+    if d > KONTSEVICH_MAX_DEGREE:
+        raise DomainError(
+            f"degree must be <= {KONTSEVICH_MAX_DEGREE}: the count for degree "
+            f"{KONTSEVICH_MAX_DEGREE + 1} already has more than 4300 digits"
         )
-    return total
+    return _kontsevich_counts(d)[d]
+
+
+def _kontsevich_counts(d: int) -> list[int]:
+    """[0, N_1, ..., N_d] for d >= 1, bottom-up.
+
+    The recursion sums N_a * N_b * a^2 * b * (b*C(3e-4, 3a-2) - a*C(3e-4, 3a-1))
+    over a + b = e.  The terms for (a, b) and (b, a) share N_a * N_b, and
+    C(3e-4, 3b-2) = C(3e-4, 3a-2), C(3e-4, 3b-1) = C(3e-4, 3a-3), so each
+    unordered pair is one product against a weight read off one binomial row.
+    """
+    counts = [0, 1]
+    for e in range(2, d + 1):
+        m = 3 * e - 4
+        row = [1]  # C(m, 0), C(m, 1), ..., as far as a = e // 2 reads
+        for j in range(3 * (e // 2)):
+            row.append(row[-1] * (m - j) // (j + 1))
+        total = 0
+        for a in range(1, e // 2 + 1):
+            b = e - a
+            w = a * b * (
+                2 * a * b * row[3 * a - 2] - a * a * row[3 * a - 1] - b * b * row[3 * a - 3]
+            )
+            total += (w // 2 if a == b else w) * counts[a] * counts[b]
+        counts.append(total)
+    return counts
 
 
 def base_invariant(poly: LatticePolygon, jobs: int | None = None) -> GWElement:

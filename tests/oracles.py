@@ -2,9 +2,10 @@
 
 These deliberately avoid the closed-form machinery they are checking:
 local solvability is decided by enumerating square values in residue
-charts, triangle interior counts by scanning the bounding box, and
-boundary segments by testing each polygon edge.  Also home to the random
-form generator of the property tests.
+charts, triangle interior counts by scanning the bounding box, boundary
+segments by testing each polygon edge, and the dual curve of a tiling by
+walking its strands.  Also home to the random form generator of the
+property tests.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from gwcurves.gw import ZERO, GWElement, form, square_class
+from gwcurves.polygon import lattice_length
 
 PLACES = [None, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
@@ -69,6 +71,71 @@ def segment_on_boundary_scan(poly, p, q) -> bool:
         ):
             return True
     return False
+
+
+def strand_walk_reason(cells):
+    """Reason a glued tiling is dropped (None if kept), by walking its dual
+    curve: the classifier ``validate_subdivision`` used before it grouped
+    cell sides.
+
+    A strand crosses parallelograms from one side to the opposite one and
+    ends at a triangle (a trivalent vertex) or on the boundary.  Each strand
+    is walked once from one of its ends: triangle-triangle is an arc,
+    triangle-boundary a ray, boundary-boundary a vertex-free line.  The arcs
+    then go through a union-find over the triangles.
+    """
+    owners: dict = {}
+    for idx, cell in enumerate(cells):
+        for side in cell.sides():
+            owners.setdefault(side, []).append(idx)
+    if any(len(ids) == 1 and lattice_length(*side) != 1 for side, ids in owners.items()):
+        return "boundary-weight"
+
+    def walk(side, cell_id):
+        while True:
+            nxt = [o for o in owners[side] if o != cell_id]
+            if not nxt:
+                return side, None
+            cell_id = nxt[0]
+            sides = cells[cell_id].sides()
+            if cells[cell_id].kind == "triangle":
+                return side, cell_id
+            side = sides[(sides.index(side) + 2) % 4]
+
+    tri_ids = [i for i, c in enumerate(cells) if c.kind == "triangle"]
+    ends = [(side, t) for t in tri_ids for side in cells[t].sides()]
+    ends += [(side, None) for side, ids in owners.items() if len(ids) == 1]
+    arcs, rays, lines = [], 0, 0
+    seen: set = set()
+    for end in ends:
+        if end in seen:
+            continue
+        far = walk(*end)
+        seen.add(far)
+        if end[1] is None and far[1] is None:
+            lines += 1
+        elif end[1] is None or far[1] is None:
+            rays += 1
+        else:
+            arcs.append((end[1], far[1]))
+    assert 3 * len(tri_ids) == 2 * len(arcs) + rays
+
+    parent = {t: t for t in tri_ids}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for a, b in arcs:
+        parent[find(a)] = find(b)
+    if lines:
+        return "line-component"
+    if len({find(t) for t in tri_ids}) > 1:
+        return "disconnected"
+    if len(arcs) != len(tri_ids) - 1:
+        return "positive-genus"
+    return None
 
 
 def random_gw(rng, size: int = 4, bound: int = 30) -> GWElement:

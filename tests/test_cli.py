@@ -56,6 +56,28 @@ class TestGwEval:
         assert err == f"error: integer literal of 5000 digits is too long (at position {pos})\n"
         assert perf_counter() - t0 < 1.0
 
+    @pytest.mark.parametrize(
+        "mode", [[], ["--unicode"], ["--json"]], ids=["plain", "unicode", "json"]
+    )
+    @pytest.mark.parametrize(
+        "expr, digits",
+        [
+            ("{n} + {n}", 4301),
+            ("{n}*b1 + {n}*b1", 4301),
+            ("*".join(["h"] * 15000), 4516),  # 2**14999 h
+        ],
+        ids=["constant", "b-coefficient", "h-power"],
+    )
+    def test_overlong_result_is_usage(self, capsys, expr, digits, mode):
+        # 2 * (a 4300-digit literal) is one digit past what Python prints
+        t0 = perf_counter()
+        code, out, err = run(capsys, "gw-eval", expr.format(n="7" * 4300), *mode)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: result has a {digits}-digit number; Python prints at most 4300 digits\n"
+        )
+        assert perf_counter() - t0 < 1.0
+
 
 class TestGwEqual:
     def test_equal(self, capsys):
@@ -186,6 +208,28 @@ class TestOracle:
     def test_kontsevich(self, capsys):
         code, out, _ = run(capsys, "oracle", "--kontsevich", "4")
         assert (code, out.strip()) == (0, "620")
+
+    def test_small_degrees(self, capsys):
+        got = [run(capsys, "oracle", "--kontsevich", str(d))[1] for d in range(1, 6)]
+        assert got == ["1\n", "1\n", "12\n", "620\n", "87304\n"]
+
+    def test_degree_bound_is_the_print_limit(self, capsys, monkeypatch):
+        from gwcurves import wallcross
+
+        top = wallcross.KONTSEVICH_MAX_DEGREE
+        counts = wallcross._kontsevich_counts(top + 1)
+        assert counts[top] < 10**4300 <= counts[top + 1]
+        # the CLI prints the computed count at the bound instead of recomputing it
+        monkeypatch.setattr(wallcross, "_kontsevich_counts", lambda d: counts[: d + 1])
+        code, out, err = run(capsys, "oracle", "--kontsevich", str(top))
+        assert (code, out, err) == (0, f"{counts[top]}\n", "")
+        for d in (top + 1, 10**6):
+            code, out, err = run(capsys, "oracle", "--kontsevich", str(d))
+            assert (code, out) == (2, "")
+            assert err == (
+                f"error: degree must be <= {top}: the count for degree "
+                f"{top + 1} already has more than 4300 digits\n"
+            )
 
 
 class TestRuntime:

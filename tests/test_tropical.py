@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
-from gwcurves.gw import H, ONE, form, gw_equal
-from gwcurves.polygon import p2, polygon, preset
+from gwcurves.gw import H, ONE, DomainError, form, gw_equal
+from gwcurves.polygon import convex_hull, p2, polygon, preset
 from gwcurves.tropical import (
     Cell,
     InternalInvariantError,
@@ -28,6 +29,8 @@ from gwcurves.tropical import (
     validate_subdivision,
     vertex_mult,
 )
+
+from oracles import strand_walk_reason
 
 
 def tri(*pts):
@@ -324,6 +327,15 @@ class TestEnumerate:
         sub = MarkedSubdivision(((0, 0), (1, 0), (1, 1)), (cell,))
         assert validate_subdivision(sub, square) == "line-component"
 
+    def test_smooth_cubic_has_positive_genus(self):
+        # the 9 unit triangles of p2:3: a smooth cubic, genus 1
+        corners = [(i, j) for i in range(3) for j in range(3 - i)]
+        cells = [triangle((i, j), (i + 1, j), (i, j + 1)) for i, j in corners]
+        cells += [triangle((i + 1, j), (i, j + 1), (i + 1, j + 1)) for i, j in corners if i + j < 2]
+        sub = MarkedSubdivision(next(enumerate_paths(p2(3))), tuple(sorted(cells, key=_cell_key)))
+        assert validate_subdivision(sub, p2(3)) == "positive-genus"
+        assert strand_walk_reason(sub.cells) == "positive-genus"
+
     def test_jobs_capped_at_path_count(self, monkeypatch):
         # one path: a pool would be wasted, and none may be started
         from gwcurves import tropical
@@ -408,3 +420,42 @@ def test_pruned_enumeration_matches_glue_everything(poly):
     got, want = ([c.to_json() for c in cs] for cs in (enum.curves, curves))
     assert json.dumps(got) == json.dumps(want)
     assert dict(enum.dropped) == dropped
+
+
+def _random_hulls(count, seed=5, size=4, budget=11):
+    """Seeded lattice hulls in [0, size]^2 with point budget at most ``budget``."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randrange(3, 7)
+        pts = [(rng.randrange(size + 1), rng.randrange(size + 1)) for _ in range(n)]
+        try:
+            q = convex_hull(pts)
+        except DomainError:  # fewer than 3 distinct points, or all collinear
+            continue
+        if q.point_budget() <= budget:
+            out.append(q)
+    return out
+
+
+@pytest.mark.parametrize(
+    "poly",
+    [
+        p2(3),
+        p2(4),
+        preset("blf1"),
+        preset("bl2f1"),
+        preset("f1_4_2e"),
+        polygon([(0, 0), (3, 0), (3, 3), (0, 3)]),
+        polygon([(5, -1), (9, -1), (13, 3)]),  # p2:4 under (x + 2y + 5, y - 1)
+    ]
+    + _random_hulls(24),
+    ids=str,
+)
+def test_classifier_matches_strand_walk(poly):
+    # every glued pair, heavy completions included
+    for path in enumerate_paths(poly):
+        for cl in complete_path(path, 1, poly):
+            for cr in complete_path(path, -1, poly):
+                sub = MarkedSubdivision(tuple(path), tuple(sorted(cl + cr, key=_cell_key)))
+                assert validate_subdivision(sub, poly) == strand_walk_reason(sub.cells), sub
