@@ -11,7 +11,6 @@ from .gw import (
     ZERO,
     DomainError,
     GWElement,
-    QuadraticElement,
     beta,
     delta,
     form,

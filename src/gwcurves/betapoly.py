@@ -39,8 +39,11 @@ Monomial = tuple[int, ...]
 
 def _mono(indices) -> Monomial:
     out = tuple(sorted(indices))
-    if any(i < 1 for i in out) or len(set(out)) != len(out):
-        raise DomainError(f"bad monomial {indices!r}: indices must be distinct positives")
+    if out and out[0] < 1:
+        raise DomainError(f"bad monomial {indices!r}: indices must be positive")
+    for i, j in zip(out, out[1:]):
+        if i == j:
+            raise DomainError(f"repeated symbol b{i}")
     return out
 
 
@@ -104,43 +107,30 @@ class BetaPolynomial:
     def __sub__(self, other: "BetaPolynomial") -> "BetaPolynomial":
         return self + (-other)
 
-    def scale(self, g: GWElement) -> "BetaPolynomial":
-        return BetaPolynomial.from_dict({m: g * c for m, c in self.monomials})
+    def __mul__(self, other: "BetaPolynomial") -> "BetaPolynomial":
+        """Formal product; a symbol in both factors would break
+        multilinearity and raises DomainError."""
+        d: dict[Monomial, GWElement] = {}
+        for m1, g1 in self.monomials:
+            for m2, g2 in other.monomials:
+                m = _mono(m1 + m2)
+                d[m] = d.get(m, ZERO) + g1 * g2
+        return BetaPolynomial.from_dict(d)
 
     def mul_step(self, index: int) -> "BetaPolynomial":
-        """Multiply by (b_index - 2<1>), formally.
-
-        Each monomial M with value g contributes g to M + {index} and -2g
-        to M.  The index must be fresh, or multilinearity would break.
-        """
-        if index < 1:
-            raise DomainError("indices are positive")
-        if index in self.indices():
-            raise DomainError(f"index {index} already occurs")
-        d: dict[Monomial, GWElement] = {}
-        for m, g in self.monomials:
-            up = _mono(m + (index,))
-            d[up] = d.get(up, ZERO) + g
-            d[m] = d.get(m, ZERO) + (-2) * g
-        return BetaPolynomial.from_dict(d)
+        """Multiply by (b_index - 2<1>), formally; the index must be fresh."""
+        return self * (beta_symbol(index) - BetaPolynomial.constant(2 * ONE))
 
     def reduced(self) -> "BetaPolynomial":
         """Apply h*b_i = 2h: hyperbolic multiples hiding in the coefficient
         of a degree-k monomial move to the constant term as 2^k copies of h.
         """
-        d: dict[Monomial, GWElement] = {}
-        const = ZERO
+        d = self.as_dict()
         for m, g in self.monomials:
-            if not m:
-                const = const + g
-                continue
-            k, rest = hyperbolic_part(g)
-            if k:
-                const = const + (k * 2 ** len(m)) * H
-            if rest:
-                d[m] = rest
-        if const:
-            d[()] = const
+            if m:
+                k, d[m] = hyperbolic_part(g)
+                if k:
+                    d[()] = d.get((), ZERO) + (k * 2 ** len(m)) * H
         return BetaPolynomial.from_dict(d)
 
     # -- evaluation ---------------------------------------------------------

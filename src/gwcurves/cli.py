@@ -18,15 +18,16 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 from pathlib import Path
 
 from .betapoly import format_poly
 from .expr import ExprError, parse_expression
-from .gw import DomainError, format_gw, gw_equal
+from .gw import DomainError, _check_printable, format_gw, gw_equal
 from .polygon import LatticePolygon, preset, preset_names
 from .svgout import render_svg
-from .tropical import InternalInvariantError, count_invariants, default_jobs, enumerate_curves
+from .tropical import InternalInvariantError, count_invariants, enumerate_curves
 from .wallcross import SurfaceChain, build_tables, chain_from, kontsevich_nd, quartic_chain
 
 DEFAULT_BUDGET_LIMIT = 14
@@ -116,7 +117,7 @@ def _enumeration_json(enum, inv) -> dict:
 def _cmd_tropical(args) -> int:
     poly = _load_polygon(args.polygon)
     _guard_budget(poly, args.max_budget)
-    enum = enumerate_curves(poly, jobs=default_jobs())
+    enum = enumerate_curves(poly)
     inv = enum.invariants()
     print(f"polygon: {poly}")
     print(f"curves: {len(enum.curves)}")
@@ -134,14 +135,14 @@ def _cmd_tropical(args) -> int:
     if args.json:
         Path(args.json).write_text(_json_dump(_enumeration_json(enum, inv)))
     if args.svg:
-        Path(args.svg).write_text(render_svg(enum, scale=args.svg_scale))
+        Path(args.svg).write_text(render_svg(enum))
     return 0
 
 
 def _cmd_invariant(args) -> int:
     poly = _load_polygon(args.polygon)
     _guard_budget(poly, args.max_budget)
-    inv = count_invariants(poly, jobs=default_jobs())
+    inv = count_invariants(poly)
     print(f"{format_gw(inv.canonical)}  N={inv.n}  W={inv.w}")
     return 0
 
@@ -150,7 +151,7 @@ def _cmd_table(args) -> int:
     chain = _chain_for(args.chain)
     for poly in chain.polygons:
         _guard_budget(poly, args.max_budget)
-    tables = build_tables(chain, jobs=default_jobs())
+    tables = build_tables(chain)
     if args.signature:
         sign = 1 if args.signature == "pos" else -1
         for t in tables:
@@ -181,7 +182,9 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    print(kontsevich_nd(args.kontsevich))
+    n = kontsevich_nd(args.kontsevich)
+    _check_printable(n)  # the digit limit may be set lower than the default
+    print(n)
     return 0
 
 
@@ -209,7 +212,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list-curves", action="store_true")
     p.add_argument("--json", metavar="OUT")
     p.add_argument("--svg", metavar="OUT")
-    p.add_argument("--svg-scale", type=int, default=24)
     p.add_argument("--max-budget", type=int, default=DEFAULT_BUDGET_LIMIT)
     p.set_defaults(func=_cmd_tropical)
 
@@ -238,7 +240,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped early: send what is left to devnull and exit quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (UsageError, ExprError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

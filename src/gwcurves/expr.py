@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .betapoly import POLY_ZERO, BetaPolynomial, beta_symbol
-from .gw import GWElement, H, ONE, ZERO, form, trace_form
+from .gw import DomainError, GWElement, H, ONE, form, trace_form
 
 
 class ExprError(ValueError):
@@ -107,18 +107,6 @@ def _factor(sc: _Scanner) -> BetaPolynomial:
     raise ExprError("expected a factor", sc.pos)
 
 
-def _poly_product(a: BetaPolynomial, b: BetaPolynomial) -> BetaPolynomial:
-    """Product of parsed terms; symbol sets must stay disjoint (multilinear)."""
-    out: dict = {}
-    for m1, g1 in a.monomials:
-        for m2, g2 in b.monomials:
-            if set(m1) & set(m2):
-                raise ExprError(f"repeated symbol b{min(set(m1) & set(m2))}", 0)
-            key = tuple(sorted(m1 + m2))
-            out[key] = out.get(key, ZERO) + g1 * g2
-    return BetaPolynomial.from_dict(out)
-
-
 def _term(sc: _Scanner) -> BetaPolynomial:
     coeff = 1
     sc.skip_ws()
@@ -129,9 +117,15 @@ def _term(sc: _Scanner) -> BetaPolynomial:
             return BetaPolynomial.constant(coeff * ONE)
     out = _factor(sc)
     while sc.take("*"):
-        out = _poly_product(out, _factor(sc))
+        sc.skip_ws()
+        start = sc.pos
+        factor = _factor(sc)
+        try:
+            out = out * factor
+        except DomainError as exc:  # a repeated symbol, or a class too hard to factor
+            raise ExprError(str(exc), start) from None
     if coeff != 1:
-        out = out.scale(coeff * ONE)
+        out = BetaPolynomial.constant(coeff * ONE) * out
     return out
 
 

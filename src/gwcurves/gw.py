@@ -436,16 +436,13 @@ ONE = form(1)
 H = form(1, -1)
 
 
-def hyperbolic_part(q: GWElement) -> tuple[int, GWElement]:
-    """Greedy split q = m*h + rest over the stored +/- class pairs.
-
-    For each class pair {a, -a} the extractable count is the signed minimum
-    of the two stored weights.  Exact on the span of <1>, <-1>; elsewhere it
-    only extracts what is visible in the stored representation.
-    """
+def _split_h(q: GWElement, classes) -> tuple[int, GWElement]:
+    """Greedy split q = m*h + rest over the pairs {c, -c} for the positive
+    classes c given: each pair gives the signed minimum of its two stored
+    weights.  q itself is returned as the rest when no pair splits."""
     d = q.as_dict()
-    m = 0
-    for c in sorted(k for k in d if k > 0):
+    m, split = 0, False
+    for c in classes:
         n1, n2 = d.get(c, 0), d.get(-c, 0)
         if n1 > 0 and n2 > 0:
             k = min(n1, n2)
@@ -455,23 +452,17 @@ def hyperbolic_part(q: GWElement) -> tuple[int, GWElement]:
             continue
         d[c] = n1 - k
         d[-c] = n2 - k
-        m += k
-    return m, GWElement.from_dict(d)
+        m, split = m + k, True
+    return m, (GWElement.from_dict(d) if split else q)
 
 
-def visible_h_multiples(q: GWElement) -> tuple[int, GWElement]:
-    """Greedy split q = m*h + rest using only the <1>, <-1> coefficients."""
-    d = q.as_dict()
-    n1, n2 = d.get(1, 0), d.get(-1, 0)
-    if n1 > 0 and n2 > 0:
-        m = min(n1, n2)
-    elif n1 < 0 and n2 < 0:
-        m = max(n1, n2)
-    else:
-        return 0, q
-    d[1] = n1 - m
-    d[-1] = n2 - m
-    return m, GWElement.from_dict(d)
+def hyperbolic_part(q: GWElement) -> tuple[int, GWElement]:
+    """Greedy split q = m*h + rest over all stored +/- class pairs.
+
+    Exact on the span of <1>, <-1>; elsewhere it only extracts what is
+    visible in the stored representation.
+    """
+    return _split_h(q, [c for c, _ in q.terms if c > 0])
 
 
 UNICODE_GLYPHS = str.maketrans({"<": "⟨", ">": "⟩", "*": "·"})
@@ -507,7 +498,7 @@ def display_terms(q: GWElement) -> list[tuple[int, str]]:
     for c, n in q.terms:
         _check_printable(c)
         _check_printable(n)
-    m, rest = visible_h_multiples(q)
+    m, rest = _split_h(q, (1,))
     out = [(m, "h")] if m else []
     out += [(n, f"<{c}>") for c, n in sorted(rest.terms, key=lambda t: (abs(t[0]), t[0] < 0))]
     return out
@@ -554,48 +545,26 @@ def gw_equal(q1: GWElement, q2: GWElement) -> bool:
 # -- trace forms from quadratic extensions -------------------------------
 
 
-@dataclass(frozen=True)
-class QuadraticElement:
-    """A nonzero element a + b*sqrt(c) of the quadratic extension Q(sqrt(c)).
-
-    c must be a nonsquare; it is stored as its squarefree representative.
-    """
-
-    c: int
-    a: Fraction
-    b: Fraction
-
-    def __post_init__(self) -> None:
-        if self.c != _squarefree_part(self.c) or self.c in (0, 1):
-            raise DomainError(f"{self.c} does not define a quadratic extension")
-        if self.a == 0 and self.b == 0:
-            raise DomainError("the zero element has no trace form")
-
-    @classmethod
-    def of(cls, c: Rational, a: Rational, b: Rational = 0) -> "QuadraticElement":
-        c = _as_fraction(c)
-        if c == 0:
-            raise DomainError("c must be nonzero")
-        return cls(square_class(c), _as_fraction(a), _as_fraction(b))
-
-    def norm(self) -> Fraction:
-        return self.a * self.a - self.b * self.b * self.c
-
-    def trace_form(self) -> GWElement:
-        """Pushforward of <alpha> along the field trace of Q(sqrt(c))/Q.
-
-        The Gram matrix of (x, y) -> tr(alpha * x * y) on the basis
-        {1, sqrt(c)} is [[2a, 2bc], [2bc, 2ac]]; diagonalizing gives
-        <2a> + <2a * det> when a != 0 and the hyperbolic plane when a = 0.
-        """
-        if self.a == 0:
-            return H
-        det = 4 * self.c * self.norm()
-        return form(2 * self.a) + form(2 * self.a * det)
-
-
 def trace_form(c: Rational, a: Rational, b: Rational = 0) -> GWElement:
-    return QuadraticElement.of(c, a, b).trace_form()
+    """Pushforward of <a + b*sqrt(c)> along the field trace of Q(sqrt(c))/Q.
+
+    c must be a nonsquare and a + b*sqrt(c) nonzero.  The Gram matrix of
+    (x, y) -> tr(alpha * x * y) on the basis {1, sqrt(c)} is
+    [[2a, 2bc], [2bc, 2ac]] with c the squarefree class; diagonalizing gives
+    <2a> + <2a * det> when a != 0 and the hyperbolic plane when a = 0.
+    """
+    c = _as_fraction(c)
+    if c == 0:
+        raise DomainError("c must be nonzero")
+    c, a, b = square_class(c), _as_fraction(a), _as_fraction(b)
+    if c == 1:
+        raise DomainError(f"{c} does not define a quadratic extension")
+    if a == 0 and b == 0:
+        raise DomainError("the zero element has no trace form")
+    if a == 0:
+        return H
+    det = 4 * c * (a * a - b * b * c)
+    return form(2 * a) + form(2 * a * det)
 
 
 def beta(c: Rational) -> GWElement:

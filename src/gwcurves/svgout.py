@@ -15,6 +15,9 @@ _FILL_ODD = "#f4a460"  # rank-one summand present
 _FILL_H = "#9ec9e2"  # pure hyperbolic multiple
 _FILL_PAR = "#d8d8d8"
 
+SCALE = 24  # pixels per lattice unit
+COLUMNS = 6  # thumbnails per row
+
 
 def _cell_fill(cell: Cell) -> str:
     if cell.kind == "parallelogram":
@@ -22,24 +25,24 @@ def _cell_fill(cell: Cell) -> str:
     return _FILL_ODD if all(l % 2 for l in triangle_edge_lengths(cell)) else _FILL_H
 
 
-def render_svg(enum: Enumeration, scale: int = 24, columns: int = 6) -> str:
+def render_svg(enum: Enumeration) -> str:
     """One thumbnail per curve, laid out in a grid."""
     poly = enum.polygon
     xs = [v[0] for v in poly.vertices]
     ys = [v[1] for v in poly.vertices]
-    w = (max(xs) - min(xs)) * scale
-    h = (max(ys) - min(ys)) * scale
-    pad = scale
+    w = (max(xs) - min(xs)) * SCALE
+    h = (max(ys) - min(ys)) * SCALE
+    pad = SCALE
     cell_w, cell_h = w + 2 * pad, h + 2 * pad
     count = max(1, len(enum.curves))
-    cols = min(columns, count)
+    cols = min(COLUMNS, count)
     rows = (count + cols - 1) // cols
     total_w, total_h = cols * cell_w, rows * cell_h
 
     def pt(p, ox, oy) -> str:
         # flip y so the polygon is drawn with height increasing upward
-        x = ox + pad + (p[0] - min(xs)) * scale
-        y = oy + pad + (max(ys) - p[1]) * scale
+        x = ox + pad + (p[0] - min(xs)) * SCALE
+        y = oy + pad + (max(ys) - p[1]) * SCALE
         return f"{x},{y}"
 
     out = [

@@ -9,8 +9,9 @@ conjugate pairs,
 
     N_j(s+1) = N_j(s) + (b_{s+1} - 2<1>) * N_{j+1}(s),
 
-seeded at s = 0 by the tropical count of each polygon and at the bottom
-level by a polygon with no interior points, whose rows are constant.
+seeded at s = 0 by the tropical count of each polygon.  The bottom level,
+a polygon with no interior points, crosses against an empty blow-up, so
+its rows are constant.
 Rows are kept as multilinear polynomials in the formal symbols b_i so one
 table covers every choice of the extensions.
 """
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .betapoly import BetaPolynomial
+from .betapoly import POLY_ZERO, BetaPolynomial
 from .gw import GWElement, DomainError
 from .polygon import LatticePolygon, preset, sl2z_equivalent
 from .tropical import count_invariants
@@ -202,19 +203,12 @@ def build_tables(
         if j not in bases:
             bases[j] = base_invariant(poly, jobs=jobs)
 
-    tables: list[InvariantTable | None] = [None] * len(polys)
-    bottom = polys[-1]
-    const = BetaPolynomial.constant(bases[len(polys) - 1])
-    tables[-1] = InvariantTable(
-        bottom, tuple(const for _ in range(bottom.point_budget() // 2 + 1))
-    )
-    for j in range(len(polys) - 2, -1, -1):
-        poly = polys[j]
-        below = tables[j + 1]
+    tables: list[InvariantTable] = []
+    below = (POLY_ZERO,) * (polys[-1].point_budget() // 2)  # the bottom has no blow-up
+    for j in range(len(polys) - 1, -1, -1):
         rows = [BetaPolynomial.constant(bases[j])]
-        for s in range(poly.point_budget() // 2):
-            rows.append(
-                wall_cross_step(rows[s], below.rows[s], s + 1).reduced()
-            )
-        tables[j] = InvariantTable(poly, tuple(rows))
+        for s in range(polys[j].point_budget() // 2):
+            rows.append(wall_cross_step(rows[s], below[s], s + 1).reduced())
+        tables.insert(0, InvariantTable(polys[j], tuple(rows)))
+        below = rows
     return tables

@@ -12,7 +12,9 @@ from gwcurves.betapoly import (
     beta_symbol,
     format_poly,
 )
-from gwcurves.gw import H, ONE, ZERO, DomainError, beta, form, gw_equal
+from gwcurves.gw import H, ONE, ZERO, DomainError, beta, form, gw_equal, hyperbolic_part
+
+from oracles import random_gw
 
 
 def const(g):
@@ -25,7 +27,7 @@ class TestBasics:
         assert (b1 + b1).coeff((1,)) == 2 * ONE
 
     def test_scale(self):
-        assert const(ONE).scale(H) == const(H)
+        assert const(ONE) * const(H) == const(H)
 
     def test_add_table_row(self):
         row0 = const(2 * H + 8 * ONE)
@@ -45,6 +47,32 @@ class TestBasics:
             BetaPolynomial.from_dict({(0,): ONE})
         with pytest.raises(DomainError):
             BetaPolynomial.from_dict({(1, 1): ONE})
+
+
+def random_poly(rng, symbols):
+    """Random multilinear polynomial over the given symbol indices."""
+    d = {}
+    for _ in range(rng.randrange(4)):
+        mono = tuple(i for i in symbols if rng.random() < 0.5)
+        d[mono] = d.get(mono, ZERO) + random_gw(rng, size=3, bound=20)
+    return BetaPolynomial.from_dict(d)
+
+
+class TestProduct:
+    def test_specialize_is_multiplicative(self):
+        rng = random.Random(23)
+        for _ in range(60):
+            p, q = random_poly(rng, (1, 2)), random_poly(rng, (3, 4))
+            cs = {i: rng.choice([-1, 1]) * rng.randint(1, 20) for i in (1, 2, 3, 4)}
+            assert gw_equal((p * q).specialize(cs), p.specialize(cs) * q.specialize(cs))
+
+    def test_shared_symbol_rejected(self):
+        rng = random.Random(29)
+        for _ in range(20):
+            p = random_poly(rng, (1,)) + beta_symbol(2)
+            q = random_poly(rng, (3,)) + beta_symbol(2) * beta_symbol(3)
+            with pytest.raises(DomainError):
+                p * q
 
 
 class TestMulStep:
@@ -79,6 +107,13 @@ class TestReduced:
         p = BetaPolynomial.from_dict({(1, 2): H})
         assert p.reduced().coeff(()) == 4 * H
 
+    def test_pairs_of_opposite_sign(self):
+        # +h from the 2-pair and -h from the 3-pair sum to 0 but both split off
+        q = form(2) + form(-2) - form(3) - form(-3)
+        assert hyperbolic_part(q) == (0, ZERO)
+        r = BetaPolynomial.from_dict({(1,): q, (): ONE}).reduced()
+        assert r == const(ONE)
+
     def test_general_pairs_count_as_h(self):
         p = BetaPolynomial.from_dict({(1,): form(3) + form(-3)})
         r = p.reduced()
@@ -109,7 +144,7 @@ class TestSpecialize:
             coeffs = [rng.randint(-3, 3) for _ in range(3)]
             p = const(coeffs[0] * ONE + coeffs[1] * H)
             if coeffs[2]:
-                p = p + beta_symbol(1).scale(coeffs[2] * ONE)
+                p = p + beta_symbol(1) * const(coeffs[2] * ONE)
             q = beta_symbol(1) + const(H)
             cs = {1: rng.choice([-1, 1]) * rng.randint(1, 20), 2: rng.choice([-1, 1]) * rng.randint(1, 20)}
             assert gw_equal(
@@ -123,7 +158,7 @@ class TestSpecialize:
     def test_specialize_at_squares_is_textual_replacement(self):
         p = (
             const(3 * H)
-            + beta_symbol(1).scale(2 * ONE)
+            + beta_symbol(1) * const(2 * ONE)
             + beta_symbol(2)
             + beta_symbol(1).mul_step(2)
         )

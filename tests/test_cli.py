@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from time import perf_counter
 
 import pytest
@@ -231,6 +235,16 @@ class TestOracle:
                 f"{top + 1} already has more than 4300 digits\n"
             )
 
+    def test_lowered_digit_limit(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, err = run(capsys, "oracle", "--kontsevich", "150")
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: result has a ") and err.count("\n") == 1
+
 
 class TestRuntime:
     def test_threads_env_var(self, capsys, monkeypatch):
@@ -263,6 +277,19 @@ class TestRuntime:
         with caplog.at_level("WARNING", logger="gwcurves.tropical"):
             assert default_jobs() == jobs
         assert ("GWCURVES_THREADS" in caplog.text) == warns
+
+    def test_closed_pipe_is_quiet(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the first line is written
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "gwcurves.cli", "table", "--chain", "p2:4"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (0, b"")
 
     def test_internal_error_exit_code(self, capsys, monkeypatch):
         from gwcurves import cli

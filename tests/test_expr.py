@@ -61,8 +61,13 @@ class TestErrors:
             parse_expression("<3")
 
     def test_repeated_symbol(self):
-        with pytest.raises(ExprError):
+        with pytest.raises(ExprError) as err:
             parse_expression("b1*b1")
+        assert err.value.pos == 3  # the second factor
+        assert str(err.value) == "repeated symbol b1 (at position 3)"
+        with pytest.raises(ExprError) as err:
+            parse_expression("h + b2*<3> *  b2")
+        assert err.value.pos == 14
 
     def test_constant_required(self):
         with pytest.raises(Exception):

@@ -19,7 +19,6 @@ from gwcurves.gw import (
     ZERO,
     DomainError,
     GWElement,
-    QuadraticElement,
     beta,
     delta,
     form,
@@ -289,7 +288,7 @@ class TestTraceForm:
         with pytest.raises(DomainError):
             trace_form(9, 1)
         with pytest.raises(DomainError):
-            QuadraticElement.of(1, 1, 1)
+            trace_form(1, 1, 1)
 
     def test_rational_multiples_of_one(self):
         # Gram diagonalization reproduces <2a> + <2ac> exactly
