@@ -62,13 +62,17 @@ def _guard_budget(poly: LatticePolygon, limit: int) -> None:
         )
 
 
-def _chain_for(arg: str) -> SurfaceChain:
-    names = [s for s in arg.split(",") if s.strip()]
-    if len(names) > 1:
-        return SurfaceChain(tuple(_load_polygon(n) for n in names))
-    if names[0].strip().lower() == "p2:4":
-        return quartic_chain()
-    return chain_from(_load_polygon(names[0]))
+def _check_writable(name: str | None) -> None:
+    """Refuse an output file whose directory does not exist, before any work."""
+    if name is not None and not Path(name).parent.is_dir():
+        raise UsageError(f"cannot write {name}: no directory {Path(name).parent}")
+
+
+def _write(name: str, text: str) -> None:
+    try:
+        Path(name).write_text(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {name}: {exc.strerror}") from None
 
 
 def _json_dump(data) -> str:
@@ -117,6 +121,8 @@ def _enumeration_json(enum, inv) -> dict:
 def _cmd_tropical(args) -> int:
     poly = _load_polygon(args.polygon)
     _guard_budget(poly, args.max_budget)
+    _check_writable(args.json)
+    _check_writable(args.svg)
     enum = enumerate_curves(poly)
     inv = enum.invariants()
     print(f"polygon: {poly}")
@@ -133,9 +139,9 @@ def _cmd_tropical(args) -> int:
                 f"complex={b.complex} welschinger={b.welschinger}"
             )
     if args.json:
-        Path(args.json).write_text(_json_dump(_enumeration_json(enum, inv)))
+        _write(args.json, _json_dump(_enumeration_json(enum, inv)))
     if args.svg:
-        Path(args.svg).write_text(render_svg(enum))
+        _write(args.svg, render_svg(enum))
     return 0
 
 
@@ -148,9 +154,19 @@ def _cmd_invariant(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    chain = _chain_for(args.chain)
-    for poly in chain.polygons:
+    names = [s for s in args.chain.split(",") if s.strip()]
+    if not names:
+        raise UsageError(f"--chain {args.chain!r} names no polygon")
+    # guard before building a chain (it scans interior points); chops only lower the budget
+    polys = [_load_polygon(n) for n in names]
+    for poly in polys:
         _guard_budget(poly, args.max_budget)
+    if len(polys) > 1:
+        chain = SurfaceChain(tuple(polys))
+    elif names[0].strip().lower() == "p2:4":
+        chain = quartic_chain()
+    else:
+        chain = chain_from(polys[0])
     tables = build_tables(chain)
     if args.signature:
         sign = 1 if args.signature == "pos" else -1
@@ -222,9 +238,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="wall-crossing invariant tables")
     p.add_argument("--chain", required=True, help="e.g. p2:4 or a comma-separated polygon list")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--specialize", metavar="C1,C2,...")
-    p.add_argument("--signature", choices=["neg", "pos"])
+    out = p.add_mutually_exclusive_group()
+    out.add_argument("--json", action="store_true")
+    out.add_argument("--specialize", metavar="C1,C2,...")
+    out.add_argument("--signature", choices=["neg", "pos"])
     p.add_argument("--max-budget", type=int, default=DEFAULT_BUDGET_LIMIT)
     p.set_defaults(func=_cmd_table)
 

@@ -81,23 +81,24 @@ class LatticePolygon:
         """Twice the Euclidean area (shoelace)."""
         return _area2(self.vertices)
 
-    def edges(self) -> list[tuple[Point, Point]]:
+    @cached_property
+    def edges(self) -> tuple[tuple[Point, Point], ...]:
         vs = self.vertices
-        return [(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))]
+        return tuple(zip(vs, vs[1:] + vs[:1]))
 
     def contains(self, p: Point) -> bool:
-        return all(_cross(a, b, p) >= 0 for a, b in self.edges())
+        return all(_cross(a, b, p) >= 0 for a, b in self.edges)
 
     def strictly_contains(self, p: Point) -> bool:
-        return all(_cross(a, b, p) > 0 for a, b in self.edges())
+        return all(_cross(a, b, p) > 0 for a, b in self.edges)
 
     @cached_property
     def _edges_through(self) -> dict[Point, frozenset[int]]:
         """Each boundary lattice point mapped to the indices of the edges
-        (in ``edges()`` order) that contain it: two at a vertex, one
+        (in ``edges`` order) that contain it: two at a vertex, one
         elsewhere."""
         out: dict[Point, set[int]] = {}
-        for i, (a, b) in enumerate(self.edges()):
+        for i, (a, b) in enumerate(self.edges):
             step = primitive(_sub(b, a))
             for k in range(lattice_length(a, b) + 1):
                 out.setdefault(_add(a, (step[0] * k, step[1] * k)), set()).add(i)
@@ -113,15 +114,23 @@ class LatticePolygon:
 
     @cached_property
     def lattice_points(self) -> tuple[Point, ...]:
+        """All lattice points, from a scan of the bounding box that checks its
+        boundary count against the edge gcds and all counts against Pick."""
         xs = [v[0] for v in self.vertices]
         ys = [v[1] for v in self.vertices]
-        pts = [
+        pts = tuple(
             (x, y)
             for y in range(min(ys), max(ys) + 1)
             for x in range(min(xs), max(xs) + 1)
             if self.contains((x, y))
-        ]
-        return tuple(pts)
+        )
+        interior = sum(map(self.strictly_contains, pts))
+        boundary = len(pts) - interior
+        if boundary != self.boundary_count():
+            raise AssertionError("boundary scan disagrees with edge gcd count")
+        if self.area2 != 2 * interior + boundary - 2:
+            raise AssertionError("Pick's theorem violated")
+        return pts
 
     @cached_property
     def interior_points(self) -> tuple[Point, ...]:
@@ -131,31 +140,11 @@ class LatticePolygon:
         return len(self.interior_points)
 
     def boundary_count(self) -> int:
-        return self._boundary_count
-
-    @cached_property
-    def _boundary_count(self) -> int:
-        scanned = len(self.lattice_points) - len(self.interior_points)
-        by_gcd = sum(lattice_length(a, b) for a, b in self.edges())
-        if scanned != by_gcd:
-            raise AssertionError("boundary scan disagrees with edge gcd count")
-        # Pick's identity as a cross-check on all three counts.
-        if self.area2 != 2 * self.interior_count() + scanned - 2:
-            raise AssertionError("Pick's theorem violated")
-        return scanned
+        """Boundary lattice points, summed over the edges without a scan."""
+        return sum(lattice_length(a, b) for a, b in self.edges)
 
     def point_budget(self) -> int:
         return self.boundary_count() - 1
-
-    def boundary_lattice_points(self) -> list[Point]:
-        """All boundary points in counterclockwise cycle order, starting at
-        the first vertex."""
-        out: list[Point] = []
-        for a, b in self.edges():
-            g = lattice_length(a, b)
-            step = primitive(_sub(b, a))
-            out.extend(_add(a, (step[0] * k, step[1] * k)) for k in range(g))
-        return out
 
     # -- corner chops (blow-ups at torus-fixed points) -------------------------
 
@@ -271,8 +260,8 @@ def preset_names() -> list[str]:
 def sl2z_equivalent(a: LatticePolygon, b: LatticePolygon) -> bool:
     """Lattice-affine equivalence: some SL(2,Z) map plus a translation sends
     one vertex cycle onto the other."""
-    ea = [_sub(q, p) for p, q in a.edges()]
-    eb = [_sub(q, p) for p, q in b.edges()]
+    ea = [_sub(q, p) for p, q in a.edges]
+    eb = [_sub(q, p) for p, q in b.edges]
     if len(ea) != len(eb):
         return False
     n = len(ea)

@@ -40,6 +40,7 @@ import logging
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -88,24 +89,18 @@ def triangle(a: Point, b: Point, c: Point) -> Cell:
 
 
 def parallelogram(a: Point, b: Point, c: Point, d: Point) -> Cell:
-    pts = tuple(sorted((a, b, c, d)))
-    return _cell("parallelogram", pts, _par_cycle(pts))
+    """The parallelogram cell on four points, in cycle order p, p+u, p+u+v,
+    p+v.  The lexicographic order is a group order (it survives adding a
+    vector), so the largest vertex is the one opposite the smallest."""
+    p, q, r, s = pts = tuple(sorted((a, b, c, d)))
+    if _add(p, s) != _add(q, r) or _orient(p, q, r) == 0:
+        raise InternalInvariantError(f"not a parallelogram: {pts}")
+    return _cell("parallelogram", pts, (p, q, s, r))
 
 
 def _cell(kind: str, pts: tuple[Point, ...], cycle: tuple[Point, ...]) -> Cell:
     sides = tuple(tuple(sorted((cycle[i - 1], cycle[i]))) for i in range(len(cycle)))
     return Cell(kind, pts, cycle, sides)
-
-
-def _par_cycle(pts) -> tuple[Point, Point, Point, Point]:
-    """Sorted vertices in cycle order p, p+u, p+u+v, p+v."""
-    p, q, r, s = pts
-    for far, m1, m2 in ((q, r, s), (r, q, s), (s, q, r)):
-        if _add(p, far) == _add(m1, m2):
-            if _orient(p, m1, m2) == 0:
-                break
-            return (p, m1, far, m2)
-    raise InternalInvariantError(f"not a parallelogram: {pts}")
 
 
 # -- motivic vertex and curve multiplicities -----------------------------------
@@ -198,24 +193,18 @@ def enumerate_paths(poly: LatticePolygon):
         yield (first,) + chosen + (last,)
 
 
-def _arc_shoelaces(poly: LatticePolygon) -> tuple[int, int]:
-    """Shoelace sums of the two boundary arcs from the lambda-min point to
-    the lambda-max point, each closed by the chord back: (left arc, right
-    arc).  Every path shares these endpoints, so its own closed sum minus
-    an arc's is twice the area between them.
-
-    Walking the counterclockwise boundary from the minimum reaches the
-    maximum along the right-hand side of any increasing path.
-    """
-    bd = poly.boundary_lattice_points()
-    lo = min(bd, key=lambda_key)
-    hi = max(bd, key=lambda_key)
-    k = bd.index(lo)
-    bd = bd[k:] + bd[:k]
-    j = bd.index(hi)
-    right = bd[: j + 1]
-    left = [lo] + bd[: j - 1 : -1]
-    return _area2(left), _area2(right)
+def _arc_areas(poly: LatticePolygon) -> tuple[int, int]:
+    """Twice the areas left and right of the chord from the lambda-minimal
+    to the lambda-maximal vertex: (left, right).  A path between them with
+    closed shoelace sum s has left + s to its left and right - s to its
+    right.  The right area is the shoelace sum of the counterclockwise vertex
+    arc; lattice points on its edges would add nothing to it."""
+    vs = poly.vertices
+    lo = vs.index(min(vs, key=lambda_key))
+    hi = vs.index(max(vs, key=lambda_key))
+    cycle = vs[lo:] + vs[:lo]
+    right = _area2(cycle[: (hi - lo) % len(vs) + 1])
+    return poly.area2 - right, right
 
 
 def complete_path(path, side: int, poly: LatticePolygon):
@@ -227,6 +216,10 @@ def complete_path(path, side: int, poly: LatticePolygon):
     stays in the polygon, the turn parallelogram (vertex reflected).  A path
     with no remaining area on that side contributes the empty set; a path
     with area but no turn toward the side is a dead end.
+
+    The area to fill starts as twice the area between the path and the
+    boundary arc on that side: the arc's area, read off the polygon's
+    vertex cycle by ``_arc_areas``, plus or minus the path's shoelace sum.
     """
     if side not in (1, -1):
         raise ValueError("side must be +1 or -1")
@@ -266,8 +259,8 @@ def complete_path(path, side: int, poly: LatticePolygon):
         return out
 
     path = tuple(path)
-    s, (s_left, s_right) = _area2(path), _arc_shoelaces(poly)
-    return rec(path, s - s_left if side == 1 else s_right - s)
+    s, (left, right) = _area2(path), _arc_areas(poly)
+    return rec(path, left + s if side == 1 else right - s)
 
 
 # -- gluing and validity -----------------------------------------------------------
@@ -443,16 +436,13 @@ def enumerate_curves(poly: LatticePolygon, jobs: int | None = None) -> Enumerati
     jobs = max(1, min(default_jobs() if jobs is None else jobs, len(paths)))
     curves: list[TropicalCurve] = []
     dropped: Counter = Counter()
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        if pool is None:
+            results = map(_curves_for_path, itertools.repeat(poly), paths)
+        else:
             chunk = max(1, len(paths) // (4 * jobs))
             results = pool.map(_curves_for_path, itertools.repeat(poly), paths, chunksize=chunk)
-            for cs, dr in results:
-                curves.extend(cs)
-                dropped.update(dr)
-    else:
-        for path in paths:
-            cs, dr = _curves_for_path(poly, path)
+        for cs, dr in results:
             curves.extend(cs)
             dropped.update(dr)
     curves.sort(key=_curve_key)

@@ -3,9 +3,10 @@
 These deliberately avoid the closed-form machinery they are checking:
 local solvability is decided by enumerating square values in residue
 charts, triangle interior counts by scanning the bounding box, boundary
-segments by testing each polygon edge, and the dual curve of a tiling by
-walking its strands.  Also home to the random form generator of the
-property tests.
+segments by testing each polygon edge, the arcs beside every lattice path
+by walking the boundary lattice points, a parallelogram's cycle by trying
+each vertex as the far one, and the dual curve of a tiling by walking its
+strands.  Also home to the random form generator of the property tests.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from gwcurves.gw import ZERO, GWElement, form, square_class
-from gwcurves.polygon import lattice_length
+from gwcurves.polygon import _area2, lattice_length, primitive
 
 PLACES = [None, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
@@ -62,7 +63,7 @@ def hilbert_oracle(a, b, place) -> int:
 def segment_on_boundary_scan(poly, p, q) -> bool:
     """Whether [p, q] lies inside one edge of ``poly``: both ends on the
     edge's line and inside its bounding box."""
-    for a, b in poly.edges():
+    for a, b in poly.edges:
         on_line = all(
             (b[0] - a[0]) * (c[1] - a[1]) == (b[1] - a[1]) * (c[0] - a[0]) for c in (p, q)
         )
@@ -71,6 +72,41 @@ def segment_on_boundary_scan(poly, p, q) -> bool:
         ):
             return True
     return False
+
+
+def arc_shoelaces_walk(poly) -> tuple[int, int]:
+    """Shoelace sums of the two boundary arcs from the lambda-min point to
+    the lambda-max point, each closed by the chord back: (left arc, right
+    arc), from a walk over every boundary lattice point.
+
+    Walking the counterclockwise boundary from the minimum reaches the
+    maximum along the right-hand side of any increasing path.
+    """
+    bd = []
+    for a, b in poly.edges:
+        step = primitive((b[0] - a[0], b[1] - a[1]))
+        bd += [(a[0] + k * step[0], a[1] + k * step[1]) for k in range(lattice_length(a, b))]
+    lo = min(bd, key=lambda p: (p[1], p[0]))
+    hi = max(bd, key=lambda p: (p[1], p[0]))
+    k = bd.index(lo)
+    bd = bd[k:] + bd[:k]
+    j = bd.index(hi)
+    right = bd[: j + 1]
+    left = [lo] + bd[: j - 1 : -1]
+    return _area2(left), _area2(right)
+
+
+def par_cycle_search(pts):
+    """Sorted parallelogram vertices in cycle order p, p+u, p+u+v, p+v,
+    found by trying each of the other three as the vertex opposite p; None
+    if no choice gives a non-degenerate parallelogram."""
+    p, q, r, s = pts
+    for far, m1, m2 in ((q, r, s), (r, q, s), (s, q, r)):
+        if (p[0] + far[0], p[1] + far[1]) == (m1[0] + m2[0], m1[1] + m2[1]):
+            if (m1[0] - p[0]) * (m2[1] - p[1]) == (m1[1] - p[1]) * (m2[0] - p[0]):
+                return None
+            return (p, m1, far, m2)
+    return None
 
 
 def strand_walk_reason(cells):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -110,6 +111,25 @@ class TestInvariant:
         assert code == 2
         assert "budget" in err
 
+    @pytest.mark.parametrize("command", ["invariant", "tropical"])
+    @pytest.mark.parametrize(
+        "vertices, budget",
+        [(None, 299999), ([[0, 0], [10**9, 0], [0, 10**9]], 3 * 10**9 - 1)],
+        ids=["p2:100000", "json-1e9"],
+    )
+    def test_huge_budget_refused_before_any_scan(self, capsys, tmp_path, command, vertices, budget):
+        name = "p2:100000"
+        if vertices is not None:
+            name = str(tmp_path / "poly.json")
+            Path(name).write_text(json.dumps({"vertices": vertices}))
+        t0 = perf_counter()
+        code, out, err = run(capsys, command, "--polygon", name)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: point budget {budget} exceeds limit 14 (raise with --max-budget)\n"
+        )
+        assert perf_counter() - t0 < 1.0
+
     def test_unknown_polygon(self, capsys):
         assert run(capsys, "invariant", "--polygon", "nope")[0] == 2
 
@@ -164,6 +184,34 @@ class TestTropical:
         assert code == 0
         assert "N=1" in out
 
+    def test_square_json_pinned(self, capsys, tmp_path):
+        # the lambda-extremes of the 3x3 square are ends of horizontal edges
+        ppath, jpath = tmp_path / "square.json", tmp_path / "out.json"
+        ppath.write_text(json.dumps({"vertices": [[0, 0], [3, 0], [3, 3], [0, 3]]}))
+        assert run(capsys, "tropical", "--polygon", str(ppath), "--json", str(jpath))[0] == 0
+        assert hashlib.sha256(jpath.read_bytes()).hexdigest() == (
+            "e0327ff97e11a44e09c9a5e485dd95fbe7055b839cddf0995881ac0a755f3a23"
+        )
+
+    @pytest.mark.parametrize("flag", ["--json", "--svg"])
+    def test_unwritable_output_is_refused_before_enumerating(self, capsys, tmp_path, monkeypatch, flag):
+        from gwcurves import cli
+
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("enumerated before checking the output path")
+
+        monkeypatch.setattr(cli, "enumerate_curves", no_enumeration)
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, "tropical", "--polygon", "p2:3", flag, str(target))
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write {target}: no directory {target.parent}\n"
+
+    def test_failed_write_is_usage(self, capsys, tmp_path):
+        # the directory exists, but the target is a directory itself
+        code, _, err = run(capsys, "tropical", "--polygon", "bl2f1", "--json", str(tmp_path))
+        assert code == 2
+        assert err.startswith(f"error: cannot write {tmp_path}: ") and err.count("\n") == 1
+
     def test_json_is_byte_stable(self, capsys, tmp_path):
         p1, p2_ = tmp_path / "a.json", tmp_path / "b.json"
         run(capsys, "tropical", "--polygon", "p2:3", "--json", str(p1))
@@ -199,6 +247,30 @@ class TestTable:
     def test_explicit_chain_list(self, capsys):
         code, out, _ = run(capsys, "table", "--chain", "blf1,bl2f1")
         assert code == 0
+
+    @pytest.mark.parametrize("chain", ["", ",", " , "])
+    def test_empty_chain_is_usage(self, capsys, chain):
+        code, out, err = run(capsys, "table", "--chain", chain)
+        assert (code, out) == (2, "")
+        assert err == f"error: --chain {chain!r} names no polygon\n"
+
+    @pytest.mark.parametrize("chain", ["p2:100000", "blf1,p2:100000"])
+    def test_huge_chain_refused_before_building(self, capsys, chain):
+        t0 = perf_counter()
+        code, out, err = run(capsys, "table", "--chain", chain)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: point budget 299999 exceeds limit 14")
+        assert perf_counter() - t0 < 1.0
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--json", "--signature", "neg"], ["--json", "--specialize=1"], ["--signature", "pos", "--specialize=1"]],
+    )
+    def test_output_flags_are_exclusive(self, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "--chain", "bl2f1", *flags])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
 
     def test_unsupported_chain_explains_refusal(self, capsys):
         code, out, err = run(capsys, "table", "--chain", "p2:5")

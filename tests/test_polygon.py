@@ -111,10 +111,16 @@ class TestPick:
             q = convex_hull(pts)
         except DomainError:
             return
-        # boundary_count internally cross-checks the scan against edge gcds
-        # and Pick's identity; reaching the return is the assertion.
+        # the lattice point scan cross-checks its boundary count against the
+        # edge gcds and Pick's identity; reaching the return is the assertion.
         b = q.boundary_count()
         assert q.area2 == 2 * q.interior_count() + b - 2
+
+    def test_boundary_count_needs_no_scan(self):
+        q = polygon([(0, 0), (10**9, 0), (3, 10**9)])
+        assert q.boundary_count() == 10**9 + 1 + 1  # edge gcds 10**9, 1, 1
+        assert q.point_budget() == 10**9 + 1
+        assert "lattice_points" not in vars(q)
 
     def test_scan_matches_direct_enumeration(self):
         q = preset("f1_4_2e")

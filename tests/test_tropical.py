@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 
@@ -14,6 +15,7 @@ from gwcurves.tropical import (
     InternalInvariantError,
     MarkedSubdivision,
     TropicalCurve,
+    _arc_areas,
     _cell_key,
     _orient,
     complete_path,
@@ -30,7 +32,7 @@ from gwcurves.tropical import (
     vertex_mult,
 )
 
-from oracles import strand_walk_reason
+from oracles import arc_shoelaces_walk, par_cycle_search, strand_walk_reason
 
 
 def tri(*pts):
@@ -130,13 +132,13 @@ def alt_completions(path, side, poly):
     The completion set must not depend on the resolution order.
     """
     from gwcurves.polygon import _area2
-    from gwcurves.tropical import _arc_shoelaces, parallelogram
+    from gwcurves.tropical import _arc_areas, parallelogram
 
-    s_left, s_right = _arc_shoelaces(poly)
+    left, right = _arc_areas(poly)
 
     def area2(p):
         s = _area2(p)
-        return s - s_left if side == 1 else s_right - s
+        return left + s if side == 1 else right - s
 
     def rec(p):
         if area2(p) == 0:
@@ -438,20 +440,54 @@ def _random_hulls(count, seed=5, size=4, budget=11):
     return out
 
 
+HULLS = [
+    p2(3),
+    p2(4),
+    preset("blf1"),
+    preset("bl2f1"),
+    preset("f1_4_2e"),
+    polygon([(0, 0), (3, 0), (3, 3), (0, 3)]),
+    polygon([(5, -1), (9, -1), (13, 3)]),  # p2:4 under (x + 2y + 5, y - 1)
+] + _random_hulls(24)
+
+
+@pytest.mark.parametrize("poly", HULLS, ids=str)
+def test_arc_areas_match_boundary_walk(poly):
+    # the left arc runs clockwise, so its closed shoelace sum is minus its area
+    s_left, s_right = arc_shoelaces_walk(poly)
+    assert _arc_areas(poly) == (-s_left, s_right)
+
+
+def test_parallelogram_cycle_matches_search():
+    rng = random.Random(11)
+    seen = 0
+    while seen < 60:
+        p, u, v = ((rng.randrange(-4, 5), rng.randrange(-4, 5)) for _ in range(3))
+        if _orient((0, 0), u, v) == 0:
+            continue
+        seen += 1
+        pts = [p, (p[0] + u[0], p[1] + u[1]), (p[0] + v[0], p[1] + v[1])]
+        pts.append((pts[1][0] + v[0], pts[1][1] + v[1]))
+        want = par_cycle_search(tuple(sorted(pts)))
+        assert want is not None
+        for order in itertools.permutations(pts):
+            assert parallelogram(*order).cycle == want
+
+
 @pytest.mark.parametrize(
-    "poly",
+    "pts",
     [
-        p2(3),
-        p2(4),
-        preset("blf1"),
-        preset("bl2f1"),
-        preset("f1_4_2e"),
-        polygon([(0, 0), (3, 0), (3, 3), (0, 3)]),
-        polygon([(5, -1), (9, -1), (13, 3)]),  # p2:4 under (x + 2y + 5, y - 1)
-    ]
-    + _random_hulls(24),
-    ids=str,
+        ((0, 0), (1, 0), (2, 0), (3, 0)),  # collinear, p + s == q + r
+        ((0, 0), (1, 0), (0, 1), (2, 2)),  # a quadrilateral, not a parallelogram
+    ],
 )
+def test_parallelogram_rejects_what_the_search_rejects(pts):
+    assert par_cycle_search(tuple(sorted(pts))) is None
+    with pytest.raises(InternalInvariantError):
+        parallelogram(*pts)
+
+
+@pytest.mark.parametrize("poly", HULLS, ids=str)
 def test_classifier_matches_strand_walk(poly):
     # every glued pair, heavy completions included
     for path in enumerate_paths(poly):
