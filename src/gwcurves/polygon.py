@@ -87,7 +87,8 @@ class LatticePolygon:
         return tuple(zip(vs, vs[1:] + vs[:1]))
 
     def contains(self, p: Point) -> bool:
-        return all(_cross(a, b, p) >= 0 for a, b in self.edges)
+        """A lookup in the lattice points, scanned once."""
+        return p in self._point_set
 
     def strictly_contains(self, p: Point) -> bool:
         return all(_cross(a, b, p) > 0 for a, b in self.edges)
@@ -114,15 +115,17 @@ class LatticePolygon:
 
     @cached_property
     def lattice_points(self) -> tuple[Point, ...]:
-        """All lattice points, from a scan of the bounding box that checks its
-        boundary count against the edge gcds and all counts against Pick."""
+        """All lattice points, from a half-plane scan of the bounding box that
+        checks its boundary count against the edge gcds and all counts against
+        Pick."""
         xs = [v[0] for v in self.vertices]
         ys = [v[1] for v in self.vertices]
+        edges = self.edges
         pts = tuple(
             (x, y)
             for y in range(min(ys), max(ys) + 1)
             for x in range(min(xs), max(xs) + 1)
-            if self.contains((x, y))
+            if all(_cross(a, b, (x, y)) >= 0 for a, b in edges)
         )
         interior = sum(map(self.strictly_contains, pts))
         boundary = len(pts) - interior
@@ -131,6 +134,10 @@ class LatticePolygon:
         if self.area2 != 2 * interior + boundary - 2:
             raise AssertionError("Pick's theorem violated")
         return pts
+
+    @cached_property
+    def _point_set(self) -> frozenset[Point]:
+        return frozenset(self.lattice_points)
 
     @cached_property
     def interior_points(self) -> tuple[Point, ...]:

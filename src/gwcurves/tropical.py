@@ -19,7 +19,10 @@ completions, so an end of weight >= 2 is decided by one side alone: the
 completions with a boundary side of lattice length >= 2 are set aside before
 gluing, and ``boundary-weight`` still counts glued pairs, as
 |L|*|R| - |L_ok|*|R_ok| for L and R the completions of a path and L_ok, R_ok
-those kept.
+those kept.  A doomed path, with a step of lattice length >= 2 on the
+boundary, has that step as a heavy side of every tiling built from it, so
+L_ok or R_ok is empty: its |L|*|R| pairs are counted by the same peel rule,
+and no cell of its tilings is built.
 
 Each trivalent vertex, dual to a triangle with edge lattice lengths
 l1, l2, l3, twice-area A2 and I interior lattice points, carries the
@@ -207,19 +210,42 @@ def _arc_areas(poly: LatticePolygon) -> tuple[int, int]:
     return poly.area2 - right, right
 
 
+def _peels(p, side: int, poly: LatticePolygon) -> list:
+    """The peel rule.  At the first vertex ``p[i]`` where ``p`` turns toward
+    ``side``: the turn triangle (``p[i]`` deleted) and, when the reflected
+    point ``p[i-1] + p[i+1] - p[i]`` stays in the polygon, the turn
+    parallelogram (``p[i]`` replaced by it).  Each peel is (remaining path,
+    cell vertices, twice the cell's area); none if ``p`` never turns toward
+    ``side``."""
+    for i in range(1, len(p) - 1):
+        a, b, c = p[i - 1], p[i], p[i + 1]
+        turn = _orient(a, b, c)
+        if turn != 0 and (turn > 0) == (side > 0):
+            out = [(p[:i] + p[i + 1 :], (a, b, c), abs(turn))]
+            reflected = _sub(_add(a, c), b)
+            if poly.contains(reflected):
+                out.append((p[:i] + (reflected,) + p[i + 1 :], (a, b, c, reflected), 2 * abs(turn)))
+            return out
+    return []
+
+
+def _start_area(path, side: int, poly: LatticePolygon) -> int:
+    """Twice the area between ``path`` and the boundary arc on ``side``: the
+    arc's area, read off the polygon's vertex cycle by ``_arc_areas``, plus or
+    minus the path's shoelace sum."""
+    s, (left, right) = _area2(path), _arc_areas(poly)
+    return left + s if side == 1 else right - s
+
+
 def complete_path(path, side: int, poly: LatticePolygon):
     """All completion cell sets between ``path`` and the boundary arc on the
     given side (+1: left of travel, -1: right).
 
     At the first vertex where the path turns toward the side, branch on
     peeling the turn triangle (vertex deleted) and, when the reflected point
-    stays in the polygon, the turn parallelogram (vertex reflected).  A path
-    with no remaining area on that side contributes the empty set; a path
-    with area but no turn toward the side is a dead end.
-
-    The area to fill starts as twice the area between the path and the
-    boundary arc on that side: the arc's area, read off the polygon's
-    vertex cycle by ``_arc_areas``, plus or minus the path's shoelace sum.
+    stays in the polygon, the turn parallelogram (vertex reflected); see
+    ``_peels``.  A path with no remaining area on that side contributes the
+    empty set; a path with area but no turn toward the side is a dead end.
     """
     if side not in (1, -1):
         raise ValueError("side must be +1 or -1")
@@ -233,34 +259,46 @@ def complete_path(path, side: int, poly: LatticePolygon):
             return hit
         if area < 0:
             raise InternalInvariantError("path escaped its completion region")
-        if area == 0:
-            cache[p] = [()]
-            return [()]
-        turn = None
-        for i in range(1, len(p) - 1):
-            c = _orient(p[i - 1], p[i], p[i + 1])
-            if c != 0 and (1 if c > 0 else -1) == side:
-                turn = i
-                break
-        if turn is None:
-            cache[p] = []
-            return []
-        i = turn
-        out: list[tuple[Cell, ...]] = []
-        tri = triangle(p[i - 1], p[i], p[i + 1])
-        for rest in rec(p[:i] + p[i + 1 :], area - tri.area2()):
-            out.append(rest + (tri,))
-        reflected = _sub(_add(p[i - 1], p[i + 1]), p[i])
-        if poly.contains(reflected):
-            par = parallelogram(p[i - 1], p[i], p[i + 1], reflected)
-            for rest in rec(p[:i] + (reflected,) + p[i + 1 :], area - par.area2()):
-                out.append(rest + (par,))
+        out: list[tuple[Cell, ...]] = [] if area else [()]
+        for rest_path, pts, a2 in _peels(p, side, poly) if area else ():
+            cell = triangle(*pts) if len(pts) == 3 else parallelogram(*pts)
+            out.extend(rest + (cell,) for rest in rec(rest_path, area - a2))
         cache[p] = out
         return out
 
     path = tuple(path)
-    s, (left, right) = _area2(path), _arc_areas(poly)
-    return rec(path, left + s if side == 1 else right - s)
+    return rec(path, _start_area(path, side, poly))
+
+
+def _count_completions(path, side: int, poly: LatticePolygon, memo: dict) -> int:
+    """``len(complete_path(path, side, poly))`` by the same peel rule, with
+    no cell built.  ``memo`` maps (side, remaining path) to its count; the
+    area left to fill depends only on the polygon, the side and the remaining
+    path, so one memo serves every path of one polygon and no other."""
+
+    def rec(p, area: int) -> int:
+        key = (side, p)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        if area < 0:
+            raise InternalInvariantError("path escaped its completion region")
+        n = sum(rec(q, area - a2) for q, _, a2 in _peels(p, side, poly)) if area else 1
+        memo[key] = n
+        return n
+
+    path = tuple(path)
+    return rec(path, _start_area(path, side, poly))
+
+
+def _doomed(path, poly: LatticePolygon) -> bool:
+    """True if some step of ``path`` lies on the boundary with lattice length
+    >= 2: that step is a side of a cell in every tiling built from the path,
+    an end of weight >= 2."""
+    return any(
+        poly.segment_on_boundary(a, b) and lattice_length(a, b) != 1
+        for a, b in zip(path, path[1:])
+    )
 
 
 # -- gluing and validity -----------------------------------------------------------
@@ -383,27 +421,42 @@ class Enumeration:
         return Invariants(total, canonical, n, w)
 
 
-def _curves_for_path(poly: LatticePolygon, path) -> tuple[list[TropicalCurve], Counter]:
+def _curves_for_paths(poly: LatticePolygon, paths) -> tuple[list[TropicalCurve], Counter, int]:
+    """Curves and drop tallies of a batch of paths of ``poly``, and how many
+    of them were doomed.  A doomed path (see ``_doomed``) has a heavy end in
+    every tiling, so its |L|*|R| glued pairs go to ``boundary-weight`` from
+    ``_count_completions``, with no tiling built.  The batch shares one count
+    memo, which ends with the call."""
     curves: list[TropicalCurve] = []
     dropped: Counter = Counter()
-    left = complete_path(path, 1, poly)
-    right = complete_path(path, -1, poly)
-    left_ok = [c for c in left if not _heavy_boundary(c, poly)]
-    right_ok = [c for c in right if not _heavy_boundary(c, poly)]
-    heavy = len(left) * len(right) - len(left_ok) * len(right_ok)
-    if heavy:
-        dropped["boundary-weight"] = heavy
-        logger.debug("dropped %d boundary-weight completions of path %s", heavy, path)
-    for cl in left_ok:
-        for cr in right_ok:
-            sub = MarkedSubdivision(tuple(path), tuple(sorted(cl + cr, key=_cell_key)))
-            reason = validate_subdivision(sub, poly)
-            if reason is None:
-                curves.append(TropicalCurve(sub, curve_mult(sub)))
-            else:
-                dropped[reason] += 1
-                logger.debug("dropped %s completion of path %s", reason, path)
-    return curves, dropped
+    doomed = 0
+    memo: dict[tuple, int] = {}
+    for path in paths:
+        if _doomed(path, poly):
+            doomed += 1
+            heavy = _count_completions(path, 1, poly, memo)
+            if heavy:
+                heavy *= _count_completions(path, -1, poly, memo)
+            left_ok = right_ok = ()
+        else:
+            left = complete_path(path, 1, poly)
+            right = complete_path(path, -1, poly)
+            left_ok = [c for c in left if not _heavy_boundary(c, poly)]
+            right_ok = [c for c in right if not _heavy_boundary(c, poly)]
+            heavy = len(left) * len(right) - len(left_ok) * len(right_ok)
+        if heavy:
+            dropped["boundary-weight"] += heavy
+            logger.debug("dropped %d boundary-weight completions of path %s", heavy, path)
+        for cl in left_ok:
+            for cr in right_ok:
+                sub = MarkedSubdivision(tuple(path), tuple(sorted(cl + cr, key=_cell_key)))
+                reason = validate_subdivision(sub, poly)
+                if reason is None:
+                    curves.append(TropicalCurve(sub, curve_mult(sub)))
+                else:
+                    dropped[reason] += 1
+                    logger.debug("dropped %s completion of path %s", reason, path)
+    return curves, dropped, doomed
 
 
 def _cell_key(cell: Cell):
@@ -436,15 +489,18 @@ def enumerate_curves(poly: LatticePolygon, jobs: int | None = None) -> Enumerati
     jobs = max(1, min(default_jobs() if jobs is None else jobs, len(paths)))
     curves: list[TropicalCurve] = []
     dropped: Counter = Counter()
+    doomed = 0
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
         if pool is None:
-            results = map(_curves_for_path, itertools.repeat(poly), paths)
+            results = [_curves_for_paths(poly, paths)]
         else:
-            chunk = max(1, len(paths) // (4 * jobs))
-            results = pool.map(_curves_for_path, itertools.repeat(poly), paths, chunksize=chunk)
-        for cs, dr in results:
+            size = max(1, len(paths) // (4 * jobs))
+            batches = [paths[i : i + size] for i in range(0, len(paths), size)]
+            results = pool.map(_curves_for_paths, itertools.repeat(poly), batches)
+        for cs, dr, dm in results:
             curves.extend(cs)
             dropped.update(dr)
+            doomed += dm
     curves.sort(key=_curve_key)
     if dropped:
         logger.info(
@@ -453,6 +509,8 @@ def enumerate_curves(poly: LatticePolygon, jobs: int | None = None) -> Enumerati
             sum(dropped.values()),
             ", ".join(f"{k}={v}" for k, v in sorted(dropped.items())),
         )
+    if doomed:
+        logger.info("%s: counted %d of %d paths without building their tilings", poly, doomed, len(paths))
     return Enumeration(poly, curves, dropped)
 
 

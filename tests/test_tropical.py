@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import random
@@ -17,6 +18,9 @@ from gwcurves.tropical import (
     TropicalCurve,
     _arc_areas,
     _cell_key,
+    _count_completions,
+    _doomed,
+    _heavy_boundary,
     _orient,
     complete_path,
     count_invariants,
@@ -278,8 +282,10 @@ class TestEnumerate:
 
         monkeypatch.setattr(tropical, "validate_subdivision", keep_reason)
         if reason == "boundary-weight":
-            # the per-side filter drops these before validation; let them through
+            # the per-side filter drops these before validation, and doomed
+            # paths are only counted; let them through
             monkeypatch.setattr(tropical, "_heavy_boundary", lambda cells, poly: False)
+            monkeypatch.setattr(tropical, "_doomed", lambda path, poly: False)
         enum = enumerate_curves(p2(4), jobs=1)
         assert reason not in enum.dropped
         assert enum.motivic_total().rank() != 620
@@ -353,12 +359,36 @@ class TestEnumerate:
             assert len(enum.curves) == 1
 
     def test_parallel_run_is_byte_identical(self):
-        serial = enumerate_curves(p2(3), jobs=1)
-        parallel = enumerate_curves(p2(3), jobs=2)
-        a = json.dumps([c.to_json() for c in serial.curves], sort_keys=True)
-        b = json.dumps([c.to_json() for c in parallel.curves], sort_keys=True)
-        assert a == b
-        assert serial.dropped == parallel.dropped
+        # both polygons have doomed paths, counted in separate worker batches
+        for poly in (p2(3), preset("blf1")):
+            serial = enumerate_curves(poly, jobs=1)
+            parallel = enumerate_curves(poly, jobs=2)
+            a = json.dumps([c.to_json() for c in serial.curves], sort_keys=True)
+            b = json.dumps([c.to_json() for c in parallel.curves], sort_keys=True)
+            assert a == b
+            assert serial.dropped == parallel.dropped
+
+    def test_doomed_paths_are_logged(self, caplog):
+        with caplog.at_level("INFO", logger="gwcurves.tropical"):
+            enumerate_curves(p2(3), jobs=1)
+        assert "counted 2 of 8 paths without building their tilings" in caplog.text
+
+    def test_no_count_carries_over_between_polygons(self):
+        # Each pair shares coordinates but not areas.  A count memo that
+        # outlived one enumeration gives quad 18 boundary-weight drops after
+        # tri instead of 16; blf1 and f1_4_2e happen to survive one.
+        polys = {
+            "blf1": preset("blf1"),
+            "f1_4_2e": preset("f1_4_2e"),
+            "tri": polygon([(2, 0), (4, 3), (2, 2)]),
+            "quad": polygon([(0, 2), (2, 0), (3, 0), (4, 3)]),
+        }
+        fresh = {name: _glue_everything(poly) for name, poly in polys.items()}
+        for name in ("blf1", "f1_4_2e", "blf1", "tri", "quad", "tri"):
+            enum = enumerate_curves(polys[name], jobs=1)
+            curves, dropped = fresh[name]
+            assert _digest(enum.curves) == _digest(curves), name
+            assert dict(enum.dropped) == dropped, name
 
 
 class TestQuartic:
@@ -380,6 +410,10 @@ class TestQuartic:
             for c in quartic_enum.curves
         ]
         assert keys == sorted(keys)
+
+
+def _digest(curves):
+    return hashlib.sha256(json.dumps([c.to_json() for c in curves]).encode()).hexdigest()
 
 
 def _glue_everything(poly):
@@ -404,6 +438,9 @@ def _glue_everything(poly):
     return curves, dropped
 
 
+SQUARE = polygon([(0, 0), (3, 0), (3, 3), (0, 3)])
+
+
 @pytest.mark.parametrize(
     "poly",
     [
@@ -413,6 +450,7 @@ def _glue_everything(poly):
         preset("bl2f1"),
         preset("f1_4_2e"),
         polygon([(5, -1), (9, -1), (13, 3)]),  # p2:4 under (x + 2y + 5, y - 1)
+        SQUARE,  # 700 of its 1001 paths doomed; drops 7370/165/308
     ],
     ids=str,
 )
@@ -446,9 +484,39 @@ HULLS = [
     preset("blf1"),
     preset("bl2f1"),
     preset("f1_4_2e"),
-    polygon([(0, 0), (3, 0), (3, 3), (0, 3)]),
+    SQUARE,
     polygon([(5, -1), (9, -1), (13, 3)]),  # p2:4 under (x + 2y + 5, y - 1)
 ] + _random_hulls(24)
+
+
+@pytest.mark.parametrize("poly", HULLS, ids=str)
+def test_count_matches_complete_path(poly):
+    memo = {}  # shared by all paths of the polygon, as in an enumeration
+    for path in enumerate_paths(poly):
+        for side in (1, -1):
+            assert _count_completions(path, side, poly, memo) == len(complete_path(path, side, poly))
+
+
+@pytest.mark.parametrize("poly", HULLS, ids=str)
+def test_doomed_paths_have_no_light_pair(poly):
+    for path in enumerate_paths(poly):
+        if not _doomed(path, poly):
+            continue
+        light = [
+            [c for c in complete_path(path, side, poly) if not _heavy_boundary(c, poly)]
+            for side in (1, -1)
+        ]
+        assert not light[0] or not light[1], path
+
+
+@pytest.mark.parametrize("poly", HULLS, ids=str)
+def test_contains_matches_half_planes(poly):
+    xs = [v[0] for v in poly.vertices]
+    ys = [v[1] for v in poly.vertices]
+    for x in range(min(xs) - 1, max(xs) + 2):
+        for y in range(min(ys) - 1, max(ys) + 2):
+            inside = all(_orient(a, b, (x, y)) >= 0 for a, b in poly.edges)
+            assert poly.contains((x, y)) == inside, (x, y)
 
 
 @pytest.mark.parametrize("poly", HULLS, ids=str)
