@@ -20,6 +20,7 @@ import json
 import logging
 import os
 import sys
+from math import comb
 from pathlib import Path
 
 from .betapoly import format_poly
@@ -41,7 +42,8 @@ def _load_polygon(name: str) -> LatticePolygon:
     try:
         return preset(name)
     except DomainError:
-        pass
+        if name.strip().lower().startswith("p2:"):
+            raise  # a bad degree, in the preset's own words
     path = Path(name)
     if not path.is_file():
         raise UsageError(
@@ -55,10 +57,30 @@ def _load_polygon(name: str) -> LatticePolygon:
 
 
 def _guard_budget(poly: LatticePolygon, limit: int) -> None:
-    if poly.point_budget() > limit:
+    """Refuse a polygon whose point budget exceeds ``limit``, or whose
+    candidate lattice paths, C(points - 2, budget - 1), outnumber those of
+    the largest ``p2:d`` that ``limit`` admits (27 132 for ``p2:5`` at 14).
+    Both counts come from the edge gcds and Pick, without a point scan."""
+    budget = poly.point_budget()
+    if budget > limit:
         raise UsageError(
-            f"point budget {poly.point_budget()} exceeds limit {limit} "
-            "(raise with --max-budget)"
+            f"point budget {budget} exceeds limit {limit} (raise with --max-budget)"
+        )
+    candidates = comb(poly.point_count() - 2, budget - 1)
+    # The cap is C(n, k) for p2:d, of budget 3d - 1.  It is built up as
+    # C(n, 0), C(n, 1), ..., increasing up to i = n/2, and left as soon as
+    # it reaches the candidates, so a large --max-budget costs nothing.
+    d = max(1, (limit + 1) // 3)
+    n, k = (d + 1) * (d + 2) // 2 - 2, 3 * d - 2
+    cap = 1
+    for i in range(min(k, n - k)):
+        if cap >= candidates:
+            return
+        cap = cap * (n - i) // (i + 1)
+    if candidates > cap:
+        raise UsageError(
+            f"{candidates} candidate lattice paths exceed limit {cap}, "
+            f"the count of p2:{d} (raise with --max-budget)"
         )
 
 
@@ -138,9 +160,9 @@ def _cmd_tropical(args) -> int:
                 f"curve {i}: motivic={format_gw(b.motivic)} "
                 f"complex={b.complex} welschinger={b.welschinger}"
             )
-    if args.json:
+    if args.json is not None:
         _write(args.json, _json_dump(_enumeration_json(enum, inv)))
-    if args.svg:
+    if args.svg is not None:
         _write(args.svg, render_svg(enum))
     return 0
 

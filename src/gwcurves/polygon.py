@@ -150,6 +150,10 @@ class LatticePolygon:
         """Boundary lattice points, summed over the edges without a scan."""
         return sum(lattice_length(a, b) for a, b in self.edges)
 
+    def point_count(self) -> int:
+        """All lattice points, by Pick (2A = 2I + B - 2) without a scan."""
+        return (self.area2 + self.boundary_count()) // 2 + 1
+
     def point_budget(self) -> int:
         return self.boundary_count() - 1
 
@@ -251,9 +255,10 @@ def preset(name: str) -> LatticePolygon:
     key = name.strip().lower().replace("-", "_")
     if key.startswith("p2:"):
         try:
-            return p2(int(key.split(":", 1)[1]))
+            d = int(key.split(":", 1)[1])
         except ValueError:
             raise DomainError(f"bad degree in {name!r}") from None
+        return p2(d)
     table = _presets()
     if key in table:
         return table[key]

@@ -15,14 +15,16 @@ is a connected component, one without a triangle a line, and a connected
 curve with T triangles and B boundary sides is a tree iff T = B - 2.
 
 Every boundary side of a tiling comes from exactly one of its two
-completions, so an end of weight >= 2 is decided by one side alone: the
-completions with a boundary side of lattice length >= 2 are set aside before
-gluing, and ``boundary-weight`` still counts glued pairs, as
-|L|*|R| - |L_ok|*|R_ok| for L and R the completions of a path and L_ok, R_ok
-those kept.  A doomed path, with a step of lattice length >= 2 on the
-boundary, has that step as a heavy side of every tiling built from it, so
-L_ok or R_ok is empty: its |L|*|R| pairs are counted by the same peel rule,
-and no cell of its tilings is built.
+completions, so an end of weight >= 2 is decided by one side alone: only the
+completions without a boundary side of lattice length >= 2 are glued, and
+``boundary-weight`` still counts glued pairs, as |L|*|R| - |L_ok|*|R_ok| for
+L and R the completions of a path and L_ok, R_ok those kept.  One recursion
+gives |L| and L_ok together, and a peeled cell with a heavy side keeps none
+of its sub-completions.  Its results depend only on the side and the
+remaining path, so the paths of one batch share them and each
+sub-completion is built once.  A path with a step of lattice length >= 2 on
+the boundary needs no special case: that step is a heavy side of every
+tiling built from it, so L_ok or R_ok is empty.
 
 Each trivalent vertex, dual to a triangle with edge lattice lengths
 l1, l2, l3, twice-area A2 and I interior lattice points, carries the
@@ -166,13 +168,16 @@ class MarkedSubdivision:
 
 
 def curve_mult(sub: MarkedSubdivision) -> MultiplicityBundle:
-    """Product of the vertex multiplicities over the trivalent vertices."""
+    """Product of the vertex multiplicities over the trivalent vertices.
+    ``ONE`` is the identity of the group-ring product, so its factors (most
+    of them: the unit triangles) are skipped."""
     motivic = ONE
     complex_mult = 1
     welschinger = 1
     for t in sub.triangles():
         m = vertex_mult(t)
-        motivic = motivic * m
+        if m != ONE:
+            motivic = motivic * m
         complex_mult *= t.area2()
         welschinger *= m.signature()
     if motivic.rank() != complex_mult or motivic.signature() != welschinger:
@@ -270,35 +275,40 @@ def complete_path(path, side: int, poly: LatticePolygon):
     return rec(path, _start_area(path, side, poly))
 
 
-def _count_completions(path, side: int, poly: LatticePolygon, memo: dict) -> int:
-    """``len(complete_path(path, side, poly))`` by the same peel rule, with
-    no cell built.  ``memo`` maps (side, remaining path) to its count; the
-    area left to fill depends only on the polygon, the side and the remaining
-    path, so one memo serves every path of one polygon and no other."""
+def _light_completions(
+    path, side: int, poly: LatticePolygon, memo: dict
+) -> tuple[int, list[tuple[Cell, ...]]]:
+    """``(len(complete), light)`` for ``complete = complete_path(path, side,
+    poly)`` and ``light`` its completions without a heavy boundary side (see
+    ``_heavy_boundary``), in the same order, by the same peel rule.
 
-    def rec(p, area: int) -> int:
+    A node's count sums its children's; a peeled cell with a heavy side
+    keeps none of its sub-completions.  ``memo`` maps (side, remaining path)
+    to its result: the area left to fill depends only on the polygon, the
+    side and the remaining path, so one memo serves every path of one polygon
+    and no other.  The root's own entry is dropped once it is returned."""
+
+    def rec(p, area: int) -> tuple[int, list[tuple[Cell, ...]]]:
         key = (side, p)
         hit = memo.get(key)
         if hit is not None:
             return hit
         if area < 0:
             raise InternalInvariantError("path escaped its completion region")
-        n = sum(rec(q, area - a2) for q, _, a2 in _peels(p, side, poly)) if area else 1
-        memo[key] = n
-        return n
+        n, light = (0, []) if area else (1, [()])
+        for rest_path, pts, a2 in _peels(p, side, poly) if area else ():
+            cell = triangle(*pts) if len(pts) == 3 else parallelogram(*pts)
+            count, rest_light = rec(rest_path, area - a2)
+            n += count
+            if rest_light and not _heavy_boundary((cell,), poly):
+                light.extend(rest + (cell,) for rest in rest_light)
+        memo[key] = n, light
+        return n, light
 
     path = tuple(path)
-    return rec(path, _start_area(path, side, poly))
-
-
-def _doomed(path, poly: LatticePolygon) -> bool:
-    """True if some step of ``path`` lies on the boundary with lattice length
-    >= 2: that step is a side of a cell in every tiling built from the path,
-    an end of weight >= 2."""
-    return any(
-        poly.segment_on_boundary(a, b) and lattice_length(a, b) != 1
-        for a, b in zip(path, path[1:])
-    )
+    out = rec(path, _start_area(path, side, poly))
+    del memo[(side, path)]
+    return out
 
 
 # -- gluing and validity -----------------------------------------------------------
@@ -422,28 +432,18 @@ class Enumeration:
 
 
 def _curves_for_paths(poly: LatticePolygon, paths) -> tuple[list[TropicalCurve], Counter, int]:
-    """Curves and drop tallies of a batch of paths of ``poly``, and how many
-    of them were doomed.  A doomed path (see ``_doomed``) has a heavy end in
-    every tiling, so its |L|*|R| glued pairs go to ``boundary-weight`` from
-    ``_count_completions``, with no tiling built.  The batch shares one count
-    memo, which ends with the call."""
+    """Curves and drop tallies of a batch of paths of ``poly``, and the entry
+    count of the completion memo.  Only light completions (see
+    ``_light_completions``) are glued; the |L|*|R| - |L_ok|*|R_ok| other
+    pairs go to ``boundary-weight``.  The batch shares one memo, which ends
+    with the call."""
     curves: list[TropicalCurve] = []
     dropped: Counter = Counter()
-    doomed = 0
-    memo: dict[tuple, int] = {}
+    memo: dict[tuple, tuple[int, list[tuple[Cell, ...]]]] = {}
     for path in paths:
-        if _doomed(path, poly):
-            doomed += 1
-            heavy = _count_completions(path, 1, poly, memo)
-            if heavy:
-                heavy *= _count_completions(path, -1, poly, memo)
-            left_ok = right_ok = ()
-        else:
-            left = complete_path(path, 1, poly)
-            right = complete_path(path, -1, poly)
-            left_ok = [c for c in left if not _heavy_boundary(c, poly)]
-            right_ok = [c for c in right if not _heavy_boundary(c, poly)]
-            heavy = len(left) * len(right) - len(left_ok) * len(right_ok)
+        n_left, left_ok = _light_completions(path, 1, poly, memo)
+        n_right, right_ok = _light_completions(path, -1, poly, memo)
+        heavy = n_left * n_right - len(left_ok) * len(right_ok)
         if heavy:
             dropped["boundary-weight"] += heavy
             logger.debug("dropped %d boundary-weight completions of path %s", heavy, path)
@@ -456,7 +456,7 @@ def _curves_for_paths(poly: LatticePolygon, paths) -> tuple[list[TropicalCurve],
                 else:
                     dropped[reason] += 1
                     logger.debug("dropped %s completion of path %s", reason, path)
-    return curves, dropped, doomed
+    return curves, dropped, len(memo)
 
 
 def _cell_key(cell: Cell):
@@ -489,7 +489,7 @@ def enumerate_curves(poly: LatticePolygon, jobs: int | None = None) -> Enumerati
     jobs = max(1, min(default_jobs() if jobs is None else jobs, len(paths)))
     curves: list[TropicalCurve] = []
     dropped: Counter = Counter()
-    doomed = 0
+    memo_entries = 0
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
         if pool is None:
             results = [_curves_for_paths(poly, paths)]
@@ -497,10 +497,10 @@ def enumerate_curves(poly: LatticePolygon, jobs: int | None = None) -> Enumerati
             size = max(1, len(paths) // (4 * jobs))
             batches = [paths[i : i + size] for i in range(0, len(paths), size)]
             results = pool.map(_curves_for_paths, itertools.repeat(poly), batches)
-        for cs, dr, dm in results:
+        for cs, dr, entries in results:
             curves.extend(cs)
             dropped.update(dr)
-            doomed += dm
+            memo_entries += entries
     curves.sort(key=_curve_key)
     if dropped:
         logger.info(
@@ -509,8 +509,7 @@ def enumerate_curves(poly: LatticePolygon, jobs: int | None = None) -> Enumerati
             sum(dropped.values()),
             ", ".join(f"{k}={v}" for k, v in sorted(dropped.items())),
         )
-    if doomed:
-        logger.info("%s: counted %d of %d paths without building their tilings", poly, doomed, len(paths))
+    logger.info("%s: completed %d paths with %d completion memo entries", poly, len(paths), memo_entries)
     return Enumeration(poly, curves, dropped)
 
 

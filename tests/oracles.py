@@ -5,16 +5,19 @@ local solvability is decided by enumerating square values in residue
 charts, triangle interior counts by scanning the bounding box, boundary
 segments by testing each polygon edge, the arcs beside every lattice path
 by walking the boundary lattice points, a parallelogram's cycle by trying
-each vertex as the far one, and the dual curve of a tiling by walking its
-strands.  Also home to the random form generator of the property tests.
+each vertex as the far one, the dual curve of a tiling by walking its
+strands, a doomed path by its boundary steps, and a curve's motivic
+multiplicity by a plain product.  Also home to the random form generator of
+the property tests.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from gwcurves.gw import ZERO, GWElement, form, square_class
+from gwcurves.gw import ONE, ZERO, GWElement, form, square_class
 from gwcurves.polygon import _area2, lattice_length, primitive
+from gwcurves.tropical import vertex_mult
 
 PLACES = [None, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
@@ -172,6 +175,25 @@ def strand_walk_reason(cells):
     if len(arcs) != len(tri_ids) - 1:
         return "positive-genus"
     return None
+
+
+def doomed(path, poly) -> bool:
+    """True if some step of ``path`` lies on the boundary with lattice length
+    >= 2: that step is a side of a cell in every tiling built from the path,
+    an end of weight >= 2."""
+    return any(
+        segment_on_boundary_scan(poly, a, b) and lattice_length(a, b) != 1
+        for a, b in zip(path, path[1:])
+    )
+
+
+def motivic_fold(sub) -> GWElement:
+    """The motivic multiplicity of a curve as the product of its vertex
+    multiplicities, every factor multiplied in."""
+    out = ONE
+    for t in sub.triangles():
+        out = out * vertex_mult(t)
+    return out
 
 
 def random_gw(rng, size: int = 4, bound: int = 30) -> GWElement:

@@ -130,8 +130,35 @@ class TestInvariant:
         )
         assert perf_counter() - t0 < 1.0
 
+    @pytest.mark.parametrize("command", ["invariant", "tropical", "table"])
+    def test_many_candidate_paths_refused_before_any_scan(self, capsys, tmp_path, command):
+        # budget 4, but 1 004 lattice points: C(1002, 3) candidate paths
+        name = str(tmp_path / "poly.json")
+        Path(name).write_text(json.dumps({"vertices": [[0, 0], [1, 0], [1000, 2001]]}))
+        t0 = perf_counter()
+        code, out, err = run(capsys, command, "--chain" if command == "table" else "--polygon", name)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: 167167000 candidate lattice paths exceed limit 27132, "
+            "the count of p2:5 (raise with --max-budget)\n"
+        )
+        assert perf_counter() - t0 < 1.0
+
+    def test_large_budget_limit_is_cheap(self, capsys):
+        # the candidate cap of p2:333333333 is never computed in full
+        t0 = perf_counter()
+        code, out, _ = run(capsys, "invariant", "--polygon", "p2:3", "--max-budget", str(10**9))
+        assert (code, out.strip()) == (0, "2h + 8*<1>  N=12  W=8")
+        assert perf_counter() - t0 < 1.0
+
     def test_unknown_polygon(self, capsys):
         assert run(capsys, "invariant", "--polygon", "nope")[0] == 2
+
+    @pytest.mark.parametrize(
+        "name, message", [("p2:0", "degree must be positive"), ("p2:x", "bad degree in 'p2:x'")]
+    )
+    def test_bad_degree_names_the_degree(self, capsys, name, message):
+        assert run(capsys, "invariant", "--polygon", name) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("bad", [2.7, True])
     def test_non_integer_polygon_file(self, capsys, tmp_path, bad):
@@ -211,6 +238,12 @@ class TestTropical:
         code, _, err = run(capsys, "tropical", "--polygon", "bl2f1", "--json", str(tmp_path))
         assert code == 2
         assert err.startswith(f"error: cannot write {tmp_path}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["--json", "--svg"])
+    def test_empty_output_name_is_refused(self, capsys, flag):
+        code, _, err = run(capsys, "tropical", "--polygon", "p2:3", flag, "")
+        assert code == 2
+        assert err.startswith("error: cannot write ") and err.count("\n") == 1
 
     def test_json_is_byte_stable(self, capsys, tmp_path):
         p1, p2_ = tmp_path / "a.json", tmp_path / "b.json"

@@ -115,11 +115,13 @@ class TestPick:
         # edge gcds and Pick's identity; reaching the return is the assertion.
         b = q.boundary_count()
         assert q.area2 == 2 * q.interior_count() + b - 2
+        assert q.point_count() == len(q.lattice_points)
 
     def test_boundary_count_needs_no_scan(self):
         q = polygon([(0, 0), (10**9, 0), (3, 10**9)])
         assert q.boundary_count() == 10**9 + 1 + 1  # edge gcds 10**9, 1, 1
         assert q.point_budget() == 10**9 + 1
+        assert q.point_count() == (10**18 + 10**9 + 2) // 2 + 1
         assert "lattice_points" not in vars(q)
 
     def test_scan_matches_direct_enumeration(self):

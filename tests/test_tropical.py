@@ -18,9 +18,8 @@ from gwcurves.tropical import (
     TropicalCurve,
     _arc_areas,
     _cell_key,
-    _count_completions,
-    _doomed,
     _heavy_boundary,
+    _light_completions,
     _orient,
     complete_path,
     count_invariants,
@@ -36,7 +35,7 @@ from gwcurves.tropical import (
     vertex_mult,
 )
 
-from oracles import arc_shoelaces_walk, par_cycle_search, strand_walk_reason
+from oracles import arc_shoelaces_walk, doomed, motivic_fold, par_cycle_search, strand_walk_reason
 
 
 def tri(*pts):
@@ -104,6 +103,12 @@ class TestCurveMult:
         sub = MarkedSubdivision((), (tri((0, 0), (1, 0), (0, 2)),))
         b = curve_mult(sub)
         assert (b.motivic, b.complex, b.welschinger) == (H, 2, 0)
+
+    def test_matches_plain_fold(self, quartic_enum):
+        # curve_mult skips the factors equal to ONE
+        for enum in (quartic_enum, enumerate_curves(SQUARE, jobs=1)):
+            for curve in enum.curves:
+                assert curve.bundle.motivic.terms == motivic_fold(curve.subdivision).terms
 
     def test_welschinger_zero_with_even_triangle(self):
         sub = MarkedSubdivision((), (tri((0, 0), (1, 0), (0, 2)), tri((0, 0), (1, 0), (0, 3))))
@@ -282,10 +287,8 @@ class TestEnumerate:
 
         monkeypatch.setattr(tropical, "validate_subdivision", keep_reason)
         if reason == "boundary-weight":
-            # the per-side filter drops these before validation, and doomed
-            # paths are only counted; let them through
+            # the per-side filter drops these before validation; let them through
             monkeypatch.setattr(tropical, "_heavy_boundary", lambda cells, poly: False)
-            monkeypatch.setattr(tropical, "_doomed", lambda path, poly: False)
         enum = enumerate_curves(p2(4), jobs=1)
         assert reason not in enum.dropped
         assert enum.motivic_total().rank() != 620
@@ -359,8 +362,8 @@ class TestEnumerate:
             assert len(enum.curves) == 1
 
     def test_parallel_run_is_byte_identical(self):
-        # both polygons have doomed paths, counted in separate worker batches
-        for poly in (p2(3), preset("blf1")):
+        # each worker batch has its own completion memo
+        for poly in (p2(3), preset("blf1"), preset("f1_4_2e")):
             serial = enumerate_curves(poly, jobs=1)
             parallel = enumerate_curves(poly, jobs=2)
             a = json.dumps([c.to_json() for c in serial.curves], sort_keys=True)
@@ -371,12 +374,13 @@ class TestEnumerate:
     def test_doomed_paths_are_logged(self, caplog):
         with caplog.at_level("INFO", logger="gwcurves.tropical"):
             enumerate_curves(p2(3), jobs=1)
-        assert "counted 2 of 8 paths without building their tilings" in caplog.text
+        assert "completed 8 paths with 46 completion memo entries" in caplog.text
 
     def test_no_count_carries_over_between_polygons(self):
-        # Each pair shares coordinates but not areas.  A count memo that
-        # outlived one enumeration gives quad 18 boundary-weight drops after
-        # tri instead of 16; blf1 and f1_4_2e happen to survive one.
+        # Each pair shares coordinates but not areas.  A completion memo that
+        # outlived one enumeration hands quad the tilings of tri (they do not
+        # tile it), and tri then 0 curves instead of 1; blf1 and f1_4_2e
+        # happen to survive one.
         polys = {
             "blf1": preset("blf1"),
             "f1_4_2e": preset("f1_4_2e"),
@@ -494,13 +498,15 @@ def test_count_matches_complete_path(poly):
     memo = {}  # shared by all paths of the polygon, as in an enumeration
     for path in enumerate_paths(poly):
         for side in (1, -1):
-            assert _count_completions(path, side, poly, memo) == len(complete_path(path, side, poly))
+            full = complete_path(path, side, poly)
+            light = [c for c in full if not _heavy_boundary(c, poly)]
+            assert _light_completions(path, side, poly, memo) == (len(full), light)
 
 
 @pytest.mark.parametrize("poly", HULLS, ids=str)
 def test_doomed_paths_have_no_light_pair(poly):
     for path in enumerate_paths(poly):
-        if not _doomed(path, poly):
+        if not doomed(path, poly):
             continue
         light = [
             [c for c in complete_path(path, side, poly) if not _heavy_boundary(c, poly)]
