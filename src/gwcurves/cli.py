@@ -85,8 +85,13 @@ def _guard_budget(poly: LatticePolygon, limit: int) -> None:
 
 
 def _check_writable(name: str | None) -> None:
-    """Refuse an output file whose directory does not exist, before any work."""
-    if name is not None and not Path(name).parent.is_dir():
+    """Refuse, before any work, an output file whose directory does not exist
+    or that is a directory itself (``''`` names ``.``)."""
+    if name is None:
+        return
+    if Path(name).is_dir():
+        raise UsageError(f"cannot write {name}: is a directory")
+    if not Path(name).parent.is_dir():
         raise UsageError(f"cannot write {name}: no directory {Path(name).parent}")
 
 

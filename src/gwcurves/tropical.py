@@ -26,6 +26,17 @@ sub-completion is built once.  A path with a step of lattice length >= 2 on
 the boundary needs no special case: that step is a heavy side of every
 tiling built from it, so L_ok or R_ok is empty.
 
+A glued pair is decided on the path interface.  The same recursion gives
+each light completion a summary: for each edge of its path the side group
+of the cell owning it, which groups hold a triangle, its rays, its area and
+the products of its vertex multiplicities.  Groups of one side never merge
+(a peel adds sides to one group, or starts a new one at a ray), and the two
+sides' groups join only across the path edges both of them own, so one
+union-find over the path's labels gives the reason, and a curve's
+multiplicity is the product of its two sides'.  ``validate_subdivision`` and
+``curve_mult`` decide a whole tiling the same way and serve as the
+reference.
+
 Each trivalent vertex, dual to a triangle with edge lattice lengths
 l1, l2, l3, twice-area A2 and I interior lattice points, carries the
 multiplicity
@@ -48,6 +59,8 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import attrgetter
+from typing import NamedTuple
 
 from .gw import GWElement, ONE, form, gw_equal
 from .polygon import LatticePolygon, Point, lattice_length, _add, _area2, _cross as _orient, _sub
@@ -201,6 +214,7 @@ def enumerate_paths(poly: LatticePolygon):
         yield (first,) + chosen + (last,)
 
 
+@lru_cache(maxsize=64)
 def _arc_areas(poly: LatticePolygon) -> tuple[int, int]:
     """Twice the areas left and right of the chord from the lambda-minimal
     to the lambda-maximal vertex: (left, right).  A path between them with
@@ -275,33 +289,136 @@ def complete_path(path, side: int, poly: LatticePolygon):
     return rec(path, _start_area(path, side, poly))
 
 
+def _times(x: GWElement, y: GWElement) -> GWElement:
+    """``x * y``, skipping a factor equal to ``ONE`` (see ``curve_mult``)."""
+    return y if x == ONE else x if y == ONE else x * y
+
+
+class _Side(NamedTuple):
+    """One light completion of a remaining path, summarized for gluing.
+
+    ``labels`` gives, for each edge of the path, the side group (see
+    ``validate_subdivision``) of the cell owning the edge, or -1 when no
+    cell owns it (the edge lies on the boundary arc).  Every group holds an
+    edge of the path, so the labels are 0 .. ``groups`` - 1.  ``rays``
+    counts the sides owned once that are not path edges, and ``heavy`` tells
+    whether one of them has lattice length >= 2.  ``area2`` sums
+    ``Cell.area2`` over the cells, and the last three fields are the
+    products of ``curve_mult`` over the triangles."""
+
+    cells: tuple[Cell, ...]
+    labels: tuple[int, ...]
+    groups: int
+    tri_groups: int  # bitmask of the groups holding a triangle
+    triangles: int
+    rays: int
+    heavy: bool
+    area2: int
+    motivic: GWElement
+    complex: int
+    welschinger: int
+
+
 def _light_completions(
     path, side: int, poly: LatticePolygon, memo: dict
-) -> tuple[int, list[tuple[Cell, ...]]]:
+) -> tuple[int, list[_Side]]:
     """``(len(complete), light)`` for ``complete = complete_path(path, side,
-    poly)`` and ``light`` its completions without a heavy boundary side (see
-    ``_heavy_boundary``), in the same order, by the same peel rule.
+    poly)`` and ``light`` the summaries of its completions without a heavy
+    boundary side (see ``_heavy_boundary``), in the same order, by the same
+    peel rule.
 
     A node's count sums its children's; a peeled cell with a heavy side
     keeps none of its sub-completions.  ``memo`` maps (side, remaining path)
     to its result: the area left to fill depends only on the polygon, the
     side and the remaining path, so one memo serves every path of one polygon
-    and no other.  The root's own entry is dropped once it is returned."""
+    and no other.  The root's own entry is dropped once it is returned.
 
-    def rec(p, area: int) -> tuple[int, list[tuple[Cell, ...]]]:
+    A summary extends its child's by the peeled cell.  The triangle at ``b``
+    gives ``ab`` and ``bc`` the group of ``ac``; the parallelogram
+    ``a, b, c, r`` gives ``ab`` the group of ``rc`` and ``bc`` that of
+    ``ar``.  A child edge that no cell of the child owns is a ray, alone in
+    a new group, so the groups of one side never merge."""
+
+    def new_edge(a: Point, b: Point) -> tuple[bool, bool]:
+        """(on the boundary, lattice length >= 2) of an edge the peel leaves
+        on the child's path."""
+        return poly.segment_on_boundary(a, b), lattice_length(a, b) != 1
+
+    def group(child: _Side, j: int, new: tuple[bool, bool], rays: list[bool]) -> int:
+        """The group of child edge ``j``, the peel's edge ``new``: a new
+        group when no cell of ``child`` owns it, its heaviness noted in
+        ``rays``."""
+        label = child.labels[j]
+        if label >= 0:
+            return label
+        on_boundary, heavy = new
+        if not on_boundary:
+            raise InternalInvariantError("interior edge has a single cell")
+        rays.append(heavy)
+        return child.groups + len(rays) - 1
+
+    def extend(child: _Side, i: int, cell: Cell, area2: int, new, mult) -> _Side:
+        """The summary of ``child`` plus ``cell``, peeled at path vertex
+        ``i``: ``new`` holds ``new_edge`` of each edge the peel leaves on the
+        child's path, ``mult`` a triangle's ``vertex_mult`` and its
+        signature."""
+        rays: list[bool] = []
+        labels, tri_groups, triangles = child.labels, child.tri_groups, child.triangles
+        motivic, complex_mult, welschinger = child.motivic, child.complex, child.welschinger
+        if mult is None:  # parallelogram
+            ar, rc = new
+            ab, bc = group(child, i, rc, rays), group(child, i - 1, ar, rays)
+            labels = labels[: i - 1] + (ab, bc) + labels[i + 1 :]
+        else:
+            (ac,), (m, signature) = new, mult
+            ab = group(child, i - 1, ac, rays)
+            labels = labels[: i - 1] + (ab, ab) + labels[i:]
+            tri_groups |= 1 << ab
+            triangles += 1
+            motivic = _times(motivic, m)
+            complex_mult *= area2
+            welschinger *= signature
+        return _Side(
+            child.cells + (cell,),
+            labels,
+            child.groups + len(rays),
+            tri_groups,
+            triangles,
+            child.rays + len(rays),
+            child.heavy or any(rays),
+            child.area2 + area2,
+            motivic,
+            complex_mult,
+            welschinger,
+        )
+
+    def rec(p, area: int) -> tuple[int, list[_Side]]:
         key = (side, p)
         hit = memo.get(key)
         if hit is not None:
             return hit
         if area < 0:
             raise InternalInvariantError("path escaped its completion region")
-        n, light = (0, []) if area else (1, [()])
-        for rest_path, pts, a2 in _peels(p, side, poly) if area else ():
-            cell = triangle(*pts) if len(pts) == 3 else parallelogram(*pts)
+        if not area:  # the path runs along the boundary arc: one empty completion
+            memo[key] = out = 1, [_Side((), (-1,) * (len(p) - 1), 0, 0, 0, 0, False, 0, ONE, 1, 1)]
+            return out
+        n, light = 0, []
+        for rest_path, pts, a2 in _peels(p, side, poly):
             count, rest_light = rec(rest_path, area - a2)
             n += count
-            if rest_light and not _heavy_boundary((cell,), poly):
-                light.extend(rest + (cell,) for rest in rest_light)
+            if not rest_light:
+                continue
+            cell = triangle(*pts) if len(pts) == 3 else parallelogram(*pts)
+            if not _heavy_boundary((cell,), poly):
+                a, b, c = pts[:3]
+                if len(pts) == 3:
+                    m = vertex_mult(cell)
+                    new, mult = (new_edge(a, c),), (m, m.signature())
+                else:
+                    r = pts[3]
+                    new, mult = (new_edge(a, r), new_edge(r, c)), None
+                i, area2 = p.index(b), cell.area2()
+                light.extend(extend(rest, i, cell, area2, new, mult) for rest in rest_light)
         memo[key] = n, light
         return n, light
 
@@ -390,6 +507,65 @@ def validate_subdivision(sub: MarkedSubdivision, poly: LatticePolygon):
     return None
 
 
+def _pair_reason(path, left: _Side, right: _Side, poly: LatticePolygon):
+    """``validate_subdivision`` of the tiling glued from two completion
+    summaries of ``path`` (see ``_Side``), decided on the path's edges: a
+    path edge owned by both sides joins their groups there, one owned by a
+    single side is a ray.  Same reasons in the same order, and an
+    InternalInvariantError on the same defects."""
+    if left.area2 + right.area2 != poly.area2:
+        raise InternalInvariantError("cells do not tile the polygon")
+    off = left.groups
+    parent = list(range(off + right.groups))
+    rays = left.rays + right.rays
+    heavy = left.heavy or right.heavy
+    for i, (lab, rab) in enumerate(zip(left.labels, right.labels)):
+        if lab >= 0 and rab >= 0:
+            x, y = lab, off + rab
+            while parent[x] != x:
+                x = parent[x]
+            while parent[y] != y:
+                y = parent[y]
+            parent[y] = x
+            continue
+        edge = path[i], path[i + 1]
+        if lab < 0 and rab < 0:
+            raise InternalInvariantError(f"path edge {edge} owned by neither side")
+        if not poly.segment_on_boundary(*edge):
+            raise InternalInvariantError(f"interior edge {edge} has a single cell")
+        rays += 1
+        heavy = heavy or lattice_length(*edge) != 1
+    if heavy:
+        return "boundary-weight"
+    triangles = left.triangles + right.triangles
+    if (triangles - rays) % 2:
+        raise InternalInvariantError("dual graph slot count mismatch")
+    tri = left.tri_groups | right.tri_groups << off
+    components: dict[int, int] = {}
+    for x in range(len(parent)):
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        components[root] = components.get(root, 0) | tri >> x & 1
+    if not all(components.values()):
+        return "line-component"
+    if len(components) > 1:
+        return "disconnected"
+    if triangles != rays - 2:
+        return "positive-genus"
+    return None
+
+
+def _pair_bundle(left: _Side, right: _Side) -> MultiplicityBundle:
+    """``curve_mult`` of the tiling glued from two completion summaries."""
+    motivic = _times(left.motivic, right.motivic)
+    complex_mult = left.complex * right.complex
+    welschinger = left.welschinger * right.welschinger
+    if motivic.rank() != complex_mult or motivic.signature() != welschinger:
+        raise InternalInvariantError("multiplicity factorization failed")
+    return MultiplicityBundle(motivic, complex_mult, welschinger)
+
+
 # -- enumeration -------------------------------------------------------------------
 
 
@@ -434,12 +610,13 @@ class Enumeration:
 def _curves_for_paths(poly: LatticePolygon, paths) -> tuple[list[TropicalCurve], Counter, int]:
     """Curves and drop tallies of a batch of paths of ``poly``, and the entry
     count of the completion memo.  Only light completions (see
-    ``_light_completions``) are glued; the |L|*|R| - |L_ok|*|R_ok| other
-    pairs go to ``boundary-weight``.  The batch shares one memo, which ends
-    with the call."""
+    ``_light_completions``) are glued, and each glued pair is decided from
+    the two summaries (``_pair_reason``, ``_pair_bundle``); the
+    |L|*|R| - |L_ok|*|R_ok| other pairs go to ``boundary-weight``.  The batch
+    shares one memo, which ends with the call."""
     curves: list[TropicalCurve] = []
     dropped: Counter = Counter()
-    memo: dict[tuple, tuple[int, list[tuple[Cell, ...]]]] = {}
+    memo: dict[tuple, tuple[int, list[_Side]]] = {}
     for path in paths:
         n_left, left_ok = _light_completions(path, 1, poly, memo)
         n_right, right_ok = _light_completions(path, -1, poly, memo)
@@ -449,22 +626,21 @@ def _curves_for_paths(poly: LatticePolygon, paths) -> tuple[list[TropicalCurve],
             logger.debug("dropped %d boundary-weight completions of path %s", heavy, path)
         for cl in left_ok:
             for cr in right_ok:
-                sub = MarkedSubdivision(tuple(path), tuple(sorted(cl + cr, key=_cell_key)))
-                reason = validate_subdivision(sub, poly)
+                reason = _pair_reason(path, cl, cr, poly)
                 if reason is None:
-                    curves.append(TropicalCurve(sub, curve_mult(sub)))
+                    cells = tuple(sorted(cl.cells + cr.cells, key=_cell_key))
+                    curves.append(TropicalCurve(MarkedSubdivision(tuple(path), cells), _pair_bundle(cl, cr)))
                 else:
                     dropped[reason] += 1
                     logger.debug("dropped %s completion of path %s", reason, path)
     return curves, dropped, len(memo)
 
 
-def _cell_key(cell: Cell):
-    return (cell.kind, cell.vertices)
+_cell_key = attrgetter("kind", "vertices")
 
 
 def _curve_key(curve: TropicalCurve):
-    return (curve.subdivision.path, tuple(_cell_key(c) for c in curve.subdivision.cells))
+    return (curve.subdivision.path, tuple(map(_cell_key, curve.subdivision.cells)))
 
 
 def default_jobs() -> int:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from gwcurves import build_tables, enumerate_curves, p2, quartic_chain, preset
@@ -28,3 +30,12 @@ def quartic_bases(quartic_enum, blowup_enums):
 @pytest.fixture(scope="session")
 def quartic_tables(quartic_bases):
     return build_tables(quartic_chain(), bases=quartic_bases)
+
+
+@pytest.fixture(scope="session")
+def quintic_runs():
+    """``p2:5`` enumerated at ``jobs=1`` (with its wall time) and ``jobs=2``."""
+    start = time.perf_counter()
+    serial = enumerate_curves(p2(5), jobs=1)
+    elapsed = time.perf_counter() - start
+    return serial, elapsed, enumerate_curves(p2(5), jobs=2)

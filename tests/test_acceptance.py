@@ -7,11 +7,13 @@ the session's tropical base cases, matching their stated budgets.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import time
 from fractions import Fraction
 
+import pytest
 from oracles import PLACES, hilbert_oracle
 
 from gwcurves.expr import parse_expression
@@ -244,4 +246,28 @@ def test_criterion_9_tropical_structural_suite():
         "emitted curves all re-validate, rank factorization holds, 1- and 2-process "
         f"runs byte-identical; candidate completions dropped en route: {dropped_summary} "
         "(the drops are load-bearing: see the diagnostics note in README.md)",
+    )
+
+
+QUINTIC_SHA256 = "915af9085dcf6ebbc0e37183f42977108238f5b32530e778d76f0ff20d746755"
+
+
+@pytest.mark.slow
+def test_criterion_10_degree_5_base_case(quintic_runs):
+    serial, elapsed, parallel = quintic_runs
+    inv = serial.invariants()
+    assert (inv.n, inv.w) == (87304, 18264)
+    assert dict(serial.dropped) == {"boundary-weight": 761180, "disconnected": 12740}
+    serial_bytes = json.dumps([c.to_json() for c in serial.curves], sort_keys=True)
+    parallel_bytes = json.dumps([c.to_json() for c in parallel.curves], sort_keys=True)
+    assert serial_bytes == parallel_bytes
+    assert serial.dropped == parallel.dropped
+    assert hashlib.sha256(serial_bytes.encode()).hexdigest() == QUINTIC_SHA256
+    for curve in serial.curves:
+        assert validate_subdivision(curve.subdivision, serial.polygon) is None
+    assert elapsed < 60.0
+    report(
+        10,
+        f"p2:5 -> N=87304, W=18264, {len(serial.curves)} curves, drops 761180/12740, "
+        f"1- and 2-process runs byte-identical, all re-validate ({elapsed:.2f}s single-threaded)",
     )

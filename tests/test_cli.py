@@ -233,6 +233,20 @@ class TestTropical:
         assert (code, out) == (2, "")
         assert err == f"error: cannot write {target}: no directory {target.parent}\n"
 
+    @pytest.mark.parametrize("flag", ["--json", "--svg"])
+    @pytest.mark.parametrize("name", ["dir", ""])
+    def test_directory_output_is_refused_before_enumerating(self, capsys, tmp_path, monkeypatch, flag, name):
+        from gwcurves import cli
+
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("enumerated before checking the output path")
+
+        monkeypatch.setattr(cli, "enumerate_curves", no_enumeration)
+        target = str(tmp_path) if name == "dir" else name
+        code, out, err = run(capsys, "tropical", "--polygon", "p2:3", flag, target)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot write ") and err.count("\n") == 1
+
     def test_failed_write_is_usage(self, capsys, tmp_path):
         # the directory exists, but the target is a directory itself
         code, _, err = run(capsys, "tropical", "--polygon", "bl2f1", "--json", str(tmp_path))

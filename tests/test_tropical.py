@@ -21,6 +21,8 @@ from gwcurves.tropical import (
     _heavy_boundary,
     _light_completions,
     _orient,
+    _pair_bundle,
+    _pair_reason,
     complete_path,
     count_invariants,
     curve_mult,
@@ -279,13 +281,13 @@ class TestEnumerate:
 
         assert reason in quartic_enum.dropped
         assert quartic_enum.motivic_total().rank() == 620
-        validate = tropical.validate_subdivision
+        pair_reason = tropical._pair_reason
 
-        def keep_reason(sub, poly):
-            got = validate(sub, poly)
+        def keep_reason(path, left, right, poly):
+            got = pair_reason(path, left, right, poly)
             return None if got == reason else got
 
-        monkeypatch.setattr(tropical, "validate_subdivision", keep_reason)
+        monkeypatch.setattr(tropical, "_pair_reason", keep_reason)
         if reason == "boundary-weight":
             # the per-side filter drops these before validation; let them through
             monkeypatch.setattr(tropical, "_heavy_boundary", lambda cells, poly: False)
@@ -500,7 +502,8 @@ def test_count_matches_complete_path(poly):
         for side in (1, -1):
             full = complete_path(path, side, poly)
             light = [c for c in full if not _heavy_boundary(c, poly)]
-            assert _light_completions(path, side, poly, memo) == (len(full), light)
+            n, sides = _light_completions(path, side, poly, memo)
+            assert (n, [s.cells for s in sides]) == (len(full), light)
 
 
 @pytest.mark.parametrize("poly", HULLS, ids=str)
@@ -569,3 +572,68 @@ def test_classifier_matches_strand_walk(poly):
             for cr in complete_path(path, -1, poly):
                 sub = MarkedSubdivision(tuple(path), tuple(sorted(cl + cr, key=_cell_key)))
                 assert validate_subdivision(sub, poly) == strand_walk_reason(sub.cells), sub
+
+
+@pytest.mark.parametrize("poly", HULLS, ids=str)
+def test_pair_reason_matches_validate_subdivision(poly, monkeypatch):
+    # every glued pair, heavy completions included
+    from gwcurves import tropical
+
+    monkeypatch.setattr(tropical, "_heavy_boundary", lambda cells, poly: False)
+    memo = {}
+    for path in enumerate_paths(poly):
+        left, right = (_light_completions(path, side, poly, memo)[1] for side in (1, -1))
+        assert [s.cells for s in left] == complete_path(path, 1, poly)
+        assert [s.cells for s in right] == complete_path(path, -1, poly)
+        for cl in left:
+            for cr in right:
+                sub = MarkedSubdivision(path, tuple(sorted(cl.cells + cr.cells, key=_cell_key)))
+                reason = _pair_reason(path, cl, cr, poly)
+                assert reason == validate_subdivision(sub, poly), sub
+                if reason is None:
+                    assert _pair_bundle(cl, cr) == curve_mult(sub)
+
+
+def _kept_pair(poly):
+    """The first path of ``poly`` with a pair of completions that is a curve."""
+    memo = {}
+    for path in enumerate_paths(poly):
+        left, right = (_light_completions(path, side, poly, memo)[1] for side in (1, -1))
+        for cl in left:
+            for cr in right:
+                if _pair_reason(path, cl, cr, poly) is None:
+                    return path, cl, cr
+    raise AssertionError("no curve")
+
+
+def test_fabricated_summaries_raise():
+    poly = p2(3)
+    path, cl, cr = _kept_pair(poly)
+    shared = next(i for i, (a, b) in enumerate(zip(cl.labels, cr.labels)) if a >= 0 and b >= 0)
+    assert not poly.segment_on_boundary(path[shared], path[shared + 1])
+
+    def unowned(side):
+        labels = list(side.labels)
+        labels[shared] = -1
+        return side._replace(labels=tuple(labels))
+
+    bad = {
+        "do not tile": (cl._replace(area2=cl.area2 + 2), cr),
+        "owned by neither side": (unowned(cl), unowned(cr)),
+        "has a single cell": (cl, unowned(cr)),
+        "slot count": (cl._replace(triangles=cl.triangles + 1), cr),
+    }
+    for message, (left, right) in bad.items():
+        with pytest.raises(InternalInvariantError, match=message):
+            _pair_reason(path, left, right, poly)
+
+
+def test_completion_with_an_interior_ray_raises(monkeypatch):
+    # with no boundary at all, the first child edge no cell owns is interior
+    from gwcurves.polygon import LatticePolygon
+
+    monkeypatch.setattr(LatticePolygon, "segment_on_boundary", lambda self, p, q: False)
+    poly = p2(3)
+    with pytest.raises(InternalInvariantError, match="single cell"):
+        for path in enumerate_paths(poly):
+            _light_completions(path, 1, poly, {})
