@@ -94,22 +94,28 @@ class LatticePolygon:
         return all(_cross(a, b, p) > 0 for a, b in self.edges)
 
     @cached_property
-    def _edges_through(self) -> dict[Point, frozenset[int]]:
-        """Each boundary lattice point mapped to the indices of the edges
-        (in ``edges`` order) that contain it: two at a vertex, one
-        elsewhere."""
-        out: dict[Point, set[int]] = {}
-        for i, (a, b) in enumerate(self.edges):
+    def boundary_steps(self) -> dict[tuple[Point, Point], bool]:
+        """Each ordered pair of distinct boundary lattice points on a common
+        edge, mapped to whether the segment between them has lattice length
+        >= 2 (as a cell side, an end of weight >= 2).  A pair of lattice
+        points that is not a key has a segment leaving the boundary."""
+        out: dict[tuple[Point, Point], bool] = {}
+        for a, b in self.edges:
             step = primitive(_sub(b, a))
-            for k in range(lattice_length(a, b) + 1):
-                out.setdefault(_add(a, (step[0] * k, step[1] * k)), set()).add(i)
-        return {p: frozenset(ids) for p, ids in out.items()}
+            pts = [_add(a, (step[0] * k, step[1] * k)) for k in range(lattice_length(a, b) + 1)]
+            for i, p in enumerate(pts):
+                for j, q in enumerate(pts):
+                    if i != j:
+                        out[p, q] = abs(i - j) >= 2
+        return out
 
     def segment_on_boundary(self, p: Point, q: Point) -> bool:
         """True iff the whole segment [p, q] between two lattice points lies
-        inside one polygon edge."""
-        through = self._edges_through
-        return p in through and q in through and not through[p].isdisjoint(through[q])
+        inside one polygon edge: a key of ``boundary_steps``, or a single
+        boundary point."""
+        if p == q:
+            return self.contains(p) and not self.strictly_contains(p)
+        return (p, q) in self.boundary_steps
 
     # -- lattice point counts ------------------------------------------------
 

@@ -18,13 +18,15 @@ Every boundary side of a tiling comes from exactly one of its two
 completions, so an end of weight >= 2 is decided by one side alone: only the
 completions without a boundary side of lattice length >= 2 are glued, and
 ``boundary-weight`` still counts glued pairs, as |L|*|R| - |L_ok|*|R_ok| for
-L and R the completions of a path and L_ok, R_ok those kept.  One recursion
-gives |L| and L_ok together, and a peeled cell with a heavy side keeps none
-of its sub-completions.  Its results depend only on the side and the
-remaining path, so the paths of one batch share them and each
-sub-completion is built once.  A path with a step of lattice length >= 2 on
-the boundary needs no special case: that step is a heavy side of every
-tiling built from it, so L_ok or R_ok is empty.
+L and R the completions of a path and L_ok, R_ok those kept.  One memoized
+recursion gives |L| always and L_ok only where it can be glued: below a
+peeled cell with a heavy side it only counts.  A path with a step of
+lattice length >= 2 on the boundary (a doomed path) is counted only on both
+sides, since that step is a heavy side of every tiling built from it.  Both
+tests read the polygon's table of boundary steps (``boundary_steps``).  The
+recursion's results depend only on the side and the remaining path, so the
+paths of one batch share them and each count and sub-completion is built
+once.
 
 A glued pair is decided on the path interface.  The same recursion gives
 each light completion a summary: for each edge of its path the side group
@@ -51,6 +53,7 @@ real (signed) one.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import logging
 import os
@@ -319,49 +322,57 @@ class _Side(NamedTuple):
     welschinger: int
 
 
-def _light_completions(
-    path, side: int, poly: LatticePolygon, memo: dict
-) -> tuple[int, list[_Side]]:
-    """``(len(complete), light)`` for ``complete = complete_path(path, side,
-    poly)`` and ``light`` the summaries of its completions without a heavy
-    boundary side (see ``_heavy_boundary``), in the same order, by the same
-    peel rule.
+def _heavy_steps(pts, poly: LatticePolygon) -> bool:
+    """True if a step between consecutive points of ``pts`` lies on the
+    boundary with lattice length >= 2: for a path, it is a side of a cell in
+    every tiling built from the path (the path is doomed); for a cell's
+    closed cycle, an end of weight >= 2 of every tiling holding the cell."""
+    return any(map(poly.boundary_steps.get, zip(pts, pts[1:])))
 
-    A node's count sums its children's; a peeled cell with a heavy side
-    keeps none of its sub-completions.  ``memo`` maps (side, remaining path)
-    to its result: the area left to fill depends only on the polygon, the
-    side and the remaining path, so one memo serves every path of one polygon
-    and no other.  The root's own entry is dropped once it is returned.
+
+def _light_completions(
+    path, side: int, poly: LatticePolygon, memo: dict, want: bool = True
+) -> tuple[int, list[_Side] | None]:
+    """``(len(complete), light)`` for ``complete = complete_path(path, side,
+    poly)`` and ``light`` the summaries of its completions without a
+    boundary side of lattice length >= 2, in the same order, by the same
+    peel rule; ``light`` is None when not ``want``.
+
+    One memoized recursion gives both, and builds summaries only where they
+    can be glued: a peel whose cell has a heavy boundary side (see
+    ``_heavy_steps``) recurses count-only, and neither its cell nor its
+    children's summaries are built.  ``memo`` maps (side, remaining path) to
+    ``(count, light or None)``: the area left to fill depends only on the
+    polygon, the side and the remaining path, so one memo serves every path
+    of one polygon and no other.  A node first reached count-only and later
+    wanted computes only its light list; its children's counts are memo hits
+    and its heavy peels are skipped.  The root's own entry is dropped once it
+    is returned.
 
     A summary extends its child's by the peeled cell.  The triangle at ``b``
     gives ``ab`` and ``bc`` the group of ``ac``; the parallelogram
     ``a, b, c, r`` gives ``ab`` the group of ``rc`` and ``bc`` that of
     ``ar``.  A child edge that no cell of the child owns is a ray, alone in
     a new group, so the groups of one side never merge."""
+    steps = poly.boundary_steps
 
-    def new_edge(a: Point, b: Point) -> tuple[bool, bool]:
-        """(on the boundary, lattice length >= 2) of an edge the peel leaves
-        on the child's path."""
-        return poly.segment_on_boundary(a, b), lattice_length(a, b) != 1
-
-    def group(child: _Side, j: int, new: tuple[bool, bool], rays: list[bool]) -> int:
-        """The group of child edge ``j``, the peel's edge ``new``: a new
-        group when no cell of ``child`` owns it, its heaviness noted in
-        ``rays``."""
+    def group(child: _Side, j: int, new: bool | None, rays: list[bool]) -> int:
+        """The group of child edge ``j``, the peel's edge with
+        ``boundary_steps`` entry ``new`` (None off the boundary): a new group
+        when no cell of ``child`` owns it, its heaviness noted in ``rays``."""
         label = child.labels[j]
         if label >= 0:
             return label
-        on_boundary, heavy = new
-        if not on_boundary:
+        if new is None:
             raise InternalInvariantError("interior edge has a single cell")
-        rays.append(heavy)
+        rays.append(new)
         return child.groups + len(rays) - 1
 
     def extend(child: _Side, i: int, cell: Cell, area2: int, new, mult) -> _Side:
         """The summary of ``child`` plus ``cell``, peeled at path vertex
-        ``i``: ``new`` holds ``new_edge`` of each edge the peel leaves on the
-        child's path, ``mult`` a triangle's ``vertex_mult`` and its
-        signature."""
+        ``i``: ``new`` holds the ``boundary_steps`` entry of each edge the
+        peel leaves on the child's path, ``mult`` a triangle's
+        ``vertex_mult`` and its signature."""
         rays: list[bool] = []
         labels, tri_groups, triangles = child.labels, child.tri_groups, child.triangles
         motivic, complex_mult, welschinger = child.motivic, child.complex, child.welschinger
@@ -392,39 +403,42 @@ def _light_completions(
             welschinger,
         )
 
-    def rec(p, area: int) -> tuple[int, list[_Side]]:
+    def rec(p, area: int, want: bool) -> tuple[int, list[_Side] | None]:
         key = (side, p)
         hit = memo.get(key)
-        if hit is not None:
+        if hit is not None and (hit[1] is not None or not want):
             return hit
         if area < 0:
             raise InternalInvariantError("path escaped its completion region")
         if not area:  # the path runs along the boundary arc: one empty completion
             memo[key] = out = 1, [_Side((), (-1,) * (len(p) - 1), 0, 0, 0, 0, False, 0, ONE, 1, 1)]
             return out
-        n, light = 0, []
+        n, light = 0, [] if want else None
         for rest_path, pts, a2 in _peels(p, side, poly):
-            count, rest_light = rec(rest_path, area - a2)
+            glue = want and not _heavy_steps(pts + pts[:1], poly)
+            if hit is not None and not glue:
+                continue  # counted on the first visit
+            count, rest_light = rec(rest_path, area - a2, glue)
             n += count
-            if not rest_light:
+            if not (glue and rest_light):
                 continue
             cell = triangle(*pts) if len(pts) == 3 else parallelogram(*pts)
-            if not _heavy_boundary((cell,), poly):
-                a, b, c = pts[:3]
-                if len(pts) == 3:
-                    m = vertex_mult(cell)
-                    new, mult = (new_edge(a, c),), (m, m.signature())
-                else:
-                    r = pts[3]
-                    new, mult = (new_edge(a, r), new_edge(r, c)), None
-                i, area2 = p.index(b), cell.area2()
-                light.extend(extend(rest, i, cell, area2, new, mult) for rest in rest_light)
-        memo[key] = n, light
-        return n, light
+            a, b, c = pts[:3]
+            if len(pts) == 3:
+                m = vertex_mult(cell)
+                new, mult = (steps.get((a, c)),), (m, m.signature())
+            else:
+                r = pts[3]
+                new, mult = (steps.get((a, r)), steps.get((r, c))), None
+            i, area2 = p.index(b), cell.area2()
+            light.extend(extend(rest, i, cell, area2, new, mult) for rest in rest_light)
+        memo[key] = out = (n if hit is None else hit[0]), light
+        return out
 
     path = tuple(path)
-    out = rec(path, _start_area(path, side, poly))
+    out = rec(path, _start_area(path, side, poly), want)
     del memo[(side, path)]
+    del rec  # it refers to itself through its closure: free it now, not by the collector
     return out
 
 
@@ -447,16 +461,6 @@ def _side_owners(cells, poly: LatticePolygon) -> dict[tuple[Point, Point], list[
         if len(ids) == 1 and not poly.segment_on_boundary(*side):
             raise InternalInvariantError(f"interior edge {side} has a single cell")
     return owners
-
-
-def _heavy_boundary(cells, poly: LatticePolygon) -> bool:
-    """True if some cell side lies on the boundary with lattice length >= 2
-    (an end of weight >= 2)."""
-    return any(
-        poly.segment_on_boundary(*side) and lattice_length(*side) != 1
-        for cell in cells
-        for side in cell.sides()
-    )
 
 
 def validate_subdivision(sub: MarkedSubdivision, poly: LatticePolygon):
@@ -519,6 +523,7 @@ def _pair_reason(path, left: _Side, right: _Side, poly: LatticePolygon):
     parent = list(range(off + right.groups))
     rays = left.rays + right.rays
     heavy = left.heavy or right.heavy
+    steps = poly.boundary_steps
     for i, (lab, rab) in enumerate(zip(left.labels, right.labels)):
         if lab >= 0 and rab >= 0:
             x, y = lab, off + rab
@@ -531,10 +536,11 @@ def _pair_reason(path, left: _Side, right: _Side, poly: LatticePolygon):
         edge = path[i], path[i + 1]
         if lab < 0 and rab < 0:
             raise InternalInvariantError(f"path edge {edge} owned by neither side")
-        if not poly.segment_on_boundary(*edge):
+        edge_heavy = steps.get(edge)
+        if edge_heavy is None:
             raise InternalInvariantError(f"interior edge {edge} has a single cell")
         rays += 1
-        heavy = heavy or lattice_length(*edge) != 1
+        heavy = heavy or edge_heavy
     if heavy:
         return "boundary-weight"
     triangles = left.triangles + right.triangles
@@ -609,31 +615,41 @@ class Enumeration:
 
 def _curves_for_paths(poly: LatticePolygon, paths) -> tuple[list[TropicalCurve], Counter, int]:
     """Curves and drop tallies of a batch of paths of ``poly``, and the entry
-    count of the completion memo.  Only light completions (see
-    ``_light_completions``) are glued, and each glued pair is decided from
-    the two summaries (``_pair_reason``, ``_pair_bundle``); the
-    |L|*|R| - |L_ok|*|R_ok| other pairs go to ``boundary-weight``.  The batch
-    shares one memo, which ends with the call."""
-    curves: list[TropicalCurve] = []
-    dropped: Counter = Counter()
-    memo: dict[tuple, tuple[int, list[_Side]]] = {}
-    for path in paths:
-        n_left, left_ok = _light_completions(path, 1, poly, memo)
-        n_right, right_ok = _light_completions(path, -1, poly, memo)
-        heavy = n_left * n_right - len(left_ok) * len(right_ok)
-        if heavy:
-            dropped["boundary-weight"] += heavy
-            logger.debug("dropped %d boundary-weight completions of path %s", heavy, path)
-        for cl in left_ok:
-            for cr in right_ok:
-                reason = _pair_reason(path, cl, cr, poly)
-                if reason is None:
-                    cells = tuple(sorted(cl.cells + cr.cells, key=_cell_key))
-                    curves.append(TropicalCurve(MarkedSubdivision(tuple(path), cells), _pair_bundle(cl, cr)))
-                else:
-                    dropped[reason] += 1
-                    logger.debug("dropped %s completion of path %s", reason, path)
-    return curves, dropped, len(memo)
+    count of the completion memo, count-only nodes included.  Only light
+    completions (see ``_light_completions``) are glued, and each glued pair
+    is decided from the two summaries (``_pair_reason``, ``_pair_bundle``);
+    the |L|*|R| - |L_ok|*|R_ok| other pairs go to ``boundary-weight``.  A
+    doomed path (see ``_heavy_steps``) has no light pair, so both its sides
+    are counted only.  The batch shares one memo, which ends with the call,
+    and runs with the cyclic garbage collector paused."""
+    enabled = gc.isenabled()
+    gc.disable()  # collections would only rescan the memo's live summaries
+    try:
+        curves: list[TropicalCurve] = []
+        dropped: Counter = Counter()
+        memo: dict[tuple, tuple[int, list[_Side] | None]] = {}
+        for path in paths:
+            want = not _heavy_steps(path, poly)
+            n_left, left_ok = _light_completions(path, 1, poly, memo, want)
+            n_right, right_ok = _light_completions(path, -1, poly, memo, want)
+            left_ok, right_ok = left_ok or [], right_ok or []  # None if doomed
+            heavy = n_left * n_right - len(left_ok) * len(right_ok)
+            if heavy:
+                dropped["boundary-weight"] += heavy
+                logger.debug("dropped %d boundary-weight completions of path %s", heavy, path)
+            for cl in left_ok:
+                for cr in right_ok:
+                    reason = _pair_reason(path, cl, cr, poly)
+                    if reason is None:
+                        cells = tuple(sorted(cl.cells + cr.cells, key=_cell_key))
+                        curves.append(TropicalCurve(MarkedSubdivision(tuple(path), cells), _pair_bundle(cl, cr)))
+                    else:
+                        dropped[reason] += 1
+                        logger.debug("dropped %s completion of path %s", reason, path)
+        return curves, dropped, len(memo)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 _cell_key = attrgetter("kind", "vertices")
@@ -670,8 +686,9 @@ def enumerate_curves(poly: LatticePolygon, jobs: int | None = None) -> Enumerati
         if pool is None:
             results = [_curves_for_paths(poly, paths)]
         else:
-            size = max(1, len(paths) // (4 * jobs))
-            batches = [paths[i : i + size] for i in range(0, len(paths), size)]
+            # interleaved, so that each batch gets its share of the paths
+            # that carry curves (in lambda order they come first)
+            batches = [paths[k::jobs] for k in range(jobs)]
             results = pool.map(_curves_for_paths, itertools.repeat(poly), batches)
         for cs, dr, entries in results:
             curves.extend(cs)

@@ -6,9 +6,9 @@ charts, triangle interior counts by scanning the bounding box, boundary
 segments by testing each polygon edge, the arcs beside every lattice path
 by walking the boundary lattice points, a parallelogram's cycle by trying
 each vertex as the far one, the dual curve of a tiling by walking its
-strands, a doomed path by its boundary steps, and a curve's motivic
-multiplicity by a plain product.  Also home to the random form generator of
-the property tests.
+strands, a doomed path and a heavy completion by their boundary sides, and
+a curve's motivic multiplicity by a plain product.  Also home to the random
+form generator of the property tests.
 """
 
 from __future__ import annotations
@@ -184,6 +184,16 @@ def doomed(path, poly) -> bool:
     return any(
         segment_on_boundary_scan(poly, a, b) and lattice_length(a, b) != 1
         for a, b in zip(path, path[1:])
+    )
+
+
+def heavy_boundary(cells, poly) -> bool:
+    """True if some cell side lies on the boundary with lattice length >= 2
+    (an end of weight >= 2), from the edge scan."""
+    return any(
+        segment_on_boundary_scan(poly, *side) and lattice_length(*side) != 1
+        for cell in cells
+        for side in cell.sides()
     )
 
 

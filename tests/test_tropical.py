@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import itertools
 import json
@@ -10,7 +11,7 @@ import random
 import pytest
 
 from gwcurves.gw import H, ONE, DomainError, form, gw_equal
-from gwcurves.polygon import convex_hull, p2, polygon, preset
+from gwcurves.polygon import convex_hull, lattice_length, p2, polygon, preset
 from gwcurves.tropical import (
     Cell,
     InternalInvariantError,
@@ -18,7 +19,8 @@ from gwcurves.tropical import (
     TropicalCurve,
     _arc_areas,
     _cell_key,
-    _heavy_boundary,
+    _curves_for_paths,
+    _heavy_steps,
     _light_completions,
     _orient,
     _pair_bundle,
@@ -37,7 +39,15 @@ from gwcurves.tropical import (
     vertex_mult,
 )
 
-from oracles import arc_shoelaces_walk, doomed, motivic_fold, par_cycle_search, strand_walk_reason
+from oracles import (
+    arc_shoelaces_walk,
+    doomed,
+    heavy_boundary,
+    motivic_fold,
+    par_cycle_search,
+    segment_on_boundary_scan,
+    strand_walk_reason,
+)
 
 
 def tri(*pts):
@@ -289,8 +299,9 @@ class TestEnumerate:
 
         monkeypatch.setattr(tropical, "_pair_reason", keep_reason)
         if reason == "boundary-weight":
-            # the per-side filter drops these before validation; let them through
-            monkeypatch.setattr(tropical, "_heavy_boundary", lambda cells, poly: False)
+            # the heavy-peel and doomed-path prunes drop these before validation;
+            # let them through
+            monkeypatch.setattr(tropical, "_heavy_steps", lambda pts, poly: False)
         enum = enumerate_curves(p2(4), jobs=1)
         assert reason not in enum.dropped
         assert enum.motivic_total().rank() != 620
@@ -501,9 +512,60 @@ def test_count_matches_complete_path(poly):
     for path in enumerate_paths(poly):
         for side in (1, -1):
             full = complete_path(path, side, poly)
-            light = [c for c in full if not _heavy_boundary(c, poly)]
+            light = [c for c in full if not heavy_boundary(c, poly)]
             n, sides = _light_completions(path, side, poly, memo)
             assert (n, [s.cells for s in sides]) == (len(full), light)
+
+
+@pytest.mark.parametrize("poly", HULLS, ids=str)
+def test_revisited_count_only_nodes_match_a_fresh_memo(poly):
+    # count the doomed paths first, as an enumeration does, so that later
+    # paths want summaries of nodes first reached count-only
+    memo = {}
+    paths = list(enumerate_paths(poly))
+    for path in (p for p in paths if _heavy_steps(p, poly)):
+        for side in (1, -1):
+            assert _light_completions(path, side, poly, memo, want=False)[1] is None
+    count_only = {key for key, (_, light) in memo.items() if light is None}
+    for path in paths:
+        for side in (1, -1):
+            n, light = _light_completions(path, side, poly, memo)
+            m, fresh = _light_completions(path, side, poly, {})
+            assert (n, [s.cells for s in light]) == (m, [s.cells for s in fresh]), path
+    # a node later visited as a root has dropped its entry
+    revisited = {key for key in count_only if memo.get(key, (0, None))[1] is not None}
+    assert not count_only or revisited
+
+
+def test_doomed_paths_are_counted_only(monkeypatch):
+    from gwcurves import tropical
+
+    poly, calls = p2(4), []
+    light_completions = tropical._light_completions
+
+    def spy(path, side, poly, memo, want=True):
+        calls.append((path, want))
+        return light_completions(path, side, poly, memo, want)
+
+    monkeypatch.setattr(tropical, "_light_completions", spy)
+    _curves_for_paths(poly, list(enumerate_paths(poly)))
+    assert len(calls) == 2 * 286
+    assert sum(not want for _, want in calls) == 2 * 163
+    assert all(want != doomed(path, poly) for path, want in calls)
+
+
+@pytest.mark.parametrize("poly", HULLS, ids=str)
+def test_doomed_test_matches_boundary_steps(poly):
+    for path in enumerate_paths(poly):
+        assert _heavy_steps(path, poly) == doomed(path, poly), path
+
+
+@pytest.mark.parametrize("poly", HULLS, ids=str)
+def test_boundary_steps_match_edge_scan(poly):
+    # distinct points only: a single point is no step
+    for a, b in itertools.permutations(poly.lattice_points, 2):
+        want = lattice_length(a, b) != 1 if segment_on_boundary_scan(poly, a, b) else None
+        assert poly.boundary_steps.get((a, b)) == want, (a, b)
 
 
 @pytest.mark.parametrize("poly", HULLS, ids=str)
@@ -512,7 +574,7 @@ def test_doomed_paths_have_no_light_pair(poly):
         if not doomed(path, poly):
             continue
         light = [
-            [c for c in complete_path(path, side, poly) if not _heavy_boundary(c, poly)]
+            [c for c in complete_path(path, side, poly) if not heavy_boundary(c, poly)]
             for side in (1, -1)
         ]
         assert not light[0] or not light[1], path
@@ -579,7 +641,7 @@ def test_pair_reason_matches_validate_subdivision(poly, monkeypatch):
     # every glued pair, heavy completions included
     from gwcurves import tropical
 
-    monkeypatch.setattr(tropical, "_heavy_boundary", lambda cells, poly: False)
+    monkeypatch.setattr(tropical, "_heavy_steps", lambda pts, poly: False)
     memo = {}
     for path in enumerate_paths(poly):
         left, right = (_light_completions(path, side, poly, memo)[1] for side in (1, -1))
@@ -630,10 +692,44 @@ def test_fabricated_summaries_raise():
 
 def test_completion_with_an_interior_ray_raises(monkeypatch):
     # with no boundary at all, the first child edge no cell owns is interior
-    from gwcurves.polygon import LatticePolygon
-
-    monkeypatch.setattr(LatticePolygon, "segment_on_boundary", lambda self, p, q: False)
     poly = p2(3)
+    monkeypatch.setitem(vars(poly), "boundary_steps", {})
     with pytest.raises(InternalInvariantError, match="single cell"):
         for path in enumerate_paths(poly):
             _light_completions(path, 1, poly, {})
+
+
+@pytest.fixture
+def gc_state():
+    """Restores the collector's state after a test that sets it."""
+    was = gc.isenabled()
+    yield
+    (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_batch_pauses_the_collector_and_restores_it(gc_state, monkeypatch, enabled):
+    from gwcurves import tropical
+
+    seen = []
+    pair_reason = tropical._pair_reason
+
+    def spy(*args):
+        seen.append(gc.isenabled())
+        return pair_reason(*args)
+
+    monkeypatch.setattr(tropical, "_pair_reason", spy)
+    (gc.enable if enabled else gc.disable)()
+    curves, dropped, _ = _curves_for_paths(p2(3), list(enumerate_paths(p2(3))))
+    assert len(curves) == 9 and dict(dropped) == {"boundary-weight": 6}
+    assert seen and not any(seen)
+    assert gc.isenabled() == enabled
+
+
+def test_collector_restored_after_an_invariant_error(gc_state, monkeypatch):
+    poly = p2(3)
+    monkeypatch.setitem(vars(poly), "boundary_steps", {})
+    gc.enable()
+    with pytest.raises(InternalInvariantError, match="single cell"):
+        _curves_for_paths(poly, list(enumerate_paths(poly)))
+    assert gc.isenabled()
