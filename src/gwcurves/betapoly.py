@@ -140,11 +140,12 @@ class BetaPolynomial:
         missing = self.indices() - set(assignment)
         if missing:
             raise DomainError(f"no value for indices {sorted(missing)}")
+        betas = {i: beta(assignment[i]) for i in self.indices()}
         total = ZERO
         for m, g in self.monomials:
             val = g
             for i in m:
-                val = val * beta(assignment[i])
+                val = val * betas[i]
             total = total + val
         return total
 

@@ -28,7 +28,7 @@ from .expr import ExprError, parse_expression
 from .gw import DomainError, _check_printable, format_gw, gw_equal
 from .polygon import LatticePolygon, preset, preset_names
 from .svgout import render_svg
-from .tropical import InternalInvariantError, count_invariants, enumerate_curves
+from .tropical import InternalInvariantError, collector_paused, count_invariants, enumerate_curves
 from .wallcross import SurfaceChain, build_tables, chain_from, kontsevich_nd, quartic_chain
 
 DEFAULT_BUDGET_LIMIT = 14
@@ -166,7 +166,8 @@ def _cmd_tropical(args) -> int:
                 f"complex={b.complex} welschinger={b.welschinger}"
             )
     if args.json is not None:
-        _write(args.json, _json_dump(_enumeration_json(enum, inv)))
+        with collector_paused():  # the payload's dicts stay live until written
+            _write(args.json, _json_dump(_enumeration_json(enum, inv)))
     if args.svg is not None:
         _write(args.svg, render_svg(enum))
     return 0

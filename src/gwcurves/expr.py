@@ -122,7 +122,7 @@ def _term(sc: _Scanner) -> BetaPolynomial:
         factor = _factor(sc)
         try:
             out = out * factor
-        except DomainError as exc:  # a repeated symbol, or a class too hard to factor
+        except DomainError as exc:  # a repeated symbol
             raise ExprError(str(exc), start) from None
     if coeff != 1:
         out = BetaPolynomial.constant(coeff * ONE) * out

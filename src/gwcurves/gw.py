@@ -13,13 +13,21 @@ rank are isometric iff their signatures, discriminants and Hasse invariants
 agree at the real place, at 2 and at every odd prime dividing a stored
 representative.
 
-Square classes, discriminants and the odd places of a Hasse check all come
-from factoring integers.  ``_factor`` does it with the standard library
+Factoring is needed only where an integer enters from outside: the square
+class of a given rational (``square_class``), the squarefree check on the
+classes given to ``GWElement``, ``from_dict`` and ``from_json``, and the
+odd places of a Hasse check.  ``_factor`` does it with the standard library
 alone: trial division by the primes below 1000, Baillie-PSW primality and
 Pollard-Brent rho, all within the fixed work bound FACTOR_EFFORT.  An
 integer it cannot split within that bound (two prime factors well above
 10**9, or a cofactor of more than about 780 digits) raises DomainError,
 which the command line reports with exit status 2.
+
+Everything the ring computes from stored classes needs no factoring: the
+class of a product of squarefree classes c1, c2 is (c1/g)(c2/g) with
+g = gcd(c1, c2) (``_class_product``), so products, discriminants, beta and
+the second entry of a trace form take a gcd, and ring results are built
+without checking their classes again (``GWElement._of``).
 
 The hyperbolic plane h = <1> + <-1> is not a separate primitive; the
 pretty-printer extracts h-multiples greedily (min of the <1> and <-1>
@@ -232,6 +240,14 @@ def _squarefree_part(n: int) -> int:
     return out
 
 
+def _class_product(c1: int, c2: int) -> int:
+    """Square class of c1*c2 for squarefree c1, c2: with g = gcd(c1, c2),
+    c1*c2 = g**2 * (c1/g) * (c2/g), and the two cofactors are squarefree and
+    coprime, so their product is squarefree and carries the sign."""
+    g = gcd(c1, c2)
+    return (c1 // g) * (c2 // g)
+
+
 def square_class(a: Rational) -> int:
     """Canonical squarefree integer representing a in Q*/(Q*)^2.
 
@@ -321,6 +337,16 @@ class GWElement:
     def from_dict(cls, d: Mapping[int, int]) -> "GWElement":
         return cls(tuple(sorted((c, n) for c, n in d.items() if n)))
 
+    @classmethod
+    def _of(cls, d: Mapping[int, int]) -> "GWElement":
+        """``from_dict`` without the squarefree check, for results whose
+        classes are ``square_class`` values, stored classes, their negatives
+        or ``_class_product``s of them: squarefree already, so not factored
+        again."""
+        q = object.__new__(cls)
+        object.__setattr__(q, "terms", tuple(sorted([t for t in d.items() if t[1]])))
+        return q
+
     def as_dict(self) -> dict[int, int]:
         return dict(self.terms)
 
@@ -333,10 +359,10 @@ class GWElement:
         d = self.as_dict()
         for c, n in other.terms:
             d[c] = d.get(c, 0) + n
-        return GWElement.from_dict(d)
+        return GWElement._of(d)
 
     def __neg__(self) -> "GWElement":
-        return GWElement(tuple((c, -n) for c, n in self.terms))
+        return GWElement._of({c: -n for c, n in self.terms})
 
     def __sub__(self, other: "GWElement") -> "GWElement":
         return self + (-other)
@@ -346,11 +372,11 @@ class GWElement:
             d: dict[int, int] = {}
             for c1, n1 in self.terms:
                 for c2, n2 in other.terms:
-                    c = _squarefree_part(c1 * c2)
+                    c = _class_product(c1, c2)
                     d[c] = d.get(c, 0) + n1 * n2
-            return GWElement.from_dict(d)
+            return GWElement._of(d)
         if isinstance(other, int):
-            return GWElement(tuple((c, n * other) for c, n in self.terms)) if other else ZERO
+            return GWElement._of({c: n * other for c, n in self.terms})
         return NotImplemented
 
     __rmul__ = __mul__
@@ -375,7 +401,7 @@ class GWElement:
         d = 1
         for c, n in self.terms:
             if n % 2:
-                d = _squarefree_part(d * c)
+                d = _class_product(d, c)
         return d
 
     def hasse_invariant(self, place: Place) -> int:
@@ -405,7 +431,7 @@ class GWElement:
             else:
                 d[-c] = d.get(-c, 0) - n
                 m -= n
-        return GWElement.from_dict(d), m
+        return GWElement._of(d), m
 
     # -- presentation ----------------------------------------------------
 
@@ -423,13 +449,17 @@ class GWElement:
 ZERO = GWElement()
 
 
+def _diagonal(classes) -> GWElement:
+    """<c1> + <c2> + ... for squarefree classes c1, c2, ..."""
+    d: dict[int, int] = {}
+    for c in classes:
+        d[c] = d.get(c, 0) + 1
+    return GWElement._of(d)
+
+
 def form(*classes: Rational) -> GWElement:
     """Diagonal form <a1> + <a2> + ... with each entry reduced mod squares."""
-    d: dict[int, int] = {}
-    for a in classes:
-        c = square_class(a)
-        d[c] = d.get(c, 0) + 1
-    return GWElement.from_dict(d)
+    return _diagonal(map(square_class, classes))
 
 
 ONE = form(1)
@@ -453,7 +483,7 @@ def _split_h(q: GWElement, classes) -> tuple[int, GWElement]:
         d[c] = n1 - k
         d[-c] = n2 - k
         m, split = m + k, True
-    return m, (GWElement.from_dict(d) if split else q)
+    return m, (GWElement._of(d) if split else q)
 
 
 def hyperbolic_part(q: GWElement) -> tuple[int, GWElement]:
@@ -563,8 +593,11 @@ def trace_form(c: Rational, a: Rational, b: Rational = 0) -> GWElement:
         raise DomainError("the zero element has no trace form")
     if a == 0:
         return H
-    det = 4 * c * (a * a - b * b * c)
-    return form(2 * a) + form(2 * a * det)
+    # det = 4c(a^2 - b^2 c), so <2a * det> is the class product of <2a>, <c>
+    # and the norm a^2 - b^2 c, the only new number to factor
+    s = square_class(2 * a)
+    s_det = _class_product(_class_product(s, c), square_class(a * a - b * b * c))
+    return _diagonal((s, s_det))
 
 
 def beta(c: Rational) -> GWElement:
@@ -572,8 +605,7 @@ def beta(c: Rational) -> GWElement:
 
     Also meaningful for square c, where it is isometric to 2<1> (the split
     algebra Q x Q case)."""
-    sc = square_class(c)
-    return form(2) + form(2 * sc)
+    return _diagonal((2, _class_product(2, square_class(c))))
 
 
 def delta(c: Rational) -> GWElement:

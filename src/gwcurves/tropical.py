@@ -59,7 +59,7 @@ import logging
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import attrgetter
@@ -73,6 +73,20 @@ logger = logging.getLogger(__name__)
 
 class InternalInvariantError(AssertionError):
     """A structural impossibility (bad tiling) rather than a filtered curve."""
+
+
+@contextmanager
+def collector_paused():
+    """Run the block with the cyclic garbage collector paused, for code that
+    builds many objects that stay live, which a collection would only
+    rescan; the caller's setting is restored, also when the block raises."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def lambda_key(p: Point) -> tuple[int, int]:
@@ -251,12 +265,12 @@ def _peels(p, side: int, poly: LatticePolygon) -> list:
     return []
 
 
-def _start_area(path, side: int, poly: LatticePolygon) -> int:
-    """Twice the area between ``path`` and the boundary arc on ``side``: the
-    arc's area, read off the polygon's vertex cycle by ``_arc_areas``, plus or
-    minus the path's shoelace sum."""
-    s, (left, right) = _area2(path), _arc_areas(poly)
-    return left + s if side == 1 else right - s
+def _start_area(shoelace: int, side: int, poly: LatticePolygon) -> int:
+    """Twice the area between a path with shoelace sum ``shoelace``
+    (``_area2(path)``) and the boundary arc on ``side``: the arc's area, read
+    off the polygon's vertex cycle by ``_arc_areas``, plus or minus the sum."""
+    left, right = _arc_areas(poly)
+    return left + shoelace if side == 1 else right - shoelace
 
 
 def complete_path(path, side: int, poly: LatticePolygon):
@@ -289,7 +303,7 @@ def complete_path(path, side: int, poly: LatticePolygon):
         return out
 
     path = tuple(path)
-    return rec(path, _start_area(path, side, poly))
+    return rec(path, _start_area(_area2(path), side, poly))
 
 
 def _times(x: GWElement, y: GWElement) -> GWElement:
@@ -331,12 +345,13 @@ def _heavy_steps(pts, poly: LatticePolygon) -> bool:
 
 
 def _light_completions(
-    path, side: int, poly: LatticePolygon, memo: dict, want: bool = True
+    path, side: int, poly: LatticePolygon, memo: dict, want: bool = True, shoelace: int | None = None
 ) -> tuple[int, list[_Side] | None]:
     """``(len(complete), light)`` for ``complete = complete_path(path, side,
     poly)`` and ``light`` the summaries of its completions without a
     boundary side of lattice length >= 2, in the same order, by the same
-    peel rule; ``light`` is None when not ``want``.
+    peel rule; ``light`` is None when not ``want``.  ``shoelace`` is
+    ``_area2(path)``, which both sides need; it is computed when not given.
 
     One memoized recursion gives both, and builds summaries only where they
     can be glued: a peel whose cell has a heavy boundary side (see
@@ -436,7 +451,7 @@ def _light_completions(
         return out
 
     path = tuple(path)
-    out = rec(path, _start_area(path, side, poly), want)
+    out = rec(path, _start_area(_area2(path) if shoelace is None else shoelace, side, poly), want)
     del memo[(side, path)]
     del rec  # it refers to itself through its closure: free it now, not by the collector
     return out
@@ -622,16 +637,14 @@ def _curves_for_paths(poly: LatticePolygon, paths) -> tuple[list[TropicalCurve],
     doomed path (see ``_heavy_steps``) has no light pair, so both its sides
     are counted only.  The batch shares one memo, which ends with the call,
     and runs with the cyclic garbage collector paused."""
-    enabled = gc.isenabled()
-    gc.disable()  # collections would only rescan the memo's live summaries
-    try:
+    with collector_paused():  # collections would only rescan the memo's live summaries
         curves: list[TropicalCurve] = []
         dropped: Counter = Counter()
         memo: dict[tuple, tuple[int, list[_Side] | None]] = {}
         for path in paths:
-            want = not _heavy_steps(path, poly)
-            n_left, left_ok = _light_completions(path, 1, poly, memo, want)
-            n_right, right_ok = _light_completions(path, -1, poly, memo, want)
+            want, shoelace = not _heavy_steps(path, poly), _area2(path)
+            n_left, left_ok = _light_completions(path, 1, poly, memo, want, shoelace)
+            n_right, right_ok = _light_completions(path, -1, poly, memo, want, shoelace)
             left_ok, right_ok = left_ok or [], right_ok or []  # None if doomed
             heavy = n_left * n_right - len(left_ok) * len(right_ok)
             if heavy:
@@ -647,9 +660,6 @@ def _curves_for_paths(poly: LatticePolygon, paths) -> tuple[list[TropicalCurve],
                         dropped[reason] += 1
                         logger.debug("dropped %s completion of path %s", reason, path)
         return curves, dropped, len(memo)
-    finally:
-        if enabled:
-            gc.enable()
 
 
 _cell_key = attrgetter("kind", "vertices")

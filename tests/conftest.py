@@ -1,10 +1,19 @@
 from __future__ import annotations
 
+import gc
 import time
 
 import pytest
 
 from gwcurves import build_tables, enumerate_curves, p2, quartic_chain, preset
+
+
+@pytest.fixture
+def gc_state():
+    """Restores the collector's state after a test that sets it."""
+    was = gc.isenabled()
+    yield
+    (gc.enable if was else gc.disable)()
 
 
 @pytest.fixture(scope="session")

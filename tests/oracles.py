@@ -7,15 +7,19 @@ segments by testing each polygon edge, the arcs beside every lattice path
 by walking the boundary lattice points, a parallelogram's cycle by trying
 each vertex as the far one, the dual curve of a tiling by walking its
 strands, a doomed path and a heavy completion by their boundary sides, and
-a curve's motivic multiplicity by a plain product.  Also home to the random
-form generator of the property tests.
+a curve's motivic multiplicity by a plain product, and the classes of
+products, discriminants, beta and trace forms by factoring.  Also home to
+the random form generator of the property tests.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from math import prod
+
 import numpy as np
 
-from gwcurves.gw import ONE, ZERO, GWElement, form, square_class
+from gwcurves.gw import ONE, ZERO, GWElement, _squarefree_part, form, square_class
 from gwcurves.polygon import _area2, lattice_length, primitive
 from gwcurves.tropical import vertex_mult
 
@@ -213,3 +217,35 @@ def random_gw(rng, size: int = 4, bound: int = 30) -> GWElement:
         a = rng.choice([-1, 1]) * rng.randrange(1, bound)
         out = out + rng.choice([-2, -1, 1, 2]) * form(a)
     return out
+
+
+# -- the ring's class arithmetic by factoring every product -------------------
+
+
+def factoring_product(q1: GWElement, q2: GWElement) -> GWElement:
+    """q1 * q2 with the class of each product of classes found by factoring
+    the product, and the result's classes checked by the public constructor."""
+    d: dict[int, int] = {}
+    for c1, n1 in q1.terms:
+        for c2, n2 in q2.terms:
+            c = _squarefree_part(c1 * c2)
+            d[c] = d.get(c, 0) + n1 * n2
+    return GWElement.from_dict(d)
+
+
+def factoring_discriminant(q: GWElement) -> int:
+    """The class of the product of the classes of odd weight, by factoring."""
+    return _squarefree_part(prod(c for c, n in q.terms if n % 2))
+
+
+def factoring_beta(c) -> GWElement:
+    """<2> + <2c>, each entry reduced by factoring."""
+    return GWElement.from_dict(Counter((2, square_class(2 * square_class(c)))))
+
+
+def factoring_trace_form(c, a, b=0) -> GWElement:
+    """<2a> + <2a * det> for det = 4c(a^2 - b^2 c), c reduced to its class and
+    a != 0 (the Gram diagonalization), each entry reduced by factoring."""
+    c = square_class(c)
+    det = 4 * c * (a * a - b * b * c)
+    return GWElement.from_dict(Counter((square_class(2 * a), square_class(2 * a * det))))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import errno
+import gc
 import hashlib
 import json
 import os
@@ -21,6 +23,10 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+#: Two primes whose product, 82 bits, is beyond the factoring effort bound.
+P, Q = 1000000000039, 3000000000013
+
+
 class TestGwEval:
     def test_canonical(self, capsys):
         code, out, _ = run(capsys, "gw-eval", "2h + 8*<1>")
@@ -30,6 +36,11 @@ class TestGwEval:
     def test_trace(self, capsys):
         code, out, _ = run(capsys, "gw-eval", "tr(-1; 1)")
         assert (code, out.strip()) == (0, "<2> + <-2>")
+
+    def test_product_of_large_primes(self, capsys):
+        # the class of <P>*<Q> is P*Q by gcd, with no factoring
+        code, out, _ = run(capsys, "gw-eval", f"<{P}> * <{Q}>")
+        assert (code, out) == (0, "<3000000000130000000000507>\n")
 
     def test_json_schema_constant(self, capsys):
         code, out, _ = run(capsys, "gw-eval", "h + <6> - <6>", "--json")
@@ -95,6 +106,12 @@ class TestGwEqual:
 
     def test_rejects_symbols(self, capsys):
         assert run(capsys, "gw-equal", "b1", "h")[0] == 2
+
+    def test_hasse_places_of_a_product_still_factor(self, capsys):
+        # the odd places of the Hasse check are the primes of P*Q
+        code, out, err = run(capsys, "gw-equal", f"<{P}> * <{Q}>", f"<{P}> * <{Q}>")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot factor a 82-bit integer") and err.count("\n") == 1
 
 
 class TestInvariant:
@@ -258,6 +275,36 @@ class TestTropical:
         code, _, err = run(capsys, "tropical", "--polygon", "p2:3", flag, "")
         assert code == 2
         assert err.startswith("error: cannot write ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("fails", [False, True], ids=["written", "write-fails"])
+    def test_json_is_written_with_the_collector_paused(
+        self, capsys, tmp_path, monkeypatch, gc_state, enabled, fails
+    ):
+        from gwcurves import cli
+
+        seen = []
+        enumeration_json = cli._enumeration_json
+
+        def spy(enum, inv):
+            seen.append(gc.isenabled())
+            return enumeration_json(enum, inv)
+
+        def full(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(cli, "_enumeration_json", spy)
+        if fails:
+            monkeypatch.setattr(Path, "write_text", full)
+        (gc.enable if enabled else gc.disable)()
+        out = tmp_path / "out.json"
+        code, _, err = run(capsys, "tropical", "--polygon", "p2:3", "--json", str(out))
+        assert seen == [False]
+        assert gc.isenabled() == enabled
+        if fails:
+            assert (code, err) == (2, f"error: cannot write {out}: {os.strerror(errno.ENOSPC)}\n")
+        else:
+            assert code == 0 and json.loads(out.read_text())["complex"] == 12
 
     def test_json_is_byte_stable(self, capsys, tmp_path):
         p1, p2_ = tmp_path / "a.json", tmp_path / "b.json"

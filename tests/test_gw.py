@@ -27,12 +27,19 @@ from gwcurves.gw import (
     hilbert_symbol,
     square_class,
     trace_form,
+    _class_product,
     _factor,
     _is_prime,
     _squarefree_part,
 )
 
-from oracles import random_gw
+from oracles import (
+    factoring_beta,
+    factoring_discriminant,
+    factoring_product,
+    factoring_trace_form,
+    random_gw,
+)
 
 nonzero_rationals = st.fractions(
     min_value=Fraction(-60), max_value=Fraction(60), max_denominator=40
@@ -159,6 +166,55 @@ class TestRingOps:
             assert (q1 * q2).rank() == q1.rank() * q2.rank()
             assert (q1 + q2).signature() == q1.signature() + q2.signature()
             assert (q1 * q2).signature() == q1.signature() * q2.signature()
+
+
+# -- classes of products by gcd, against factoring the product ------------------
+
+#: Primes for squarefree classes: small ones, so that two classes often
+#: share factors, and two large ones that make the products costly to factor.
+CLASS_PRIMES = (2, 3, 5, 7, 11, 13, 1000003, 10**9 + 7)
+
+squarefree_classes = st.builds(
+    lambda primes, sign: sign * prod(primes),
+    st.sets(st.sampled_from(CLASS_PRIMES), max_size=5),
+    st.sampled_from([1, -1]),
+)
+
+
+class TestClassProduct:
+    @given(squarefree_classes, squarefree_classes)
+    def test_matches_squarefree_part(self, a, b):
+        assert _class_product(a, b) == _squarefree_part(a * b)
+
+    @pytest.mark.parametrize("c", [12, -8, 4, 0])
+    def test_public_constructors_check_classes(self, c):
+        with pytest.raises(DomainError, match="squarefree"):
+            GWElement(((c, 1),))
+        with pytest.raises(DomainError, match="squarefree"):
+            GWElement.from_dict({c: 1})
+        with pytest.raises(DomainError, match="squarefree"):
+            GWElement.from_json({"terms": [{"class": c, "coeff": 1}]})
+
+    def test_ring_matches_factoring(self):
+        rng = random.Random(12)
+        for bound in (30, 10**6):
+            for _ in range(200):
+                q1, q2 = random_gw(rng, bound=bound), random_gw(rng, bound=bound)
+                assert q1 * q2 == factoring_product(q1, q2)
+                effective = form(*(rng.choice([-1, 1]) * rng.randrange(1, bound) for _ in range(5)))
+                assert effective.discriminant() == factoring_discriminant(effective)
+
+    def test_beta_and_trace_form_match_factoring(self):
+        rng = random.Random(13)
+        for bound in (30, 10**6):
+            for _ in range(200):
+                c = rng.choice([-1, 1]) * rng.randrange(1, bound)
+                assert beta(c) == factoring_beta(c)
+                if square_class(c) == 1:
+                    continue
+                a = Fraction(rng.choice([-1, 1]) * rng.randrange(1, bound), rng.randrange(1, 50))
+                b = Fraction(rng.randrange(-bound, bound), rng.randrange(1, 50))
+                assert trace_form(c, a, b) == factoring_trace_form(c, a, b)
 
 
 # -- Hilbert symbols against a brute-force local solvability oracle ------------

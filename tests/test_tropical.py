@@ -543,9 +543,9 @@ def test_doomed_paths_are_counted_only(monkeypatch):
     poly, calls = p2(4), []
     light_completions = tropical._light_completions
 
-    def spy(path, side, poly, memo, want=True):
+    def spy(path, side, poly, memo, want=True, shoelace=None):
         calls.append((path, want))
-        return light_completions(path, side, poly, memo, want)
+        return light_completions(path, side, poly, memo, want, shoelace)
 
     monkeypatch.setattr(tropical, "_light_completions", spy)
     _curves_for_paths(poly, list(enumerate_paths(poly)))
@@ -697,14 +697,6 @@ def test_completion_with_an_interior_ray_raises(monkeypatch):
     with pytest.raises(InternalInvariantError, match="single cell"):
         for path in enumerate_paths(poly):
             _light_completions(path, 1, poly, {})
-
-
-@pytest.fixture
-def gc_state():
-    """Restores the collector's state after a test that sets it."""
-    was = gc.isenabled()
-    yield
-    (gc.enable if was else gc.disable)()
 
 
 @pytest.mark.parametrize("enabled", [True, False])

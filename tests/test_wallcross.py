@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from gwcurves.betapoly import BetaPolynomial
 from gwcurves.expr import parse_expression
-from gwcurves.gw import H, ONE, DomainError, gw_equal
+from gwcurves.gw import H, ONE, ZERO, DomainError, GWElement, gw_equal
 from gwcurves.polygon import p2, polygon, preset
 from gwcurves.wallcross import (
     InvariantTable,
@@ -18,6 +20,8 @@ from gwcurves.wallcross import (
     quartic_chain,
     wall_cross_step,
 )
+
+from oracles import factoring_beta, factoring_product
 
 # The degree-4 invariant tables: rows s = 0.. for the plane, the Hirzebruch
 # surface with class 4-2E, its blow-up with 4-2E-2E', and the conic polygon.
@@ -210,3 +214,32 @@ class TestTables:
         assert [r["s"] for r in data["rows"]] == [0, 1, 2, 3]
         md = t.markdown()
         assert "| 1 | 2h + 6·⟨1⟩ + β₁ |" in md
+
+
+# -- specialization against evaluating each monomial by factoring ---------------
+
+#: The chains ``table --chain NAME`` builds: the quartic chain for p2:4 and
+#: ``chain_from`` for every other preset that chains.
+CLI_CHAIN_NAMES = ["p2:1", "p2:2", "p2:3", "p2:4", "f1_4_2e", "blf1", "bl2f1"]
+
+
+def specialize_per_monomial(row: BetaPolynomial, assignment) -> GWElement:
+    """``row.specialize``, with beta(c_i) built again for every monomial and
+    index and each product of classes factored."""
+    total = ZERO
+    for m, g in row.monomials:
+        for i in m:
+            g = factoring_product(g, factoring_beta(assignment[i]))
+        total = total + g
+    return total
+
+
+@pytest.mark.parametrize("name", CLI_CHAIN_NAMES)
+def test_specialize_matches_per_monomial_evaluation(name, quartic_tables):
+    tables = quartic_tables if name == "p2:4" else build_tables(chain_from(preset(name)))
+    rng = random.Random(name)
+    for t in tables:
+        for s, row in enumerate(t.rows):
+            for bound in (30, 10**6):
+                cs = {i: rng.choice([-1, 1]) * rng.randrange(1, bound) for i in range(1, s + 1)}
+                assert row.specialize(cs) == specialize_per_monomial(row, cs), (t.polygon, s, cs)
