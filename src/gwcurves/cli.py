@@ -25,11 +25,11 @@ from pathlib import Path
 
 from .betapoly import format_poly
 from .expr import ExprError, parse_expression
-from .gw import DomainError, _check_printable, format_gw, gw_equal
+from .gw import DomainError, InternalInvariantError, _check_printable, format_gw, gw_equal
 from .polygon import LatticePolygon, preset, preset_names
-from .svgout import render_svg
-from .tropical import InternalInvariantError, collector_paused, count_invariants, enumerate_curves
-from .wallcross import SurfaceChain, build_tables, chain_from, kontsevich_nd, quartic_chain
+
+# tropical, wallcross and svgout are imported by the handlers that run them,
+# so that gw-eval and gw-equal start without loading the enumeration
 
 DEFAULT_BUDGET_LIMIT = 14
 
@@ -146,6 +146,9 @@ def _enumeration_json(enum, inv) -> dict:
 
 
 def _cmd_tropical(args) -> int:
+    from .svgout import render_svg
+    from .tropical import collector_paused, enumerate_curves
+
     poly = _load_polygon(args.polygon)
     _guard_budget(poly, args.max_budget)
     _check_writable(args.json)
@@ -174,6 +177,8 @@ def _cmd_tropical(args) -> int:
 
 
 def _cmd_invariant(args) -> int:
+    from .tropical import count_invariants
+
     poly = _load_polygon(args.polygon)
     _guard_budget(poly, args.max_budget)
     inv = count_invariants(poly)
@@ -182,6 +187,8 @@ def _cmd_invariant(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    from .wallcross import SurfaceChain, build_tables, chain_from, quartic_chain
+
     names = [s for s in args.chain.split(",") if s.strip()]
     if not names:
         raise UsageError(f"--chain {args.chain!r} names no polygon")
@@ -226,6 +233,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .wallcross import kontsevich_nd
+
     n = kontsevich_nd(args.kontsevich)
     _check_printable(n)  # the digit limit may be set lower than the default
     print(n)

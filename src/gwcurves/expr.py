@@ -82,21 +82,24 @@ class _Scanner:
 
 def _factor(sc: _Scanner) -> BetaPolynomial:
     start = sc.pos
-    if sc.take("<"):
-        a = sc.rational()
-        if a == 0:
-            raise ExprError("zero inside <...>", start)
-        sc.expect(">")
-        return BetaPolynomial.constant(form(a))
-    if sc.take("tr("):
-        c = sc.rational()
-        sc.expect(";")
-        a = sc.rational()
-        b = Fraction(0)
-        if sc.take(","):
-            b = sc.rational()
-        sc.expect(")")
-        return BetaPolynomial.constant(trace_form(c, a, b))
+    try:
+        if sc.take("<"):
+            a = sc.rational()
+            if a == 0:
+                raise ExprError("zero inside <...>", start)
+            sc.expect(">")
+            return BetaPolynomial.constant(form(a))
+        if sc.take("tr("):
+            c = sc.rational()
+            sc.expect(";")
+            a = sc.rational()
+            b = Fraction(0)
+            if sc.take(","):
+                b = sc.rational()
+            sc.expect(")")
+            return BetaPolynomial.constant(trace_form(c, a, b))
+    except DomainError as exc:  # a class past the factoring effort, or a bad tr(c; a, b)
+        raise ExprError(str(exc), start) from None
     if sc.take("h"):
         return BetaPolynomial.constant(H)
     if sc.take("b"):

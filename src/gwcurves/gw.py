@@ -16,7 +16,8 @@ representative.
 Factoring is needed only where an integer enters from outside: the square
 class of a given rational (``square_class``), the squarefree check on the
 classes given to ``GWElement``, ``from_dict`` and ``from_json``, and the
-odd places of a Hasse check.  ``_factor`` does it with the standard library
+odd places of a Hasse check (the classes left once the summands both sides
+share are cancelled).  ``_factor`` does it with the standard library
 alone: trial division by the primes below 1000, Baillie-PSW primality and
 Pollard-Brent rho, all within the fixed work bound FACTOR_EFFORT.  An
 integer it cannot split within that bound (two prime factors well above
@@ -53,6 +54,12 @@ Place = Union[int, None]
 
 class DomainError(ValueError):
     """Raised when an operation is applied outside its domain."""
+
+
+class InternalInvariantError(AssertionError):
+    """A structural impossibility (a bad tiling in ``tropical``) rather than
+    a filtered curve.  Defined here, beside DomainError, so that the command
+    line can catch it without loading the enumeration."""
 
 
 def _as_fraction(a: Rational) -> Fraction:
@@ -548,9 +555,12 @@ def format_gw(q: GWElement, unicode: bool = False) -> str:
 def gw_equal(q1: GWElement, q2: GWElement) -> bool:
     """Decide q1 == q2 in GW(Q) by local invariants.
 
-    Rank, then (after hyperbolic padding to a common effective shape)
-    signature, discriminant and Hasse invariants at 2 and at the odd primes
-    dividing any stored class; all other finite places are automatically +1.
+    Rank first.  Then both sides are padded with hyperbolic planes to a
+    common effective shape, and the diagonal summands they share are
+    cancelled (Witt cancellation, as char Q != 2).  What is left is compared
+    by signature, discriminant and Hasse invariants at the real place, at 2
+    and at the odd primes dividing a class left; all other finite places
+    give +1.  Only the classes left are factored, so equal forms need none.
     """
     if q1.rank() != q2.rank():
         return False
@@ -561,6 +571,12 @@ def gw_equal(q1: GWElement, q2: GWElement) -> bool:
         e1 = e1 + (pad - m1) * H
     if pad > m2:
         e2 = e2 + (pad - m2) * H
+    d1, d2 = e1.as_dict(), e2.as_dict()
+    for c in d1.keys() & d2.keys():
+        k = min(d1[c], d2[c])
+        d1[c] -= k
+        d2[c] -= k
+    e1, e2 = GWElement._of(d1), GWElement._of(d2)
     if e1.signature() != e2.signature():
         return False
     if e1.discriminant() != e2.discriminant():

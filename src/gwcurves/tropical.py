@@ -58,21 +58,16 @@ import itertools
 import logging
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import attrgetter
 from typing import NamedTuple
 
-from .gw import GWElement, ONE, form, gw_equal
+from .gw import GWElement, InternalInvariantError, ONE, form, gw_equal
 from .polygon import LatticePolygon, Point, lattice_length, _add, _area2, _cross as _orient, _sub
 
 logger = logging.getLogger(__name__)
-
-
-class InternalInvariantError(AssertionError):
-    """A structural impossibility (bad tiling) rather than a filtered curve."""
 
 
 @contextmanager
@@ -692,18 +687,22 @@ def enumerate_curves(poly: LatticePolygon, jobs: int | None = None) -> Enumerati
     curves: list[TropicalCurve] = []
     dropped: Counter = Counter()
     memo_entries = 0
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-        if pool is None:
-            results = [_curves_for_paths(poly, paths)]
-        else:
-            # interleaved, so that each batch gets its share of the paths
-            # that carry curves (in lambda order they come first)
-            batches = [paths[k::jobs] for k in range(jobs)]
-            results = pool.map(_curves_for_paths, itertools.repeat(poly), batches)
-        for cs, dr, entries in results:
-            curves.extend(cs)
-            dropped.update(dr)
-            memo_entries += entries
+    if jobs == 1:
+        results = [_curves_for_paths(poly, paths)]
+    else:
+        # imported here, so that a cold start without a pool does not load
+        # multiprocessing (about 20 ms under -X importtime)
+        from concurrent.futures import ProcessPoolExecutor
+
+        # interleaved, so that each batch gets its share of the paths
+        # that carry curves (in lambda order they come first)
+        batches = [paths[k::jobs] for k in range(jobs)]
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(_curves_for_paths, itertools.repeat(poly), batches))
+    for cs, dr, entries in results:
+        curves.extend(cs)
+        dropped.update(dr)
+        memo_entries += entries
     curves.sort(key=_curve_key)
     if dropped:
         logger.info(

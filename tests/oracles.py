@@ -7,8 +7,9 @@ segments by testing each polygon edge, the arcs beside every lattice path
 by walking the boundary lattice points, a parallelogram's cycle by trying
 each vertex as the far one, the dual curve of a tiling by walking its
 strands, a doomed path and a heavy completion by their boundary sides, and
-a curve's motivic multiplicity by a plain product, and the classes of
-products, discriminants, beta and trace forms by factoring.  Also home to
+a curve's motivic multiplicity by a plain product, the classes of
+products, discriminants, beta and trace forms by factoring, and equality in
+GW(Q) without cancelling the summands both sides share.  Also home to
 the random form generator of the property tests.
 """
 
@@ -18,8 +19,9 @@ from collections import Counter
 from math import prod
 
 import numpy as np
+from sympy import primefactors
 
-from gwcurves.gw import ONE, ZERO, GWElement, _squarefree_part, form, square_class
+from gwcurves.gw import H, ONE, ZERO, GWElement, _squarefree_part, form, square_class
 from gwcurves.polygon import _area2, lattice_length, primitive
 from gwcurves.tropical import vertex_mult
 
@@ -217,6 +219,19 @@ def random_gw(rng, size: int = 4, bound: int = 30) -> GWElement:
         a = rng.choice([-1, 1]) * rng.randrange(1, bound)
         out = out + rng.choice([-2, -1, 1, 2]) * form(a)
     return out
+
+
+def uncancelled_gw_equal(q1: GWElement, q2: GWElement) -> bool:
+    """q1 == q2 in GW(Q) by Hasse-Minkowski on the padded effective forms
+    whole, with the odd places taken from every stored class of both."""
+    if q1.rank() != q2.rank():
+        return False
+    (e1, m1), (e2, m2) = q1._effectivized(), q2._effectivized()
+    e1, e2 = e1 + (max(m1, m2) - m1) * H, e2 + (max(m1, m2) - m2) * H
+    if e1.signature() != e2.signature() or e1.discriminant() != e2.discriminant():
+        return False
+    places = {None, 2} | {p for q in (e1, e2) for c, _ in q.terms for p in primefactors(c)}
+    return all(e1.hasse_invariant(v) == e2.hasse_invariant(v) for v in places)
 
 
 # -- the ring's class arithmetic by factoring every product -------------------

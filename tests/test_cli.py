@@ -64,6 +64,15 @@ class TestGwEval:
         assert code == 2
         assert "position" in err
 
+    @pytest.mark.parametrize(
+        "expr, pos", [(f"<1> * <{P * Q}>", 6), (f"tr({P * Q}; 1)", 0), (f"h + <{P * Q}>", 4)]
+    )
+    def test_factoring_error_has_a_position(self, capsys, expr, pos):
+        # the position is the start of the factor whose class cannot be found
+        code, out, err = run(capsys, "gw-eval", expr)
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot factor a 82-bit integer within the effort bound (at position {pos})\n"
+
     @pytest.mark.parametrize("template, pos", [("<{}>", 1), ("tr({}; 1)", 3)])
     def test_overlong_literal_is_usage(self, capsys, template, pos):
         t0 = perf_counter()
@@ -107,9 +116,14 @@ class TestGwEqual:
     def test_rejects_symbols(self, capsys):
         assert run(capsys, "gw-equal", "b1", "h")[0] == 2
 
-    def test_hasse_places_of_a_product_still_factor(self, capsys):
-        # the odd places of the Hasse check are the primes of P*Q
+    def test_equal_products_need_no_factoring(self, capsys):
+        # <P*Q> on both sides cancels before any Hasse place is sought
         code, out, err = run(capsys, "gw-equal", f"<{P}> * <{Q}>", f"<{P}> * <{Q}>")
+        assert (code, out, err) == (0, "equal\n", "")
+
+    def test_hasse_places_of_an_unshared_product_still_factor(self, capsys):
+        # 2<P*Q> against 2<1>: the odd places of the Hasse check are the primes of P*Q
+        code, out, err = run(capsys, "gw-equal", f"2<{P}> * <{Q}>", "2")
         assert (code, out) == (2, "")
         assert err.startswith("error: cannot factor a 82-bit integer") and err.count("\n") == 1
 
@@ -239,12 +253,10 @@ class TestTropical:
 
     @pytest.mark.parametrize("flag", ["--json", "--svg"])
     def test_unwritable_output_is_refused_before_enumerating(self, capsys, tmp_path, monkeypatch, flag):
-        from gwcurves import cli
-
         def no_enumeration(*args, **kwargs):
             raise AssertionError("enumerated before checking the output path")
 
-        monkeypatch.setattr(cli, "enumerate_curves", no_enumeration)
+        monkeypatch.setattr("gwcurves.tropical.enumerate_curves", no_enumeration)
         target = tmp_path / "missing" / "x.json"
         code, out, err = run(capsys, "tropical", "--polygon", "p2:3", flag, str(target))
         assert (code, out) == (2, "")
@@ -253,12 +265,10 @@ class TestTropical:
     @pytest.mark.parametrize("flag", ["--json", "--svg"])
     @pytest.mark.parametrize("name", ["dir", ""])
     def test_directory_output_is_refused_before_enumerating(self, capsys, tmp_path, monkeypatch, flag, name):
-        from gwcurves import cli
-
         def no_enumeration(*args, **kwargs):
             raise AssertionError("enumerated before checking the output path")
 
-        monkeypatch.setattr(cli, "enumerate_curves", no_enumeration)
+        monkeypatch.setattr("gwcurves.tropical.enumerate_curves", no_enumeration)
         target = str(tmp_path) if name == "dir" else name
         code, out, err = run(capsys, "tropical", "--polygon", "p2:3", flag, target)
         assert (code, out) == (2, "")
@@ -458,13 +468,12 @@ class TestRuntime:
         assert (proc.returncode, proc.stderr) == (0, b"")
 
     def test_internal_error_exit_code(self, capsys, monkeypatch):
-        from gwcurves import cli
         from gwcurves.tropical import InternalInvariantError
 
         def boom(*args, **kwargs):
             raise InternalInvariantError("forced")
 
-        monkeypatch.setattr(cli, "count_invariants", boom)
+        monkeypatch.setattr("gwcurves.tropical.count_invariants", boom)
         code, _, err = run(capsys, "invariant", "--polygon", "bl2f1")
         assert code == 3
         assert "invariant violation" in err

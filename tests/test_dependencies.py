@@ -1,4 +1,5 @@
-"""The package runs on the standard library alone."""
+"""The package runs on the standard library alone, and a fresh interpreter
+loads only the modules its command runs."""
 
 from __future__ import annotations
 
@@ -7,10 +8,96 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: The names ``gwcurves`` has re-exported since before its lazy loading,
+#: by the module that defines each.
+EXPORTS = {
+    "betapoly": ["BetaPolynomial", "beta_symbol", "format_poly"],
+    "expr": ["ExprError", "parse_expression", "parse_gw"],
+    "gw": [
+        "H", "ONE", "ZERO", "DomainError", "GWElement", "InternalInvariantError", "beta",
+        "delta", "form", "format_gw", "gw_equal", "hilbert_symbol", "square_class", "trace_form",
+    ],
+    "polygon": ["LatticePolygon", "convex_hull", "p2", "polygon", "preset", "sl2z_equivalent"],
+    "tropical": [
+        "Cell", "Enumeration", "InternalInvariantError", "MarkedSubdivision",
+        "MultiplicityBundle", "complete_path", "count_invariants", "curve_mult",
+        "enumerate_curves", "enumerate_paths", "vertex_mult",
+    ],
+    "wallcross": [
+        "InvariantTable", "SurfaceChain", "base_invariant", "build_tables", "chain_from",
+        "kontsevich_nd", "quartic_chain", "wall_cross_step",
+    ],
+}
+
+#: What a command that neither enumerates nor builds tables must not load.
+ENUMERATION = ["gwcurves.tropical", "gwcurves.wallcross", "gwcurves.svgout", "concurrent.futures"]
+
+
+def fresh(code: str) -> None:
+    """Run ``code`` in a new interpreter with only ``src`` on the path."""
+    env = {**os.environ, "PYTHONPATH": str(SRC), "GWCURVES_THREADS": "1"}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+def run_cli_then_check_absent(args: list[str], absent: list[str]) -> None:
+    fresh(
+        "import runpy, sys\n"
+        f"sys.argv = ['gwcurves', *{args!r}]\n"
+        "try:\n"
+        "    runpy.run_module('gwcurves.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        f"loaded = [m for m in {absent!r} if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
 
 
 def test_import_leaves_sympy_out():
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    code = "import gwcurves, sys; assert 'sympy' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+    fresh("import gwcurves, sys; assert 'sympy' not in sys.modules")
+
+
+def test_import_leaves_the_enumeration_out():
+    fresh(f"import gwcurves, sys; loaded = [m for m in {ENUMERATION!r} if m in sys.modules]; assert not loaded, loaded")
+
+
+@pytest.mark.parametrize(
+    "args", [["gw-eval", "<2>"], ["gw-equal", "tr(-1;1)", "h"]], ids=["gw-eval", "gw-equal"]
+)
+def test_calculator_leaves_the_enumeration_out(args):
+    run_cli_then_check_absent(args, ENUMERATION)
+
+
+def test_serial_invariant_leaves_the_pool_out():
+    run_cli_then_check_absent(["invariant", "--polygon", "p2:3"], ["concurrent.futures"])
+
+
+def test_every_export_is_its_module_object():
+    fresh(
+        "import gwcurves, importlib\n"
+        f"exports = {EXPORTS!r}\n"
+        "got = {n: getattr(gwcurves, n) for names in exports.values() for n in names}\n"
+        "for module, names in exports.items():\n"
+        "    home = importlib.import_module('gwcurves.' + module)\n"
+        "    for n in names:\n"
+        "        assert got[n] is getattr(home, n), (module, n)\n"
+        "        assert n in dir(gwcurves), n\n"
+        "try:\n"
+        "    gwcurves.no_such_name\n"
+        "except AttributeError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('unknown name resolved')\n"
+    )
+
+
+def test_polygon_stays_the_function_after_a_submodule_import():
+    fresh(
+        "import gwcurves.tropical, gwcurves.wallcross, sys\n"
+        "from gwcurves import enumerate_curves, polygon, preset\n"
+        "assert polygon is sys.modules['gwcurves.polygon'].polygon\n"
+        "assert gwcurves.polygon is polygon\n"
+    )

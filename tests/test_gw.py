@@ -39,6 +39,7 @@ from oracles import (
     factoring_product,
     factoring_trace_form,
     random_gw,
+    uncancelled_gw_equal,
 )
 
 nonzero_rationals = st.fractions(
@@ -279,6 +280,10 @@ class TestHasseInvariant:
             (form(1) - form(2)).hasse_invariant(2)
 
 
+#: Nonzero integers whose classes share primes often.
+small_classes = st.integers(-30, 30).filter(bool)
+
+
 class TestGWEqual:
     def test_examples(self):
         assert gw_equal(form(2) + form(-2), H)
@@ -328,6 +333,24 @@ class TestGWEqual:
         assert not gw_equal(form(1) + form(1), H)
         assert not gw_equal(form(2), form(-2))
         assert not gw_equal(2 * ONE, form(3) + form(3))
+
+    @settings(max_examples=300)
+    @given(
+        st.integers(2, 3).flatmap(lambda n: st.tuples(*[st.lists(small_classes, min_size=n, max_size=n)] * 2)),
+        st.booleans(),
+        st.lists(small_classes, max_size=3),
+        st.sampled_from([1, -1]),
+    )
+    def test_cancellation_keeps_the_verdict(self, sides, rewrite, shared, sign):
+        # the second side is random, or the first rewritten by
+        # <a> + <b> = <a+b> + <ab(a+b)>; the shared summands are positive, or
+        # negative so that the hyperbolic padding meets them
+        (a, b, *rest), other = sides
+        if rewrite and a + b:
+            other = [a + b, a * b * (a + b), *rest]
+        common = sign * form(*shared)
+        q1, q2 = form(a, b, *rest) + common, form(*other) + common
+        assert gw_equal(q1, q2) == uncancelled_gw_equal(q1, q2)
 
 
 class TestTraceForm:

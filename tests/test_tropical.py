@@ -362,12 +362,10 @@ class TestEnumerate:
 
     def test_jobs_capped_at_path_count(self, monkeypatch):
         # one path: a pool would be wasted, and none may be started
-        from gwcurves import tropical
-
         def no_pool(*args, **kwargs):
             raise AssertionError("process pool started")
 
-        monkeypatch.setattr(tropical, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
         monkeypatch.setattr("os.cpu_count", lambda: 8)
         monkeypatch.setenv("GWCURVES_THREADS", "4")
         for jobs in (4, None):
