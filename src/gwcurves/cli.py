@@ -10,7 +10,7 @@ Subcommands:
     oracle --kontsevich D                      classical rational plane count
 
 Exit codes: 0 success (or equal), 1 not equal, 2 usage error, 3 internal
-invariant violation.  GWCURVES_THREADS caps enumeration parallelism.
+invariant violation.
 """
 
 from __future__ import annotations

@@ -27,6 +27,13 @@ class ExprError(ValueError):
         self.pos = pos
 
 
+def _is_digit(ch: str) -> bool:
+    """An ASCII digit: ``str.isdigit`` also takes superscripts and the digits
+    of other scripts, which ``int`` then reads or refuses; ``ch`` is one
+    character or empty."""
+    return "0" <= ch <= "9"
+
+
 class _Scanner:
     def __init__(self, text: str):
         self.text = text
@@ -54,7 +61,7 @@ class _Scanner:
     def uint(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and _is_digit(self.text[self.pos]):
             self.pos += 1
         if self.pos == start:
             raise ExprError("expected an integer", start)
@@ -113,7 +120,7 @@ def _factor(sc: _Scanner) -> BetaPolynomial:
 def _term(sc: _Scanner) -> BetaPolynomial:
     coeff = 1
     sc.skip_ws()
-    if sc.peek().isdigit():
+    if _is_digit(sc.peek()):
         coeff = sc.uint()
         sc.take("*")
         if sc.done() or sc.peek() in "+-":

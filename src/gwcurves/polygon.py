@@ -260,11 +260,12 @@ def preset(name: str) -> LatticePolygon:
     """Resolve a polygon name: ``p2:<d>``, ``f1_4_2e``, ``blf1``, ``bl2f1``."""
     key = name.strip().lower().replace("-", "_")
     if key.startswith("p2:"):
-        try:
-            d = int(key.split(":", 1)[1])
-        except ValueError:
-            raise DomainError(f"bad degree in {name!r}") from None
-        return p2(d)
+        # ASCII digits only: int() also takes "_" (which "-" became above)
+        # and the digits of other scripts
+        degree = key.split(":", 1)[1].strip()
+        if not (degree.isascii() and degree.isdigit()):
+            raise DomainError(f"bad degree in {name!r}")
+        return p2(int(degree))
     table = _presets()
     if key in table:
         return table[key]

@@ -56,7 +56,6 @@ from __future__ import annotations
 import gc
 import itertools
 import logging
-import os
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -340,13 +339,12 @@ def _heavy_steps(pts, poly: LatticePolygon) -> bool:
 
 
 def _light_completions(
-    path, side: int, poly: LatticePolygon, memo: dict, want: bool = True, shoelace: int | None = None
+    path, side: int, poly: LatticePolygon, memo: dict, want: bool = True
 ) -> tuple[int, list[_Side] | None]:
     """``(len(complete), light)`` for ``complete = complete_path(path, side,
     poly)`` and ``light`` the summaries of its completions without a
     boundary side of lattice length >= 2, in the same order, by the same
-    peel rule; ``light`` is None when not ``want``.  ``shoelace`` is
-    ``_area2(path)``, which both sides need; it is computed when not given.
+    peel rule; ``light`` is None when not ``want``.
 
     One memoized recursion gives both, and builds summaries only where they
     can be glued: a peel whose cell has a heavy boundary side (see
@@ -355,9 +353,9 @@ def _light_completions(
     ``(count, light or None)``: the area left to fill depends only on the
     polygon, the side and the remaining path, so one memo serves every path
     of one polygon and no other.  A node first reached count-only and later
-    wanted computes only its light list; its children's counts are memo hits
-    and its heavy peels are skipped.  The root's own entry is dropped once it
-    is returned.
+    wanted is computed again in full, which replaces its entry; its heavy
+    peels are then memo hits.  The root's own entry is dropped once it is
+    returned.
 
     A summary extends its child's by the peeled cell.  The triangle at ``b``
     gives ``ab`` and ``bc`` the group of ``ac``; the parallelogram
@@ -426,8 +424,6 @@ def _light_completions(
         n, light = 0, [] if want else None
         for rest_path, pts, a2 in _peels(p, side, poly):
             glue = want and not _heavy_steps(pts + pts[:1], poly)
-            if hit is not None and not glue:
-                continue  # counted on the first visit
             count, rest_light = rec(rest_path, area - a2, glue)
             n += count
             if not (glue and rest_light):
@@ -442,11 +438,11 @@ def _light_completions(
                 new, mult = (steps.get((a, r)), steps.get((r, c))), None
             i, area2 = p.index(b), cell.area2()
             light.extend(extend(rest, i, cell, area2, new, mult) for rest in rest_light)
-        memo[key] = out = (n if hit is None else hit[0]), light
+        memo[key] = out = n, light
         return out
 
     path = tuple(path)
-    out = rec(path, _start_area(_area2(path) if shoelace is None else shoelace, side, poly), want)
+    out = rec(path, _start_area(_area2(path), side, poly), want)
     del memo[(side, path)]
     del rec  # it refers to itself through its closure: free it now, not by the collector
     return out
@@ -637,9 +633,9 @@ def _curves_for_paths(poly: LatticePolygon, paths) -> tuple[list[TropicalCurve],
         dropped: Counter = Counter()
         memo: dict[tuple, tuple[int, list[_Side] | None]] = {}
         for path in paths:
-            want, shoelace = not _heavy_steps(path, poly), _area2(path)
-            n_left, left_ok = _light_completions(path, 1, poly, memo, want, shoelace)
-            n_right, right_ok = _light_completions(path, -1, poly, memo, want, shoelace)
+            want = not _heavy_steps(path, poly)
+            n_left, left_ok = _light_completions(path, 1, poly, memo, want)
+            n_right, right_ok = _light_completions(path, -1, poly, memo, want)
             left_ok, right_ok = left_ok or [], right_ok or []  # None if doomed
             heavy = n_left * n_right - len(left_ok) * len(right_ok)
             if heavy:
@@ -664,26 +660,14 @@ def _curve_key(curve: TropicalCurve):
     return (curve.subdivision.path, tuple(map(_cell_key, curve.subdivision.cells)))
 
 
-def default_jobs() -> int:
-    """Worker processes from ``GWCURVES_THREADS``, at most the CPU count; a
-    value that is not a positive integer gives 1 with a warning."""
-    raw = os.environ.get("GWCURVES_THREADS", "1")
-    try:
-        jobs = int(raw)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        logger.warning("GWCURVES_THREADS=%r is not a positive integer; using 1 process", raw)
-        return 1
-    return min(jobs, os.cpu_count() or 1)
-
-
-def enumerate_curves(poly: LatticePolygon, jobs: int | None = None) -> Enumeration:
+def enumerate_curves(poly: LatticePolygon, jobs: int = 1) -> Enumeration:
     """All irreducible rational tropical curves of degree ``poly`` through a
     vertically stretched configuration, with multiplicities, in canonical
-    order.  Dropped completions are tallied in ``Enumeration.dropped``."""
+    order.  Dropped completions are tallied in ``Enumeration.dropped``.
+    ``jobs`` > 1 spreads the paths over that many worker processes, at most
+    one per path; the result is the same."""
     paths = list(enumerate_paths(poly))
-    jobs = max(1, min(default_jobs() if jobs is None else jobs, len(paths)))
+    jobs = max(1, min(jobs, len(paths)))
     curves: list[TropicalCurve] = []
     dropped: Counter = Counter()
     memo_entries = 0
@@ -723,6 +707,6 @@ class Invariants:
     w: int
 
 
-def count_invariants(poly: LatticePolygon, jobs: int | None = None) -> Invariants:
+def count_invariants(poly: LatticePolygon, jobs: int = 1) -> Invariants:
     """Enumerate and summarize: see :meth:`Enumeration.invariants`."""
     return enumerate_curves(poly, jobs=jobs).invariants()

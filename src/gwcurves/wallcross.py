@@ -69,7 +69,7 @@ def _kontsevich_counts(d: int) -> list[int]:
     return counts
 
 
-def base_invariant(poly: LatticePolygon, jobs: int | None = None) -> GWElement:
+def base_invariant(poly: LatticePolygon, jobs: int = 1) -> GWElement:
     """Motivic count for an all-rational configuration, in the canonical
     a*h + b*<1> shape (checked isometric to the raw tropical sum)."""
     return count_invariants(poly, jobs=jobs).canonical
@@ -187,21 +187,11 @@ class InvariantTable:
         return "\n".join(lines)
 
 
-def build_tables(
-    chain: SurfaceChain,
-    bases: dict[int, GWElement] | None = None,
-    jobs: int | None = None,
-) -> list[InvariantTable]:
-    """Bottom-up dynamic program over the chain.
-
-    ``bases`` may supply precomputed base invariants (keyed by chain level)
-    to skip re-running the tropical enumeration.
-    """
+def build_tables(chain: SurfaceChain, jobs: int = 1) -> list[InvariantTable]:
+    """Bottom-up dynamic program over the chain, on the base invariant of
+    each level."""
     polys = chain.polygons
-    bases = dict(bases or {})
-    for j, poly in enumerate(polys):
-        if j not in bases:
-            bases[j] = base_invariant(poly, jobs=jobs)
+    bases = [base_invariant(poly, jobs=jobs) for poly in polys]
 
     tables: list[InvariantTable] = []
     below = (POLY_ZERO,) * (polys[-1].point_budget() // 2)  # the bottom has no blow-up

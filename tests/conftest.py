@@ -37,8 +37,8 @@ def quartic_bases(quartic_enum, blowup_enums):
 
 
 @pytest.fixture(scope="session")
-def quartic_tables(quartic_bases):
-    return build_tables(quartic_chain(), bases=quartic_bases)
+def quartic_tables():
+    return build_tables(quartic_chain())
 
 
 @pytest.fixture(scope="session")

@@ -117,9 +117,9 @@ GOLDEN_ROWS = {
 }
 
 
-def test_criterion_4_full_table_reproduction(quartic_bases):
+def test_criterion_4_full_table_reproduction():
     start = time.perf_counter()
-    tables = build_tables(quartic_chain(), bases=quartic_bases)
+    tables = build_tables(quartic_chain())
     elapsed = time.perf_counter() - start
     assert elapsed < 2.0
     checked = 0

@@ -63,6 +63,14 @@ class TestGwEval:
         code, _, err = run(capsys, "gw-eval", "<oops>")
         assert code == 2
         assert "position" in err
+        # an integer is ASCII digits: str.isdigit() also takes superscripts
+        # and the digits of other scripts
+        for expr, message in [
+            ("<\u00b2>", "expected an integer (at position 1)"),
+            ("<\u0663>", "expected an integer (at position 1)"),
+            ("3\u00b2*h", "expected a factor (at position 1)"),
+        ]:
+            assert run(capsys, "gw-eval", expr) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "expr, pos", [(f"<1> * <{P * Q}>", 6), (f"tr({P * Q}; 1)", 0), (f"h + <{P * Q}>", 4)]
@@ -186,7 +194,16 @@ class TestInvariant:
         assert run(capsys, "invariant", "--polygon", "nope")[0] == 2
 
     @pytest.mark.parametrize(
-        "name, message", [("p2:0", "degree must be positive"), ("p2:x", "bad degree in 'p2:x'")]
+        "name, message",
+        [
+            ("p2:0", "degree must be positive"),
+            ("p2:x", "bad degree in 'p2:x'"),
+            # a degree is ASCII digits: int() also reads "_" (which "-"
+            # becomes) and the digits of other scripts
+            ("p2:1-1", "bad degree in 'p2:1-1'"),
+            ("p2:0_3", "bad degree in 'p2:0_3'"),
+            ("p2:\u0663", "bad degree in 'p2:\u0663'"),
+        ],
     )
     def test_bad_degree_names_the_degree(self, capsys, name, message):
         assert run(capsys, "invariant", "--polygon", name) == (2, "", f"error: {message}\n")
@@ -423,37 +440,6 @@ class TestOracle:
 
 
 class TestRuntime:
-    def test_threads_env_var(self, capsys, monkeypatch):
-        from gwcurves.tropical import default_jobs
-
-        monkeypatch.setattr("os.cpu_count", lambda: 8)
-        monkeypatch.setenv("GWCURVES_THREADS", "3")
-        assert default_jobs() == 3
-        monkeypatch.setenv("GWCURVES_THREADS", "junk")
-        assert default_jobs() == 1
-        code, out, _ = run(capsys, "invariant", "--polygon", "bl2f1")
-        assert code == 0
-
-    @pytest.mark.parametrize(
-        "value, cpus, jobs, warns",
-        [
-            ("64", 2, 2, False),
-            ("2", 8, 2, False),
-            ("5", None, 1, False),
-            ("junk", 8, 1, True),
-            ("0", 8, 1, True),
-            ("-3", 8, 1, True),
-        ],
-    )
-    def test_threads_env_var_is_capped(self, monkeypatch, caplog, value, cpus, jobs, warns):
-        from gwcurves.tropical import default_jobs
-
-        monkeypatch.setattr("os.cpu_count", lambda: cpus)
-        monkeypatch.setenv("GWCURVES_THREADS", value)
-        with caplog.at_level("WARNING", logger="gwcurves.tropical"):
-            assert default_jobs() == jobs
-        assert ("GWCURVES_THREADS" in caplog.text) == warns
-
     def test_closed_pipe_is_quiet(self):
         read_end, write_end = os.pipe()
         os.close(read_end)  # the reader is gone before the first line is written

@@ -37,14 +37,18 @@ EXPORTS = {
 ENUMERATION = ["gwcurves.tropical", "gwcurves.wallcross", "gwcurves.svgout", "concurrent.futures"]
 
 
-def fresh(code: str) -> None:
-    """Run ``code`` in a new interpreter with only ``src`` on the path."""
-    env = {**os.environ, "PYTHONPATH": str(SRC), "GWCURVES_THREADS": "1"}
-    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+def fresh(code: str, **env: str) -> str:
+    """Run ``code`` in a new interpreter with only ``src`` on the path and
+    ``env`` added to the environment; its stdout."""
+    env = {**os.environ, "PYTHONPATH": str(SRC), **env}
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True, timeout=60, stdout=subprocess.PIPE, text=True
+    )
+    return run.stdout
 
 
-def run_cli_then_check_absent(args: list[str], absent: list[str]) -> None:
-    fresh(
+def run_cli_then_check_absent(args: list[str], absent: list[str], **env: str) -> str:
+    return fresh(
         "import runpy, sys\n"
         f"sys.argv = ['gwcurves', *{args!r}]\n"
         "try:\n"
@@ -52,7 +56,8 @@ def run_cli_then_check_absent(args: list[str], absent: list[str]) -> None:
         "except SystemExit as exc:\n"
         "    assert exc.code == 0, exc.code\n"
         f"loaded = [m for m in {absent!r} if m in sys.modules]\n"
-        "assert not loaded, loaded\n"
+        "assert not loaded, loaded\n",
+        **env,
     )
 
 
@@ -73,6 +78,14 @@ def test_calculator_leaves_the_enumeration_out(args):
 
 def test_serial_invariant_leaves_the_pool_out():
     run_cli_then_check_absent(["invariant", "--polygon", "p2:3"], ["concurrent.futures"])
+
+
+def test_threads_variable_is_ignored():
+    # GWCURVES_THREADS no longer starts a pool: a CLI call enumerates in one process
+    out = run_cli_then_check_absent(
+        ["invariant", "--polygon", "p2:3"], ["concurrent.futures"], GWCURVES_THREADS="2"
+    )
+    assert out == "2h + 8*<1>  N=12  W=8\n"
 
 
 def test_every_export_is_its_module_object():

@@ -366,11 +366,8 @@ class TestEnumerate:
             raise AssertionError("process pool started")
 
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
-        monkeypatch.setattr("os.cpu_count", lambda: 8)
-        monkeypatch.setenv("GWCURVES_THREADS", "4")
-        for jobs in (4, None):
-            enum = enumerate_curves(preset("bl2f1"), jobs=jobs)
-            assert len(enum.curves) == 1
+        enum = enumerate_curves(preset("bl2f1"), jobs=4)
+        assert len(enum.curves) == 1
 
     def test_parallel_run_is_byte_identical(self):
         # each worker batch has its own completion memo
@@ -541,9 +538,9 @@ def test_doomed_paths_are_counted_only(monkeypatch):
     poly, calls = p2(4), []
     light_completions = tropical._light_completions
 
-    def spy(path, side, poly, memo, want=True, shoelace=None):
+    def spy(path, side, poly, memo, want=True):
         calls.append((path, want))
-        return light_completions(path, side, poly, memo, want, shoelace)
+        return light_completions(path, side, poly, memo, want)
 
     monkeypatch.setattr(tropical, "_light_completions", spy)
     _curves_for_paths(poly, list(enumerate_paths(poly)))
