@@ -26,12 +26,14 @@ from pathlib import Path
 from .betapoly import format_poly
 from .expr import ExprError, parse_expression
 from .gw import DomainError, InternalInvariantError, _check_printable, format_gw, gw_equal
-from .polygon import LatticePolygon, preset, preset_names
+from .polygon import LatticePolygon, _span, preset, preset_names
 
 # tropical, wallcross and svgout are imported by the handlers that run them,
 # so that gw-eval and gw-equal start without loading the enumeration
 
 DEFAULT_BUDGET_LIMIT = 14
+#: the most rows a point scan runs through, along the polygon's shorter side
+MAX_SCAN_ROWS = 10_000
 
 
 class UsageError(Exception):
@@ -60,12 +62,18 @@ def _guard_budget(poly: LatticePolygon, limit: int) -> None:
     """Refuse a polygon whose point budget exceeds ``limit``, or whose
     candidate lattice paths, C(points - 2, budget - 1), outnumber those of
     the largest ``p2:d`` that ``limit`` admits (27 132 for ``p2:5`` at 14).
-    Both counts come from the edge gcds and Pick, without a point scan."""
+    Both counts come from the edge gcds and Pick, without a point scan, as
+    does the refusal of a polygon whose bounding box is more than
+    ``MAX_SCAN_ROWS`` rows across on its shorter side, which the point scan
+    would run through."""
     budget = poly.point_budget()
     if budget > limit:
         raise UsageError(
             f"point budget {budget} exceeds limit {limit} (raise with --max-budget)"
         )
+    rows = 1 + min(_span(poly.vertices, 0), _span(poly.vertices, 1))
+    if rows > MAX_SCAN_ROWS:
+        raise UsageError(f"polygon spans {rows} rows on its shorter side, more than {MAX_SCAN_ROWS}")
     candidates = comb(poly.point_count() - 2, budget - 1)
     # The cap is C(n, k) for p2:d, of budget 3d - 1.  It is built up as
     # C(n, 0), C(n, 1), ..., increasing up to i = n/2, and left as soon as

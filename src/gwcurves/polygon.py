@@ -43,6 +43,33 @@ def _area2(vs) -> int:
     return sum(vs[i - 1][0] * vs[i][1] - vs[i][0] * vs[i - 1][1] for i in range(len(vs)))
 
 
+def _span(vs, axis: int) -> int:
+    """The extent of a vertex list along coordinate ``axis``."""
+    return max(v[axis] for v in vs) - min(v[axis] for v in vs)
+
+
+def _rows(vs):
+    """The lattice points of the convex polygon with vertex cycle ``vs`` (in
+    either orientation), row by row from the bottom and left to right in a
+    row.  A row runs between the outermost lattice points of its line's
+    crossings with the edges, rounded inward."""
+    edges = list(zip(vs, vs[1:] + vs[:1]))
+    for y in range(min(v[1] for v in vs), max(v[1] for v in vs) + 1):
+        los, his = [], []
+        for (ax, ay), (bx, by) in edges:
+            if not min(ay, by) <= y <= max(ay, by):
+                continue
+            if ay == by:  # the edge lies on the row
+                los.append(min(ax, bx))
+                his.append(max(ax, bx))
+            else:  # the crossing ax + n/d, rounded up and down
+                n, d = (bx - ax) * (y - ay), by - ay
+                los.append(ax - (-n // d))
+                his.append(ax + n // d)
+        for x in range(min(los), max(his) + 1):
+            yield (x, y)
+
+
 def _as_point(p) -> Point:
     """A vertex from outside input: a pair of integer coordinates (a bool
     is not one, although Python counts it as an int)."""
@@ -121,18 +148,15 @@ class LatticePolygon:
 
     @cached_property
     def lattice_points(self) -> tuple[Point, ...]:
-        """All lattice points, from a half-plane scan of the bounding box that
-        checks its boundary count against the edge gcds and all counts against
-        Pick."""
-        xs = [v[0] for v in self.vertices]
-        ys = [v[1] for v in self.vertices]
-        edges = self.edges
-        pts = tuple(
-            (x, y)
-            for y in range(min(ys), max(ys) + 1)
-            for x in range(min(xs), max(xs) + 1)
-            if all(_cross(a, b, (x, y)) >= 0 for a, b in edges)
-        )
+        """All lattice points, by height and then abscissa.  They are read
+        row by row along the shorter side of the bounding box (``_rows``),
+        so a long thin polygon costs its few rows; the boundary count is
+        checked against the edge gcds and all counts against Pick."""
+        vs = self.vertices
+        if _span(vs, 1) <= _span(vs, 0):
+            pts = tuple(_rows(vs))
+        else:  # scan the transpose, whose rows are the columns
+            pts = tuple((x, y) for y, x in sorted(_rows([(y, x) for x, y in vs])))
         interior = sum(map(self.strictly_contains, pts))
         boundary = len(pts) - interior
         if boundary != self.boundary_count():

@@ -20,13 +20,13 @@ completions without a boundary side of lattice length >= 2 are glued, and
 ``boundary-weight`` still counts glued pairs, as |L|*|R| - |L_ok|*|R_ok| for
 L and R the completions of a path and L_ok, R_ok those kept.  One memoized
 recursion gives |L| always and L_ok only where it can be glued: below a
-peeled cell with a heavy side it only counts.  A path with a step of
-lattice length >= 2 on the boundary (a doomed path) is counted only on both
-sides, since that step is a heavy side of every tiling built from it.  Both
-tests read the polygon's table of boundary steps (``boundary_steps``).  The
-recursion's results depend only on the side and the remaining path, so the
-paths of one batch share them and each count and sub-completion is built
-once.
+peeled cell with a heavy side it only counts, and so it does on both sides
+of a path with a step of lattice length >= 2 on the boundary (a doomed path:
+that step is a heavy side of every tiling built from it).  Both tests read
+the polygon's ``boundary_steps``.  The paths of one batch share a
+``_Completer``: the memo, keyed by the side and the remaining path as
+integer point ids, and a table of the peeled cells, so each count,
+sub-completion and cell is built once per batch.
 
 A glued pair is decided on the path interface.  The same recursion gives
 each light completion a summary: for each edge of its path the side group
@@ -64,7 +64,7 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from .gw import GWElement, InternalInvariantError, ONE, form, gw_equal
-from .polygon import LatticePolygon, Point, lattice_length, _add, _area2, _cross as _orient, _sub
+from .polygon import LatticePolygon, Point, lattice_length, _add, _area2, _cross as _orient
 
 logger = logging.getLogger(__name__)
 
@@ -240,31 +240,79 @@ def _arc_areas(poly: LatticePolygon) -> tuple[int, int]:
     return poly.area2 - right, right
 
 
-def _peels(p, side: int, poly: LatticePolygon) -> list:
-    """The peel rule.  At the first vertex ``p[i]`` where ``p`` turns toward
-    ``side``: the turn triangle (``p[i]`` deleted) and, when the reflected
-    point ``p[i-1] + p[i+1] - p[i]`` stays in the polygon, the turn
-    parallelogram (``p[i]`` replaced by it).  Each peel is (remaining path,
-    cell vertices, twice the cell's area); none if ``p`` never turns toward
-    ``side``."""
+class _Completer:
+    """What the completion recursion shares over one batch of paths of
+    ``poly``: the lattice points in lambda order with integer ids
+    (``points``, their coordinates ``X`` and ``Y``, and ``ids`` back from a
+    point), the memo (see ``_light_completions``) and the cell table
+    (``cell``).  Kept on the polygon, the memo and the table would outlive
+    the batch."""
+
+    def __init__(self, poly: LatticePolygon):
+        self.poly = poly
+        self.points = points = sorted(poly.lattice_points, key=lambda_key)
+        self.X = [x for x, _ in points]
+        self.Y = [y for _, y in points]
+        self.ids = {p: k for k, p in enumerate(points)}
+        self.arcs = _arc_areas(poly)
+        self.memo: dict[tuple, tuple[int, list[_Side] | None]] = {}
+        self.cells: dict[tuple[int, ...], tuple] = {}
+        self.shapes: dict[frozenset[int], tuple] = {}
+
+    def root(self, path) -> tuple[tuple[int, ...], dict[int, int]]:
+        """The ids of a path's points, and for each side twice the area
+        between the path and the boundary arc on that side: the arc's area
+        (see ``_arc_areas``) plus or minus the path's shoelace sum."""
+        left, right = self.arcs
+        shoelace = _area2(path)
+        return tuple(map(self.ids.__getitem__, path)), {1: left + shoelace, -1: right - shoelace}
+
+    def cell(self, pts: tuple[int, ...]) -> tuple:
+        """The cell table's entry for the peel with cell ids ``pts``:
+        ``(heavy, cell, new, mult)``.  ``heavy`` tells whether a side of the
+        cell is heavy (see ``_heavy_steps``), ``mult`` is a light triangle's
+        ``vertex_mult`` and its signature, and the three are found once per
+        cell, which other peels share.  ``new`` holds the ``boundary_steps``
+        entry of each edge the peel leaves on the path."""
+        vs = [self.points[k] for k in pts]
+        shape = self.shapes.get(frozenset(pts))
+        if shape is None:
+            if _heavy_steps(vs + vs[:1], self.poly):
+                shape = (True, None, None)
+            elif len(vs) == 3:
+                cell = triangle(*vs)
+                m = vertex_mult(cell)
+                shape = (False, cell, (m, m.signature()))
+            else:
+                shape = (False, parallelogram(*vs), None)
+            self.shapes[frozenset(pts)] = shape
+        heavy, cell, mult = shape
+        steps, a, c = self.poly.boundary_steps, vs[0], vs[2]
+        new = (steps.get((a, c)),) if len(vs) == 3 else (steps.get((a, vs[3])), steps.get((vs[3], c)))
+        self.cells[pts] = entry = (heavy, cell, new, mult)
+        return entry
+
+
+def _peels(p, side: int, comp: _Completer) -> list:
+    """The peel rule, on a path ``p`` of point ids of ``comp``.  At the first
+    vertex ``p[i]`` where ``p`` turns toward ``side``: the turn triangle
+    (``p[i]`` deleted) and, when the reflected point ``p[i-1] + p[i+1] -
+    p[i]`` stays in the polygon, the turn parallelogram (``p[i]`` replaced by
+    it).  Each peel is (remaining path, cell ids, i, twice the cell's area);
+    none if ``p`` never turns toward ``side``."""
+    X, Y = comp.X, comp.Y
     for i in range(1, len(p) - 1):
         a, b, c = p[i - 1], p[i], p[i + 1]
-        turn = _orient(a, b, c)
-        if turn != 0 and (turn > 0) == (side > 0):
-            out = [(p[:i] + p[i + 1 :], (a, b, c), abs(turn))]
-            reflected = _sub(_add(a, c), b)
-            if poly.contains(reflected):
-                out.append((p[:i] + (reflected,) + p[i + 1 :], (a, b, c, reflected), 2 * abs(turn)))
+        xa, ya = X[a], Y[a]
+        turn = (X[b] - xa) * (Y[c] - ya) - (Y[b] - ya) * (X[c] - xa)
+        if turn * side > 0:
+            a2 = abs(turn)
+            out = [(p[:i] + p[i + 1 :], (a, b, c), i, a2)]
+            r = comp.ids.get((xa + X[c] - X[b], ya + Y[c] - Y[b]))
+            if r is not None:
+                out.append((p[:i] + (r,) + p[i + 1 :], (a, b, c, r), i, 2 * a2))
             return out
     return []
-
-
-def _start_area(shoelace: int, side: int, poly: LatticePolygon) -> int:
-    """Twice the area between a path with shoelace sum ``shoelace``
-    (``_area2(path)``) and the boundary arc on ``side``: the arc's area, read
-    off the polygon's vertex cycle by ``_arc_areas``, plus or minus the sum."""
-    left, right = _arc_areas(poly)
-    return left + shoelace if side == 1 else right - shoelace
 
 
 def complete_path(path, side: int, poly: LatticePolygon):
@@ -279,6 +327,7 @@ def complete_path(path, side: int, poly: LatticePolygon):
     """
     if side not in (1, -1):
         raise ValueError("side must be +1 or -1")
+    comp = _Completer(poly)
     cache: dict[tuple, list[tuple[Cell, ...]]] = {}
 
     def rec(p, area: int) -> list[tuple[Cell, ...]]:
@@ -290,14 +339,15 @@ def complete_path(path, side: int, poly: LatticePolygon):
         if area < 0:
             raise InternalInvariantError("path escaped its completion region")
         out: list[tuple[Cell, ...]] = [] if area else [()]
-        for rest_path, pts, a2 in _peels(p, side, poly) if area else ():
-            cell = triangle(*pts) if len(pts) == 3 else parallelogram(*pts)
+        for rest_path, pts, _, a2 in _peels(p, side, comp) if area else ():
+            vs = [comp.points[k] for k in pts]
+            cell = triangle(*vs) if len(vs) == 3 else parallelogram(*vs)
             out.extend(rest + (cell,) for rest in rec(rest_path, area - a2))
         cache[p] = out
         return out
 
-    path = tuple(path)
-    return rec(path, _start_area(_area2(path), side, poly))
+    ids, areas = comp.root(path)
+    return rec(ids, areas[side])
 
 
 def _times(x: GWElement, y: GWElement) -> GWElement:
@@ -338,113 +388,107 @@ def _heavy_steps(pts, poly: LatticePolygon) -> bool:
     return any(map(poly.boundary_steps.get, zip(pts, pts[1:])))
 
 
-def _light_completions(
-    path, side: int, poly: LatticePolygon, memo: dict, want: bool = True
-) -> tuple[int, list[_Side] | None]:
+def _group(child: _Side, j: int, new: bool | None, rays: list[bool]) -> int:
+    """The group of child edge ``j``, the peel's edge with ``boundary_steps``
+    entry ``new`` (None off the boundary): a new group when no cell of
+    ``child`` owns it, its heaviness noted in ``rays``."""
+    label = child.labels[j]
+    if label >= 0:
+        return label
+    if new is None:
+        raise InternalInvariantError("interior edge has a single cell")
+    rays.append(new)
+    return child.groups + len(rays) - 1
+
+
+def _extend(child: _Side, i: int, cell: Cell, area2: int, new, mult) -> _Side:
+    """The summary of ``child`` plus ``cell``, peeled at path vertex ``i``:
+    ``new`` holds the ``boundary_steps`` entry of each edge the peel leaves
+    on the child's path, ``mult`` a triangle's ``vertex_mult`` and its
+    signature."""
+    rays: list[bool] = []
+    labels, tri_groups, triangles = child.labels, child.tri_groups, child.triangles
+    motivic, complex_mult, welschinger = child.motivic, child.complex, child.welschinger
+    if mult is None:  # parallelogram
+        ar, rc = new
+        ab, bc = _group(child, i, rc, rays), _group(child, i - 1, ar, rays)
+        labels = labels[: i - 1] + (ab, bc) + labels[i + 1 :]
+    else:
+        (ac,), (m, signature) = new, mult
+        ab = _group(child, i - 1, ac, rays)
+        labels = labels[: i - 1] + (ab, ab) + labels[i:]
+        tri_groups |= 1 << ab
+        triangles += 1
+        motivic = _times(motivic, m)
+        complex_mult *= area2
+        welschinger *= signature
+    return _Side(
+        child.cells + (cell,),
+        labels,
+        child.groups + len(rays),
+        tri_groups,
+        triangles,
+        child.rays + len(rays),
+        child.heavy or any(rays),
+        child.area2 + area2,
+        motivic,
+        complex_mult,
+        welschinger,
+    )
+
+
+def _light_completions(comp: _Completer, root, side: int, want: bool = True) -> tuple[int, list[_Side] | None]:
     """``(len(complete), light)`` for ``complete = complete_path(path, side,
     poly)`` and ``light`` the summaries of its completions without a
     boundary side of lattice length >= 2, in the same order, by the same
-    peel rule; ``light`` is None when not ``want``.
+    peel rule; ``light`` is None when not ``want``.  ``root`` is
+    ``comp.root(path)``, which both sides share.
 
     One memoized recursion gives both, and builds summaries only where they
-    can be glued: a peel whose cell has a heavy boundary side (see
-    ``_heavy_steps``) recurses count-only, and neither its cell nor its
-    children's summaries are built.  ``memo`` maps (side, remaining path) to
-    ``(count, light or None)``: the area left to fill depends only on the
-    polygon, the side and the remaining path, so one memo serves every path
-    of one polygon and no other.  A node first reached count-only and later
-    wanted is computed again in full, which replaces its entry; its heavy
-    peels are then memo hits.  The root's own entry is dropped once it is
-    returned.
+    can be glued: a peel whose cell is heavy in ``comp``'s cell table
+    recurses count-only, and neither its cell nor its children's summaries
+    are built.  ``comp.memo`` maps (side, remaining id path) to ``(count,
+    light or None)``: the area left to fill depends only on the polygon, the
+    side and the remaining path, so one memo serves every path of one batch.
+    A node first reached count-only and later wanted is computed again in
+    full, which replaces its entry; its heavy peels are then memo hits.  The
+    root's own entry is dropped once it is returned.
 
     A summary extends its child's by the peeled cell.  The triangle at ``b``
     gives ``ab`` and ``bc`` the group of ``ac``; the parallelogram
     ``a, b, c, r`` gives ``ab`` the group of ``rc`` and ``bc`` that of
     ``ar``.  A child edge that no cell of the child owns is a ray, alone in
     a new group, so the groups of one side never merge."""
-    steps = poly.boundary_steps
+    ids, areas = root
+    out = _complete(comp, side, ids, areas[side], want)
+    del comp.memo[side, ids]
+    return out
 
-    def group(child: _Side, j: int, new: bool | None, rays: list[bool]) -> int:
-        """The group of child edge ``j``, the peel's edge with
-        ``boundary_steps`` entry ``new`` (None off the boundary): a new group
-        when no cell of ``child`` owns it, its heaviness noted in ``rays``."""
-        label = child.labels[j]
-        if label >= 0:
-            return label
-        if new is None:
-            raise InternalInvariantError("interior edge has a single cell")
-        rays.append(new)
-        return child.groups + len(rays) - 1
 
-    def extend(child: _Side, i: int, cell: Cell, area2: int, new, mult) -> _Side:
-        """The summary of ``child`` plus ``cell``, peeled at path vertex
-        ``i``: ``new`` holds the ``boundary_steps`` entry of each edge the
-        peel leaves on the child's path, ``mult`` a triangle's
-        ``vertex_mult`` and its signature."""
-        rays: list[bool] = []
-        labels, tri_groups, triangles = child.labels, child.tri_groups, child.triangles
-        motivic, complex_mult, welschinger = child.motivic, child.complex, child.welschinger
-        if mult is None:  # parallelogram
-            ar, rc = new
-            ab, bc = group(child, i, rc, rays), group(child, i - 1, ar, rays)
-            labels = labels[: i - 1] + (ab, bc) + labels[i + 1 :]
-        else:
-            (ac,), (m, signature) = new, mult
-            ab = group(child, i - 1, ac, rays)
-            labels = labels[: i - 1] + (ab, ab) + labels[i:]
-            tri_groups |= 1 << ab
-            triangles += 1
-            motivic = _times(motivic, m)
-            complex_mult *= area2
-            welschinger *= signature
-        return _Side(
-            child.cells + (cell,),
-            labels,
-            child.groups + len(rays),
-            tri_groups,
-            triangles,
-            child.rays + len(rays),
-            child.heavy or any(rays),
-            child.area2 + area2,
-            motivic,
-            complex_mult,
-            welschinger,
-        )
-
-    def rec(p, area: int, want: bool) -> tuple[int, list[_Side] | None]:
-        key = (side, p)
-        hit = memo.get(key)
-        if hit is not None and (hit[1] is not None or not want):
-            return hit
-        if area < 0:
-            raise InternalInvariantError("path escaped its completion region")
-        if not area:  # the path runs along the boundary arc: one empty completion
-            memo[key] = out = 1, [_Side((), (-1,) * (len(p) - 1), 0, 0, 0, 0, False, 0, ONE, 1, 1)]
-            return out
-        n, light = 0, [] if want else None
-        for rest_path, pts, a2 in _peels(p, side, poly):
-            glue = want and not _heavy_steps(pts + pts[:1], poly)
-            count, rest_light = rec(rest_path, area - a2, glue)
-            n += count
-            if not (glue and rest_light):
-                continue
-            cell = triangle(*pts) if len(pts) == 3 else parallelogram(*pts)
-            a, b, c = pts[:3]
-            if len(pts) == 3:
-                m = vertex_mult(cell)
-                new, mult = (steps.get((a, c)),), (m, m.signature())
-            else:
-                r = pts[3]
-                new, mult = (steps.get((a, r)), steps.get((r, c))), None
-            i, area2 = p.index(b), cell.area2()
-            light.extend(extend(rest, i, cell, area2, new, mult) for rest in rest_light)
-        memo[key] = out = n, light
+def _complete(comp: _Completer, side: int, p, area: int, want: bool) -> tuple[int, list[_Side] | None]:
+    """``_light_completions`` of the remaining id path ``p``, with ``area``
+    twice the area left to fill; each peel removes its own cell's area."""
+    memo = comp.memo
+    key = (side, p)
+    hit = memo.get(key)
+    if hit is not None and (hit[1] is not None or not want):
+        return hit
+    if area < 0:
+        raise InternalInvariantError("path escaped its completion region")
+    if not area:  # the path runs along the boundary arc: one empty completion
+        memo[key] = out = 1, [_Side((), (-1,) * (len(p) - 1), 0, 0, 0, 0, False, 0, ONE, 1, 1)]
         return out
-
-    path = tuple(path)
-    out = rec(path, _start_area(_area2(path), side, poly), want)
-    del memo[(side, path)]
-    del rec  # it refers to itself through its closure: free it now, not by the collector
+    n, light = 0, [] if want else None
+    cells = comp.cells
+    for rest_path, pts, i, a2 in _peels(p, side, comp):
+        entry = (cells.get(pts) or comp.cell(pts)) if want else None
+        glue = want and not entry[0]
+        count, rest_light = _complete(comp, side, rest_path, area - a2, glue)
+        n += count
+        if glue and rest_light:
+            _, cell, new, mult = entry
+            light.extend(_extend(rest, i, cell, a2, new, mult) for rest in rest_light)
+    memo[key] = out = n, light
     return out
 
 
@@ -527,6 +571,7 @@ def _pair_reason(path, left: _Side, right: _Side, poly: LatticePolygon):
         raise InternalInvariantError("cells do not tile the polygon")
     off = left.groups
     parent = list(range(off + right.groups))
+    merges = 0
     rays = left.rays + right.rays
     heavy = left.heavy or right.heavy
     steps = poly.boundary_steps
@@ -537,7 +582,9 @@ def _pair_reason(path, left: _Side, right: _Side, poly: LatticePolygon):
                 x = parent[x]
             while parent[y] != y:
                 y = parent[y]
-            parent[y] = x
+            if x != y:
+                parent[y] = x
+                merges += 1
             continue
         edge = path[i], path[i + 1]
         if lab < 0 and rab < 0:
@@ -552,17 +599,17 @@ def _pair_reason(path, left: _Side, right: _Side, poly: LatticePolygon):
     triangles = left.triangles + right.triangles
     if (triangles - rays) % 2:
         raise InternalInvariantError("dual graph slot count mismatch")
-    tri = left.tri_groups | right.tri_groups << off
-    components: dict[int, int] = {}
-    for x in range(len(parent)):
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        components[root] = components.get(root, 0) | tri >> x & 1
-    if not all(components.values()):
+    if merges < len(parent) - 1:  # more than one component: only such pairs pay for this pass
+        tri = left.tri_groups | right.tri_groups << off
+        components: dict[int, int] = {}
+        for x in range(len(parent)):
+            root = x
+            while parent[root] != root:
+                root = parent[root]
+            components[root] = components.get(root, 0) | tri >> x & 1
+        return "disconnected" if all(components.values()) else "line-component"
+    if not triangles:
         return "line-component"
-    if len(components) > 1:
-        return "disconnected"
     if triangles != rays - 2:
         return "positive-genus"
     return None
@@ -626,16 +673,18 @@ def _curves_for_paths(poly: LatticePolygon, paths) -> tuple[list[TropicalCurve],
     is decided from the two summaries (``_pair_reason``, ``_pair_bundle``);
     the |L|*|R| - |L_ok|*|R_ok| other pairs go to ``boundary-weight``.  A
     doomed path (see ``_heavy_steps``) has no light pair, so both its sides
-    are counted only.  The batch shares one memo, which ends with the call,
-    and runs with the cyclic garbage collector paused."""
+    are counted only.  The batch shares one ``_Completer``, whose memo and
+    cell table end with the call, and runs with the cyclic garbage collector
+    paused."""
     with collector_paused():  # collections would only rescan the memo's live summaries
         curves: list[TropicalCurve] = []
         dropped: Counter = Counter()
-        memo: dict[tuple, tuple[int, list[_Side] | None]] = {}
+        comp = _Completer(poly)
         for path in paths:
             want = not _heavy_steps(path, poly)
-            n_left, left_ok = _light_completions(path, 1, poly, memo, want)
-            n_right, right_ok = _light_completions(path, -1, poly, memo, want)
+            root = comp.root(path)
+            n_left, left_ok = _light_completions(comp, root, 1, want)
+            n_right, right_ok = _light_completions(comp, root, -1, want)
             left_ok, right_ok = left_ok or [], right_ok or []  # None if doomed
             heavy = n_left * n_right - len(left_ok) * len(right_ok)
             if heavy:
@@ -650,7 +699,9 @@ def _curves_for_paths(poly: LatticePolygon, paths) -> tuple[list[TropicalCurve],
                     else:
                         dropped[reason] += 1
                         logger.debug("dropped %s completion of path %s", reason, path)
-        return curves, dropped, len(memo)
+        entries = len(comp.memo)
+        del comp  # free the memo now: still alive when the collector resumes, it would be scanned
+        return curves, dropped, entries
 
 
 _cell_key = attrgetter("kind", "vertices")

@@ -23,6 +23,19 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def run_fresh(tmp_path, command, vertices, timeout=1.0):
+    """``command`` on a polygon file, in a fresh interpreter that a hang
+    fails after ``timeout`` seconds instead of stalling the suite."""
+    name = tmp_path / "poly.json"
+    name.write_text(json.dumps({"vertices": vertices}))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    flag = "--chain" if command == "table" else "--polygon"
+    return subprocess.run(
+        [sys.executable, "-m", "gwcurves.cli", command, flag, str(name)],
+        capture_output=True, text=True, env=env, timeout=timeout,
+    )
+
+
 #: Two primes whose product, 82 bits, is beyond the factoring effort bound.
 P, Q = 1000000000039, 3000000000013
 
@@ -182,6 +195,22 @@ class TestInvariant:
             "the count of p2:5 (raise with --max-budget)\n"
         )
         assert perf_counter() - t0 < 1.0
+
+    @pytest.mark.parametrize(
+        "vertices", [[[0, 0], [1, 0], [10**8, 1]], [[0, 0], [1, 10**8], [0, 1]]], ids=["wide", "tall"]
+    )
+    def test_thin_polygon_scans_its_few_rows(self, tmp_path, vertices):
+        # unimodular and 10^8 long: its bounding box has 2 * 10^8 points
+        proc = run_fresh(tmp_path, "invariant", vertices)
+        assert (proc.returncode, proc.stdout) == (0, "<1>  N=1  W=1\n")
+
+    @pytest.mark.parametrize("command", ["invariant", "tropical", "table"])
+    def test_polygon_wide_both_ways_refused_before_any_scan(self, tmp_path, command):
+        # unimodular (consecutive Fibonacci numbers), but 63 245 987 rows either way
+        vertices = [[0, 0], [63245986, 39088169], [102334155, 63245986]]
+        proc = run_fresh(tmp_path, command, vertices)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: polygon spans 63245987 rows on its shorter side, more than 10000\n"
 
     def test_large_budget_limit_is_cheap(self, capsys):
         # the candidate cap of p2:333333333 is never computed in full

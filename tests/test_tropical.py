@@ -7,6 +7,7 @@ import hashlib
 import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -17,8 +18,10 @@ from gwcurves.tropical import (
     InternalInvariantError,
     MarkedSubdivision,
     TropicalCurve,
+    _Completer,
     _arc_areas,
     _cell_key,
+    _curve_key,
     _curves_for_paths,
     _heavy_steps,
     _light_completions,
@@ -503,12 +506,12 @@ HULLS = [
 
 @pytest.mark.parametrize("poly", HULLS, ids=str)
 def test_count_matches_complete_path(poly):
-    memo = {}  # shared by all paths of the polygon, as in an enumeration
+    comp = _Completer(poly)  # shared by all paths of the polygon, as in an enumeration
     for path in enumerate_paths(poly):
         for side in (1, -1):
             full = complete_path(path, side, poly)
             light = [c for c in full if not heavy_boundary(c, poly)]
-            n, sides = _light_completions(path, side, poly, memo)
+            n, sides = _light_completions(comp, comp.root(path), side)
             assert (n, [s.cells for s in sides]) == (len(full), light)
 
 
@@ -516,16 +519,18 @@ def test_count_matches_complete_path(poly):
 def test_revisited_count_only_nodes_match_a_fresh_memo(poly):
     # count the doomed paths first, as an enumeration does, so that later
     # paths want summaries of nodes first reached count-only
-    memo = {}
+    comp = _Completer(poly)
+    memo = comp.memo
     paths = list(enumerate_paths(poly))
     for path in (p for p in paths if _heavy_steps(p, poly)):
         for side in (1, -1):
-            assert _light_completions(path, side, poly, memo, want=False)[1] is None
+            assert _light_completions(comp, comp.root(path), side, want=False)[1] is None
     count_only = {key for key, (_, light) in memo.items() if light is None}
     for path in paths:
         for side in (1, -1):
-            n, light = _light_completions(path, side, poly, memo)
-            m, fresh = _light_completions(path, side, poly, {})
+            n, light = _light_completions(comp, comp.root(path), side)
+            fresh_comp = _Completer(poly)
+            m, fresh = _light_completions(fresh_comp, fresh_comp.root(path), side)
             assert (n, [s.cells for s in light]) == (m, [s.cells for s in fresh]), path
     # a node later visited as a root has dropped its entry
     revisited = {key for key in count_only if memo.get(key, (0, None))[1] is not None}
@@ -538,15 +543,49 @@ def test_doomed_paths_are_counted_only(monkeypatch):
     poly, calls = p2(4), []
     light_completions = tropical._light_completions
 
-    def spy(path, side, poly, memo, want=True):
-        calls.append((path, want))
-        return light_completions(path, side, poly, memo, want)
+    def spy(comp, root, side, want=True):
+        calls.append((tuple(comp.points[k] for k in root[0]), want))
+        return light_completions(comp, root, side, want)
 
     monkeypatch.setattr(tropical, "_light_completions", spy)
     _curves_for_paths(poly, list(enumerate_paths(poly)))
     assert len(calls) == 2 * 286
     assert sum(not want for _, want in calls) == 2 * 163
     assert all(want != doomed(path, poly) for path, want in calls)
+
+
+@pytest.mark.parametrize("poly", HULLS, ids=str)
+def test_two_batches_give_the_curves_of_one(poly):
+    # the batching oracle: no count or summary may depend on which paths share a batch
+    paths = list(enumerate_paths(poly))
+    curves, dropped, _ = _curves_for_paths(poly, paths)
+    split, split_dropped = [], Counter()
+    for half in (paths[0::2], paths[1::2]):
+        cs, dr, _ = _curves_for_paths(poly, half)
+        split += cs
+        split_dropped.update(dr)
+    assert _digest(sorted(split, key=_curve_key)) == _digest(sorted(curves, key=_curve_key))
+    assert split_dropped == dropped
+
+
+@pytest.mark.parametrize("poly", [p2(4), SQUARE], ids=str)
+def test_each_cell_is_built_once_per_batch(poly, monkeypatch):
+    from gwcurves import tropical
+
+    built = []
+    for name in ("triangle", "parallelogram"):
+        make = getattr(tropical, name)
+        monkeypatch.setattr(tropical, name, lambda *pts, make=make: built.append(make(*pts)) or built[-1])
+    curves, _, _ = _curves_for_paths(poly, list(enumerate_paths(poly)))
+    assert len(built) == len(set(built))
+    assert {cell for curve in curves for cell in curve.subdivision.cells} <= set(built)
+
+
+@pytest.mark.parametrize("poly, entries", [(p2(4), 1455), (SQUARE, 4299)], ids=str)
+def test_memo_entries_are_logged(poly, entries, caplog):
+    with caplog.at_level("INFO", logger="gwcurves.tropical"):
+        enumerate_curves(poly, jobs=1)
+    assert f"with {entries} completion memo entries" in caplog.text
 
 
 @pytest.mark.parametrize("poly", HULLS, ids=str)
@@ -583,6 +622,20 @@ def test_contains_matches_half_planes(poly):
         for y in range(min(ys) - 1, max(ys) + 2):
             inside = all(_orient(a, b, (x, y)) >= 0 for a, b in poly.edges)
             assert poly.contains((x, y)) == inside, (x, y)
+
+
+@pytest.mark.parametrize("poly", HULLS, ids=str)
+def test_lattice_points_match_box_scan(poly):
+    # the row scan runs along the shorter side: the columns of a tall hull
+    xs = [v[0] for v in poly.vertices]
+    ys = [v[1] for v in poly.vertices]
+    box = tuple(
+        (x, y)
+        for y in range(min(ys), max(ys) + 1)
+        for x in range(min(xs), max(xs) + 1)
+        if all(_orient(a, b, (x, y)) >= 0 for a, b in poly.edges)
+    )
+    assert poly.lattice_points == box
 
 
 @pytest.mark.parametrize("poly", HULLS, ids=str)
@@ -637,9 +690,9 @@ def test_pair_reason_matches_validate_subdivision(poly, monkeypatch):
     from gwcurves import tropical
 
     monkeypatch.setattr(tropical, "_heavy_steps", lambda pts, poly: False)
-    memo = {}
+    comp = _Completer(poly)
     for path in enumerate_paths(poly):
-        left, right = (_light_completions(path, side, poly, memo)[1] for side in (1, -1))
+        left, right = (_light_completions(comp, comp.root(path), side)[1] for side in (1, -1))
         assert [s.cells for s in left] == complete_path(path, 1, poly)
         assert [s.cells for s in right] == complete_path(path, -1, poly)
         for cl in left:
@@ -653,9 +706,9 @@ def test_pair_reason_matches_validate_subdivision(poly, monkeypatch):
 
 def _kept_pair(poly):
     """The first path of ``poly`` with a pair of completions that is a curve."""
-    memo = {}
+    comp = _Completer(poly)
     for path in enumerate_paths(poly):
-        left, right = (_light_completions(path, side, poly, memo)[1] for side in (1, -1))
+        left, right = (_light_completions(comp, comp.root(path), side)[1] for side in (1, -1))
         for cl in left:
             for cr in right:
                 if _pair_reason(path, cl, cr, poly) is None:
@@ -691,7 +744,8 @@ def test_completion_with_an_interior_ray_raises(monkeypatch):
     monkeypatch.setitem(vars(poly), "boundary_steps", {})
     with pytest.raises(InternalInvariantError, match="single cell"):
         for path in enumerate_paths(poly):
-            _light_completions(path, 1, poly, {})
+            comp = _Completer(poly)
+            _light_completions(comp, comp.root(path), 1)
 
 
 @pytest.mark.parametrize("enabled", [True, False])
