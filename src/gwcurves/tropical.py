@@ -327,6 +327,8 @@ def complete_path(path, side: int, poly: LatticePolygon):
     """
     if side not in (1, -1):
         raise ValueError("side must be +1 or -1")
+    if not all(map(poly.contains, path)):
+        raise ValueError(f"path {tuple(path)} leaves the lattice points of {poly}")
     comp = _Completer(poly)
     cache: dict[tuple, list[tuple[Cell, ...]]] = {}
 

@@ -515,6 +515,11 @@ def test_count_matches_complete_path(poly):
             assert (n, [s.cells for s in sides]) == (len(full), light)
 
 
+def test_complete_path_refuses_a_point_off_the_polygon():
+    with pytest.raises(ValueError, match="leaves the lattice points"):
+        complete_path(((0, 0), (5, 5), (0, 3)), 1, p2(3))
+
+
 @pytest.mark.parametrize("poly", HULLS, ids=str)
 def test_revisited_count_only_nodes_match_a_fresh_memo(poly):
     # count the doomed paths first, as an enumeration does, so that later
