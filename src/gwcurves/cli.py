@@ -19,6 +19,7 @@ import argparse
 import json
 import logging
 import os
+import re
 import sys
 from math import comb
 from pathlib import Path
@@ -90,6 +91,22 @@ def _guard_budget(poly: LatticePolygon, limit: int) -> None:
             f"{candidates} candidate lattice paths exceed limit {cap}, "
             f"the count of p2:{d} (raise with --max-budget)"
         )
+
+
+def _integer(text: str) -> int:
+    """An integer option value: ASCII digits after an optional minus sign.
+    ``int`` also takes ``_``, ``+``, spaces and the digits of other scripts."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    try:
+        return int(text)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise argparse.ArgumentTypeError(f"integer of {len(text.lstrip('-'))} digits is too long") from None
+
+
+def _integers(text: str) -> list[int]:
+    """A comma-separated ``_integer`` list; blank items are skipped."""
+    return [_integer(v.strip()) for v in text.split(",") if v.strip()]
 
 
 def _check_writable(name: str | None) -> None:
@@ -221,14 +238,10 @@ def _cmd_table(args) -> int:
             print(f"{t.polygon}: " + " ".join(str(v) for v in sigs))
         return 0
     if args.specialize is not None:
-        try:
-            cs = [int(v) for v in args.specialize.split(",") if v.strip()]
-        except ValueError:
-            raise UsageError("--specialize wants a comma-separated integer list") from None
         for t in tables:
-            s = min(len(cs), t.s_max())
+            s = min(len(args.specialize), t.s_max())
             row = t.rows[s]
-            value = row.specialize({i + 1: cs[i] for i in range(s)})
+            value = row.specialize({i + 1: args.specialize[i] for i in range(s)})
             print(f"{t.polygon} (s={s}): {format_gw(value)}")
         return 0
     if args.json:
@@ -273,25 +286,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list-curves", action="store_true")
     p.add_argument("--json", metavar="OUT")
     p.add_argument("--svg", metavar="OUT")
-    p.add_argument("--max-budget", type=int, default=DEFAULT_BUDGET_LIMIT)
+    p.add_argument("--max-budget", type=_integer, default=DEFAULT_BUDGET_LIMIT)
     p.set_defaults(func=_cmd_tropical)
 
     p = sub.add_parser("invariant", help="motivic count with rank and signature")
     p.add_argument("--polygon", required=True)
-    p.add_argument("--max-budget", type=int, default=DEFAULT_BUDGET_LIMIT)
+    p.add_argument("--max-budget", type=_integer, default=DEFAULT_BUDGET_LIMIT)
     p.set_defaults(func=_cmd_invariant)
 
     p = sub.add_parser("table", help="wall-crossing invariant tables")
     p.add_argument("--chain", required=True, help="e.g. p2:4 or a comma-separated polygon list")
     out = p.add_mutually_exclusive_group()
     out.add_argument("--json", action="store_true")
-    out.add_argument("--specialize", metavar="C1,C2,...")
+    out.add_argument("--specialize", type=_integers, metavar="C1,C2,...")
     out.add_argument("--signature", choices=["neg", "pos"])
-    p.add_argument("--max-budget", type=int, default=DEFAULT_BUDGET_LIMIT)
+    p.add_argument("--max-budget", type=_integer, default=DEFAULT_BUDGET_LIMIT)
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("oracle", help="classical counting oracles")
-    p.add_argument("--kontsevich", type=int, required=True, metavar="D")
+    p.add_argument("--kontsevich", type=_integer, required=True, metavar="D")
     p.set_defaults(func=_cmd_oracle)
 
     return parser

@@ -648,38 +648,46 @@ class Enumeration:
     dropped: Counter
 
     def motivic_total(self) -> GWElement:
-        total = GWElement()
-        for c in self.curves:
-            total = total + c.bundle.motivic
-        return total
+        return _total(c.bundle.motivic for c in self.curves)
 
     def invariants(self) -> "Invariants":
-        """Total motivic count with rank N and signature W; checks that the
-        total is determined by (N, W) as a sum of <1> and <-1> summands."""
-        total = self.motivic_total()
-        n, w = total.rank(), total.signature()
-        if (n + w) % 2:
-            raise InternalInvariantError("rank and signature have different parity")
-        canonical = ((n + w) // 2) * form(1) + ((n - w) // 2) * form(-1)
-        if not gw_equal(total, canonical):
-            raise InternalInvariantError(
-                "motivic total is not of hyperbolic-plus-ones shape"
-            )
-        return Invariants(total, canonical, n, w)
+        """Total motivic count with rank N and signature W; see ``_invariants``."""
+        return _invariants(self.motivic_total())
 
 
-def _curves_for_paths(poly: LatticePolygon, paths) -> tuple[list[TropicalCurve], Counter, int]:
-    """Curves and drop tallies of a batch of paths of ``poly``, and the entry
-    count of the completion memo, count-only nodes included.  Only light
-    completions (see ``_light_completions``) are glued, and each glued pair
-    is decided from the two summaries (``_pair_reason``, ``_pair_bundle``);
-    the |L|*|R| - |L_ok|*|R_ok| other pairs go to ``boundary-weight``.  A
-    doomed path (see ``_heavy_steps``) has no light pair, so both its sides
-    are counted only.  The batch shares one ``_Completer``, whose memo and
-    cell table end with the call, and runs with the cyclic garbage collector
+def _total(forms) -> GWElement:
+    """The sum of ``forms``, added into one dict."""
+    total: dict[int, int] = {}
+    for q in forms:
+        for c, n in q.terms:
+            total[c] = total.get(c, 0) + n
+    return GWElement._of(total)
+
+
+def _invariants(total: GWElement) -> "Invariants":
+    """``total`` with its rank N and signature W; checks that the total is
+    determined by (N, W) as a sum of <1> and <-1> summands."""
+    n, w = total.rank(), total.signature()
+    if (n + w) % 2:
+        raise InternalInvariantError("rank and signature have different parity")
+    canonical = ((n + w) // 2) * form(1) + ((n - w) // 2) * form(-1)
+    if not gw_equal(total, canonical):
+        raise InternalInvariantError("motivic total is not of hyperbolic-plus-ones shape")
+    return Invariants(total, canonical, n, w)
+
+
+def _pair_loop(poly: LatticePolygon, paths, keep) -> tuple[Counter, int]:
+    """Drop tallies of a batch of paths of ``poly``, and the entry count of
+    the completion memo, count-only nodes included; ``keep(path, left,
+    right)`` is called on each glued pair that ``_pair_reason`` accepts.
+    Only light completions (see ``_light_completions``) are glued, and each
+    glued pair is decided from the two summaries; the |L|*|R| -
+    |L_ok|*|R_ok| other pairs go to ``boundary-weight``.  A doomed path (see
+    ``_heavy_steps``) has no light pair, so both its sides are counted only.
+    The batch shares one ``_Completer``, whose memo and cell table end with
+    the call, and runs, ``keep`` included, with the cyclic garbage collector
     paused."""
     with collector_paused():  # collections would only rescan the memo's live summaries
-        curves: list[TropicalCurve] = []
         dropped: Counter = Counter()
         comp = _Completer(poly)
         for path in paths:
@@ -696,14 +704,40 @@ def _curves_for_paths(poly: LatticePolygon, paths) -> tuple[list[TropicalCurve],
                 for cr in right_ok:
                     reason = _pair_reason(path, cl, cr, poly)
                     if reason is None:
-                        cells = tuple(sorted(cl.cells + cr.cells, key=_cell_key))
-                        curves.append(TropicalCurve(MarkedSubdivision(tuple(path), cells), _pair_bundle(cl, cr)))
+                        keep(path, cl, cr)
                     else:
                         dropped[reason] += 1
                         logger.debug("dropped %s completion of path %s", reason, path)
         entries = len(comp.memo)
         del comp  # free the memo now: still alive when the collector resumes, it would be scanned
-        return curves, dropped, entries
+        return dropped, entries
+
+
+def _curves_for_paths(poly: LatticePolygon, paths) -> tuple[list[TropicalCurve], Counter, int]:
+    """The curves of a batch of paths of ``poly``, one per pair that
+    ``_pair_loop`` keeps, with its multiplicities (``_pair_bundle``) and its
+    cells in canonical order, and the loop's drop tallies and memo entry
+    count."""
+    curves: list[TropicalCurve] = []
+
+    def keep(path, left: _Side, right: _Side) -> None:
+        cells = tuple(sorted(left.cells + right.cells, key=_cell_key))
+        curves.append(TropicalCurve(MarkedSubdivision(tuple(path), cells), _pair_bundle(left, right)))
+
+    dropped, entries = _pair_loop(poly, paths, keep)
+    return curves, dropped, entries
+
+
+def _log_run(poly: LatticePolygon, paths: int, dropped: Counter, memo_entries: int) -> None:
+    """The ``-v`` lines of a run over all paths of ``poly``."""
+    if dropped:
+        logger.info(
+            "%s: dropped %d completions (%s)",
+            poly,
+            sum(dropped.values()),
+            ", ".join(f"{k}={v}" for k, v in sorted(dropped.items())),
+        )
+    logger.info("%s: completed %d paths with %d completion memo entries", poly, paths, memo_entries)
 
 
 _cell_key = attrgetter("kind", "vertices")
@@ -741,14 +775,7 @@ def enumerate_curves(poly: LatticePolygon, jobs: int = 1) -> Enumeration:
         dropped.update(dr)
         memo_entries += entries
     curves.sort(key=_curve_key)
-    if dropped:
-        logger.info(
-            "%s: dropped %d completions (%s)",
-            poly,
-            sum(dropped.values()),
-            ", ".join(f"{k}={v}" for k, v in sorted(dropped.items())),
-        )
-    logger.info("%s: completed %d paths with %d completion memo entries", poly, len(paths), memo_entries)
+    _log_run(poly, len(paths), dropped, memo_entries)
     return Enumeration(poly, curves, dropped)
 
 
@@ -761,5 +788,15 @@ class Invariants:
 
 
 def count_invariants(poly: LatticePolygon, jobs: int = 1) -> Invariants:
-    """Enumerate and summarize: see :meth:`Enumeration.invariants`."""
-    return enumerate_curves(poly, jobs=jobs).invariants()
+    """``enumerate_curves(poly, jobs).invariants()``, without building the
+    curves at ``jobs=1``: the same pair loop sums the motivic
+    multiplicities of the pairs it keeps (``_pair_bundle``, with its
+    factorization check), runs the checks of ``Enumeration.invariants`` on
+    the total and logs the same ``-v`` lines.  ``jobs`` > 1 enumerates."""
+    if jobs > 1:
+        return enumerate_curves(poly, jobs).invariants()
+    paths = list(enumerate_paths(poly))
+    bundles: list[MultiplicityBundle] = []
+    dropped, entries = _pair_loop(poly, paths, lambda path, left, right: bundles.append(_pair_bundle(left, right)))
+    _log_run(poly, len(paths), dropped, entries)
+    return _invariants(_total(b.motivic for b in bundles))

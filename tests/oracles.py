@@ -18,7 +18,6 @@ from __future__ import annotations
 from collections import Counter
 from math import prod
 
-import numpy as np
 from sympy import primefactors
 
 from gwcurves.gw import H, ONE, ZERO, GWElement, _squarefree_part, form, square_class
@@ -27,7 +26,7 @@ from gwcurves.tropical import vertex_mult
 
 PLACES = [None, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
-_square_tables: dict[int, np.ndarray] = {}
+_square_tables: dict[int, set[int]] = {}
 _cache: dict[tuple, int] = {}
 
 
@@ -43,15 +42,12 @@ def _oracle(a: int, b: int, place) -> int:
         return 1 if (a > 0 or b > 0) else -1
     mod = 16 if place == 2 else place**3
     if mod not in _square_tables:
-        _square_tables[mod] = np.array(
-            sorted({(z * z) % mod for z in range(mod)}), dtype=np.int64
-        )
+        _square_tables[mod] = {(z * z) % mod for z in range(mod)}
     squares = _square_tables[mod]
 
     def chart(c1: int, c2: int, target: int) -> bool:
-        lut = np.zeros(mod, dtype=bool)
-        lut[(c2 * squares) % mod] = True
-        return bool(lut[(target - c1 * squares) % mod].any())
+        reachable = {(c2 * s) % mod for s in squares}
+        return any((target - c1 * s) % mod in reachable for s in squares)
 
     solvable = (
         chart(a, b, 1)  # z = 1

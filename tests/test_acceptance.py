@@ -258,6 +258,7 @@ def test_criterion_10_degree_5_base_case(quintic_runs):
     serial, elapsed, parallel = quintic_runs
     inv = serial.invariants()
     assert (inv.n, inv.w) == (87304, 18264)
+    assert count_invariants(p2(5)) == inv  # the count builds no curves, and gives the same fields
     assert dict(serial.dropped) == {"boundary-weight": 761180, "disconnected": 12740}
     # the 25 871 curves' JSON dicts and tilings stay live, which a collection would only rescan
     with collector_paused():
@@ -272,5 +273,6 @@ def test_criterion_10_degree_5_base_case(quintic_runs):
     report(
         10,
         f"p2:5 -> N=87304, W=18264, {len(serial.curves)} curves, drops 761180/12740, "
-        f"1- and 2-process runs byte-identical, all re-validate ({elapsed:.2f}s single-threaded)",
+        f"1- and 2-process runs byte-identical, all re-validate, count_invariants agrees "
+        f"({elapsed:.2f}s single-threaded)",
     )

@@ -468,6 +468,54 @@ class TestOracle:
         assert err.startswith("error: result has a ") and err.count("\n") == 1
 
 
+class TestIntegerOptions:
+    """``--specialize`` items, ``--kontsevich`` and ``--max-budget`` take
+    ASCII digits after an optional minus sign, as ``p2:<d>`` does: ``int``
+    also takes ``_``, ``+``, spaces and the digits of other scripts."""
+
+    @pytest.mark.parametrize(
+        "argv, bad",
+        [
+            (["table", "--chain", "blf1", "--specialize=\u0663,1"], "\u0663"),
+            (["table", "--chain", "blf1", "--specialize=1,1_0"], "1_0"),
+            (["table", "--chain", "blf1", "--specialize=+1"], "+1"),
+            (["oracle", "--kontsevich", "\u0663"], "\u0663"),
+            (["oracle", "--kontsevich", "1_0"], "1_0"),
+            (["oracle", "--kontsevich", "\u00b3"], "\u00b3"),
+            (["invariant", "--polygon", "p2:3", "--max-budget", "\u0661\u0664"], "\u0661\u0664"),
+            (["tropical", "--polygon", "p2:3", "--max-budget", "1_4"], "1_4"),
+            (["table", "--chain", "p2:3", "--max-budget", " 14"], " 14"),
+        ],
+    )
+    def test_ascii_digits_only(self, capsys, argv, bad):
+        option = argv[-1].split("=")[0] if "=" in argv[-1] else argv[-2]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == [f"gwcurves {argv[0]}: error: argument {option}: not an integer: {bad!r}"]
+
+    @pytest.mark.parametrize("option", ["--kontsevich", "--max-budget", "--specialize"])
+    def test_overlong_integer(self, capsys, option):
+        argv = {
+            "--kontsevich": ["oracle", "--kontsevich"],
+            "--max-budget": ["invariant", "--polygon", "p2:3", "--max-budget"],
+            "--specialize": ["table", "--chain", "blf1", "--specialize"],
+        }[option]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "-" + "7" * 5000])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert err.splitlines()[-1].endswith(f"argument {option}: integer of 5000 digits is too long")
+
+    def test_ascii_values_are_read(self, capsys):
+        assert run(capsys, "oracle", "--kontsevich", "3") == (0, "12\n", "")
+        spaced = run(capsys, "table", "--chain", "blf1", "--specialize=3, 10,", "--max-budget", "014")
+        assert spaced == run(capsys, "table", "--chain", "blf1", "--specialize=3,10")
+        assert spaced[0] == 0 and "(s=2): " in spaced[1]
+
+
 class TestRuntime:
     def test_closed_pipe_is_quiet(self):
         read_end, write_end = os.pipe()

@@ -593,6 +593,50 @@ def test_memo_entries_are_logged(poly, entries, caplog):
     assert f"with {entries} completion memo entries" in caplog.text
 
 
+TRAPEZOID = polygon([(0, 0), (5, 0), (2, 3), (0, 3)])  # the F1 trapezoid: 6 334 curves
+
+
+@pytest.mark.parametrize("poly", [p2(1), p2(2), TRAPEZOID] + HULLS, ids=str)
+def test_count_equals_the_enumeration(poly):
+    # HULLS hold the other presets and the square; p2:5 is in criterion 10.
+    # Invariants compare field for field: raw motivic, canonical, N and W.
+    assert count_invariants(poly) == enumerate_curves(poly).invariants()
+
+
+@pytest.mark.parametrize("poly", [p2(4), SQUARE], ids=str)
+def test_count_builds_no_curve(poly, monkeypatch):
+    from gwcurves import tropical
+
+    want = enumerate_curves(poly).invariants()
+
+    def refuse(*args):
+        raise AssertionError("built a curve")
+
+    for name in ("TropicalCurve", "MarkedSubdivision"):
+        monkeypatch.setattr(tropical, name, refuse)
+    assert count_invariants(poly) == want
+    with pytest.raises(AssertionError, match="built a curve"):
+        enumerate_curves(poly)  # the classes that refuse are the ones the enumeration builds
+
+
+@pytest.mark.parametrize(
+    "poly, drops, memo",
+    [
+        (p2(4), "1377 completions (boundary-weight=1322, disconnected=55)", "286 paths with 1455"),
+        (SQUARE, "7843 completions (boundary-weight=7370, disconnected=165, line-component=308)", "1001 paths with 4299"),
+    ],
+    ids=["p2:4", "square"],
+)
+def test_count_logs_the_lines_of_the_enumeration(poly, drops, memo, caplog):
+    logs = []
+    for run in (count_invariants, enumerate_curves):
+        caplog.clear()
+        with caplog.at_level("INFO", logger="gwcurves.tropical"):
+            run(poly)
+        logs.append(caplog.messages)
+    assert logs[0] == logs[1] == [f"{poly}: dropped {drops}", f"{poly}: completed {memo} completion memo entries"]
+
+
 @pytest.mark.parametrize("poly", HULLS, ids=str)
 def test_doomed_test_matches_boundary_steps(poly):
     for path in enumerate_paths(poly):
@@ -779,3 +823,17 @@ def test_collector_restored_after_an_invariant_error(gc_state, monkeypatch):
     with pytest.raises(InternalInvariantError, match="single cell"):
         _curves_for_paths(poly, list(enumerate_paths(poly)))
     assert gc.isenabled()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_collector_restored_after_an_error_in_the_count(gc_state, monkeypatch, enabled):
+    from gwcurves import tropical
+
+    def boom(left, right):
+        raise InternalInvariantError("multiplicity factorization failed")
+
+    monkeypatch.setattr(tropical, "_pair_bundle", boom)
+    (gc.enable if enabled else gc.disable)()
+    with pytest.raises(InternalInvariantError, match="factorization"):
+        count_invariants(p2(3))
+    assert gc.isenabled() == enabled
