@@ -19,14 +19,13 @@ import argparse
 import json
 import logging
 import os
-import re
 import sys
 from math import comb
 from pathlib import Path
 
 from .betapoly import format_poly
 from .expr import ExprError, parse_expression
-from .gw import DomainError, InternalInvariantError, _check_printable, format_gw, gw_equal
+from .gw import DomainError, InternalInvariantError, _check_printable, format_gw, gw_equal, read_int
 from .polygon import LatticePolygon, _span, preset, preset_names
 
 # tropical, wallcross and svgout are imported by the handlers that run them,
@@ -94,14 +93,11 @@ def _guard_budget(poly: LatticePolygon, limit: int) -> None:
 
 
 def _integer(text: str) -> int:
-    """An integer option value: ASCII digits after an optional minus sign.
-    ``int`` also takes ``_``, ``+``, spaces and the digits of other scripts."""
-    if not re.fullmatch(r"-?[0-9]+", text):
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    """An integer option value, read by ``gw.read_int``."""
     try:
-        return int(text)
-    except ValueError:  # more digits than sys.get_int_max_str_digits()
-        raise argparse.ArgumentTypeError(f"integer of {len(text.lstrip('-'))} digits is too long") from None
+        return read_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _integers(text: str) -> list[int]:

@@ -18,20 +18,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .betapoly import POLY_ZERO, BetaPolynomial, beta_symbol
-from .gw import DomainError, GWElement, H, ONE, form, trace_form
+from .gw import DomainError, GWElement, H, ONE, _is_digit, form, read_int, trace_form
 
 
 class ExprError(ValueError):
     def __init__(self, message: str, pos: int):
         super().__init__(f"{message} (at position {pos})")
         self.pos = pos
-
-
-def _is_digit(ch: str) -> bool:
-    """An ASCII digit: ``str.isdigit`` also takes superscripts and the digits
-    of other scripts, which ``int`` then reads or refuses; ``ch`` is one
-    character or empty."""
-    return "0" <= ch <= "9"
 
 
 class _Scanner:
@@ -66,9 +59,9 @@ class _Scanner:
         if self.pos == start:
             raise ExprError("expected an integer", start)
         try:
-            return int(self.text[start : self.pos])
-        except ValueError:  # longer than int() accepts (sys.get_int_max_str_digits)
-            raise ExprError(f"integer literal of {self.pos - start} digits is too long", start) from None
+            return read_int(self.text[start : self.pos])
+        except ValueError as exc:  # longer than int() accepts
+            raise ExprError(str(exc), start) from None
 
     def rational(self) -> Fraction:
         self.skip_ws()

@@ -526,6 +526,27 @@ def _check_printable(n: int) -> None:
             )
 
 
+def _is_digit(ch: str) -> bool:
+    """An ASCII digit: ``str.isdigit`` also takes superscripts and the digits
+    of other scripts, which ``int`` then reads or refuses; ``ch`` is one
+    character or empty."""
+    return "0" <= ch <= "9"
+
+
+def read_int(text: str) -> int:
+    """``text`` as an integer written in ASCII digits after an optional minus
+    sign: ``int`` also takes ``_``, ``+``, spaces and the digits of other
+    scripts.  Raises ValueError for any other text, and for a literal longer
+    than Python reads (``sys.get_int_max_str_digits``)."""
+    digits = text[1:] if text[:1] == "-" else text
+    if not digits or not all(map(_is_digit, digits)):
+        raise ValueError(f"not an integer: {text!r}")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"integer literal of {len(digits)} digits is too long") from None
+
+
 def display_terms(q: GWElement) -> list[tuple[int, str]]:
     """(coefficient, body) pairs in display order: the h-multiple visible in
     the <1>, <-1> coefficients first (body ``h``), then the remaining classes

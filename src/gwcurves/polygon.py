@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
-from .gw import DomainError
+from .gw import DomainError, read_int
 
 Point = tuple[int, int]
 
@@ -284,12 +284,12 @@ def preset(name: str) -> LatticePolygon:
     """Resolve a polygon name: ``p2:<d>``, ``f1_4_2e``, ``blf1``, ``bl2f1``."""
     key = name.strip().lower().replace("-", "_")
     if key.startswith("p2:"):
-        # ASCII digits only: int() also takes "_" (which "-" became above)
-        # and the digits of other scripts
-        degree = key.split(":", 1)[1].strip()
-        if not (degree.isascii() and degree.isdigit()):
-            raise DomainError(f"bad degree in {name!r}")
-        return p2(int(degree))
+        # no sign can reach read_int: "-" became "_" above
+        try:
+            degree = read_int(key.split(":", 1)[1].strip())
+        except ValueError:
+            raise DomainError(f"bad degree in {name!r}") from None
+        return p2(degree)
     table = _presets()
     if key in table:
         return table[key]

@@ -648,20 +648,20 @@ class Enumeration:
     dropped: Counter
 
     def motivic_total(self) -> GWElement:
-        return _total(c.bundle.motivic for c in self.curves)
+        total: dict[int, int] = {}
+        for c in self.curves:
+            _add_into(total, c.bundle.motivic)
+        return GWElement._of(total)
 
     def invariants(self) -> "Invariants":
         """Total motivic count with rank N and signature W; see ``_invariants``."""
         return _invariants(self.motivic_total())
 
 
-def _total(forms) -> GWElement:
-    """The sum of ``forms``, added into one dict."""
-    total: dict[int, int] = {}
-    for q in forms:
-        for c, n in q.terms:
-            total[c] = total.get(c, 0) + n
-    return GWElement._of(total)
+def _add_into(total: dict[int, int], q: GWElement) -> None:
+    """Add the terms of ``q`` into the class -> coefficient dict ``total``."""
+    for c, n in q.terms:
+        total[c] = total.get(c, 0) + n
 
 
 def _invariants(total: GWElement) -> "Invariants":
@@ -788,15 +788,15 @@ class Invariants:
 
 
 def count_invariants(poly: LatticePolygon, jobs: int = 1) -> Invariants:
-    """``enumerate_curves(poly, jobs).invariants()``, without building the
-    curves at ``jobs=1``: the same pair loop sums the motivic
-    multiplicities of the pairs it keeps (``_pair_bundle``, with its
-    factorization check), runs the checks of ``Enumeration.invariants`` on
-    the total and logs the same ``-v`` lines.  ``jobs`` > 1 enumerates."""
-    if jobs > 1:
-        return enumerate_curves(poly, jobs).invariants()
+    """``enumerate_curves(poly).invariants()``, without building the curves:
+    the pair loop adds the motivic multiplicity of each pair it keeps
+    (``_pair_bundle``, with its factorization check) into one dict, runs the
+    checks of ``Enumeration.invariants`` on the total and logs the same
+    ``-v`` lines.  The count runs in one process whatever ``jobs`` is."""
     paths = list(enumerate_paths(poly))
-    bundles: list[MultiplicityBundle] = []
-    dropped, entries = _pair_loop(poly, paths, lambda path, left, right: bundles.append(_pair_bundle(left, right)))
+    total: dict[int, int] = {}
+    dropped, entries = _pair_loop(
+        poly, paths, lambda path, left, right: _add_into(total, _pair_bundle(left, right).motivic)
+    )
     _log_run(poly, len(paths), dropped, entries)
-    return _invariants(_total(b.motivic for b in bundles))
+    return _invariants(GWElement._of(total))

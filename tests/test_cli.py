@@ -237,6 +237,11 @@ class TestInvariant:
     def test_bad_degree_names_the_degree(self, capsys, name, message):
         assert run(capsys, "invariant", "--polygon", name) == (2, "", f"error: {message}\n")
 
+    def test_overlong_degree_is_usage(self, capsys):
+        # longer than int() reads: it used to escape as a ValueError traceback
+        name = "p2:" + "7" * 5000
+        assert run(capsys, "invariant", "--polygon", name) == (2, "", f"error: bad degree in {name!r}\n")
+
     @pytest.mark.parametrize("bad", [2.7, True])
     def test_non_integer_polygon_file(self, capsys, tmp_path, bad):
         ppath = tmp_path / "poly.json"
@@ -507,7 +512,7 @@ class TestIntegerOptions:
             main([*argv, "-" + "7" * 5000])
         err = capsys.readouterr().err
         assert exc.value.code == 2
-        assert err.splitlines()[-1].endswith(f"argument {option}: integer of 5000 digits is too long")
+        assert err.splitlines()[-1].endswith(f"argument {option}: integer literal of 5000 digits is too long")
 
     def test_ascii_values_are_read(self, capsys):
         assert run(capsys, "oracle", "--kontsevich", "3") == (0, "12\n", "")
