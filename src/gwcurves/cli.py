@@ -258,8 +258,24 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, except that an argument beginning with ``-`` that names none
+    of the parser's options is a value, as it is when spelled with a leading
+    space: the expressions ``-<2>`` and ``-h+<2>``, or the list in
+    ``--specialize -1,-1``.  argparse would read each as an unknown option
+    and exit 2."""
+
+    def _parse_optional(self, arg):
+        options = self._option_string_actions
+        if arg.startswith("--"):  # a long option or a prefix of one, then "=value"
+            value = not any(o.startswith(arg.split("=", 1)[0]) for o in options)
+        else:  # one short option, or several short flags run together
+            value = arg.startswith("-") and not all(f"-{ch}" in options for ch in arg[1:])
+        return None if value else super()._parse_optional(arg)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gwcurves",
         description="Quadratically enriched counts of rational curves on toric del Pezzo surfaces.",
     )

@@ -18,11 +18,15 @@ class of a given rational (``square_class``), the squarefree check on the
 classes given to ``GWElement``, ``from_dict`` and ``from_json``, and the
 odd places of a Hasse check (the classes left once the summands both sides
 share are cancelled).  ``_factor`` does it with the standard library
-alone: trial division by the primes below 1000, Baillie-PSW primality and
-Pollard-Brent rho, all within the fixed work bound FACTOR_EFFORT.  An
-integer it cannot split within that bound (two prime factors well above
-10**9, or a cofactor of more than about 780 digits) raises DomainError,
-which the command line reports with exit status 2.
+alone: one gcd with the product of the primes below 1000 picks the ones to
+divide out, then Baillie-PSW primality and Pollard-Brent rho split the
+cofactor, all within the fixed work bound FACTOR_EFFORT.  No prime below
+1000 divides that cofactor or any divisor rho finds, so such a number below
+10**6 is prime without a test.  An integer it cannot split within that
+bound (two prime factors well above 10**9, or a cofactor of more than about
+780 digits) raises DomainError, which the command line reports with exit
+status 2.  ``trace_form(c, a)`` factors 2a but not its norm a**2, whose
+class is 1.
 
 Everything the ring computes from stored classes needs no factoring: the
 class of a product of squarefree classes c1, c2 is (c1/g)(c2/g) with
@@ -42,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
-from math import comb, gcd, isqrt
+from math import comb, gcd, isqrt, prod
 from typing import Callable, Mapping, Union
 
 Rational = Union[int, Fraction]
@@ -84,6 +88,9 @@ FACTOR_EFFORT = 1 << 19
 _CACHE_SIZE = 1 << 14
 
 _SMALL_PRIMES = tuple(p for p in range(2, 1000) if all(p % q for q in range(2, isqrt(p) + 1)))
+#: Their product: gcd(n, _PRIMORIAL) is the product of the small primes
+#: dividing n, so one gcd tells trial division which primes to try.
+_PRIMORIAL = prod(_SMALL_PRIMES)
 
 
 def _is_strong_base2_probable_prime(n: int) -> bool:
@@ -196,9 +203,11 @@ def _brent_rho(n: int, spend: Callable[[int], None]) -> int:
 def _factor(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 1 as ascending (prime, exponent) pairs.
 
-    Trial division by the primes below 1000, then Baillie-PSW and
-    Pollard-Brent rho on what is left, within FACTOR_EFFORT; raises
-    DomainError when the effort runs out."""
+    Trial division by the primes below 1000 that divide gcd(n, _PRIMORIAL),
+    then Baillie-PSW and Pollard-Brent rho on what is left, within
+    FACTOR_EFFORT; raises DomainError when the effort runs out.  No prime
+    below 1000 divides that cofactor or any divisor rho finds of it, so
+    each of them below 10**6 is prime without a test."""
     left = FACTOR_EFFORT
 
     def spend(units: int) -> None:
@@ -208,18 +217,20 @@ def _factor(n: int) -> tuple[tuple[int, int], ...]:
             raise DomainError(f"cannot factor a {n.bit_length()}-bit integer within the effort bound")
 
     out: dict[int, int] = {}
-    m = n
+    m, g = n, gcd(n, _PRIMORIAL)
     for p in _SMALL_PRIMES:
-        if p * p > m:
+        if g == 1:
             break
-        while m % p == 0:
-            m //= p
-            out[p] = out.get(p, 0) + 1
+        if g % p == 0:
+            g //= p
+            out[p], m = _split(m, p)
     todo = [m] if m > 1 else []
     while todo:
         m = todo.pop()
         spend(2 * m.bit_length() * _step_cost(m))
-        if _is_prime(m):
+        if m < 1000 * 1000 or (
+            _is_strong_base2_probable_prime(m) and _is_strong_lucas_probable_prime(m)
+        ):
             # divide m out of the cofactors still to split, so that a prime
             # power costs one search rather than one per exponent
             e = 1
@@ -631,10 +642,11 @@ def trace_form(c: Rational, a: Rational, b: Rational = 0) -> GWElement:
     if a == 0:
         return H
     # det = 4c(a^2 - b^2 c), so <2a * det> is the class product of <2a>, <c>
-    # and the norm a^2 - b^2 c, the only new number to factor
+    # and the norm a^2 - b^2 c, the only new number to factor; for b = 0 the
+    # norm is a^2, of class 1
     s = square_class(2 * a)
-    s_det = _class_product(_class_product(s, c), square_class(a * a - b * b * c))
-    return _diagonal((s, s_det))
+    norm = square_class(a * a - b * b * c) if b else 1
+    return _diagonal((s, _class_product(_class_product(s, c), norm)))
 
 
 def beta(c: Rational) -> GWElement:

@@ -521,6 +521,45 @@ class TestIntegerOptions:
         assert spaced[0] == 0 and "(s=2): " in spaced[1]
 
 
+class TestLeadingDashValues:
+    """A value that begins with ``-`` answers as its spaced or ``=`` spelling
+    does, where argparse alone reads it as an unknown option and exits 2."""
+
+    @pytest.mark.parametrize(
+        "argv, spelled, want",
+        [
+            (["gw-eval", "-<2>"], ["gw-eval", " -<2>"], (0, "-<2>\n")),
+            (["gw-eval", "-h+<2>"], ["gw-eval", " -h+<2>"], (0, "-h + <2>\n")),
+            (["gw-eval", "-<2>", "--unicode"], ["gw-eval", "--unicode", " -<2>"], (0, "-⟨2⟩\n")),
+            (["gw-equal", "-<2>", "<-2>"], ["gw-equal", " -<2>", "<-2>"], (1, "not equal\n")),
+            (["gw-equal", "-<1>", "-h+<-1>"], ["gw-equal", " -<1>", " -h+<-1>"], (0, "equal\n")),
+            (
+                ["table", "--chain", "blf1", "--specialize", "-1,-1"],
+                ["table", "--chain", "blf1", "--specialize=-1,-1"],
+                (0, "(s=2): 2h + 4*<1> + 2*<2> + 2*<-2>\n"),
+            ),
+        ],
+    )
+    def test_answers_as_spelled_with_a_space(self, capsys, argv, spelled, want):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == run(capsys, *spelled)
+        assert (code, err) == (want[0], "") and want[1] in out
+
+    @pytest.mark.parametrize("argv", [["-h"], ["gw-eval", "-h"], ["gw-equal", "--help"], ["-vh"]])
+    def test_help_alone_still_prints_help(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (exc.value.code, err) == (0, "")
+        assert out.startswith("usage: gwcurves")
+
+    def test_unknown_option_is_still_refused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gw-eval", "<2>", "--frobnicate"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --frobnicate" in capsys.readouterr().err
+
+
 class TestRuntime:
     def test_closed_pipe_is_quiet(self):
         read_end, write_end = os.pipe()

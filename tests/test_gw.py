@@ -12,7 +12,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gwcurves import cli
+from gwcurves import cli, gw
 from gwcurves.gw import (
     H,
     ONE,
@@ -72,6 +72,8 @@ class TestSquareClass:
 #: effort bound lets Pollard-Brent rho find.
 SEMIPRIME_70 = (10**34 + 193) * (3 * 10**35 + 199)
 SEMIPRIME_40 = (10**19 + 51) * (3 * 10**19 + 41)
+#: The primes below 1000 that ``_factor`` divides out by trial division.
+SMALL_PRIMES = list(sympy.primerange(2, 1000))
 
 
 class TestFactorization:
@@ -112,6 +114,30 @@ class TestFactorization:
         primes = [sympy.nextprime(rng.randrange(10**19, 10**40)) for _ in range(40)]
         for n in odd + primes:
             assert _is_prime(n) == sympy.isprime(n), n
+
+    @pytest.mark.parametrize(
+        "n",
+        [1, 2, 2**7, 2**64, 2**1000, 997**2, 999983, 1000003, 1009 * 1013, 999983**2]
+        + [prod(SMALL_PRIMES) ** 2],
+        ids=lambda n: str(n) if n < 10**20 else f"{n.bit_length()}-bit",
+    )
+    def test_matches_factorint_at_the_screen_edges(self, n):
+        # the largest prime the gcd screen divides out, the largest cofactor
+        # taken as prime untested, the smallest one tested, their squares and
+        # a product of two, and every screened prime at once
+        assert dict(_factor(n)) == sympy.factorint(n)
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        st.integers(1, 10**4),
+        st.lists(st.sampled_from(SMALL_PRIMES), max_size=4),
+        st.integers(10**3, 10**6 - 18).map(sympy.nextprime),
+        st.integers(10**3, 10**6 - 18).map(sympy.nextprime),
+    )
+    def test_matches_factorint_on_calculator_operands(self, s, small, p, q):
+        # s**2 * (primes below 1000) * p * q with p, q in [10**3, 10**6]
+        n = s * s * prod(small) * p * q
+        assert dict(_factor(n)) == sympy.factorint(n)
 
     @pytest.mark.parametrize("n", [SEMIPRIME_70, SEMIPRIME_40], ids=["70-digit", "40-digit"])
     def test_semiprime_is_refused_fast(self, capsys, n):
@@ -400,6 +426,30 @@ class TestTraceForm:
     def test_general_element(self):
         # Gram [[2,4],[4,4]] from 1 + sqrt(2): det -8, so <2> + <-16> = <2> + <-1>
         assert trace_form(2, 1, 1).as_dict() == {-1: 1, 2: 1}
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.fractions(-(10**6), 10**6, max_denominator=10**4).filter(lambda a: a != 0),
+        st.integers(-50, 50).filter(lambda c: c and square_class(c) != 1),
+    )
+    def test_norm_of_a_rational_is_not_factored(self, a, c):
+        # the norm a**2 has class 1: only c and 2a are factored
+        seen = []
+        factor = gw._factor
+        _squarefree_part.cache_clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gw, "_factor", lambda n: seen.append(n) or factor(n))
+            got = trace_form(c, a)
+        bound = max(abs(c), abs((2 * a).numerator) * (2 * a).denominator)
+        assert max(seen, default=1) <= bound
+        assert got == factoring_trace_form(c, a)
+
+    def test_trace_of_a_large_prime_answers(self, capsys):
+        # 2P factors in well under the effort bound; P**2, 2651 bits, does not
+        p = 10**399 + 1311  # sympy.nextprime(10**399)
+        assert sympy.isprime(p)
+        assert cli.main(["gw-eval", f"tr(5; {p})"]) == 0
+        assert capsys.readouterr() == (f"<{2 * p}> + <{10 * p}>\n", "")
 
 
 class TestBetaDelta:
