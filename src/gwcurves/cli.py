@@ -174,6 +174,8 @@ def _cmd_tropical(args) -> int:
     _guard_budget(poly, args.max_budget)
     _check_writable(args.json)
     _check_writable(args.svg)
+    if args.json is not None and args.svg is not None and Path(args.json).resolve() == Path(args.svg).resolve():
+        raise UsageError(f"--json and --svg name the same file: {args.json}")
     enum = enumerate_curves(poly)
     inv = enum.invariants()
     print(f"polygon: {poly}")

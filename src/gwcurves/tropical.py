@@ -23,10 +23,10 @@ recursion gives |L| always and L_ok only where it can be glued: below a
 peeled cell with a heavy side it only counts, and so it does on both sides
 of a path with a step of lattice length >= 2 on the boundary (a doomed path:
 that step is a heavy side of every tiling built from it).  Both tests read
-the polygon's ``boundary_steps``.  The paths of one batch share a
+the polygon's ``boundary_steps``.  The paths of one enumeration share a
 ``_Completer``: the memo, keyed by the side and the remaining path as
 integer point ids, and a table of the peeled cells, so each count,
-sub-completion and cell is built once per batch.
+sub-completion and cell is built once per enumeration.
 
 A glued pair is decided on the path interface.  The same recursion gives
 each light completion a summary: for each edge of its path the side group
@@ -241,12 +241,12 @@ def _arc_areas(poly: LatticePolygon) -> tuple[int, int]:
 
 
 class _Completer:
-    """What the completion recursion shares over one batch of paths of
-    ``poly``: the lattice points in lambda order with integer ids
+    """What the completion recursion shares over one enumeration of the
+    paths of ``poly``: the lattice points in lambda order with integer ids
     (``points``, their coordinates ``X`` and ``Y``, and ``ids`` back from a
     point), the memo (see ``_light_completions``) and the cell table
     (``cell``).  Kept on the polygon, the memo and the table would outlive
-    the batch."""
+    the enumeration."""
 
     def __init__(self, poly: LatticePolygon):
         self.poly = poly
@@ -451,10 +451,10 @@ def _light_completions(comp: _Completer, root, side: int, want: bool = True) -> 
     recurses count-only, and neither its cell nor its children's summaries
     are built.  ``comp.memo`` maps (side, remaining id path) to ``(count,
     light or None)``: the area left to fill depends only on the polygon, the
-    side and the remaining path, so one memo serves every path of one batch.
-    A node first reached count-only and later wanted is computed again in
-    full, which replaces its entry; its heavy peels are then memo hits.  The
-    root's own entry is dropped once it is returned.
+    side and the remaining path, so one memo serves every path of one
+    enumeration.  A node first reached count-only and later wanted is
+    computed again in full, which replaces its entry; its heavy peels are
+    then memo hits.  The root's own entry is dropped once it is returned.
 
     A summary extends its child's by the peeled cell.  The triangle at ``b``
     gives ``ab`` and ``bc`` the group of ``ac``; the parallelogram
@@ -676,17 +676,17 @@ def _invariants(total: GWElement) -> "Invariants":
     return Invariants(total, canonical, n, w)
 
 
-def _pair_loop(poly: LatticePolygon, paths, keep) -> tuple[Counter, int]:
-    """Drop tallies of a batch of paths of ``poly``, and the entry count of
-    the completion memo, count-only nodes included; ``keep(path, left,
-    right)`` is called on each glued pair that ``_pair_reason`` accepts.
+def _pair_loop(poly: LatticePolygon, paths, keep) -> Counter:
+    """Drop tallies of ``paths``, lattice paths of ``poly``; ``keep(path,
+    left, right)`` is called on each glued pair that ``_pair_reason`` accepts.
     Only light completions (see ``_light_completions``) are glued, and each
     glued pair is decided from the two summaries; the |L|*|R| -
     |L_ok|*|R_ok| other pairs go to ``boundary-weight``.  A doomed path (see
     ``_heavy_steps``) has no light pair, so both its sides are counted only.
-    The batch shares one ``_Completer``, whose memo and cell table end with
-    the call, and runs, ``keep`` included, with the cyclic garbage collector
-    paused."""
+    The paths share one ``_Completer``, whose memo and cell table end with
+    the call, and the loop runs, ``keep`` included, with the cyclic garbage
+    collector paused.  Logs the ``-v`` lines: the drop tallies, and the path
+    count with the memo's entry count, count-only nodes included."""
     with collector_paused():  # collections would only rescan the memo's live summaries
         dropped: Counter = Counter()
         comp = _Completer(poly)
@@ -708,36 +708,12 @@ def _pair_loop(poly: LatticePolygon, paths, keep) -> tuple[Counter, int]:
                     else:
                         dropped[reason] += 1
                         logger.debug("dropped %s completion of path %s", reason, path)
-        entries = len(comp.memo)
+        if dropped:
+            tallies = ", ".join(f"{k}={v}" for k, v in sorted(dropped.items()))
+            logger.info("%s: dropped %d completions (%s)", poly, sum(dropped.values()), tallies)
+        logger.info("%s: completed %d paths with %d completion memo entries", poly, len(paths), len(comp.memo))
         del comp  # free the memo now: still alive when the collector resumes, it would be scanned
-        return dropped, entries
-
-
-def _curves_for_paths(poly: LatticePolygon, paths) -> tuple[list[TropicalCurve], Counter, int]:
-    """The curves of a batch of paths of ``poly``, one per pair that
-    ``_pair_loop`` keeps, with its multiplicities (``_pair_bundle``) and its
-    cells in canonical order, and the loop's drop tallies and memo entry
-    count."""
-    curves: list[TropicalCurve] = []
-
-    def keep(path, left: _Side, right: _Side) -> None:
-        cells = tuple(sorted(left.cells + right.cells, key=_cell_key))
-        curves.append(TropicalCurve(MarkedSubdivision(tuple(path), cells), _pair_bundle(left, right)))
-
-    dropped, entries = _pair_loop(poly, paths, keep)
-    return curves, dropped, entries
-
-
-def _log_run(poly: LatticePolygon, paths: int, dropped: Counter, memo_entries: int) -> None:
-    """The ``-v`` lines of a run over all paths of ``poly``."""
-    if dropped:
-        logger.info(
-            "%s: dropped %d completions (%s)",
-            poly,
-            sum(dropped.values()),
-            ", ".join(f"{k}={v}" for k, v in sorted(dropped.items())),
-        )
-    logger.info("%s: completed %d paths with %d completion memo entries", poly, paths, memo_entries)
+        return dropped
 
 
 _cell_key = attrgetter("kind", "vertices")
@@ -749,33 +725,19 @@ def _curve_key(curve: TropicalCurve):
 
 def enumerate_curves(poly: LatticePolygon, jobs: int = 1) -> Enumeration:
     """All irreducible rational tropical curves of degree ``poly`` through a
-    vertically stretched configuration, with multiplicities, in canonical
-    order.  Dropped completions are tallied in ``Enumeration.dropped``.
-    ``jobs`` > 1 spreads the paths over that many worker processes, at most
-    one per path; the result is the same."""
-    paths = list(enumerate_paths(poly))
-    jobs = max(1, min(jobs, len(paths)))
+    vertically stretched configuration, in canonical order: one per pair
+    that ``_pair_loop`` keeps, with its multiplicities (``_pair_bundle``)
+    and its cells in canonical order.  Dropped completions are tallied in
+    ``Enumeration.dropped``.  ``jobs`` is accepted and ignored: the
+    enumeration runs in one process."""
     curves: list[TropicalCurve] = []
-    dropped: Counter = Counter()
-    memo_entries = 0
-    if jobs == 1:
-        results = [_curves_for_paths(poly, paths)]
-    else:
-        # imported here, so that a cold start without a pool does not load
-        # multiprocessing (about 20 ms under -X importtime)
-        from concurrent.futures import ProcessPoolExecutor
 
-        # interleaved, so that each batch gets its share of the paths
-        # that carry curves (in lambda order they come first)
-        batches = [paths[k::jobs] for k in range(jobs)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_curves_for_paths, itertools.repeat(poly), batches))
-    for cs, dr, entries in results:
-        curves.extend(cs)
-        dropped.update(dr)
-        memo_entries += entries
+    def keep(path, left: _Side, right: _Side) -> None:
+        cells = tuple(sorted(left.cells + right.cells, key=_cell_key))
+        curves.append(TropicalCurve(MarkedSubdivision(tuple(path), cells), _pair_bundle(left, right)))
+
+    dropped = _pair_loop(poly, list(enumerate_paths(poly)), keep)
     curves.sort(key=_curve_key)
-    _log_run(poly, len(paths), dropped, memo_entries)
     return Enumeration(poly, curves, dropped)
 
 
@@ -792,11 +754,9 @@ def count_invariants(poly: LatticePolygon, jobs: int = 1) -> Invariants:
     the pair loop adds the motivic multiplicity of each pair it keeps
     (``_pair_bundle``, with its factorization check) into one dict, runs the
     checks of ``Enumeration.invariants`` on the total and logs the same
-    ``-v`` lines.  The count runs in one process whatever ``jobs`` is."""
-    paths = list(enumerate_paths(poly))
+    ``-v`` lines.  ``jobs`` is accepted and ignored, as by
+    ``enumerate_curves``."""
     total: dict[int, int] = {}
-    dropped, entries = _pair_loop(
-        poly, paths, lambda path, left, right: _add_into(total, _pair_bundle(left, right).motivic)
-    )
-    _log_run(poly, len(paths), dropped, entries)
+    paths = list(enumerate_paths(poly))
+    _pair_loop(poly, paths, lambda path, left, right: _add_into(total, _pair_bundle(left, right).motivic))
     return _invariants(GWElement._of(total))

@@ -69,10 +69,10 @@ def _kontsevich_counts(d: int) -> list[int]:
     return counts
 
 
-def base_invariant(poly: LatticePolygon, jobs: int = 1) -> GWElement:
+def base_invariant(poly: LatticePolygon) -> GWElement:
     """Motivic count for an all-rational configuration, in the canonical
     a*h + b*<1> shape (checked isometric to the raw tropical sum)."""
-    return count_invariants(poly, jobs=jobs).canonical
+    return count_invariants(poly).canonical
 
 
 def wall_cross_step(
@@ -189,9 +189,9 @@ class InvariantTable:
 
 def build_tables(chain: SurfaceChain, jobs: int = 1) -> list[InvariantTable]:
     """Bottom-up dynamic program over the chain, on the base invariant of
-    each level."""
+    each level.  ``jobs`` is accepted and ignored, as by ``enumerate_curves``."""
     polys = chain.polygons
-    bases = [base_invariant(poly, jobs=jobs) for poly in polys]
+    bases = [base_invariant(poly) for poly in polys]
 
     tables: list[InvariantTable] = []
     below = (POLY_ZERO,) * (polys[-1].point_budget() // 2)  # the bottom has no blow-up

@@ -42,9 +42,8 @@ def quartic_tables():
 
 
 @pytest.fixture(scope="session")
-def quintic_runs():
-    """``p2:5`` enumerated at ``jobs=1`` (with its wall time) and ``jobs=2``."""
+def quintic_run():
+    """``p2:5`` enumerated once, with its wall time."""
     start = time.perf_counter()
-    serial = enumerate_curves(p2(5), jobs=1)
-    elapsed = time.perf_counter() - start
-    return serial, elapsed, enumerate_curves(p2(5), jobs=2)
+    enum = enumerate_curves(p2(5))
+    return enum, time.perf_counter() - start

@@ -325,6 +325,24 @@ class TestTropical:
         assert (code, out) == (2, "")
         assert err.startswith("error: cannot write ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("spelling", ["same", "dotted", "absolute"])
+    def test_json_and_svg_to_one_file_is_refused_before_enumerating(
+        self, capsys, tmp_path, monkeypatch, spelling
+    ):
+        # the SVG, written second, would overwrite the JSON
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("enumerated before checking the output paths")
+
+        monkeypatch.setattr("gwcurves.tropical.enumerate_curves", no_enumeration)
+        (tmp_path / "sub").mkdir()
+        monkeypatch.chdir(tmp_path)
+        svg = {"same": "out.json", "dotted": "sub/../out.json", "absolute": str(tmp_path / "out.json")}
+        argv = ["tropical", "--polygon", "p2:3", "--json", "out.json", "--svg", svg[spelling]]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: --json and --svg name the same file: out.json\n"
+        assert not (tmp_path / "out.json").exists()
+
     def test_failed_write_is_usage(self, capsys, tmp_path):
         # the directory exists, but the target is a directory itself
         code, _, err = run(capsys, "tropical", "--polygon", "bl2f1", "--json", str(tmp_path))

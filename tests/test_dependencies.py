@@ -80,6 +80,17 @@ def test_serial_invariant_leaves_the_pool_out():
     run_cli_then_check_absent(["invariant", "--polygon", "p2:3"], ["concurrent.futures"])
 
 
+def test_enumeration_runs_in_one_process():
+    # jobs is accepted and ignored: no pool is started, nor its modules loaded
+    fresh(
+        "import sys\n"
+        "from gwcurves import enumerate_curves, p2\n"
+        "assert len(enumerate_curves(p2(3), jobs=2).curves) == 9\n"
+        "loaded = [m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+
+
 def test_threads_variable_is_ignored():
     # GWCURVES_THREADS no longer starts a pool: a CLI call enumerates in one process
     out = run_cli_then_check_absent(

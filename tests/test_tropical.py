@@ -22,11 +22,11 @@ from gwcurves.tropical import (
     _arc_areas,
     _cell_key,
     _curve_key,
-    _curves_for_paths,
     _heavy_steps,
     _light_completions,
     _orient,
     _pair_bundle,
+    _pair_loop,
     _pair_reason,
     complete_path,
     count_invariants,
@@ -121,7 +121,7 @@ class TestCurveMult:
 
     def test_matches_plain_fold(self, quartic_enum):
         # curve_mult skips the factors equal to ONE
-        for enum in (quartic_enum, enumerate_curves(SQUARE, jobs=1)):
+        for enum in (quartic_enum, enumerate_curves(SQUARE)):
             for curve in enum.curves:
                 assert curve.bundle.motivic.terms == motivic_fold(curve.subdivision).terms
 
@@ -305,7 +305,7 @@ class TestEnumerate:
             # the heavy-peel and doomed-path prunes drop these before validation;
             # let them through
             monkeypatch.setattr(tropical, "_heavy_steps", lambda pts, poly: False)
-        enum = enumerate_curves(p2(4), jobs=1)
+        enum = enumerate_curves(p2(4))
         assert reason not in enum.dropped
         assert enum.motivic_total().rank() != 620
 
@@ -363,28 +363,9 @@ class TestEnumerate:
         assert validate_subdivision(sub, p2(3)) == "positive-genus"
         assert strand_walk_reason(sub.cells) == "positive-genus"
 
-    def test_jobs_capped_at_path_count(self, monkeypatch):
-        # one path: a pool would be wasted, and none may be started
-        def no_pool(*args, **kwargs):
-            raise AssertionError("process pool started")
-
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
-        enum = enumerate_curves(preset("bl2f1"), jobs=4)
-        assert len(enum.curves) == 1
-
-    def test_parallel_run_is_byte_identical(self):
-        # each worker batch has its own completion memo
-        for poly in (p2(3), preset("blf1"), preset("f1_4_2e")):
-            serial = enumerate_curves(poly, jobs=1)
-            parallel = enumerate_curves(poly, jobs=2)
-            a = json.dumps([c.to_json() for c in serial.curves], sort_keys=True)
-            b = json.dumps([c.to_json() for c in parallel.curves], sort_keys=True)
-            assert a == b
-            assert serial.dropped == parallel.dropped
-
     def test_doomed_paths_are_logged(self, caplog):
         with caplog.at_level("INFO", logger="gwcurves.tropical"):
-            enumerate_curves(p2(3), jobs=1)
+            enumerate_curves(p2(3))
         assert "completed 8 paths with 46 completion memo entries" in caplog.text
 
     def test_no_count_carries_over_between_polygons(self):
@@ -400,7 +381,7 @@ class TestEnumerate:
         }
         fresh = {name: _glue_everything(poly) for name, poly in polys.items()}
         for name in ("blf1", "f1_4_2e", "blf1", "tri", "quad", "tri"):
-            enum = enumerate_curves(polys[name], jobs=1)
+            enum = enumerate_curves(polys[name])
             curves, dropped = fresh[name]
             assert _digest(enum.curves) == _digest(curves), name
             assert dict(enum.dropped) == dropped, name
@@ -471,7 +452,7 @@ SQUARE = polygon([(0, 0), (3, 0), (3, 3), (0, 3)])
 )
 def test_pruned_enumeration_matches_glue_everything(poly):
     curves, dropped = _glue_everything(poly)
-    enum = enumerate_curves(poly, jobs=1)
+    enum = enumerate_curves(poly)
     got, want = ([c.to_json() for c in cs] for cs in (enum.curves, curves))
     assert json.dumps(got) == json.dumps(want)
     assert dict(enum.dropped) == dropped
@@ -553,20 +534,33 @@ def test_doomed_paths_are_counted_only(monkeypatch):
         return light_completions(comp, root, side, want)
 
     monkeypatch.setattr(tropical, "_light_completions", spy)
-    _curves_for_paths(poly, list(enumerate_paths(poly)))
+    enumerate_curves(poly)
     assert len(calls) == 2 * 286
     assert sum(not want for _, want in calls) == 2 * 163
     assert all(want != doomed(path, poly) for path, want in calls)
 
 
+def _kept_curves(poly, paths):
+    """The curves that ``_pair_loop`` keeps over ``paths`` of ``poly``, as
+    ``enumerate_curves`` builds them, and the loop's drop tallies."""
+    curves = []
+
+    def keep(path, left, right):
+        cells = tuple(sorted(left.cells + right.cells, key=_cell_key))
+        curves.append(TropicalCurve(MarkedSubdivision(tuple(path), cells), _pair_bundle(left, right)))
+
+    return curves, _pair_loop(poly, paths, keep)
+
+
 @pytest.mark.parametrize("poly", HULLS, ids=str)
 def test_two_batches_give_the_curves_of_one(poly):
-    # the batching oracle: no count or summary may depend on which paths share a batch
+    # the memo-sharing oracle: no count or summary may depend on which paths
+    # share a completer
     paths = list(enumerate_paths(poly))
-    curves, dropped, _ = _curves_for_paths(poly, paths)
+    curves, dropped = _kept_curves(poly, paths)
     split, split_dropped = [], Counter()
     for half in (paths[0::2], paths[1::2]):
-        cs, dr, _ = _curves_for_paths(poly, half)
+        cs, dr = _kept_curves(poly, half)
         split += cs
         split_dropped.update(dr)
     assert _digest(sorted(split, key=_curve_key)) == _digest(sorted(curves, key=_curve_key))
@@ -581,7 +575,7 @@ def test_each_cell_is_built_once_per_batch(poly, monkeypatch):
     for name in ("triangle", "parallelogram"):
         make = getattr(tropical, name)
         monkeypatch.setattr(tropical, name, lambda *pts, make=make: built.append(make(*pts)) or built[-1])
-    curves, _, _ = _curves_for_paths(poly, list(enumerate_paths(poly)))
+    curves = enumerate_curves(poly).curves
     assert len(built) == len(set(built))
     assert {cell for curve in curves for cell in curve.subdivision.cells} <= set(built)
 
@@ -589,7 +583,7 @@ def test_each_cell_is_built_once_per_batch(poly, monkeypatch):
 @pytest.mark.parametrize("poly, entries", [(p2(4), 1455), (SQUARE, 4299)], ids=str)
 def test_memo_entries_are_logged(poly, entries, caplog):
     with caplog.at_level("INFO", logger="gwcurves.tropical"):
-        enumerate_curves(poly, jobs=1)
+        enumerate_curves(poly)
     assert f"with {entries} completion memo entries" in caplog.text
 
 
@@ -810,8 +804,8 @@ def test_batch_pauses_the_collector_and_restores_it(gc_state, monkeypatch, enabl
 
     monkeypatch.setattr(tropical, "_pair_reason", spy)
     (gc.enable if enabled else gc.disable)()
-    curves, dropped, _ = _curves_for_paths(p2(3), list(enumerate_paths(p2(3))))
-    assert len(curves) == 9 and dict(dropped) == {"boundary-weight": 6}
+    enum = enumerate_curves(p2(3))
+    assert len(enum.curves) == 9 and dict(enum.dropped) == {"boundary-weight": 6}
     assert seen and not any(seen)
     assert gc.isenabled() == enabled
 
@@ -821,7 +815,7 @@ def test_collector_restored_after_an_invariant_error(gc_state, monkeypatch):
     monkeypatch.setitem(vars(poly), "boundary_steps", {})
     gc.enable()
     with pytest.raises(InternalInvariantError, match="single cell"):
-        _curves_for_paths(poly, list(enumerate_paths(poly)))
+        enumerate_curves(poly)
     assert gc.isenabled()
 
 
