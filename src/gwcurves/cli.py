@@ -54,7 +54,8 @@ def _load_polygon(name: str) -> LatticePolygon:
         )
     try:
         return LatticePolygon.from_json(json.loads(path.read_text()))
-    except (OSError, ValueError, KeyError, DomainError) as exc:
+    # RecursionError: nested deeper than the JSON decoder recurses
+    except (OSError, ValueError, KeyError, DomainError, RecursionError) as exc:
         raise UsageError(f"cannot read polygon from {name}: {exc}") from exc
 
 
@@ -221,7 +222,7 @@ def _cmd_table(args) -> int:
         _guard_budget(poly, args.max_budget)
     if len(polys) > 1:
         chain = SurfaceChain(tuple(polys))
-    elif names[0].strip().lower() == "p2:4":
+    elif polys[0] == preset("p2:4"):  # in any spelling, the name or a file
         chain = quartic_chain()
     else:
         chain = chain_from(polys[0])

@@ -15,29 +15,29 @@ is a connected component, one without a triangle a line, and a connected
 curve with T triangles and B boundary sides is a tree iff T = B - 2.
 
 Every boundary side of a tiling comes from exactly one of its two
-completions, so an end of weight >= 2 is decided by one side alone: only the
-completions without a boundary side of lattice length >= 2 are glued, and
-``boundary-weight`` still counts glued pairs, as |L|*|R| - |L_ok|*|R_ok| for
-L and R the completions of a path and L_ok, R_ok those kept.  One memoized
-recursion gives |L| always and L_ok only where it can be glued: below a
-peeled cell with a heavy side it only counts, and so it does on both sides
-of a path with a step of lattice length >= 2 on the boundary (a doomed path:
-that step is a heavy side of every tiling built from it).  Both tests read
-the polygon's ``boundary_steps``.  The paths of one enumeration share a
-``_Completer``: the memo, keyed by the side and the remaining path as
-integer point ids, and a table of the peeled cells, so each count,
-sub-completion and cell is built once per enumeration.
+completions, so an end of weight >= 2 is decided by one side alone, and only
+there: only the light completions, without a boundary side of lattice length
+>= 2, are glued, and ``boundary-weight`` counts the other pairs, as |L|*|R| -
+|L_ok|*|R_ok| for L and R the completions of a path and L_ok, R_ok the light
+ones.  One memoized recursion gives |L| always and L_ok only where it can be
+glued: below a peeled cell with a heavy side it only counts, and so it does
+on both sides of a path with a step of lattice length >= 2 on the boundary
+(a doomed path: that step is a heavy side of every tiling built from it).
+Both tests read the polygon's ``boundary_steps``.  The paths of one
+enumeration share a ``_Completer``: the memo, keyed by the side and the
+remaining path as integer point ids, and a table of the peeled cells, so
+each count, sub-completion and cell is built once per enumeration.
 
-A glued pair is decided on the path interface.  The same recursion gives
-each light completion a summary: for each edge of its path the side group
-of the cell owning it, which groups hold a triangle, its rays, its area and
-the products of its vertex multiplicities.  Groups of one side never merge
-(a peel adds sides to one group, or starts a new one at a ray), and the two
-sides' groups join only across the path edges both of them own, so one
-union-find over the path's labels gives the reason, and a curve's
-multiplicity is the product of its two sides'.  ``validate_subdivision`` and
-``curve_mult`` decide a whole tiling the same way and serve as the
-reference.
+A glued pair of light completions is decided on the path interface.  The
+same recursion gives each light completion a summary: for each edge of its
+path the side group of the cell owning it, which groups hold a triangle,
+its rays, its area and the products of its vertex multiplicities.  Groups
+of one side never merge (a peel adds sides to one group, or starts a new
+one at a ray), and the two sides' groups join only across the path edges
+both of them own, so one union-find over the path's labels gives the
+reason, and a curve's multiplicity is the product of its two sides'.
+``validate_subdivision`` and ``curve_mult`` decide a whole tiling, end
+weights included, and serve as the reference.
 
 Each trivalent vertex, dual to a triangle with edge lattice lengths
 l1, l2, l3, twice-area A2 and I interior lattice points, carries the
@@ -215,7 +215,7 @@ def curve_mult(sub: MarkedSubdivision) -> MultiplicityBundle:
 def enumerate_paths(poly: LatticePolygon):
     """All strictly lambda-increasing point sequences of step count equal to
     the point budget, from the lambda-minimal to the lambda-maximal vertex."""
-    pts = sorted(poly.lattice_points, key=lambda_key)
+    pts = poly.lattice_points
     n = poly.point_budget()
     first, last = pts[0], pts[-1]
     middle = pts[1:-1]
@@ -225,7 +225,6 @@ def enumerate_paths(poly: LatticePolygon):
         yield (first,) + chosen + (last,)
 
 
-@lru_cache(maxsize=64)
 def _arc_areas(poly: LatticePolygon) -> tuple[int, int]:
     """Twice the areas left and right of the chord from the lambda-minimal
     to the lambda-maximal vertex: (left, right).  A path between them with
@@ -250,14 +249,13 @@ class _Completer:
 
     def __init__(self, poly: LatticePolygon):
         self.poly = poly
-        self.points = points = sorted(poly.lattice_points, key=lambda_key)
+        self.points = points = poly.lattice_points
         self.X = [x for x, _ in points]
         self.Y = [y for _, y in points]
         self.ids = {p: k for k, p in enumerate(points)}
         self.arcs = _arc_areas(poly)
         self.memo: dict[tuple, tuple[int, list[_Side] | None]] = {}
         self.cells: dict[tuple[int, ...], tuple] = {}
-        self.shapes: dict[frozenset[int], tuple] = {}
 
     def root(self, path) -> tuple[tuple[int, ...], dict[int, int]]:
         """The ids of a path's points, and for each side twice the area
@@ -268,38 +266,34 @@ class _Completer:
         return tuple(map(self.ids.__getitem__, path)), {1: left + shoelace, -1: right - shoelace}
 
     def cell(self, pts: tuple[int, ...]) -> tuple:
-        """The cell table's entry for the peel with cell ids ``pts``:
-        ``(heavy, cell, new, mult)``.  ``heavy`` tells whether a side of the
-        cell is heavy (see ``_heavy_steps``), ``mult`` is a light triangle's
-        ``vertex_mult`` and its signature, and the three are found once per
-        cell, which other peels share.  ``new`` holds the ``boundary_steps``
-        entry of each edge the peel leaves on the path."""
+        """The cell table's entry for the cell with ids ``pts`` (see
+        ``_peels``): ``(heavy, cell, mult)``.  ``heavy`` tells whether a side
+        of the cell is heavy (see ``_heavy_steps``), and then the cell is not
+        built; ``mult`` is a light triangle's ``vertex_mult`` and its
+        signature.  The key names the cell whichever side peels it, so each
+        cell is built and checked once per enumeration."""
         vs = [self.points[k] for k in pts]
-        shape = self.shapes.get(frozenset(pts))
-        if shape is None:
-            if _heavy_steps(vs + vs[:1], self.poly):
-                shape = (True, None, None)
-            elif len(vs) == 3:
-                cell = triangle(*vs)
-                m = vertex_mult(cell)
-                shape = (False, cell, (m, m.signature()))
-            else:
-                shape = (False, parallelogram(*vs), None)
-            self.shapes[frozenset(pts)] = shape
-        heavy, cell, mult = shape
-        steps, a, c = self.poly.boundary_steps, vs[0], vs[2]
-        new = (steps.get((a, c)),) if len(vs) == 3 else (steps.get((a, vs[3])), steps.get((vs[3], c)))
-        self.cells[pts] = entry = (heavy, cell, new, mult)
+        if _heavy_steps(vs + vs[:1], self.poly):
+            entry = (True, None, None)
+        elif len(vs) == 3:
+            cell = triangle(*vs)
+            m = vertex_mult(cell)
+            entry = (False, cell, (m, m.signature()))
+        else:
+            entry = (False, parallelogram(*vs), None)
+        self.cells[pts] = entry
         return entry
 
 
 def _peels(p, side: int, comp: _Completer) -> list:
     """The peel rule, on a path ``p`` of point ids of ``comp``.  At the first
     vertex ``p[i]`` where ``p`` turns toward ``side``: the turn triangle
-    (``p[i]`` deleted) and, when the reflected point ``p[i-1] + p[i+1] -
+    (``p[i]`` deleted) and, when the reflected point ``r = p[i-1] + p[i+1] -
     p[i]`` stays in the polygon, the turn parallelogram (``p[i]`` replaced by
     it).  Each peel is (remaining path, cell ids, i, twice the cell's area);
-    none if ``p`` never turns toward ``side``."""
+    none if ``p`` never turns toward ``side``.  The cell ids run along its
+    cycle from ``p[i-1]``, its lambda-least vertex, with the smaller of
+    ``p[i]`` and ``r`` second: one key, whichever side peels the cell."""
     X, Y = comp.X, comp.Y
     for i in range(1, len(p) - 1):
         a, b, c = p[i - 1], p[i], p[i + 1]
@@ -310,7 +304,7 @@ def _peels(p, side: int, comp: _Completer) -> list:
             out = [(p[:i] + p[i + 1 :], (a, b, c), i, a2)]
             r = comp.ids.get((xa + X[c] - X[b], ya + Y[c] - Y[b]))
             if r is not None:
-                out.append((p[:i] + (r,) + p[i + 1 :], (a, b, c, r), i, 2 * a2))
+                out.append((p[:i] + (r,) + p[i + 1 :], (a, min(b, r), c, max(b, r)), i, 2 * a2))
             return out
     return []
 
@@ -364,10 +358,10 @@ class _Side(NamedTuple):
     ``validate_subdivision``) of the cell owning the edge, or -1 when no
     cell owns it (the edge lies on the boundary arc).  Every group holds an
     edge of the path, so the labels are 0 .. ``groups`` - 1.  ``rays``
-    counts the sides owned once that are not path edges, and ``heavy`` tells
-    whether one of them has lattice length >= 2.  ``area2`` sums
-    ``Cell.area2`` over the cells, and the last three fields are the
-    products of ``curve_mult`` over the triangles."""
+    counts the sides owned once that are not path edges, all of lattice
+    length 1: the completion is light.  ``area2`` sums ``Cell.area2`` over
+    the cells, and the last three fields are the products of ``curve_mult``
+    over the triangles."""
 
     cells: tuple[Cell, ...]
     labels: tuple[int, ...]
@@ -375,7 +369,6 @@ class _Side(NamedTuple):
     tri_groups: int  # bitmask of the groups holding a triangle
     triangles: int
     rays: int
-    heavy: bool
     area2: int
     motivic: GWElement
     complex: int
@@ -390,36 +383,26 @@ def _heavy_steps(pts, poly: LatticePolygon) -> bool:
     return any(map(poly.boundary_steps.get, zip(pts, pts[1:])))
 
 
-def _group(child: _Side, j: int, new: bool | None, rays: list[bool]) -> int:
-    """The group of child edge ``j``, the peel's edge with ``boundary_steps``
-    entry ``new`` (None off the boundary): a new group when no cell of
-    ``child`` owns it, its heaviness noted in ``rays``."""
-    label = child.labels[j]
-    if label >= 0:
-        return label
-    if new is None:
-        raise InternalInvariantError("interior edge has a single cell")
-    rays.append(new)
-    return child.groups + len(rays) - 1
-
-
-def _extend(child: _Side, i: int, cell: Cell, area2: int, new, mult) -> _Side:
-    """The summary of ``child`` plus ``cell``, peeled at path vertex ``i``:
-    ``new`` holds the ``boundary_steps`` entry of each edge the peel leaves
-    on the child's path, ``mult`` a triangle's ``vertex_mult`` and its
-    signature."""
-    rays: list[bool] = []
-    labels, tri_groups, triangles = child.labels, child.tri_groups, child.triangles
+def _extend(child: _Side, i: int, cell: Cell, area2: int, mult) -> _Side:
+    """The summary of ``child`` plus ``cell``, peeled at path vertex ``i``;
+    ``mult`` is a triangle's ``vertex_mult`` and its signature.  A side of
+    ``cell`` on the child's path that no cell of ``child`` owns is a ray,
+    alone in a new group."""
+    labels, groups, tri_groups, triangles = child.labels, child.groups, child.tri_groups, child.triangles
     motivic, complex_mult, welschinger = child.motivic, child.complex, child.welschinger
-    if mult is None:  # parallelogram
-        ar, rc = new
-        ab, bc = _group(child, i, rc, rays), _group(child, i - 1, ar, rays)
-        labels = labels[: i - 1] + (ab, bc) + labels[i + 1 :]
-    else:
-        (ac,), (m, signature) = new, mult
-        ab = _group(child, i - 1, ac, rays)
-        labels = labels[: i - 1] + (ab, ab) + labels[i:]
-        tri_groups |= 1 << ab
+    if mult is None:  # parallelogram: ab takes the group of rc, bc that of ar
+        rc, ar = labels[i], labels[i - 1]
+        if rc < 0:
+            rc, groups = groups, groups + 1
+        if ar < 0:
+            ar, groups = groups, groups + 1
+        labels = labels[: i - 1] + (rc, ar) + labels[i + 1 :]
+    else:  # triangle: ab and bc take the group of ac
+        ac, (m, signature) = labels[i - 1], mult
+        if ac < 0:
+            ac, groups = groups, groups + 1
+        labels = labels[: i - 1] + (ac, ac) + labels[i:]
+        tri_groups |= 1 << ac
         triangles += 1
         motivic = _times(motivic, m)
         complex_mult *= area2
@@ -427,11 +410,10 @@ def _extend(child: _Side, i: int, cell: Cell, area2: int, new, mult) -> _Side:
     return _Side(
         child.cells + (cell,),
         labels,
-        child.groups + len(rays),
+        groups,
         tri_groups,
         triangles,
-        child.rays + len(rays),
-        child.heavy or any(rays),
+        child.rays + groups - child.groups,
         child.area2 + area2,
         motivic,
         complex_mult,
@@ -478,7 +460,11 @@ def _complete(comp: _Completer, side: int, p, area: int, want: bool) -> tuple[in
     if area < 0:
         raise InternalInvariantError("path escaped its completion region")
     if not area:  # the path runs along the boundary arc: one empty completion
-        memo[key] = out = 1, [_Side((), (-1,) * (len(p) - 1), 0, 0, 0, 0, False, 0, ONE, 1, 1)]
+        vs = [comp.points[k] for k in p]
+        for edge in zip(vs, vs[1:]):  # every edge that no cell owns starts here
+            if edge not in comp.poly.boundary_steps:
+                raise InternalInvariantError(f"interior edge {edge} has a single cell")
+        memo[key] = out = 1, [_Side((), (-1,) * (len(p) - 1), 0, 0, 0, 0, 0, ONE, 1, 1)]
         return out
     n, light = 0, [] if want else None
     cells = comp.cells
@@ -488,8 +474,8 @@ def _complete(comp: _Completer, side: int, p, area: int, want: bool) -> tuple[in
         count, rest_light = _complete(comp, side, rest_path, area - a2, glue)
         n += count
         if glue and rest_light:
-            _, cell, new, mult = entry
-            light.extend(_extend(rest, i, cell, a2, new, mult) for rest in rest_light)
+            _, cell, mult = entry
+            light.extend(_extend(rest, i, cell, a2, mult) for rest in rest_light)
     memo[key] = out = n, light
     return out
 
@@ -564,18 +550,18 @@ def validate_subdivision(sub: MarkedSubdivision, poly: LatticePolygon):
 
 
 def _pair_reason(path, left: _Side, right: _Side, poly: LatticePolygon):
-    """``validate_subdivision`` of the tiling glued from two completion
+    """``validate_subdivision`` of the tiling glued from two light completion
     summaries of ``path`` (see ``_Side``), decided on the path's edges: a
     path edge owned by both sides joins their groups there, one owned by a
-    single side is a ray.  Same reasons in the same order, and an
-    InternalInvariantError on the same defects."""
+    single side is a ray, whose weight is not read (no doomed path is glued).
+    On light pairs: the reasons and the InternalInvariantErrors of
+    ``validate_subdivision``."""
     if left.area2 + right.area2 != poly.area2:
         raise InternalInvariantError("cells do not tile the polygon")
     off = left.groups
     parent = list(range(off + right.groups))
     merges = 0
     rays = left.rays + right.rays
-    heavy = left.heavy or right.heavy
     steps = poly.boundary_steps
     for i, (lab, rab) in enumerate(zip(left.labels, right.labels)):
         if lab >= 0 and rab >= 0:
@@ -591,13 +577,9 @@ def _pair_reason(path, left: _Side, right: _Side, poly: LatticePolygon):
         edge = path[i], path[i + 1]
         if lab < 0 and rab < 0:
             raise InternalInvariantError(f"path edge {edge} owned by neither side")
-        edge_heavy = steps.get(edge)
-        if edge_heavy is None:
+        if edge not in steps:
             raise InternalInvariantError(f"interior edge {edge} has a single cell")
         rays += 1
-        heavy = heavy or edge_heavy
-    if heavy:
-        return "boundary-weight"
     triangles = left.triangles + right.triangles
     if (triangles - rays) % 2:
         raise InternalInvariantError("dual graph slot count mismatch")

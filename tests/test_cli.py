@@ -258,6 +258,16 @@ class TestInvariant:
         assert (code, out) == (2, "")
         assert "cannot read polygon" in err
 
+    @pytest.mark.parametrize("command, flag", [("invariant", "--polygon"), ("table", "--chain")])
+    def test_deeply_nested_polygon_file(self, capsys, tmp_path, command, flag):
+        # the JSON decoder recurses per level: this used to end in a
+        # RecursionError traceback with exit 1, the "not equal" code
+        ppath = tmp_path / "poly.json"
+        ppath.write_text("[" * 100000 + "]" * 100000)
+        code, out, err = run(capsys, command, flag, str(ppath))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read polygon from {ppath}: ")
+
 
 class TestTropical:
     def test_summary_and_files(self, capsys, tmp_path):
@@ -416,6 +426,16 @@ class TestTable:
         data = json.loads(out)
         assert len(data["tables"]) == 1
         assert len(data["tables"][0]["rows"]) == 3
+
+    @pytest.mark.parametrize("spelling", ["p2:04", "p2: 4", "file"])
+    def test_quartic_in_any_spelling_gives_the_quartic_table(self, capsys, tmp_path, spelling):
+        # other spellings used to get chain_from's chops and a wrong ladder
+        if spelling == "file":
+            spelling = str(tmp_path / "poly.json")
+            Path(spelling).write_text(json.dumps({"vertices": [[0, 4], [0, 0], [4, 0]]}))
+        want = run(capsys, "table", "--chain", "p2:4")
+        assert want[0] == 0
+        assert run(capsys, "table", "--chain", spelling) == want
 
     def test_explicit_chain_list(self, capsys):
         code, out, _ = run(capsys, "table", "--chain", "blf1,bl2f1")

@@ -28,6 +28,7 @@ from gwcurves.tropical import (
     _pair_bundle,
     _pair_loop,
     _pair_reason,
+    collector_paused,
     complete_path,
     count_invariants,
     curve_mult,
@@ -298,11 +299,14 @@ class TestEnumerate:
 
         def keep_reason(path, left, right, poly):
             got = pair_reason(path, left, right, poly)
+            if reason == "boundary-weight":
+                # the pair reason reads no end weight: keep the pairs with a heavy end
+                return None if heavy_boundary(left.cells + right.cells, poly) else got
             return None if got == reason else got
 
         monkeypatch.setattr(tropical, "_pair_reason", keep_reason)
         if reason == "boundary-weight":
-            # the heavy-peel and doomed-path prunes drop these before validation;
+            # the heavy-peel and doomed-path prunes drop these before gluing;
             # let them through
             monkeypatch.setattr(tropical, "_heavy_steps", lambda pts, poly: False)
         enum = enumerate_curves(p2(4))
@@ -567,6 +571,26 @@ def test_two_batches_give_the_curves_of_one(poly):
     assert split_dropped == dropped
 
 
+@pytest.mark.slow
+def test_two_batches_give_the_quintic_curves():
+    # the oracle above on the largest polygon, against the bytes of one
+    # enumeration: the most cells shared between the two sides' peels
+    from test_acceptance import QUINTIC_SHA256
+
+    poly = p2(5)
+    paths = list(enumerate_paths(poly))
+    split, split_dropped = [], Counter()
+    for half in (paths[0::2], paths[1::2]):
+        cs, dr = _kept_curves(poly, half)
+        split += cs
+        split_dropped.update(dr)
+    split.sort(key=_curve_key)
+    with collector_paused():  # the curves' JSON dicts stay live until encoded
+        curve_bytes = json.dumps([c.to_json() for c in split], sort_keys=True)
+    assert hashlib.sha256(curve_bytes.encode()).hexdigest() == QUINTIC_SHA256
+    assert split_dropped == {"boundary-weight": 761180, "disconnected": 12740}
+
+
 @pytest.mark.parametrize("poly", [p2(4), SQUARE], ids=str)
 def test_each_cell_is_built_once_per_batch(poly, monkeypatch):
     from gwcurves import tropical
@@ -742,9 +766,12 @@ def test_pair_reason_matches_validate_subdivision(poly, monkeypatch):
             for cr in right:
                 sub = MarkedSubdivision(path, tuple(sorted(cl.cells + cr.cells, key=_cell_key)))
                 reason = _pair_reason(path, cl, cr, poly)
-                assert reason == validate_subdivision(sub, poly), sub
-                if reason is None:
-                    assert _pair_bundle(cl, cr) == curve_mult(sub)
+                if validate_subdivision(sub, poly) == "boundary-weight":
+                    # end weight is decided per side, before gluing; the grouping still refuses
+                    assert heavy_boundary(sub.cells, poly) and reason is not None, sub
+                else:
+                    assert reason == validate_subdivision(sub, poly), sub
+                    assert _pair_bundle(cl, cr) == curve_mult(sub), sub
 
 
 def _kept_pair(poly):
