@@ -17,16 +17,22 @@ Factoring is needed only where an integer enters from outside: the square
 class of a given rational (``square_class``), the squarefree check on the
 classes given to ``GWElement``, ``from_dict`` and ``from_json``, and the
 odd places of a Hasse check (the classes left once the summands both sides
-share are cancelled).  ``_factor`` does it with the standard library
-alone: one gcd with the product of the primes below 1000 picks the ones to
-divide out, then Baillie-PSW primality and Pollard-Brent rho split the
-cofactor, all within the fixed work bound FACTOR_EFFORT.  No prime below
-1000 divides that cofactor or any divisor rho finds, so such a number below
-10**6 is prime without a test.  An integer it cannot split within that
-bound (two prime factors well above 10**9, or a cofactor of more than about
-780 digits) raises DomainError, which the command line reports with exit
-status 2.  ``trace_form(c, a)`` factors 2a but not its norm a**2, whose
-class is 1.
+share are cancelled).  It uses the standard library alone.  One gcd with
+the product of the primes below 1000 picks the ones to divide out
+(``_screen``).  A square class then only needs to know whether the cofactor
+m is a square: m has no prime factor below 1009, so if m < 1009**3 (the
+cube rule), or m < 10007**3 and a second gcd finds no prime from 1009 to
+9973 in it, m is 1, p, p**2 or p*q and one isqrt decides its class
+(``_squarefree_part``).  Every other cofactor (10007**3, about 1.002e12, or
+more, or 1009**3 or more with a prime below 10**4) and the odd places of a
+Hasse check are factored in full by ``_factor``: Baillie-PSW primality and
+Pollard-Brent rho split the cofactor, all within the fixed work bound
+FACTOR_EFFORT.  No prime below 1000 divides that cofactor or any divisor
+rho finds, so such a number below 10**6 is prime without a test.  An
+integer it cannot split within that bound (two prime factors well above
+10**9, or a cofactor of more than about 780 digits) raises DomainError,
+which the command line reports with exit status 2.  ``trace_form(c, a)``
+takes the classes of c and 2a but not of its norm a**2, which is 1.
 
 Everything the ring computes from stored classes needs no factoring: the
 class of a product of squarefree classes c1, c2 is (c1/g)(c2/g) with
@@ -45,7 +51,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count
+from itertools import compress, count
 from math import comb, gcd, isqrt, prod
 from typing import Callable, Mapping, Union
 
@@ -87,10 +93,25 @@ FACTOR_EFFORT = 1 << 19
 #: Size of each cache on the integer helpers below.
 _CACHE_SIZE = 1 << 14
 
-_SMALL_PRIMES = tuple(p for p in range(2, 1000) if all(p % q for q in range(2, isqrt(p) + 1)))
+
+def _primes_below(n: int) -> list[int]:
+    """The primes below n, by the sieve of Eratosthenes."""
+    sieve = bytearray([0, 0]) + bytearray([1]) * (n - 2)
+    for p in range(2, isqrt(n - 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n, p)))
+    return list(compress(range(n), sieve))
+
+
+_PRIMES = _primes_below(10**4)
+_SMALL_PRIMES = tuple(p for p in _PRIMES if p < 1000)
 #: Their product: gcd(n, _PRIMORIAL) is the product of the small primes
 #: dividing n, so one gcd tells trial division which primes to try.
 _PRIMORIAL = prod(_SMALL_PRIMES)
+#: The product of the primes in (1000, 10**4), 1009 to 9973: the second
+#: screen of ``_squarefree_part``.
+_MID_PRIMORIAL = prod(_PRIMES[len(_SMALL_PRIMES) :])
+del _PRIMES
 
 
 def _is_strong_base2_probable_prime(n: int) -> bool:
@@ -199,15 +220,29 @@ def _brent_rho(n: int, spend: Callable[[int], None]) -> int:
             return g
 
 
+def _screen(n: int) -> tuple[dict[int, int], int]:
+    """Trial division of n >= 1 by the primes below 1000 that divide
+    gcd(n, _PRIMORIAL): their exponents, and the cofactor they leave."""
+    out: dict[int, int] = {}
+    g = gcd(n, _PRIMORIAL)
+    for p in _SMALL_PRIMES:
+        if g == 1:
+            break
+        if g % p == 0:
+            g //= p
+            out[p], n = _split(n, p)
+    return out, n
+
+
 @lru_cache(maxsize=_CACHE_SIZE)
 def _factor(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 1 as ascending (prime, exponent) pairs.
 
-    Trial division by the primes below 1000 that divide gcd(n, _PRIMORIAL),
-    then Baillie-PSW and Pollard-Brent rho on what is left, within
-    FACTOR_EFFORT; raises DomainError when the effort runs out.  No prime
-    below 1000 divides that cofactor or any divisor rho finds of it, so
-    each of them below 10**6 is prime without a test."""
+    Trial division by ``_screen``, then Baillie-PSW and Pollard-Brent rho
+    on what is left, within FACTOR_EFFORT; raises DomainError when the
+    effort runs out.  No prime below 1000 divides that cofactor or any
+    divisor rho finds of it, so each of them below 10**6 is prime without a
+    test."""
     left = FACTOR_EFFORT
 
     def spend(units: int) -> None:
@@ -216,14 +251,7 @@ def _factor(n: int) -> tuple[tuple[int, int], ...]:
         if left < 0:
             raise DomainError(f"cannot factor a {n.bit_length()}-bit integer within the effort bound")
 
-    out: dict[int, int] = {}
-    m, g = n, gcd(n, _PRIMORIAL)
-    for p in _SMALL_PRIMES:
-        if g == 1:
-            break
-        if g % p == 0:
-            g //= p
-            out[p], m = _split(m, p)
+    out, m = _screen(n)
     todo = [m] if m > 1 else []
     while todo:
         m = todo.pop()
@@ -250,12 +278,19 @@ def _factor(n: int) -> tuple[tuple[int, int], ...]:
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _squarefree_part(n: int) -> int:
-    """Squarefree part of a nonzero integer (sign preserved)."""
-    out = -1 if n < 0 else 1
-    for p, e in _factor(abs(n)):
-        if e % 2:
-            out *= p
-    return out
+    """Squarefree part of a nonzero integer (sign preserved).
+
+    The cofactor m that ``_screen`` leaves has no prime factor below 1009.
+    Below 1009**3, or below 10007**3 with no prime factor below 10**4 (one
+    gcd with _MID_PRIMORIAL), it has at most two prime factors: it is 1, p,
+    p**2 or p*q, so its squarefree part is 1 if m is a square and m if not.
+    Any other n is factored in full."""
+    small, m = _screen(abs(n))
+    if m < 1009**3 or (m < 10007**3 and gcd(m, _MID_PRIMORIAL) == 1):
+        out = prod(p for p, e in small.items() if e % 2) * (1 if isqrt(m) ** 2 == m else m)
+    else:
+        out = prod(p for p, e in _factor(abs(n)) if e % 2)
+    return -out if n < 0 else out
 
 
 def _class_product(c1: int, c2: int) -> int:
@@ -631,12 +666,16 @@ def trace_form(c: Rational, a: Rational, b: Rational = 0) -> GWElement:
     [[2a, 2bc], [2bc, 2ac]] with c the squarefree class; diagonalizing gives
     <2a> + <2a * det> when a != 0 and the hyperbolic plane when a = 0.
     """
-    c = _as_fraction(c)
-    if c == 0:
+    given = _as_fraction(c)
+    if given == 0:
         raise DomainError("c must be nonzero")
-    c, a, b = square_class(c), _as_fraction(a), _as_fraction(b)
+    c, a, b = square_class(given), _as_fraction(a), _as_fraction(b)
     if c == 1:
-        raise DomainError(f"{c} does not define a quadratic extension")
+        try:
+            name = str(given)
+        except ValueError:  # more digits than Python prints
+            name = "c"
+        raise DomainError(f"{name} is a square, so it does not define a quadratic extension")
     if a == 0 and b == 0:
         raise DomainError("the zero element has no trace form")
     if a == 0:

@@ -7,6 +7,7 @@ import gc
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -93,6 +94,31 @@ class TestGwEval:
         code, out, err = run(capsys, "gw-eval", expr)
         assert (code, out) == (2, "")
         assert err == f"error: cannot factor a 82-bit integer within the effort bound (at position {pos})\n"
+
+    @pytest.mark.parametrize("expr, c", [("tr(4; 1)", "4"), ("tr(9/4; 3)", "9/4"), ("tr(1; 5)", "1")])
+    def test_square_c_is_named_as_given(self, capsys, expr, c):
+        # the message names c, not its class 1
+        assert run(capsys, "gw-eval", expr) == (
+            2,
+            "",
+            f"error: {c} is a square, so it does not define a quadratic extension (at position 0)\n",
+        )
+
+    def test_readme_factoring_examples(self, capsys):
+        # each `gwcurves ...` line of the README's factoring block, checked
+        # against the `# ...` line under it: stdout, or the error and exit 2
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = next(b for b in readme.split("```sh\n")[1:] if "cannot factor" in b)
+        lines = block.split("```")[0].splitlines()
+        assert len(lines) >= 2 and len(lines) % 2 == 0
+        for command, comment in zip(lines[::2], lines[1::2]):
+            argv = shlex.split(command)
+            assert argv[0] == "gwcurves" and comment.startswith("# "), command
+            want = comment[2:]
+            if want.endswith("(exit 2)"):
+                assert run(capsys, *argv[1:]) == (2, "", want[: -len("(exit 2)")].rstrip() + "\n")
+            else:
+                assert run(capsys, *argv[1:]) == (0, want + "\n", "")
 
     @pytest.mark.parametrize("template, pos", [("<{}>", 1), ("tr({}; 1)", 3)])
     def test_overlong_literal_is_usage(self, capsys, template, pos):

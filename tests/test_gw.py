@@ -74,6 +74,47 @@ SEMIPRIME_70 = (10**34 + 193) * (3 * 10**35 + 199)
 SEMIPRIME_40 = (10**19 + 51) * (3 * 10**19 + 41)
 #: The primes below 1000 that ``_factor`` divides out by trial division.
 SMALL_PRIMES = list(sympy.primerange(2, 1000))
+#: Cofactors at the edges of both screens of ``_squarefree_part`` that its
+#: square test settles: below 1009**3, or below 10007**3 with no prime
+#: factor below 10**4.
+SQUARE_TEST_EDGES = [
+    1009**2,
+    1009 * 1013,
+    997 * 1009**2,
+    10**9 + 7,
+    2 * (10**9 + 7),
+    9973 * 10007,
+    10007**2,
+    10007 * 10009,
+    999983 * 1000003,
+    999983**2,
+    10**12 - 11,
+    10**12 + 39,
+]
+#: Cofactors that it factors in full: 1009**3 or more with a prime of the
+#: second screen, or 10007**3 or more.
+FACTORED_EDGES = [
+    1009**3,
+    9973**2 * 10007,
+    10007**3,
+    1009 * 10007 * 10009,
+]
+
+
+def factorint_squarefree_part(n):
+    """The squarefree part of n, sign kept, from ``sympy.factorint``."""
+    return (-1 if n < 0 else 1) * prod(p for p, e in sympy.factorint(abs(n)).items() if e % 2)
+
+
+def spy_on_rho(monkeypatch):
+    """Empty the factoring caches and record each number ``_brent_rho`` is
+    called on, in the list returned."""
+    calls = []
+    rho = gw._brent_rho
+    monkeypatch.setattr(gw, "_brent_rho", lambda n, spend: calls.append(n) or rho(n, spend))
+    _factor.cache_clear()
+    _squarefree_part.cache_clear()
+    return calls
 
 
 class TestFactorization:
@@ -117,15 +158,24 @@ class TestFactorization:
 
     @pytest.mark.parametrize(
         "n",
-        [1, 2, 2**7, 2**64, 2**1000, 997**2, 999983, 1000003, 1009 * 1013, 999983**2]
-        + [prod(SMALL_PRIMES) ** 2],
+        list(
+            dict.fromkeys(
+                [1, 2, 2**7, 2**64, 2**1000, 997**2, 999983, 1000003, 1009 * 1013, 999983**2]
+                + [prod(SMALL_PRIMES) ** 2]
+                + SQUARE_TEST_EDGES
+                + FACTORED_EDGES
+            )
+        ),
         ids=lambda n: str(n) if n < 10**20 else f"{n.bit_length()}-bit",
     )
     def test_matches_factorint_at_the_screen_edges(self, n):
         # the largest prime the gcd screen divides out, the largest cofactor
         # taken as prime untested, the smallest one tested, their squares and
-        # a product of two, and every screened prime at once
+        # a product of two, every screened prime at once, and both sides of
+        # the cube rule and of the second screen of _squarefree_part
         assert dict(_factor(n)) == sympy.factorint(n)
+        for m in (n, -n):
+            assert _squarefree_part(m) == factorint_squarefree_part(m)
 
     @settings(deadline=None, max_examples=100)
     @given(
@@ -133,11 +183,35 @@ class TestFactorization:
         st.lists(st.sampled_from(SMALL_PRIMES), max_size=4),
         st.integers(10**3, 10**6 - 18).map(sympy.nextprime),
         st.integers(10**3, 10**6 - 18).map(sympy.nextprime),
+        st.sampled_from([1, -1]),
     )
-    def test_matches_factorint_on_calculator_operands(self, s, small, p, q):
-        # s**2 * (primes below 1000) * p * q with p, q in [10**3, 10**6]
+    def test_matches_factorint_on_calculator_operands(self, s, small, p, q, sign):
+        # s**2 * (primes below 1000) * p * q with p, q in [10**3, 10**6],
+        # factored and through the square test of _squarefree_part
         n = s * s * prod(small) * p * q
         assert dict(_factor(n)) == sympy.factorint(n)
+        assert _squarefree_part(sign * n) == factorint_squarefree_part(sign * n)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("n", SQUARE_TEST_EDGES + [4 * 999983 * 1000003 * 12**2])
+    def test_square_test_calls_no_rho(self, monkeypatch, n, sign):
+        # below 1009**3, or below 10007**3 past the second screen, the
+        # cofactor is 1, p, p**2 or p*q: one isqrt settles its class
+        rho = spy_on_rho(monkeypatch)
+        assert square_class(sign * n) == factorint_squarefree_part(sign * n)
+        assert rho == []
+
+    def test_rho_still_splits_what_the_square_test_cannot(self, monkeypatch, capsys):
+        # the 82-bit product of two primes past 10**12, as one class and as
+        # the Hasse places of gw-equal: rho runs and the effort bound refuses
+        rho = spy_on_rho(monkeypatch)
+        with pytest.raises(DomainError, match="cannot factor a 82-bit integer"):
+            square_class(1000000000039 * 3000000000013)
+        assert rho
+        rho.clear()
+        assert cli.main(["gw-equal", "2<1000000000039> * <3000000000013>", "2"]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot factor a 82-bit integer")
+        assert rho
 
     @pytest.mark.parametrize("n", [SEMIPRIME_70, SEMIPRIME_40], ids=["70-digit", "40-digit"])
     def test_semiprime_is_refused_fast(self, capsys, n):
@@ -394,6 +468,9 @@ class TestTraceForm:
             trace_form(9, 1)
         with pytest.raises(DomainError):
             trace_form(1, 1, 1)
+        # the message names c, unless it is too long to print
+        with pytest.raises(DomainError, match="^c is a square"):
+            trace_form(10**5000, 1)
 
     def test_rational_multiples_of_one(self):
         # Gram diagonalization reproduces <2a> + <2ac> exactly
