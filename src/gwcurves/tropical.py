@@ -26,7 +26,7 @@ on both sides of a path with a step of lattice length >= 2 on the boundary
 Both tests read the polygon's ``boundary_steps``.  The paths of one
 enumeration share a ``_Completer``: the memo, keyed by the side and the
 remaining path as integer point ids, and a table of the peeled cells, so
-each count, sub-completion and cell is built once per enumeration.
+each count, sub-completion and cell entry is made once per enumeration.
 
 A glued pair of light completions is decided on the path interface.  The
 same recursion gives each light completion a summary: for each edge of its
@@ -35,7 +35,12 @@ its rays, its area and the products of its vertex multiplicities.  Groups
 of one side never merge (a peel adds sides to one group, or starts a new
 one at a ray), and the two sides' groups join only across the path edges
 both of them own, so one union-find over the path's labels gives the
-reason, and a curve's multiplicity is the product of its two sides'.
+reason, and a curve's multiplicity is the product of its two sides'.  A
+summary names its cells by their point ids, in a link to its child's
+summary, and a light triangle's multiplicity comes from one cache keyed by
+its shape up to translation, so the count builds no ``Cell``:
+``enumerate_curves`` alone builds the cells of the pairs it keeps, each
+once per enumeration.
 ``validate_subdivision`` and ``curve_mult`` decide a whole tiling, end
 weights included, and serve as the reference.
 
@@ -60,6 +65,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import gcd
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -141,25 +147,39 @@ def triangle_edge_lengths(cell: Cell) -> tuple[int, int, int]:
 
 
 def triangle_interior_count(cell: Cell) -> int:
-    # Pick: 2*Area = 2*I + B - 2 with B the boundary lattice points.
-    boundary = sum(triangle_edge_lengths(cell))
-    i2 = cell.area2() - boundary + 2
+    return _pick_interior(cell.area2(), sum(triangle_edge_lengths(cell)), cell.vertices)
+
+
+def _pick_interior(a2: int, boundary: int, where) -> int:
+    """Pick: 2*Area = 2*I + B - 2 with B the boundary lattice points."""
+    i2 = a2 - boundary + 2
     if i2 < 0 or i2 % 2:
-        raise InternalInvariantError(f"Pick count failed on {cell.vertices}")
+        raise InternalInvariantError(f"Pick count failed on {where}")
     return i2 // 2
 
 
-@lru_cache(maxsize=4096)
 def vertex_mult(cell: Cell) -> GWElement:
     """Motivic multiplicity of the trivalent vertex dual to a triangle."""
     if cell.kind != "triangle":
         raise InternalInvariantError("vertex multiplicity needs a triangle")
-    l1, l2, l3 = triangle_edge_lengths(cell)
-    a2 = cell.area2()
+    (ax, ay), (bx, by), (cx, cy) = sorted(cell.vertices, key=lambda_key)
+    return _shape_mult(bx - ax, by - ay, cx - ax, cy - ay)[0]
+
+
+@lru_cache(maxsize=4096)
+def _shape_mult(ux: int, uy: int, vx: int, vy: int) -> tuple[GWElement, int]:
+    """``vertex_mult`` of a triangle and its signature, from the triangle's
+    shape up to translation: its edge vectors ``u`` and ``v`` from its
+    lambda-least vertex to the other two, in lambda order.  The one formula
+    and the one cache of the vertex multiplicity."""
+    l1, l2, l3 = gcd(ux, uy), gcd(vx, vy), gcd(vx - ux, vy - uy)
+    a2 = abs(ux * vy - uy * vx)
     if l1 % 2 and l2 % 2 and l3 % 2:
-        sign = -1 if triangle_interior_count(cell) % 2 else 1
-        return form(sign * l1 * l2 * l3) + ((a2 - 1) // 2) * form(1, -1)
-    return (a2 // 2) * form(1, -1)
+        sign = -1 if _pick_interior(a2, l1 + l2 + l3, ((ux, uy), (vx, vy))) % 2 else 1
+        m = form(sign * l1 * l2 * l3) + ((a2 - 1) // 2) * form(1, -1)
+    else:
+        m = (a2 // 2) * form(1, -1)
+    return m, m.signature()
 
 
 @dataclass(frozen=True)
@@ -267,20 +287,25 @@ class _Completer:
 
     def cell(self, pts: tuple[int, ...]) -> tuple:
         """The cell table's entry for the cell with ids ``pts`` (see
-        ``_peels``): ``(heavy, cell, mult)``.  ``heavy`` tells whether a side
-        of the cell is heavy (see ``_heavy_steps``), and then the cell is not
-        built; ``mult`` is a light triangle's ``vertex_mult`` and its
-        signature.  The key names the cell whichever side peels it, so each
-        cell is built and checked once per enumeration."""
+        ``_peels``): ``(heavy, pts, mult)``, and no ``Cell``.  ``heavy``
+        tells whether a side of the cell is heavy (see ``_heavy_steps``);
+        ``mult`` is a light triangle's ``vertex_mult`` and its signature,
+        from its shape (``_shape_mult``).  The key names the cell whichever
+        side peels it, so each cell is checked once per enumeration: a
+        triangle must not be flat, and four points must be a parallelogram
+        with diagonals ``pts[0] pts[2]`` and ``pts[1] pts[3]``.  Summaries
+        keep the entry's ``pts``, one tuple per cell."""
+        X, Y = self.X, self.Y
+        a, b, c = pts[:3]
+        ux, uy, vx, vy = X[b] - X[a], Y[b] - Y[a], X[c] - X[a], Y[c] - Y[a]
         vs = [self.points[k] for k in pts]
-        if _heavy_steps(vs + vs[:1], self.poly):
-            entry = (True, None, None)
-        elif len(vs) == 3:
-            cell = triangle(*vs)
-            m = vertex_mult(cell)
-            entry = (False, cell, (m, m.signature()))
-        else:
-            entry = (False, parallelogram(*vs), None)
+        if ux * vy == uy * vx:
+            raise InternalInvariantError(f"degenerate cell {vs}")
+        if len(pts) == 4 and (X[a] + X[c] != X[b] + X[pts[3]] or Y[a] + Y[c] != Y[b] + Y[pts[3]]):
+            raise InternalInvariantError(f"not a parallelogram: {vs}")
+        heavy = _heavy_steps(vs + vs[:1], self.poly)
+        mult = None if heavy or len(pts) == 4 else _shape_mult(ux, uy, vx, vy)
+        entry = heavy, pts, mult
         self.cells[pts] = entry
         return entry
 
@@ -361,9 +386,12 @@ class _Side(NamedTuple):
     counts the sides owned once that are not path edges, all of lattice
     length 1: the completion is light.  ``area2`` sums ``Cell.area2`` over
     the cells, and the last three fields are the products of ``curve_mult``
-    over the triangles."""
+    over the triangles.  ``cells`` is a link, ``(pts, child's cells)`` with
+    ``pts`` the cell table's ids of the last cell peeled, or None for the
+    empty completion: extending a summary copies no cells, and the count
+    never walks the link."""
 
-    cells: tuple[Cell, ...]
+    cells: tuple | None
     labels: tuple[int, ...]
     groups: int
     tri_groups: int  # bitmask of the groups holding a triangle
@@ -383,10 +411,11 @@ def _heavy_steps(pts, poly: LatticePolygon) -> bool:
     return any(map(poly.boundary_steps.get, zip(pts, pts[1:])))
 
 
-def _extend(child: _Side, i: int, cell: Cell, area2: int, mult) -> _Side:
-    """The summary of ``child`` plus ``cell``, peeled at path vertex ``i``;
+def _extend(child: _Side, i: int, pts: tuple[int, ...], area2: int, mult) -> _Side:
+    """The summary of ``child`` plus the cell with ids ``pts``, peeled at
+    path vertex ``i``, linked in front of the child's cells in O(1);
     ``mult`` is a triangle's ``vertex_mult`` and its signature.  A side of
-    ``cell`` on the child's path that no cell of ``child`` owns is a ray,
+    the cell on the child's path that no cell of ``child`` owns is a ray,
     alone in a new group."""
     labels, groups, tri_groups, triangles = child.labels, child.groups, child.tri_groups, child.triangles
     motivic, complex_mult, welschinger = child.motivic, child.complex, child.welschinger
@@ -408,7 +437,7 @@ def _extend(child: _Side, i: int, cell: Cell, area2: int, mult) -> _Side:
         complex_mult *= area2
         welschinger *= signature
     return _Side(
-        child.cells + (cell,),
+        (pts, child.cells),
         labels,
         groups,
         tri_groups,
@@ -430,10 +459,10 @@ def _light_completions(comp: _Completer, root, side: int, want: bool = True) -> 
 
     One memoized recursion gives both, and builds summaries only where they
     can be glued: a peel whose cell is heavy in ``comp``'s cell table
-    recurses count-only, and neither its cell nor its children's summaries
-    are built.  ``comp.memo`` maps (side, remaining id path) to ``(count,
-    light or None)``: the area left to fill depends only on the polygon, the
-    side and the remaining path, so one memo serves every path of one
+    recurses count-only, and its children's summaries are not built.
+    ``comp.memo`` maps (side, remaining id path) to ``(count, light or
+    None)``: the area left to fill depends only on the polygon, the side
+    and the remaining path, so one memo serves every path of one
     enumeration.  A node first reached count-only and later wanted is
     computed again in full, which replaces its entry; its heavy peels are
     then memo hits.  The root's own entry is dropped once it is returned.
@@ -464,7 +493,7 @@ def _complete(comp: _Completer, side: int, p, area: int, want: bool) -> tuple[in
         for edge in zip(vs, vs[1:]):  # every edge that no cell owns starts here
             if edge not in comp.poly.boundary_steps:
                 raise InternalInvariantError(f"interior edge {edge} has a single cell")
-        memo[key] = out = 1, [_Side((), (-1,) * (len(p) - 1), 0, 0, 0, 0, 0, ONE, 1, 1)]
+        memo[key] = out = 1, [_Side(None, (-1,) * (len(p) - 1), 0, 0, 0, 0, 0, ONE, 1, 1)]
         return out
     n, light = 0, [] if want else None
     cells = comp.cells
@@ -474,8 +503,8 @@ def _complete(comp: _Completer, side: int, p, area: int, want: bool) -> tuple[in
         count, rest_light = _complete(comp, side, rest_path, area - a2, glue)
         n += count
         if glue and rest_light:
-            _, cell, mult = entry
-            light.extend(_extend(rest, i, cell, a2, mult) for rest in rest_light)
+            _, ids, mult = entry
+            light.extend(_extend(rest, i, ids, a2, mult) for rest in rest_light)
     memo[key] = out = n, light
     return out
 
@@ -711,15 +740,37 @@ def enumerate_curves(poly: LatticePolygon, jobs: int = 1) -> Enumeration:
     that ``_pair_loop`` keeps, with its multiplicities (``_pair_bundle``)
     and its cells in canonical order.  Dropped completions are tallied in
     ``Enumeration.dropped``.  ``jobs`` is accepted and ignored: the
-    enumeration runs in one process."""
+    enumeration runs in one process.
+
+    The summaries name their cells by point ids (``_Side.cells``).  The
+    cells of a link are built once per enumeration, each cell from its ids
+    the first time a kept pair holds it (checked by ``triangle`` or
+    ``parallelogram``), so no other cell is built."""
     curves: list[TropicalCurve] = []
+    points = poly.lattice_points
+    built: dict[tuple[int, ...], Cell] = {}  # cell ids -> cell
+    linked: dict[tuple, tuple[Cell, ...]] = {}  # summary link -> its cells
+
+    def cells_of(link) -> tuple[Cell, ...]:
+        if link is None:
+            return ()
+        cells = linked.get(link)
+        if cells is None:
+            pts, child = link
+            cell = built.get(pts)
+            if cell is None:
+                vs = [points[k] for k in pts]
+                cell = built[pts] = triangle(*vs) if len(vs) == 3 else parallelogram(*vs)
+            cells = linked[link] = cells_of(child) + (cell,)
+        return cells
 
     def keep(path, left: _Side, right: _Side) -> None:
-        cells = tuple(sorted(left.cells + right.cells, key=_cell_key))
+        cells = tuple(sorted(cells_of(left.cells) + cells_of(right.cells), key=_cell_key))
         curves.append(TropicalCurve(MarkedSubdivision(tuple(path), cells), _pair_bundle(left, right)))
 
     dropped = _pair_loop(poly, list(enumerate_paths(poly)), keep)
-    curves.sort(key=_curve_key)
+    with collector_paused():  # the sort keys would only trigger rescans of the live curves
+        curves.sort(key=_curve_key)
     return Enumeration(poly, curves, dropped)
 
 

@@ -22,7 +22,7 @@ from sympy import primefactors
 
 from gwcurves.gw import H, ONE, ZERO, GWElement, _squarefree_part, form, square_class
 from gwcurves.polygon import _area2, lattice_length, primitive
-from gwcurves.tropical import vertex_mult
+from gwcurves.tropical import parallelogram, triangle, vertex_mult
 
 PLACES = [None, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
@@ -197,6 +197,23 @@ def heavy_boundary(cells, poly) -> bool:
         for cell in cells
         for side in cell.sides()
     )
+
+
+def summary_cells(side, poly) -> tuple:
+    """The cells of a completion summary (``tropical._Side``) of ``poly``,
+    built from the point ids in its cell link, in the order of
+    ``complete_path``: the deepest peel first, the summary's own last."""
+    ids = []
+    link = side.cells
+    while link is not None:
+        pts, link = link
+        ids.append(pts)
+    points = poly.lattice_points
+    cells = []
+    for pts in reversed(ids):
+        vs = [points[k] for k in pts]
+        cells.append(triangle(*vs) if len(vs) == 3 else parallelogram(*vs))
+    return tuple(cells)
 
 
 def motivic_fold(sub) -> GWElement:

@@ -51,6 +51,7 @@ from oracles import (
     par_cycle_search,
     segment_on_boundary_scan,
     strand_walk_reason,
+    summary_cells,
 )
 
 
@@ -301,7 +302,8 @@ class TestEnumerate:
             got = pair_reason(path, left, right, poly)
             if reason == "boundary-weight":
                 # the pair reason reads no end weight: keep the pairs with a heavy end
-                return None if heavy_boundary(left.cells + right.cells, poly) else got
+                cells = summary_cells(left, poly) + summary_cells(right, poly)
+                return None if heavy_boundary(cells, poly) else got
             return None if got == reason else got
 
         monkeypatch.setattr(tropical, "_pair_reason", keep_reason)
@@ -497,7 +499,7 @@ def test_count_matches_complete_path(poly):
             full = complete_path(path, side, poly)
             light = [c for c in full if not heavy_boundary(c, poly)]
             n, sides = _light_completions(comp, comp.root(path), side)
-            assert (n, [s.cells for s in sides]) == (len(full), light)
+            assert (n, [summary_cells(s, poly) for s in sides]) == (len(full), light)
 
 
 def test_complete_path_refuses_a_point_off_the_polygon():
@@ -550,7 +552,7 @@ def _kept_curves(poly, paths):
     curves = []
 
     def keep(path, left, right):
-        cells = tuple(sorted(left.cells + right.cells, key=_cell_key))
+        cells = tuple(sorted(summary_cells(left, poly) + summary_cells(right, poly), key=_cell_key))
         curves.append(TropicalCurve(MarkedSubdivision(tuple(path), cells), _pair_bundle(left, right)))
 
     return curves, _pair_loop(poly, paths, keep)
@@ -595,13 +597,11 @@ def test_two_batches_give_the_quintic_curves():
 def test_each_cell_is_built_once_per_batch(poly, monkeypatch):
     from gwcurves import tropical
 
-    built = []
-    for name in ("triangle", "parallelogram"):
-        make = getattr(tropical, name)
-        monkeypatch.setattr(tropical, name, lambda *pts, make=make: built.append(make(*pts)) or built[-1])
+    built, make = [], tropical._cell
+    monkeypatch.setattr(tropical, "_cell", lambda *args: built.append(make(*args)) or built[-1])
     curves = enumerate_curves(poly).curves
     assert len(built) == len(set(built))
-    assert {cell for curve in curves for cell in curve.subdivision.cells} <= set(built)
+    assert set(built) == {cell for curve in curves for cell in curve.subdivision.cells}
 
 
 @pytest.mark.parametrize("poly, entries", [(p2(4), 1455), (SQUARE, 4299)], ids=str)
@@ -635,6 +635,85 @@ def test_count_builds_no_curve(poly, monkeypatch):
     assert count_invariants(poly) == want
     with pytest.raises(AssertionError, match="built a curve"):
         enumerate_curves(poly)  # the classes that refuse are the ones the enumeration builds
+
+
+@pytest.mark.parametrize("poly", [p2(1), p2(2)] + HULLS, ids=str)
+def test_count_builds_no_cell(poly, monkeypatch):
+    # every Cell goes through tropical._cell: triangle and parallelogram call it
+    from gwcurves import tropical
+
+    built, make = [], tropical._cell
+    monkeypatch.setattr(tropical, "_cell", lambda *args: built.append(make(*args)) or built[-1])
+    count_invariants(poly)
+    assert built == []
+    enum = enumerate_curves(poly)  # the spy sees the cells the enumeration builds
+    assert len(built) == len({cell for curve in enum.curves for cell in curve.subdivision.cells})
+
+
+def _formula_mult(cell):
+    """The vertex multiplicity of the module docstring, with the interior
+    points from the box scan."""
+    a, b, c = cell.vertices
+    lengths = lattice_length(a, b), lattice_length(a, c), lattice_length(b, c)
+    a2 = abs(_orient(a, b, c))
+    if all(n % 2 for n in lengths):
+        return form((-1) ** brute_interior(cell) * lengths[0] * lengths[1] * lengths[2]) + (a2 - 1) // 2 * H
+    return a2 // 2 * H
+
+
+@pytest.mark.parametrize("poly", HULLS, ids=str)
+def test_cell_table_multiplicity_is_vertex_mult(poly):
+    # the cell table and vertex_mult read one cache keyed by shape; both
+    # must give the formula on every triangle a completion peels
+    triangles = {
+        cell
+        for path in enumerate_paths(poly)
+        for side in (1, -1)
+        for cells in complete_path(path, side, poly)
+        for cell in cells
+        if cell.kind == "triangle"
+    }
+    comp = _Completer(poly)
+    for cell in triangles:
+        heavy, pts, mult = comp.cell(tuple(sorted(map(comp.ids.__getitem__, cell.vertices))))
+        m = vertex_mult(cell)
+        assert m == _formula_mult(cell), cell
+        if heavy:
+            assert mult is None and heavy_boundary((cell,), poly), cell
+        else:
+            assert mult == (m, m.signature()), cell
+
+
+SHAPE_PRESETS = [p2(2), p2(3), preset("blf1"), preset("bl2f1"), preset("f1_4_2e")]
+
+
+def _image(poly, matrix, shift):
+    (a, b), (c, d) = matrix
+    return polygon([(a * x + b * y + shift[0], c * x + d * y + shift[1]) for x, y in poly.vertices])
+
+
+@pytest.mark.parametrize("poly", SHAPE_PRESETS, ids=str)
+def test_translated_copies_count_alike(poly):
+    # a translation keeps the lambda order, so every path, cell and drop
+    # has its copy; the shape cache must give each copy the same factor
+    want, dropped = count_invariants(poly), enumerate_curves(poly).dropped
+    rng = random.Random(21)
+    for _ in range(2):
+        moved = _image(poly, ((1, 0), (0, 1)), (rng.randint(-40, 40), rng.randint(-40, 40)))
+        assert count_invariants(moved) == want, moved
+        assert enumerate_curves(moved).dropped == dropped, moved
+
+
+@pytest.mark.parametrize("poly", SHAPE_PRESETS, ids=str)
+def test_sheared_copies_count_alike(poly):
+    # a shear changes the paths and the cells, not the curves counted
+    want = count_invariants(poly)
+    rng = random.Random(22)
+    for _ in range(2):
+        k = rng.choice([-2, -1, 1, 2])
+        matrix = ((1, k), (0, 1)) if rng.random() < 0.5 else ((1, 0), (k, 1))
+        inv = count_invariants(_image(poly, matrix, (rng.randint(-5, 5), rng.randint(-5, 5))))
+        assert (inv.n, inv.w, inv.canonical) == (want.n, want.w, want.canonical), matrix
 
 
 @pytest.mark.parametrize(
@@ -741,6 +820,24 @@ def test_parallelogram_rejects_what_the_search_rejects(pts):
         parallelogram(*pts)
 
 
+@pytest.mark.parametrize(
+    "pts",
+    [
+        ((0, 0), (1, 0), (2, 0)),  # a flat triangle
+        ((0, 0), (1, 0), (2, 0), (3, 0)),
+        ((0, 0), (1, 0), (0, 1), (2, 2)),
+        ((0, 0), (1, 0), (1, 1), (2, 1)),  # a parallelogram, but not in cycle order
+    ],
+)
+def test_cell_table_rejects_what_the_cells_reject(pts):
+    # the table's integer checks stand in for triangle() and parallelogram()
+    comp = _Completer(SQUARE)
+    with pytest.raises(InternalInvariantError):
+        comp.cell(tuple(map(comp.ids.__getitem__, pts)))
+    ids = tuple(map(comp.ids.__getitem__, [(0, 0), (1, 0), (2, 1), (1, 1)]))
+    assert comp.cell(ids) == (False, ids, None)
+
+
 @pytest.mark.parametrize("poly", HULLS, ids=str)
 def test_classifier_matches_strand_walk(poly):
     # every glued pair, heavy completions included
@@ -760,11 +857,12 @@ def test_pair_reason_matches_validate_subdivision(poly, monkeypatch):
     comp = _Completer(poly)
     for path in enumerate_paths(poly):
         left, right = (_light_completions(comp, comp.root(path), side)[1] for side in (1, -1))
-        assert [s.cells for s in left] == complete_path(path, 1, poly)
-        assert [s.cells for s in right] == complete_path(path, -1, poly)
+        assert [summary_cells(s, poly) for s in left] == complete_path(path, 1, poly)
+        assert [summary_cells(s, poly) for s in right] == complete_path(path, -1, poly)
         for cl in left:
             for cr in right:
-                sub = MarkedSubdivision(path, tuple(sorted(cl.cells + cr.cells, key=_cell_key)))
+                cells = summary_cells(cl, poly) + summary_cells(cr, poly)
+                sub = MarkedSubdivision(path, tuple(sorted(cells, key=_cell_key)))
                 reason = _pair_reason(path, cl, cr, poly)
                 if validate_subdivision(sub, poly) == "boundary-weight":
                     # end weight is decided per side, before gluing; the grouping still refuses
