@@ -1,6 +1,8 @@
-"""Parser for the calculator surface syntax.
+r"""Parser for the calculator surface syntax.
 
-Grammar (ASCII; whitespace free between tokens):
+Grammar, over tokens read one at a time as ``\s*([0-9]+|tr\(|\S)``: a run
+of ASCII digits, ``tr(`` or one other character, after any whitespace
+(``str.isspace``), which may not fall inside ``tr(`` or a number:
 
     element := term (("+" | "-") term)*
     term    := [uint ["*"]] factor ("*" factor)*
@@ -8,17 +10,25 @@ Grammar (ASCII; whitespace free between tokens):
     factor  := "<" rational ">" | "h" | "b" uint
              | "tr(" rational ";" rational ["," rational] ")"
 
-``tr(c; a[, b])`` evaluates the trace form of a + b*sqrt(c) from Q(sqrt(c)).
-Parsing returns a BetaPolynomial; constants can be narrowed with
-``constant_value``.  Errors carry the offending position.
+A token is read when the parser reaches it, and an error carries the start
+of the token it is found at.  ``tr(c; a[, b])`` is the trace form of
+a + b*sqrt(c) from Q(sqrt(c)).  Values are computed in GW(Q) until a ``bN``
+lifts them to BetaPolynomials; parsing returns a BetaPolynomial, whose
+constants can be narrowed with ``constant_value``.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from operator import add, mul
+from typing import Callable, Union
 
-from .betapoly import POLY_ZERO, BetaPolynomial, beta_symbol
-from .gw import DomainError, GWElement, H, ONE, _is_digit, form, read_int, trace_form
+from .betapoly import BetaPolynomial, beta_symbol
+from .gw import ZERO, DomainError, GWElement, H, ONE, Rational, form, read_int, trace_form
+
+_TOKEN = re.compile(r"\s*([0-9]+|tr\(|\S)")
+Value = Union[GWElement, BetaPolynomial]
 
 
 class ExprError(ValueError):
@@ -27,129 +37,124 @@ class ExprError(ValueError):
         self.pos = pos
 
 
-class _Scanner:
+class _Tokens:
+    """The current token ``tok`` of a text and its start ``at``: "" and
+    len(text) once only whitespace is left."""
+
     def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+        self.text, self.end = text, 0
+        self.advance()
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    def advance(self) -> None:
+        m = _TOKEN.match(self.text, self.end)
+        if m is None:
+            self.tok, self.at = "", len(self.text)
+        else:
+            self.tok, self.at, self.end = m[1], m.start(1), m.end()
 
     def take(self, token: str) -> bool:
-        self.skip_ws()
-        if self.text.startswith(token, self.pos):
-            self.pos += len(token)
+        if self.tok == token:
+            self.advance()
             return True
         return False
 
     def expect(self, token: str) -> None:
         if not self.take(token):
-            raise ExprError(f"expected {token!r}", self.pos)
+            raise ExprError(f"expected {token!r}", self.at)
 
     def uint(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and _is_digit(self.text[self.pos]):
-            self.pos += 1
-        if self.pos == start:
-            raise ExprError("expected an integer", start)
+        text, at = self.tok, self.at
+        if not "0" <= text[:1] <= "9":
+            raise ExprError("expected an integer", at)
+        self.advance()
         try:
-            return read_int(self.text[start : self.pos])
+            return read_int(text)
         except ValueError as exc:  # longer than int() accepts
-            raise ExprError(str(exc), start) from None
+            raise ExprError(str(exc), at) from None
 
-    def rational(self) -> Fraction:
-        self.skip_ws()
-        start = self.pos
-        sign = -1 if self.take("-") else 1
-        num = self.uint()
-        den = 1
-        if self.take("/"):
-            den = self.uint()
-            if den == 0:
-                raise ExprError("zero denominator", start)
-        return Fraction(sign * num, den)
-
-    def done(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
+    def rational(self) -> Rational:
+        """An int, or a Fraction when a denominator other than 1 is written."""
+        start = self.at
+        num = -self.uint() if self.take("-") else self.uint()
+        if not self.take("/"):
+            return num
+        den = self.uint()
+        if den == 0:
+            raise ExprError("zero denominator", start)
+        return num if den == 1 else Fraction(num, den)
 
 
-def _factor(sc: _Scanner) -> BetaPolynomial:
-    start = sc.pos
+def _poly(v: Value) -> BetaPolynomial:
+    return BetaPolynomial.constant(v) if isinstance(v, GWElement) else v
+
+
+def _apply(op: Callable, x: Value, y: Value) -> Value:
+    """op(x, y) in GW(Q) if both are constants, else on BetaPolynomials."""
+    if isinstance(x, GWElement) and isinstance(y, GWElement):
+        return op(x, y)
+    return op(_poly(x), _poly(y))
+
+
+def _factor(tk: _Tokens) -> Value:
+    start = tk.at
     try:
-        if sc.take("<"):
-            a = sc.rational()
+        if tk.take("<"):
+            a = tk.rational()
             if a == 0:
                 raise ExprError("zero inside <...>", start)
-            sc.expect(">")
-            return BetaPolynomial.constant(form(a))
-        if sc.take("tr("):
-            c = sc.rational()
-            sc.expect(";")
-            a = sc.rational()
-            b = Fraction(0)
-            if sc.take(","):
-                b = sc.rational()
-            sc.expect(")")
-            return BetaPolynomial.constant(trace_form(c, a, b))
+            tk.expect(">")
+            return form(a)
+        if tk.take("tr("):
+            c = tk.rational()
+            tk.expect(";")
+            a = tk.rational()
+            b = tk.rational() if tk.take(",") else 0
+            tk.expect(")")
+            return trace_form(c, a, b)
     except DomainError as exc:  # a class past the factoring effort, or a bad tr(c; a, b)
         raise ExprError(str(exc), start) from None
-    if sc.take("h"):
-        return BetaPolynomial.constant(H)
-    if sc.take("b"):
-        idx = sc.uint()
+    if tk.take("h"):
+        return H
+    if tk.take("b"):
+        idx = tk.uint()
         if idx == 0:
             raise ExprError("symbol index must be positive", start)
         return beta_symbol(idx)
-    raise ExprError("expected a factor", sc.pos)
+    raise ExprError("expected a factor", tk.at)
 
 
-def _term(sc: _Scanner) -> BetaPolynomial:
+def _term(tk: _Tokens) -> Value:
     coeff = 1
-    sc.skip_ws()
-    if _is_digit(sc.peek()):
-        coeff = sc.uint()
-        sc.take("*")
-        if sc.done() or sc.peek() in "+-":
-            return BetaPolynomial.constant(coeff * ONE)
-    out = _factor(sc)
-    while sc.take("*"):
-        sc.skip_ws()
-        start = sc.pos
-        factor = _factor(sc)
+    if "0" <= tk.tok[:1] <= "9":
+        coeff = tk.uint()
+        if not tk.take("*") and tk.tok in ("", "+", "-"):
+            return coeff * ONE
+    out = _factor(tk)
+    while tk.take("*"):
+        start = tk.at
+        factor = _factor(tk)
         try:
-            out = out * factor
+            out = _apply(mul, out, factor)
         except DomainError as exc:  # a repeated symbol
             raise ExprError(str(exc), start) from None
-    if coeff != 1:
-        out = BetaPolynomial.constant(coeff * ONE) * out
-    return out
+    return out if coeff == 1 else _apply(mul, coeff * ONE, out)
 
 
 def parse_expression(text: str) -> BetaPolynomial:
-    sc = _Scanner(text)
-    total = POLY_ZERO
-    negate = sc.take("-")
+    tk = _Tokens(text)
+    total: Value = ZERO
+    negate = tk.take("-")
     while True:
-        term = _term(sc)
-        total = total + (-term if negate else term)
-        if sc.done():
-            return total
-        if sc.take("+"):
-            negate = False
-        elif sc.take("-"):
-            negate = True
-        else:
-            raise ExprError("expected '+', '-' or end of input", sc.pos)
+        term = _term(tk)
+        total = _apply(add, total, -term if negate else term)
+        if not tk.tok:
+            return _poly(total)
+        if tk.tok not in ("+", "-"):
+            raise ExprError("expected '+', '-' or end of input", tk.at)
+        negate = tk.tok == "-"
+        tk.advance()
 
 
 def parse_gw(text: str) -> GWElement:
     """Parse an expression that must be constant (no b symbols)."""
-    poly = parse_expression(text)
-    return poly.constant_value()
+    return parse_expression(text).constant_value()

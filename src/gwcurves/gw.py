@@ -72,10 +72,11 @@ class InternalInvariantError(AssertionError):
     line can catch it without loading the enumeration."""
 
 
-def _as_fraction(a: Rational) -> Fraction:
+def _exact(a: Rational) -> Rational:
+    """An int as it is; any other exact rational as a Fraction."""
     if isinstance(a, bool) or not isinstance(a, (int, Fraction)):
         raise DomainError(f"expected an exact rational, got {a!r}")
-    return Fraction(a)
+    return a if type(a) is int else Fraction(a)
 
 
 # -- integer factorization (Cohen, A Course in Computational Algebraic Number
@@ -307,10 +308,10 @@ def square_class(a: Rational) -> int:
     square_class(a * t**2) == square_class(a) for every nonzero rational t;
     a numerator/denominator pair reduces through n/d ~ n*d.
     """
-    a = _as_fraction(a)
+    a = _exact(a)
     if a == 0:
         raise DomainError("zero has no square class")
-    return _squarefree_part(a.numerator * a.denominator)
+    return _squarefree_part(a if type(a) is int else a.numerator * a.denominator)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -572,20 +573,13 @@ def _check_printable(n: int) -> None:
             )
 
 
-def _is_digit(ch: str) -> bool:
-    """An ASCII digit: ``str.isdigit`` also takes superscripts and the digits
-    of other scripts, which ``int`` then reads or refuses; ``ch`` is one
-    character or empty."""
-    return "0" <= ch <= "9"
-
-
 def read_int(text: str) -> int:
     """``text`` as an integer written in ASCII digits after an optional minus
     sign: ``int`` also takes ``_``, ``+``, spaces and the digits of other
-    scripts.  Raises ValueError for any other text, and for a literal longer
-    than Python reads (``sys.get_int_max_str_digits``)."""
+    scripts, ``str.isdigit`` superscripts.  Raises ValueError for any other
+    text, and for a literal longer than Python reads (``sys.get_int_max_str_digits``)."""
     digits = text[1:] if text[:1] == "-" else text
-    if not digits or not all(map(_is_digit, digits)):
+    if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"not an integer: {text!r}")
     try:
         return int(text)
@@ -666,10 +660,10 @@ def trace_form(c: Rational, a: Rational, b: Rational = 0) -> GWElement:
     [[2a, 2bc], [2bc, 2ac]] with c the squarefree class; diagonalizing gives
     <2a> + <2a * det> when a != 0 and the hyperbolic plane when a = 0.
     """
-    given = _as_fraction(c)
+    given = _exact(c)
     if given == 0:
         raise DomainError("c must be nonzero")
-    c, a, b = square_class(given), _as_fraction(a), _as_fraction(b)
+    c, a, b = square_class(given), _exact(a), _exact(b)
     if c == 1:
         try:
             name = str(given)

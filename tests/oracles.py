@@ -9,18 +9,34 @@ each vertex as the far one, the dual curve of a tiling by walking its
 strands, a doomed path and a heavy completion by their boundary sides, and
 a curve's motivic multiplicity by a plain product, the classes of
 products, discriminants, beta and trace forms by factoring, and equality in
-GW(Q) without cancelling the summands both sides share.  Also home to
-the random form generator of the property tests.
+GW(Q) without cancelling the summands both sides share, and a calculator
+expression by a scanner that walks the text one character at a time and
+evaluates every factor as a BetaPolynomial.  Also home to the random form
+generator of the property tests.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from fractions import Fraction
 from math import prod
 
 from sympy import primefactors
 
-from gwcurves.gw import H, ONE, ZERO, GWElement, _squarefree_part, form, square_class
+from gwcurves.betapoly import POLY_ZERO, BetaPolynomial, beta_symbol
+from gwcurves.expr import ExprError
+from gwcurves.gw import (
+    H,
+    ONE,
+    ZERO,
+    DomainError,
+    GWElement,
+    _squarefree_part,
+    form,
+    read_int,
+    square_class,
+    trace_form,
+)
 from gwcurves.polygon import _area2, lattice_length, primitive
 from gwcurves.tropical import parallelogram, triangle, vertex_mult
 
@@ -277,3 +293,131 @@ def factoring_trace_form(c, a, b=0) -> GWElement:
     c = square_class(c)
     det = 4 * c * (a * a - b * b * c)
     return GWElement.from_dict(Counter((square_class(2 * a), square_class(2 * a * det))))
+
+
+# -- calculator expressions, one character at a time ----------------------------
+
+
+class _Scanner:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def skip_ws(self) -> None:
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self) -> str:
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def take(self, token: str) -> bool:
+        self.skip_ws()
+        if self.text.startswith(token, self.pos):
+            self.pos += len(token)
+            return True
+        return False
+
+    def expect(self, token: str) -> None:
+        if not self.take(token):
+            raise ExprError(f"expected {token!r}", self.pos)
+
+    def uint(self) -> int:
+        self.skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
+            self.pos += 1
+        if self.pos == start:
+            raise ExprError("expected an integer", start)
+        try:
+            return read_int(self.text[start : self.pos])
+        except ValueError as exc:  # longer than int() accepts
+            raise ExprError(str(exc), start) from None
+
+    def rational(self) -> Fraction:
+        self.skip_ws()
+        start = self.pos
+        sign = -1 if self.take("-") else 1
+        num = self.uint()
+        den = 1
+        if self.take("/"):
+            den = self.uint()
+            if den == 0:
+                raise ExprError("zero denominator", start)
+        return Fraction(sign * num, den)
+
+    def done(self) -> bool:
+        self.skip_ws()
+        return self.pos >= len(self.text)
+
+
+def _scan_factor(sc: _Scanner) -> BetaPolynomial:
+    start = sc.pos
+    try:
+        if sc.take("<"):
+            a = sc.rational()
+            if a == 0:
+                raise ExprError("zero inside <...>", start)
+            sc.expect(">")
+            return BetaPolynomial.constant(form(a))
+        if sc.take("tr("):
+            c = sc.rational()
+            sc.expect(";")
+            a = sc.rational()
+            b = Fraction(0)
+            if sc.take(","):
+                b = sc.rational()
+            sc.expect(")")
+            return BetaPolynomial.constant(trace_form(c, a, b))
+    except DomainError as exc:
+        raise ExprError(str(exc), start) from None
+    if sc.take("h"):
+        return BetaPolynomial.constant(H)
+    if sc.take("b"):
+        idx = sc.uint()
+        if idx == 0:
+            raise ExprError("symbol index must be positive", start)
+        return beta_symbol(idx)
+    raise ExprError("expected a factor", sc.pos)
+
+
+def _scan_term(sc: _Scanner) -> BetaPolynomial:
+    coeff = 1
+    sc.skip_ws()
+    if "0" <= sc.peek() <= "9":
+        coeff = sc.uint()
+        star = sc.take("*")
+        if (sc.done() or sc.peek() in "+-") and not star:
+            return BetaPolynomial.constant(coeff * ONE)
+    out = _scan_factor(sc)
+    while sc.take("*"):
+        sc.skip_ws()
+        start = sc.pos
+        factor = _scan_factor(sc)
+        try:
+            out = out * factor
+        except DomainError as exc:  # a repeated symbol
+            raise ExprError(str(exc), start) from None
+    if coeff != 1:
+        out = BetaPolynomial.constant(coeff * ONE) * out
+    return out
+
+
+def scan_expression(text: str) -> BetaPolynomial:
+    """``expr.parse_expression`` as a scanner that skips whitespace
+    character by character before every token it tries, and builds every
+    factor, product and sum as a BetaPolynomial."""
+    sc = _Scanner(text)
+    total = POLY_ZERO
+    negate = sc.take("-")
+    while True:
+        term = _scan_term(sc)
+        total = total + (-term if negate else term)
+        if sc.done():
+            return total
+        if sc.take("+"):
+            negate = False
+        elif sc.take("-"):
+            negate = True
+        else:
+            raise ExprError("expected '+', '-' or end of input", sc.pos)

@@ -86,6 +86,14 @@ class TestGwEval:
         ]:
             assert run(capsys, "gw-eval", expr) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("expr, pos", [("2*", 2), ("2*+<3>", 2), ("2 * - <3>", 4)])
+    def test_star_needs_a_factor(self, capsys, expr, pos):
+        # a coefficient's "*" is followed by a factor, as a factor's is
+        assert run(capsys, "gw-eval", expr) == (2, "", f"error: expected a factor (at position {pos})\n")
+
+    def test_constant_product(self, capsys):
+        assert run(capsys, "gw-eval", "3*<2> * <8/9> - h") == (0, "2*<1> - <-1>\n", "")
+
     @pytest.mark.parametrize(
         "expr, pos", [(f"<1> * <{P * Q}>", 6), (f"tr({P * Q}; 1)", 0), (f"h + <{P * Q}>", 4)]
     )

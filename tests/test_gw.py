@@ -65,6 +65,17 @@ class TestSquareClass:
     def test_fraction_reduces_like_product(self, p, q):
         assert square_class(Fraction(p, q)) == square_class(p * q)
 
+    @given(st.integers(-10**15, 10**15).filter(bool))
+    def test_int_is_its_fraction(self, n):
+        assert square_class(n) == square_class(Fraction(n))
+
+    @pytest.mark.parametrize("a", [True, 2.0, "2"])
+    def test_only_exact_rationals(self, a):
+        with pytest.raises(DomainError, match="expected an exact rational"):
+            square_class(a)
+        with pytest.raises(DomainError, match="expected an exact rational"):
+            trace_form(3, a)
+
 
 # -- the in-house factorizer against sympy, used here as an independent oracle --
 
