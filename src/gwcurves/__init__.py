@@ -38,7 +38,6 @@ _LAZY = {
         "Cell",
         "Enumeration",
         "MarkedSubdivision",
-        "MultiplicityBundle",
         "complete_path",
         "count_invariants",
         "curve_mult",

@@ -74,7 +74,7 @@ class BetaPolynomial:
 
     @classmethod
     def constant(cls, g: GWElement) -> "BetaPolynomial":
-        return cls.from_dict({(): g})
+        return cls((((), g),) if g else ())
 
     def as_dict(self) -> dict[Monomial, GWElement]:
         return dict(self.monomials)

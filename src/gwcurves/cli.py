@@ -24,8 +24,8 @@ from math import comb
 from pathlib import Path
 
 from .betapoly import format_poly
-from .expr import ExprError, parse_expression
-from .gw import DomainError, InternalInvariantError, _check_printable, format_gw, gw_equal, read_int
+from .expr import ExprError, _parse
+from .gw import DomainError, GWElement, InternalInvariantError, _check_printable, format_gw, gw_equal, read_int
 from .polygon import LatticePolygon, _span, preset, preset_names
 
 # tropical, wallcross and svgout are imported by the handlers that run them,
@@ -129,26 +129,22 @@ def _json_dump(data) -> str:
 
 
 def _cmd_gw_eval(args) -> int:
-    poly = parse_expression(args.expr)
+    value = _parse(args.expr)
+    fmt = format_gw if isinstance(value, GWElement) else format_poly
     if args.json:
-        if poly.is_constant():
-            payload = poly.constant_value().to_json()
-            payload["pretty"] = format_gw(poly.constant_value())
-        else:
-            payload = poly.to_json()
-            payload["pretty"] = format_poly(poly)
+        payload = value.to_json()
+        payload["pretty"] = fmt(value)
         sys.stdout.write(_json_dump(payload))
     else:
-        print(format_poly(poly, unicode=args.unicode))
+        print(fmt(value, unicode=args.unicode))
     return 0
 
 
 def _cmd_gw_equal(args) -> int:
-    p1 = parse_expression(args.expr1)
-    p2_ = parse_expression(args.expr2)
-    if not (p1.is_constant() and p2_.is_constant()):
+    v1, v2 = _parse(args.expr1), _parse(args.expr2)
+    if not (isinstance(v1, GWElement) and isinstance(v2, GWElement)):
         raise UsageError("gw-equal compares constants; got formal b symbols")
-    if gw_equal(p1.constant_value(), p2_.constant_value()):
+    if gw_equal(v1, v2):
         print("equal")
         return 0
     print("not equal")
@@ -187,11 +183,8 @@ def _cmd_tropical(args) -> int:
         print(f"dropped completions: {drops}")
     if args.list_curves:
         for i, c in enumerate(enum.curves):
-            b = c.bundle
-            print(
-                f"curve {i}: motivic={format_gw(b.motivic)} "
-                f"complex={b.complex} welschinger={b.welschinger}"
-            )
+            m = c.motivic
+            print(f"curve {i}: motivic={format_gw(m)} complex={m.rank()} welschinger={m.signature()}")
     if args.json is not None:
         with collector_paused():  # the payload's dicts stay live until written
             _write(args.json, _json_dump(_enumeration_json(enum, inv)))

@@ -13,8 +13,9 @@ of ASCII digits, ``tr(`` or one other character, after any whitespace
 A token is read when the parser reaches it, and an error carries the start
 of the token it is found at.  ``tr(c; a[, b])`` is the trace form of
 a + b*sqrt(c) from Q(sqrt(c)).  Values are computed in GW(Q) until a ``bN``
-lifts them to BetaPolynomials; parsing returns a BetaPolynomial, whose
-constants can be narrowed with ``constant_value``.
+lifts them to BetaPolynomials.  ``parse_expression`` returns a
+BetaPolynomial, ``parse_gw`` a GWElement, and the command line reads the
+value itself (``_parse``).
 """
 
 from __future__ import annotations
@@ -140,7 +141,9 @@ def _term(tk: _Tokens) -> Value:
     return out if coeff == 1 else _apply(mul, coeff * ONE, out)
 
 
-def parse_expression(text: str) -> BetaPolynomial:
+def _parse(text: str) -> Value:
+    """The value of ``text``: a GWElement if it is constant, also when its
+    symbols cancel (``b1 - b1``), else a BetaPolynomial with symbols."""
     tk = _Tokens(text)
     total: Value = ZERO
     negate = tk.take("-")
@@ -148,13 +151,22 @@ def parse_expression(text: str) -> BetaPolynomial:
         term = _term(tk)
         total = _apply(add, total, -term if negate else term)
         if not tk.tok:
-            return _poly(total)
+            if isinstance(total, GWElement) or total.indices():
+                return total
+            return dict(total.monomials).get((), ZERO)
         if tk.tok not in ("+", "-"):
             raise ExprError("expected '+', '-' or end of input", tk.at)
         negate = tk.tok == "-"
         tk.advance()
 
 
+def parse_expression(text: str) -> BetaPolynomial:
+    return _poly(_parse(text))
+
+
 def parse_gw(text: str) -> GWElement:
     """Parse an expression that must be constant (no b symbols)."""
-    return parse_expression(text).constant_value()
+    value = _parse(text)
+    if not isinstance(value, GWElement):
+        raise DomainError("polynomial carries formal symbols")
+    return value

@@ -31,7 +31,7 @@ each count, sub-completion and cell entry is made once per enumeration.
 A glued pair of light completions is decided on the path interface.  The
 same recursion gives each light completion a summary: for each edge of its
 path the side group of the cell owning it, which groups hold a triangle,
-its rays, its area and the products of its vertex multiplicities.  Groups
+its rays, its area and the product of its vertex multiplicities.  Groups
 of one side never merge (a peel adds sides to one group, or starts a new
 one at a ray), and the two sides' groups join only across the path edges
 both of them own, so one union-find over the path's labels gives the
@@ -53,7 +53,8 @@ multiplicity
 
 and a curve multiplies the contributions of its trivalent vertices.  The
 rank of the product is the classical complex multiplicity, the signature the
-real (signed) one.
+real (signed) one, so a multiplicity is stored once, as a ``GWElement``, and
+both numbers are read off it where they are printed.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ import logging
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd
 from operator import attrgetter
 from typing import NamedTuple
@@ -163,15 +164,16 @@ def vertex_mult(cell: Cell) -> GWElement:
     if cell.kind != "triangle":
         raise InternalInvariantError("vertex multiplicity needs a triangle")
     (ax, ay), (bx, by), (cx, cy) = sorted(cell.vertices, key=lambda_key)
-    return _shape_mult(bx - ax, by - ay, cx - ax, cy - ay)[0]
+    return _shape_mult(bx - ax, by - ay, cx - ax, cy - ay)
 
 
 @lru_cache(maxsize=4096)
-def _shape_mult(ux: int, uy: int, vx: int, vy: int) -> tuple[GWElement, int]:
-    """``vertex_mult`` of a triangle and its signature, from the triangle's
-    shape up to translation: its edge vectors ``u`` and ``v`` from its
-    lambda-least vertex to the other two, in lambda order.  The one formula
-    and the one cache of the vertex multiplicity."""
+def _shape_mult(ux: int, uy: int, vx: int, vy: int) -> GWElement:
+    """``vertex_mult`` of a triangle from its shape up to translation: its
+    edge vectors ``u`` and ``v`` from its lambda-least vertex to the other
+    two, in lambda order.  The one formula and the one cache of the vertex
+    multiplicity, and the home of its one check: the rank is twice the
+    triangle's area, the classical multiplicity of the vertex."""
     l1, l2, l3 = gcd(ux, uy), gcd(vx, vy), gcd(vx - ux, vy - uy)
     a2 = abs(ux * vy - uy * vx)
     if l1 % 2 and l2 % 2 and l3 % 2:
@@ -179,21 +181,9 @@ def _shape_mult(ux: int, uy: int, vx: int, vy: int) -> tuple[GWElement, int]:
         m = form(sign * l1 * l2 * l3) + ((a2 - 1) // 2) * form(1, -1)
     else:
         m = (a2 // 2) * form(1, -1)
-    return m, m.signature()
-
-
-@dataclass(frozen=True)
-class MultiplicityBundle:
-    motivic: GWElement
-    complex: int
-    welschinger: int
-
-    def to_json(self) -> dict:
-        return {
-            "motivic": self.motivic.to_json(),
-            "complex": self.complex,
-            "welschinger": self.welschinger,
-        }
+    if m.rank() != a2:
+        raise InternalInvariantError(f"vertex multiplicity of rank {m.rank()} on a triangle of twice-area {a2}")
+    return m
 
 
 @dataclass(frozen=True)
@@ -211,22 +201,15 @@ class MarkedSubdivision:
         }
 
 
-def curve_mult(sub: MarkedSubdivision) -> MultiplicityBundle:
-    """Product of the vertex multiplicities over the trivalent vertices.
-    ``ONE`` is the identity of the group-ring product, so its factors (most
-    of them: the unit triangles) are skipped."""
-    motivic = ONE
-    complex_mult = 1
-    welschinger = 1
-    for t in sub.triangles():
-        m = vertex_mult(t)
-        if m != ONE:
-            motivic = motivic * m
-        complex_mult *= t.area2()
-        welschinger *= m.signature()
-    if motivic.rank() != complex_mult or motivic.signature() != welschinger:
-        raise InternalInvariantError("multiplicity factorization failed")
-    return MultiplicityBundle(motivic, complex_mult, welschinger)
+def _times(x: GWElement, y: GWElement) -> GWElement:
+    """``x * y``, skipping a factor equal to ``ONE``, the identity of the
+    group-ring product (most factors are: the unit triangles)."""
+    return y if x == ONE else x if y == ONE else x * y
+
+
+def curve_mult(sub: MarkedSubdivision) -> GWElement:
+    """Product of the vertex multiplicities over the trivalent vertices."""
+    return reduce(_times, map(vertex_mult, sub.triangles()), ONE)
 
 
 # -- lattice paths and completions -----------------------------------------------
@@ -289,12 +272,12 @@ class _Completer:
         """The cell table's entry for the cell with ids ``pts`` (see
         ``_peels``): ``(heavy, pts, mult)``, and no ``Cell``.  ``heavy``
         tells whether a side of the cell is heavy (see ``_heavy_steps``);
-        ``mult`` is a light triangle's ``vertex_mult`` and its signature,
-        from its shape (``_shape_mult``).  The key names the cell whichever
-        side peels it, so each cell is checked once per enumeration: a
-        triangle must not be flat, and four points must be a parallelogram
-        with diagonals ``pts[0] pts[2]`` and ``pts[1] pts[3]``.  Summaries
-        keep the entry's ``pts``, one tuple per cell."""
+        ``mult`` is a light triangle's ``vertex_mult``, from its shape
+        (``_shape_mult``).  The key names the cell whichever side peels it,
+        so each cell is checked once per enumeration: a triangle must not be
+        flat, and four points must be a parallelogram with diagonals
+        ``pts[0] pts[2]`` and ``pts[1] pts[3]``.  Summaries keep the entry's
+        ``pts``, one tuple per cell."""
         X, Y = self.X, self.Y
         a, b, c = pts[:3]
         ux, uy, vx, vy = X[b] - X[a], Y[b] - Y[a], X[c] - X[a], Y[c] - Y[a]
@@ -371,11 +354,6 @@ def complete_path(path, side: int, poly: LatticePolygon):
     return rec(ids, areas[side])
 
 
-def _times(x: GWElement, y: GWElement) -> GWElement:
-    """``x * y``, skipping a factor equal to ``ONE`` (see ``curve_mult``)."""
-    return y if x == ONE else x if y == ONE else x * y
-
-
 class _Side(NamedTuple):
     """One light completion of a remaining path, summarized for gluing.
 
@@ -385,11 +363,11 @@ class _Side(NamedTuple):
     edge of the path, so the labels are 0 .. ``groups`` - 1.  ``rays``
     counts the sides owned once that are not path edges, all of lattice
     length 1: the completion is light.  ``area2`` sums ``Cell.area2`` over
-    the cells, and the last three fields are the products of ``curve_mult``
-    over the triangles.  ``cells`` is a link, ``(pts, child's cells)`` with
-    ``pts`` the cell table's ids of the last cell peeled, or None for the
-    empty completion: extending a summary copies no cells, and the count
-    never walks the link."""
+    the cells, and ``motivic`` is the product of its vertex multiplicities
+    (``curve_mult`` of its cells).  ``cells`` is a link, ``(pts, child's
+    cells)`` with ``pts`` the cell table's ids of the last cell peeled, or
+    None for the empty completion: extending a summary copies no cells, and
+    the count never walks the link."""
 
     cells: tuple | None
     labels: tuple[int, ...]
@@ -399,8 +377,6 @@ class _Side(NamedTuple):
     rays: int
     area2: int
     motivic: GWElement
-    complex: int
-    welschinger: int
 
 
 def _heavy_steps(pts, poly: LatticePolygon) -> bool:
@@ -414,11 +390,11 @@ def _heavy_steps(pts, poly: LatticePolygon) -> bool:
 def _extend(child: _Side, i: int, pts: tuple[int, ...], area2: int, mult) -> _Side:
     """The summary of ``child`` plus the cell with ids ``pts``, peeled at
     path vertex ``i``, linked in front of the child's cells in O(1);
-    ``mult`` is a triangle's ``vertex_mult`` and its signature.  A side of
-    the cell on the child's path that no cell of ``child`` owns is a ray,
-    alone in a new group."""
+    ``mult`` is a triangle's ``vertex_mult``.  A side of the cell on the
+    child's path that no cell of ``child`` owns is a ray, alone in a new
+    group."""
     labels, groups, tri_groups, triangles = child.labels, child.groups, child.tri_groups, child.triangles
-    motivic, complex_mult, welschinger = child.motivic, child.complex, child.welschinger
+    motivic = child.motivic
     if mult is None:  # parallelogram: ab takes the group of rc, bc that of ar
         rc, ar = labels[i], labels[i - 1]
         if rc < 0:
@@ -427,15 +403,13 @@ def _extend(child: _Side, i: int, pts: tuple[int, ...], area2: int, mult) -> _Si
             ar, groups = groups, groups + 1
         labels = labels[: i - 1] + (rc, ar) + labels[i + 1 :]
     else:  # triangle: ab and bc take the group of ac
-        ac, (m, signature) = labels[i - 1], mult
+        ac = labels[i - 1]
         if ac < 0:
             ac, groups = groups, groups + 1
         labels = labels[: i - 1] + (ac, ac) + labels[i:]
         tri_groups |= 1 << ac
         triangles += 1
-        motivic = _times(motivic, m)
-        complex_mult *= area2
-        welschinger *= signature
+        motivic = _times(motivic, mult)
     return _Side(
         (pts, child.cells),
         labels,
@@ -445,8 +419,6 @@ def _extend(child: _Side, i: int, pts: tuple[int, ...], area2: int, mult) -> _Si
         child.rays + groups - child.groups,
         child.area2 + area2,
         motivic,
-        complex_mult,
-        welschinger,
     )
 
 
@@ -493,7 +465,7 @@ def _complete(comp: _Completer, side: int, p, area: int, want: bool) -> tuple[in
         for edge in zip(vs, vs[1:]):  # every edge that no cell owns starts here
             if edge not in comp.poly.boundary_steps:
                 raise InternalInvariantError(f"interior edge {edge} has a single cell")
-        memo[key] = out = 1, [_Side(None, (-1,) * (len(p) - 1), 0, 0, 0, 0, 0, ONE, 1, 1)]
+        memo[key] = out = 1, [_Side(None, (-1,) * (len(p) - 1), 0, 0, 0, 0, 0, ONE)]
         return out
     n, light = 0, [] if want else None
     cells = comp.cells
@@ -628,27 +600,19 @@ def _pair_reason(path, left: _Side, right: _Side, poly: LatticePolygon):
     return None
 
 
-def _pair_bundle(left: _Side, right: _Side) -> MultiplicityBundle:
-    """``curve_mult`` of the tiling glued from two completion summaries."""
-    motivic = _times(left.motivic, right.motivic)
-    complex_mult = left.complex * right.complex
-    welschinger = left.welschinger * right.welschinger
-    if motivic.rank() != complex_mult or motivic.signature() != welschinger:
-        raise InternalInvariantError("multiplicity factorization failed")
-    return MultiplicityBundle(motivic, complex_mult, welschinger)
-
-
 # -- enumeration -------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class TropicalCurve:
     subdivision: MarkedSubdivision
-    bundle: MultiplicityBundle
+    motivic: GWElement  # curve_mult of the subdivision
 
     def to_json(self) -> dict:
         out = self.subdivision.to_json()
-        out.update(self.bundle.to_json())
+        out.update(
+            motivic=self.motivic.to_json(), complex=self.motivic.rank(), welschinger=self.motivic.signature()
+        )
         return out
 
 
@@ -661,7 +625,7 @@ class Enumeration:
     def motivic_total(self) -> GWElement:
         total: dict[int, int] = {}
         for c in self.curves:
-            _add_into(total, c.bundle.motivic)
+            _add_into(total, c.motivic)
         return GWElement._of(total)
 
     def invariants(self) -> "Invariants":
@@ -737,10 +701,10 @@ def _curve_key(curve: TropicalCurve):
 def enumerate_curves(poly: LatticePolygon, jobs: int = 1) -> Enumeration:
     """All irreducible rational tropical curves of degree ``poly`` through a
     vertically stretched configuration, in canonical order: one per pair
-    that ``_pair_loop`` keeps, with its multiplicities (``_pair_bundle``)
-    and its cells in canonical order.  Dropped completions are tallied in
-    ``Enumeration.dropped``.  ``jobs`` is accepted and ignored: the
-    enumeration runs in one process.
+    that ``_pair_loop`` keeps, with the product of its two sides'
+    multiplicities and its cells in canonical order.  Dropped completions
+    are tallied in ``Enumeration.dropped``.  ``jobs`` is accepted and
+    ignored: the enumeration runs in one process.
 
     The summaries name their cells by point ids (``_Side.cells``).  The
     cells of a link are built once per enumeration, each cell from its ids
@@ -766,7 +730,7 @@ def enumerate_curves(poly: LatticePolygon, jobs: int = 1) -> Enumeration:
 
     def keep(path, left: _Side, right: _Side) -> None:
         cells = tuple(sorted(cells_of(left.cells) + cells_of(right.cells), key=_cell_key))
-        curves.append(TropicalCurve(MarkedSubdivision(tuple(path), cells), _pair_bundle(left, right)))
+        curves.append(TropicalCurve(MarkedSubdivision(tuple(path), cells), _times(left.motivic, right.motivic)))
 
     dropped = _pair_loop(poly, list(enumerate_paths(poly)), keep)
     with collector_paused():  # the sort keys would only trigger rescans of the live curves
@@ -784,12 +748,11 @@ class Invariants:
 
 def count_invariants(poly: LatticePolygon, jobs: int = 1) -> Invariants:
     """``enumerate_curves(poly).invariants()``, without building the curves:
-    the pair loop adds the motivic multiplicity of each pair it keeps
-    (``_pair_bundle``, with its factorization check) into one dict, runs the
-    checks of ``Enumeration.invariants`` on the total and logs the same
-    ``-v`` lines.  ``jobs`` is accepted and ignored, as by
-    ``enumerate_curves``."""
+    the pair loop adds the motivic multiplicity of each pair it keeps (the
+    product of its two sides') into one dict, runs the checks of
+    ``Enumeration.invariants`` on the total and logs the same ``-v`` lines.
+    ``jobs`` is accepted and ignored, as by ``enumerate_curves``."""
     total: dict[int, int] = {}
     paths = list(enumerate_paths(poly))
-    _pair_loop(poly, paths, lambda path, left, right: _add_into(total, _pair_bundle(left, right).motivic))
+    _pair_loop(poly, paths, lambda path, left, right: _add_into(total, _times(left.motivic, right.motivic)))
     return _invariants(GWElement._of(total))

@@ -17,9 +17,11 @@ generator of the property tests.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from fractions import Fraction
-from math import prod
+from functools import lru_cache
+from math import comb, prod
 
 from sympy import primefactors
 
@@ -239,6 +241,76 @@ def motivic_fold(sub) -> GWElement:
     for t in sub.triangles():
         out = out * vertex_mult(t)
     return out
+
+
+def blowup_count(d: int, *a: int) -> int:
+    """N(d; a1, ..., ar): the number of rational curves of class
+    dH - a1*E1 - ... - ar*Er on the plane blown up at r <= 6 general points
+    (a del Pezzo surface, where the count is enumerative) through
+    3d - a1 - ... - ar - 1 general points.  From the class alone, by the
+    WDVV recursions of Goettsche and Pandharipande (J. Differential Geom.
+    48, 1998); a multiplicity 0 is a point not blown up."""
+    a = tuple(sorted((x for x in a if x), reverse=True))
+    if len(a) > 6:
+        raise ValueError(f"{len(a)} blown-up points: the recursion holds for at most 6")
+    return _wdvv(d, a)
+
+
+def _choose(n: int, k: int) -> int:
+    return comb(n, k) if 0 <= k <= n else 0
+
+
+@lru_cache(maxsize=None)
+def _wdvv(d: int, a: tuple[int, ...]) -> int:
+    """``blowup_count`` of a class whose nonzero multiplicities ``a`` are
+    sorted downward.
+
+    With n the point count and a split b1 + b2 = b into classes of degrees
+    d1, d2 >= 1 and point counts n1 + n2 = n - 1 (a part of degree 0 is an
+    E_j, which adds nothing: each term has the factor d1, and an E_j
+    carries no point), WDVV on (H, H, pt, pt) gives Kontsevich's recursion
+
+        N = sum N1 N2 (b1.b2) d1 [d2 C(n-3, n1-1) - d1 C(n-3, n1)]
+
+    and, when a1 > 0, WDVV on (H, H, E1, pt) gives
+
+        a1 N = sum N1 N2 (b1.b2) d1 [a1' d2 - d1 a1''] C(n-2, n1)
+
+    with a1', a1'' the first multiplicities of b1 and b2.  The recursion
+    ends at the classes through fewer than two points: a class through no
+    point is a (-1)-curve (b.b = -1), one through one point a conic class
+    (b.b = 0), and each is one curve."""
+    n = 3 * d - sum(a) - 1
+    if n < 0 or d < 0:
+        return 0
+    if d == 0:
+        return int(a == (-1,))  # the exceptional curve E1
+    if a and a[-1] < 0:
+        return 0  # holds the exceptional curve: not irreducible
+    if n < 2:
+        return int(d * d - sum(x * x for x in a) == n - 1)
+    if not a and d == 1:
+        return 1  # the line through two points
+    total = 0
+    for d1 in range(1, d):
+        d2 = d - d1
+        for a1 in itertools.product(*(range(x + 1) for x in a)):
+            a2 = tuple(x - y for x, y in zip(a, a1))
+            n1 = 3 * d1 - sum(a1) - 1
+            if not 0 <= n1 <= n - 1:
+                continue
+            dot = d1 * d2 - sum(x * y for x, y in zip(a1, a2))
+            if a:
+                weight = (a1[0] * d2 - d1 * a2[0]) * _choose(n - 2, n1)
+            else:
+                weight = d2 * _choose(n - 3, n1 - 1) - d1 * _choose(n - 3, n1)
+            if dot and weight:
+                total += blowup_count(d1, *a1) * blowup_count(d2, *a2) * dot * d1 * weight
+    if a:
+        if total % a[0]:
+            raise AssertionError(f"WDVV sum {total} of ({d}; {a}) is not a multiple of {a[0]}")
+        total //= a[0]
+    return total
 
 
 def random_gw(rng, size: int = 4, bound: int = 30) -> GWElement:

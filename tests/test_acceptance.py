@@ -234,7 +234,7 @@ def test_criterion_9_tropical_structural_suite():
             prod = 1
             for t in curve.subdivision.triangles():
                 prod *= t.area2()
-            assert curve.bundle.motivic.rank() == prod
+            assert curve.motivic.rank() == prod
         dropped_summary[name] = sum(enum.dropped.values())
     report(
         9,

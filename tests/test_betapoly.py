@@ -37,6 +37,11 @@ class TestBasics:
         assert row1.coeff((1,)) == ONE
         assert format_poly(row1) == "2h + 6*<1> + b1"
 
+    def test_constant_is_its_dict(self):
+        for g in (ZERO, ONE, 2 * H - form(3)):
+            assert const(g) == BetaPolynomial.from_dict({(): g})
+        assert const(ZERO) == POLY_ZERO
+
     def test_zero_pruning(self):
         p = beta_symbol(1) - beta_symbol(1)
         assert p == POLY_ZERO

@@ -171,6 +171,14 @@ class TestGwEqual:
     def test_rejects_symbols(self, capsys):
         assert run(capsys, "gw-equal", "b1", "h")[0] == 2
 
+    def test_cancelled_symbols_are_constant(self, capsys):
+        # symbols that cancel leave a constant: equal, and zero in gw-eval
+        assert run(capsys, "gw-equal", "b1 - b1", "0") == (0, "equal\n", "")
+        assert run(capsys, "gw-eval", "--json", "b1 - b1") == (0, '{"pretty":"0","terms":[]}\n', "")
+        assert run(capsys, "gw-eval", "--unicode", "b1*b2 + <3> - b2*b1") == (0, "⟨3⟩\n", "")
+        code, out, err = run(capsys, "gw-equal", "b1", "0")
+        assert (code, out, err) == (2, "", "error: gw-equal compares constants; got formal b symbols\n")
+
     def test_equal_products_need_no_factoring(self, capsys):
         # <P*Q> on both sides cancels before any Hasse place is sought
         code, out, err = run(capsys, "gw-equal", f"<{P}> * <{Q}>", f"<{P}> * <{Q}>")

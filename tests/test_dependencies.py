@@ -24,8 +24,8 @@ EXPORTS = {
     "polygon": ["LatticePolygon", "convex_hull", "p2", "polygon", "preset", "sl2z_equivalent"],
     "tropical": [
         "Cell", "Enumeration", "InternalInvariantError", "MarkedSubdivision",
-        "MultiplicityBundle", "complete_path", "count_invariants", "curve_mult",
-        "enumerate_curves", "enumerate_paths", "vertex_mult",
+        "complete_path", "count_invariants", "curve_mult", "enumerate_curves",
+        "enumerate_paths", "vertex_mult",
     ],
     "wallcross": [
         "InvariantTable", "SurfaceChain", "base_invariant", "build_tables", "chain_from",

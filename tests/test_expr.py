@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from gwcurves.betapoly import BetaPolynomial, format_poly
 from gwcurves.expr import _TOKEN, ExprError, parse_expression, parse_gw
-from gwcurves.gw import DomainError, H, ONE, form, format_gw
+from gwcurves.gw import ZERO, DomainError, H, ONE, form, format_gw
 
 from oracles import random_gw, scan_expression
 
@@ -77,6 +77,11 @@ class TestErrors:
     def test_constant_required(self):
         with pytest.raises(Exception):
             parse_gw("b1")
+
+    def test_cancelled_symbols_are_constant(self):
+        assert parse_gw("b1 - b1") == ZERO
+        assert parse_gw("h*b1 + <5> - b1*h") == form(5)
+        assert parse_expression("h*b1 + <5> - b1*h") == BetaPolynomial.constant(form(5))
 
     @pytest.mark.parametrize(
         "text, pos", [("2*", 2), ("2*+<3>", 2), ("2 * - <3>", 4), ("h + 3 *", 7), ("<2>*", 4)]

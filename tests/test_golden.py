@@ -47,6 +47,14 @@ TROPICAL = {
     "svg": "377a34809ea0c74bab43fe6095d6efd3c0ee14a10c1dac26c690f279e9941d31",
 }
 
+# stdout and --json file of the quartic's curve list: ranks 1 to 36 and the
+# classes <3> and <-3>, where a rank or signature read off a curve's motivic
+# multiplicity would show a slip
+QUARTIC_CURVES = {
+    "stdout": "117d4da9be6f838af22ff50a55f006d1bd2185919f056df581e02ca165fbe8c4",
+    "json": "fc47910d794b2e78fa37674b62fb43053d660d7ee1271e4ed36c2346191273b2",
+}
+
 
 def _sha(data: str) -> str:
     return hashlib.sha256(data.encode("utf-8")).hexdigest()
@@ -69,3 +77,10 @@ def test_tropical_outputs_pinned(tmp_path, capsys):
         "svg": _sha(svg.read_text(encoding="utf-8")),
     }
     assert got == TROPICAL
+
+
+def test_quartic_curve_list_pinned(tmp_path, capsys):
+    js = tmp_path / "out.json"
+    assert main(["tropical", "--polygon", "p2:4", "--list-curves", "--json", str(js)]) == 0
+    got = {"stdout": _sha(capsys.readouterr().out), "json": _sha(js.read_text(encoding="utf-8"))}
+    assert got == QUARTIC_CURVES

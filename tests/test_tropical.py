@@ -25,7 +25,6 @@ from gwcurves.tropical import (
     _heavy_steps,
     _light_completions,
     _orient,
-    _pair_bundle,
     _pair_loop,
     _pair_reason,
     collector_paused,
@@ -91,6 +90,18 @@ class TestVertexMult:
         assert triangle_interior_count(t) == 1
         assert vertex_mult(t) == form(-3) + 4 * H
 
+    @pytest.mark.parametrize(
+        "corners", [((0, 0), (1, 0), (0, 1)), ((0, 0), (1, 0), (0, 2))], ids=["odd-edges", "even-edge"]
+    )
+    def test_rank_off_the_area_raises(self, monkeypatch, corners):
+        # the formula's one check: its rank is twice the triangle's area
+        from gwcurves import tropical
+
+        monkeypatch.setattr(tropical, "form", lambda *args: form(*args) + ONE)
+        tropical._shape_mult.cache_clear()
+        with pytest.raises(InternalInvariantError, match="rank"):
+            vertex_mult(tri(*corners))
+
     def test_interior_count_matches_brute_scan(self):
         triangles = [
             tri((0, 0), (1, 0), (0, 1)),
@@ -111,25 +122,25 @@ class TestVertexMult:
 class TestCurveMult:
     def test_single_unit_triangle(self):
         sub = MarkedSubdivision(((0, 0), (1, 0), (0, 1)), (tri((0, 0), (1, 0), (0, 1)),))
-        b = curve_mult(sub)
-        assert (b.motivic, b.complex, b.welschinger) == (ONE, 1, 1)
+        m = curve_mult(sub)
+        assert (m, m.rank(), m.signature()) == (ONE, 1, 1)
 
     def test_product_with_h_vertex(self):
         cells = (tri((0, 0), (1, 0), (0, 1)), tri((1, 0), (0, 1), (1, 1)), tri((1, 0), (2, 0), (1, 1)))
         # replace one vertex mult by an even-edge triangle elsewhere
         sub = MarkedSubdivision((), (tri((0, 0), (1, 0), (0, 2)),))
-        b = curve_mult(sub)
-        assert (b.motivic, b.complex, b.welschinger) == (H, 2, 0)
+        m = curve_mult(sub)
+        assert (m, m.rank(), m.signature()) == (H, 2, 0)
 
     def test_matches_plain_fold(self, quartic_enum):
         # curve_mult skips the factors equal to ONE
         for enum in (quartic_enum, enumerate_curves(SQUARE)):
             for curve in enum.curves:
-                assert curve.bundle.motivic.terms == motivic_fold(curve.subdivision).terms
+                assert curve.motivic.terms == motivic_fold(curve.subdivision).terms
 
     def test_welschinger_zero_with_even_triangle(self):
         sub = MarkedSubdivision((), (tri((0, 0), (1, 0), (0, 2)), tri((0, 0), (1, 0), (0, 3))))
-        assert curve_mult(sub).welschinger == 0
+        assert curve_mult(sub).signature() == 0
 
 
 class TestPaths:
@@ -241,7 +252,7 @@ class TestCompletions:
                         cells = tuple(sorted(tuple(cl) + tuple(cr), key=_cell_key))
                         sub = MarkedSubdivision(tuple(path), cells)
                         if validate_subdivision(sub, poly) is None:
-                            totals.append(curve_mult(sub).motivic)
+                            totals.append(curve_mult(sub))
                         elif is_alt:
                             drops_alt += 1
                         else:
@@ -267,14 +278,14 @@ class TestEnumerate:
     def test_line(self):
         enum = enumerate_curves(p2(1))
         assert len(enum.curves) == 1
-        b = enum.curves[0].bundle
-        assert (b.motivic, b.complex, b.welschinger) == (ONE, 1, 1)
+        m = enum.curves[0].motivic
+        assert (m, m.rank(), m.signature()) == (ONE, 1, 1)
         assert not enum.dropped
 
     def test_conic(self):
         enum = enumerate_curves(preset("bl2f1"))
         assert len(enum.curves) == 1
-        assert enum.curves[0].bundle.complex == 1
+        assert enum.curves[0].motivic.rank() == 1
 
     def test_cubic_totals(self):
         inv = count_invariants(p2(3))
@@ -327,20 +338,20 @@ class TestEnumerate:
             prod = 1
             for t in curve.subdivision.triangles():
                 prod *= t.area2()
-            assert curve.bundle.motivic.rank() == prod
+            assert curve.motivic.rank() == prod
 
     def test_signature_rule_per_curve(self):
         enum = enumerate_curves(p2(3))
         for curve in enum.curves:
             tris = curve.subdivision.triangles()
             if any(any(l % 2 == 0 for l in triangle_edge_lengths(t)) for t in tris):
-                assert curve.bundle.welschinger == 0
+                assert curve.motivic.signature() == 0
             else:
                 want = 1
                 for t in tris:
                     if triangle_interior_count(t) % 2:
                         want = -want
-                assert curve.bundle.welschinger == want
+                assert curve.motivic.signature() == want
 
     def test_tiling_accounting(self):
         enum = enumerate_curves(preset("blf1"))
@@ -404,7 +415,7 @@ class TestQuartic:
             prod = 1
             for t in curve.subdivision.triangles():
                 prod *= t.area2()
-            assert curve.bundle.complex == prod
+            assert curve.motivic.rank() == prod
 
     def test_curves_sorted_canonically(self, quartic_enum):
         keys = [
@@ -553,7 +564,7 @@ def _kept_curves(poly, paths):
 
     def keep(path, left, right):
         cells = tuple(sorted(summary_cells(left, poly) + summary_cells(right, poly), key=_cell_key))
-        curves.append(TropicalCurve(MarkedSubdivision(tuple(path), cells), _pair_bundle(left, right)))
+        curves.append(TropicalCurve(MarkedSubdivision(tuple(path), cells), left.motivic * right.motivic))
 
     return curves, _pair_loop(poly, paths, keep)
 
@@ -681,7 +692,7 @@ def test_cell_table_multiplicity_is_vertex_mult(poly):
         if heavy:
             assert mult is None and heavy_boundary((cell,), poly), cell
         else:
-            assert mult == (m, m.signature()), cell
+            assert mult == m, cell
 
 
 SHAPE_PRESETS = [p2(2), p2(3), preset("blf1"), preset("bl2f1"), preset("f1_4_2e")]
@@ -869,7 +880,7 @@ def test_pair_reason_matches_validate_subdivision(poly, monkeypatch):
                     assert heavy_boundary(sub.cells, poly) and reason is not None, sub
                 else:
                     assert reason == validate_subdivision(sub, poly), sub
-                    assert _pair_bundle(cl, cr) == curve_mult(sub), sub
+                    assert cl.motivic * cr.motivic == curve_mult(sub), sub
 
 
 def _kept_pair(poly):
@@ -948,10 +959,10 @@ def test_collector_restored_after_an_invariant_error(gc_state, monkeypatch):
 def test_collector_restored_after_an_error_in_the_count(gc_state, monkeypatch, enabled):
     from gwcurves import tropical
 
-    def boom(left, right):
+    def boom(x, y):
         raise InternalInvariantError("multiplicity factorization failed")
 
-    monkeypatch.setattr(tropical, "_pair_bundle", boom)
+    monkeypatch.setattr(tropical, "_times", boom)
     (gc.enable if enabled else gc.disable)()
     with pytest.raises(InternalInvariantError, match="factorization"):
         count_invariants(p2(3))

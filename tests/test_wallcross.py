@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -21,7 +22,9 @@ from gwcurves.wallcross import (
     wall_cross_step,
 )
 
-from oracles import factoring_beta, factoring_product
+from gwcurves.tropical import count_invariants
+
+from oracles import blowup_count, factoring_beta, factoring_product
 
 # The degree-4 invariant tables: rows s = 0.. for the plane, the Hirzebruch
 # surface with class 4-2E, its blow-up with 4-2E-2E', and the conic polygon.
@@ -72,6 +75,57 @@ class TestKontsevich:
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
             kontsevich_nd(0)
+
+
+class TestBlowupOracle:
+    """The WDVV rank oracle of ``oracles.blowup_count``, then the chain
+    levels against it."""
+
+    def test_plane_counts_are_kontsevich(self):
+        assert [blowup_count(d) for d in range(1, 9)] == [kontsevich_nd(d) for d in range(1, 9)]
+
+    def test_cremona_symmetry(self):
+        # the quadratic Cremona map at the first three points preserves the count
+        def image(d, a1, a2, a3, *rest):
+            return (2 * d - a1 - a2 - a3, d - a2 - a3, d - a1 - a3, d - a1 - a2, *rest)
+
+        assert image(5, 2, 2, 2) == (4, 1, 1, 1) and blowup_count(4, 1, 1, 1) == 620
+        nonzero = 0
+        for d in range(1, 5):
+            for a in itertools.product(range(4), repeat=3):
+                for rest in [(), (2,), (1, 1, 1)]:
+                    if 3 * d - sum(a) - sum(rest) - 1 >= 0:
+                        got = blowup_count(d, *a, *rest)
+                        assert got == blowup_count(*image(d, *a, *rest)), (d, a, rest)
+                        nonzero += got != 0
+        assert nonzero > 100
+
+    @pytest.mark.parametrize(
+        "cls, n",
+        [
+            ((4, 2), 96),
+            ((4, 2, 2), 12),
+            ((4, 2, 2, 2), 1),
+            ((3, 2), 1),
+            ((5, 2), 18132),
+            ((5, 2, 2), 3510),
+            ((5, 2, 2, 2), 620),
+            ((5, 2, 0, 2), 3510),
+        ],
+        ids=str,
+    )
+    def test_known_ranks(self, cls, n):
+        assert blowup_count(*cls) == n
+
+    def test_refuses_beyond_del_pezzo(self):
+        with pytest.raises(ValueError, match="at most 6"):
+            blowup_count(6, *[2] * 7)
+
+    def test_quartic_chain_levels(self):
+        # level k chops k corners at depth 2: the class (4; 2, ..., 2), k twos
+        for k, poly in enumerate(quartic_chain().polygons):
+            assert poly.point_budget() == 3 * 4 - 2 * k - 1, poly
+            assert count_invariants(poly).n == blowup_count(4, *[2] * k), poly
 
 
 class TestWallCrossStep:
