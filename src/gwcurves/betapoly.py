@@ -85,11 +85,8 @@ class BetaPolynomial:
     def indices(self) -> set[int]:
         return {i for m, _ in self.monomials for i in m}
 
-    def is_constant(self) -> bool:
-        return not self.indices()
-
     def constant_value(self) -> GWElement:
-        if not self.is_constant():
+        if self.indices():
             raise DomainError("polynomial carries formal symbols")
         return self.coeff(())
 

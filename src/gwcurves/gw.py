@@ -314,16 +314,6 @@ def square_class(a: Rational) -> int:
     return _squarefree_part(a if type(a) is int else a.numerator * a.denominator)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _odd_prime_divisors(c: int) -> tuple[int, ...]:
-    return tuple(p for p, _ in _factor(abs(c)) if p != 2)
-
-
-def _legendre(u: int, p: int) -> int:
-    r = pow(u % p, (p - 1) // 2, p)
-    return 1 if r == 1 else -1
-
-
 def _split(n: int, p: int) -> tuple[int, int]:
     """n = p**v * u with p not dividing u; returns (v, u)."""
     v = 0
@@ -346,11 +336,11 @@ def _hilbert_int(a: int, b: int, place: Place) -> int:
         return -1 if e % 2 else 1
     al, u = _split(a, p)
     bl, w = _split(b, p)
-    sym = _legendre(-1, p) ** (al * bl) if al * bl % 2 else 1
+    sym = _jacobi(-1, p) if al * bl % 2 else 1
     if bl % 2:
-        sym *= _legendre(u, p)
+        sym *= _jacobi(u, p)
     if al % 2:
-        sym *= _legendre(w, p)
+        sym *= _jacobi(w, p)
     return sym
 
 
@@ -360,9 +350,13 @@ def hilbert_symbol(a: Rational, b: Rational, place: Place = REAL_PLACE) -> int:
 
     ``place`` is a prime number or REAL_PLACE (None).
     """
+    _check_place(place)
+    return _hilbert_int(square_class(a), square_class(b), place)
+
+
+def _check_place(place: Place) -> None:
     if place is not REAL_PLACE and not (type(place) is int and _is_prime(place)):
         raise DomainError(f"not a place of Q: {place!r}")
-    return _hilbert_int(square_class(a), square_class(b), place)
 
 
 @dataclass(frozen=True)
@@ -422,7 +416,14 @@ class GWElement:
         return self + (-other)
 
     def __mul__(self, other):
+        """The ring product, or an integer multiple.  A factor equal to <1>,
+        the identity (as most vertex multiplicities of a curve are), returns
+        the other factor itself."""
         if isinstance(other, GWElement):
+            if self.terms == ((1, 1),):
+                return other
+            if other.terms == ((1, 1),):
+                return self
             d: dict[int, int] = {}
             for c1, n1 in self.terms:
                 for c2, n2 in other.terms:
@@ -459,16 +460,18 @@ class GWElement:
         return d
 
     def hasse_invariant(self, place: Place) -> int:
-        """Product of pairwise Hilbert symbols of the diagonal entries."""
+        """Product of pairwise Hilbert symbols of the diagonal entries, at
+        the place checked as by ``hilbert_symbol``."""
+        _check_place(place)
         if not self.is_effective():
             raise DomainError("Hasse invariant needs an effective form")
         out = 1
         for i, (c, n) in enumerate(self.terms):
             if comb(n, 2) % 2:
-                out *= hilbert_symbol(c, c, place)
+                out *= _hilbert_int(c, c, place)
             for c2, n2 in self.terms[i + 1 :]:
                 if (n * n2) % 2:
-                    out *= hilbert_symbol(c, c2, place)
+                    out *= _hilbert_int(c, c2, place)
         return out
 
     def _effectivized(self) -> tuple["GWElement", int]:
@@ -645,7 +648,7 @@ def gw_equal(q1: GWElement, q2: GWElement) -> bool:
     places: set[Place] = {REAL_PLACE, 2}
     for q in (e1, e2):
         for c, _ in q.terms:
-            places.update(_odd_prime_divisors(c))
+            places.update(p for p, _ in _factor(abs(c)) if p != 2)
     return all(e1.hasse_invariant(v) == e2.hasse_invariant(v) for v in places)
 
 

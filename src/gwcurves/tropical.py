@@ -31,12 +31,13 @@ each count, sub-completion and cell entry is made once per enumeration.
 A glued pair of light completions is decided on the path interface.  The
 same recursion gives each light completion a summary: for each edge of its
 path the side group of the cell owning it, which groups hold a triangle,
-its rays, its area and the product of its vertex multiplicities.  Groups
-of one side never merge (a peel adds sides to one group, or starts a new
-one at a ray), and the two sides' groups join only across the path edges
-both of them own, so one union-find over the path's labels gives the
-reason, and a curve's multiplicity is the product of its two sides'.  A
-summary names its cells by their point ids, in a link to its child's
+its area and the product of its vertex multiplicities.  Groups of one side
+never merge (a peel adds sides to one group, or starts a new one at a ray),
+and a group's ray is its only side off the path that one cell owns, so the
+group count is the ray count.  The two sides' groups join only across
+the path edges both of them own, so one union-find over the path's labels
+gives the reason, and a curve's multiplicity is the product of its two
+sides'.  A summary names its cells by their point ids, in a link to its child's
 summary, and a light triangle's multiplicity comes from one cache keyed by
 its shape up to translation, so the count builds no ``Cell``:
 ``enumerate_curves`` alone builds the cells of the pairs it keeps, each
@@ -67,7 +68,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from math import gcd
-from operator import attrgetter
+from operator import attrgetter, mul
 from typing import NamedTuple
 
 from .gw import GWElement, InternalInvariantError, ONE, form, gw_equal
@@ -201,15 +202,9 @@ class MarkedSubdivision:
         }
 
 
-def _times(x: GWElement, y: GWElement) -> GWElement:
-    """``x * y``, skipping a factor equal to ``ONE``, the identity of the
-    group-ring product (most factors are: the unit triangles)."""
-    return y if x == ONE else x if y == ONE else x * y
-
-
 def curve_mult(sub: MarkedSubdivision) -> GWElement:
     """Product of the vertex multiplicities over the trivalent vertices."""
-    return reduce(_times, map(vertex_mult, sub.triangles()), ONE)
+    return reduce(mul, map(vertex_mult, sub.triangles()), ONE)
 
 
 # -- lattice paths and completions -----------------------------------------------
@@ -360,8 +355,9 @@ class _Side(NamedTuple):
     ``labels`` gives, for each edge of the path, the side group (see
     ``validate_subdivision``) of the cell owning the edge, or -1 when no
     cell owns it (the edge lies on the boundary arc).  Every group holds an
-    edge of the path, so the labels are 0 .. ``groups`` - 1.  ``rays``
-    counts the sides owned once that are not path edges, all of lattice
+    edge of the path, so the labels are 0 .. ``groups`` - 1.  Each group
+    starts at a ray, a side owned once that is not a path edge, and gets no
+    other, so ``groups`` is also the ray count; every ray has lattice
     length 1: the completion is light.  ``area2`` sums ``Cell.area2`` over
     the cells, and ``motivic`` is the product of its vertex multiplicities
     (``curve_mult`` of its cells).  ``cells`` is a link, ``(pts, child's
@@ -374,7 +370,6 @@ class _Side(NamedTuple):
     groups: int
     tri_groups: int  # bitmask of the groups holding a triangle
     triangles: int
-    rays: int
     area2: int
     motivic: GWElement
 
@@ -409,14 +404,13 @@ def _extend(child: _Side, i: int, pts: tuple[int, ...], area2: int, mult) -> _Si
         labels = labels[: i - 1] + (ac, ac) + labels[i:]
         tri_groups |= 1 << ac
         triangles += 1
-        motivic = _times(motivic, mult)
+        motivic = motivic * mult
     return _Side(
         (pts, child.cells),
         labels,
         groups,
         tri_groups,
         triangles,
-        child.rays + groups - child.groups,
         child.area2 + area2,
         motivic,
     )
@@ -465,7 +459,7 @@ def _complete(comp: _Completer, side: int, p, area: int, want: bool) -> tuple[in
         for edge in zip(vs, vs[1:]):  # every edge that no cell owns starts here
             if edge not in comp.poly.boundary_steps:
                 raise InternalInvariantError(f"interior edge {edge} has a single cell")
-        memo[key] = out = 1, [_Side(None, (-1,) * (len(p) - 1), 0, 0, 0, 0, 0, ONE)]
+        memo[key] = out = 1, [_Side(None, (-1,) * (len(p) - 1), 0, 0, 0, 0, ONE)]
         return out
     n, light = 0, [] if want else None
     cells = comp.cells
@@ -562,7 +556,7 @@ def _pair_reason(path, left: _Side, right: _Side, poly: LatticePolygon):
     off = left.groups
     parent = list(range(off + right.groups))
     merges = 0
-    rays = left.rays + right.rays
+    rays = len(parent)  # one per group (see ``_Side``)
     steps = poly.boundary_steps
     for i, (lab, rab) in enumerate(zip(left.labels, right.labels)):
         if lab >= 0 and rab >= 0:
@@ -674,7 +668,6 @@ def _pair_loop(poly: LatticePolygon, paths, keep) -> Counter:
             heavy = n_left * n_right - len(left_ok) * len(right_ok)
             if heavy:
                 dropped["boundary-weight"] += heavy
-                logger.debug("dropped %d boundary-weight completions of path %s", heavy, path)
             for cl in left_ok:
                 for cr in right_ok:
                     reason = _pair_reason(path, cl, cr, poly)
@@ -682,7 +675,6 @@ def _pair_loop(poly: LatticePolygon, paths, keep) -> Counter:
                         keep(path, cl, cr)
                     else:
                         dropped[reason] += 1
-                        logger.debug("dropped %s completion of path %s", reason, path)
         if dropped:
             tallies = ", ".join(f"{k}={v}" for k, v in sorted(dropped.items()))
             logger.info("%s: dropped %d completions (%s)", poly, sum(dropped.values()), tallies)
@@ -730,7 +722,7 @@ def enumerate_curves(poly: LatticePolygon, jobs: int = 1) -> Enumeration:
 
     def keep(path, left: _Side, right: _Side) -> None:
         cells = tuple(sorted(cells_of(left.cells) + cells_of(right.cells), key=_cell_key))
-        curves.append(TropicalCurve(MarkedSubdivision(tuple(path), cells), _times(left.motivic, right.motivic)))
+        curves.append(TropicalCurve(MarkedSubdivision(tuple(path), cells), left.motivic * right.motivic))
 
     dropped = _pair_loop(poly, list(enumerate_paths(poly)), keep)
     with collector_paused():  # the sort keys would only trigger rescans of the live curves
@@ -754,5 +746,5 @@ def count_invariants(poly: LatticePolygon, jobs: int = 1) -> Invariants:
     ``jobs`` is accepted and ignored, as by ``enumerate_curves``."""
     total: dict[int, int] = {}
     paths = list(enumerate_paths(poly))
-    _pair_loop(poly, paths, lambda path, left, right: _add_into(total, _times(left.motivic, right.motivic)))
+    _pair_loop(poly, paths, lambda path, left, right: _add_into(total, left.motivic * right.motivic))
     return _invariants(GWElement._of(total))

@@ -5,17 +5,26 @@ from __future__ import annotations
 import errno
 import gc
 import hashlib
+import io
 import json
 import os
 import shlex
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from time import perf_counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gwcurves.cli import main
+from gwcurves.expr import ExprError, parse_expression
+from gwcurves.gw import DomainError
+
+from oracles import uncancelled_gw_equal
+from test_expr import expressions
 
 
 def run(capsys, *argv):
@@ -189,6 +198,26 @@ class TestGwEqual:
         code, out, err = run(capsys, "gw-equal", f"2<{P}> * <{Q}>", "2")
         assert (code, out) == (2, "")
         assert err.startswith("error: cannot factor a 82-bit integer") and err.count("\n") == 1
+
+
+class TestGwEqualProperty:
+    """``gw-equal`` on two calculator texts through ``main``, in-process."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(expressions(), st.data())
+    def test_exit_status_and_verdict(self, e1, data):
+        e2 = data.draw(expressions() | st.just(e1))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["gw-equal", e1, e2])
+        try:
+            q1, q2 = (parse_expression(e).constant_value() for e in (e1, e2))
+        except (ExprError, DomainError):  # a bad text, or a formal b symbol
+            assert (code, out.getvalue()) == (2, "")
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        else:
+            want = (0, "equal\n", "") if uncancelled_gw_equal(q1, q2) else (1, "not equal\n", "")
+            assert (code, out.getvalue(), err.getvalue()) == want
 
 
 class TestInvariant:

@@ -313,6 +313,9 @@ class TestClassProduct:
             for _ in range(200):
                 q1, q2 = random_gw(rng, bound=bound), random_gw(rng, bound=bound)
                 assert q1 * q2 == factoring_product(q1, q2)
+                for one in (ONE, 2 * ONE, -ONE, ZERO, H):  # <1>, the shortcut, and near-misses
+                    assert one * q1 == factoring_product(one, q1)
+                    assert q1 * one == factoring_product(q1, one)
                 effective = form(*(rng.choice([-1, 1]) * rng.randrange(1, bound) for _ in range(5)))
                 assert effective.discriminant() == factoring_discriminant(effective)
 
@@ -344,6 +347,8 @@ class TestHilbertSymbol:
         for place in (4, 1, True, 2.0):
             with pytest.raises(DomainError, match="not a place of Q"):
                 hilbert_symbol(2, 3, place)
+            with pytest.raises(DomainError, match="not a place of Q"):
+                form(3).hasse_invariant(place)  # a rank-1 form needs no symbol
 
     def test_against_oracle_all_integers_to_30(self):
         values = [v for v in range(-30, 31) if v]

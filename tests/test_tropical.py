@@ -506,11 +506,17 @@ HULLS = [
 def test_count_matches_complete_path(poly):
     comp = _Completer(poly)  # shared by all paths of the polygon, as in an enumeration
     for path in enumerate_paths(poly):
+        edges = {tuple(sorted(e)) for e in zip(path, path[1:])}
         for side in (1, -1):
             full = complete_path(path, side, poly)
             light = [c for c in full if not heavy_boundary(c, poly)]
             n, sides = _light_completions(comp, comp.root(path), side)
-            assert (n, [summary_cells(s, poly) for s in sides]) == (len(full), light)
+            cells = [summary_cells(s, poly) for s in sides]
+            assert (n, cells) == (len(full), light)
+            # the group count is the ray count: sides one cell owns, off the path
+            owners = [Counter(e for cell in cs for e in cell.sides()) for cs in cells]
+            rays = [sum(k == 1 and e not in edges for e, k in o.items()) for o in owners]
+            assert [s.groups for s in sides] == rays
 
 
 def test_complete_path_refuses_a_point_off_the_polygon():
@@ -962,7 +968,7 @@ def test_collector_restored_after_an_error_in_the_count(gc_state, monkeypatch, e
     def boom(x, y):
         raise InternalInvariantError("multiplicity factorization failed")
 
-    monkeypatch.setattr(tropical, "_times", boom)
+    monkeypatch.setattr(tropical, "_add_into", boom)
     (gc.enable if enabled else gc.disable)()
     with pytest.raises(InternalInvariantError, match="factorization"):
         count_invariants(p2(3))
