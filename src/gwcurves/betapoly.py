@@ -15,7 +15,6 @@ identity, coefficient by coefficient under gw_equal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 from .gw import (
@@ -25,6 +24,7 @@ from .gw import (
     ZERO,
     UNICODE_GLYPHS,
     DomainError,
+    _Frozen,
     Rational,
     beta,
     display_terms,
@@ -51,21 +51,22 @@ def _mono_key(m: Monomial) -> tuple[int, Monomial]:
     return (len(m), m)
 
 
-@dataclass(frozen=True)
-class BetaPolynomial:
+class BetaPolynomial(_Frozen):
     """Map from index sets to GW coefficients; () is the constant term."""
 
-    monomials: tuple[tuple[Monomial, GWElement], ...] = ()
+    __slots__ = _fields = ("monomials",)
+    monomials: tuple[tuple[Monomial, GWElement], ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, monomials: tuple[tuple[Monomial, GWElement], ...] = ()) -> None:
         last = None
-        for m, g in self.monomials:
+        for m, g in monomials:
             if not g:
                 raise DomainError("zero coefficients must be pruned")
             key = _mono_key(_mono(m))
             if last is not None and key <= last:
                 raise DomainError("monomials must be sorted by (degree, indices)")
             last = key
+        object.__setattr__(self, "monomials", monomials)
 
     @classmethod
     def from_dict(cls, d: Mapping[Monomial, GWElement]) -> "BetaPolynomial":

@@ -16,20 +16,17 @@ invariant violation.
 from __future__ import annotations
 
 import argparse
-import json
-import logging
 import os
 import sys
 from math import comb
 from pathlib import Path
 
-from .betapoly import format_poly
-from .expr import ExprError, _parse
-from .gw import DomainError, GWElement, InternalInvariantError, _check_printable, format_gw, gw_equal, read_int
+from .gw import DomainError, ExprError, GWElement, InternalInvariantError, _check_printable, format_gw, gw_equal, read_int
 from .polygon import LatticePolygon, _span, preset, preset_names
 
-# tropical, wallcross and svgout are imported by the handlers that run them,
-# so that gw-eval and gw-equal start without loading the enumeration
+# Each handler imports what only it runs: expr and betapoly for the
+# calculator, tropical, wallcross and svgout for the enumeration and the
+# tables, json for a polygon file or --json, and main imports logging for -v.
 
 DEFAULT_BUDGET_LIMIT = 14
 #: the most rows a point scan runs through, along the polygon's shorter side
@@ -52,6 +49,8 @@ def _load_polygon(name: str) -> LatticePolygon:
             f"unknown polygon {name!r}: not a preset ({', '.join(preset_names())}) "
             "and not a readable file"
         )
+    import json
+
     try:
         return LatticePolygon.from_json(json.loads(path.read_text()))
     # RecursionError: nested deeper than the JSON decoder recurses
@@ -125,10 +124,15 @@ def _write(name: str, text: str) -> None:
 
 
 def _json_dump(data) -> str:
+    import json
+
     return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _cmd_gw_eval(args) -> int:
+    from .betapoly import format_poly
+    from .expr import _parse
+
     value = _parse(args.expr)
     fmt = format_gw if isinstance(value, GWElement) else format_poly
     if args.json:
@@ -141,6 +145,8 @@ def _cmd_gw_eval(args) -> int:
 
 
 def _cmd_gw_equal(args) -> int:
+    from .expr import _parse
+
     v1, v2 = _parse(args.expr1), _parse(args.expr2)
     if not (isinstance(v1, GWElement) and isinstance(v2, GWElement)):
         raise UsageError("gw-equal compares constants; got formal b symbols")
@@ -259,12 +265,24 @@ class _Parser(argparse.ArgumentParser):
     of the parser's options is a value, as it is when spelled with a leading
     space: the expressions ``-<2>`` and ``-h+<2>``, or the list in
     ``--specialize -1,-1``.  argparse would read each as an unknown option
-    and exit 2."""
+    and exit 2.  In a subcommand that reads calculator texts (``texts``),
+    ``-h`` is the text -<1> - <-1> too, unless it is the subcommand's only
+    argument, which asks for help."""
+
+    texts = False
+    _h_is_text = False
+
+    def parse_known_args(self, args=None, namespace=None):
+        # a subcommand's parser gets the arguments after the subcommand's name
+        self._h_is_text = self.texts and len(args) > 1
+        return super().parse_known_args(args, namespace)
 
     def _parse_optional(self, arg):
         options = self._option_string_actions
         if arg.startswith("--"):  # a long option or a prefix of one, then "=value"
             value = not any(o.startswith(arg.split("=", 1)[0]) for o in options)
+        elif arg == "-h":
+            value = self._h_is_text
         else:  # one short option, or several short flags run together
             value = arg.startswith("-") and not all(f"-{ch}" in options for ch in arg[1:])
         return None if value else super()._parse_optional(arg)
@@ -279,12 +297,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gw-eval", help="evaluate an expression to canonical form")
+    p.texts = True
     p.add_argument("expr")
     p.add_argument("--json", action="store_true")
     p.add_argument("--unicode", action="store_true")
     p.set_defaults(func=_cmd_gw_eval)
 
     p = sub.add_parser("gw-equal", help="decide equality in GW(Q)")
+    p.texts = True
     p.add_argument("expr1")
     p.add_argument("expr2")
     p.set_defaults(func=_cmd_gw_equal)
@@ -321,7 +341,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING)
+    if args.verbose:  # tropical logs through logging only once it is imported
+        import logging
+
+        logging.basicConfig(level=logging.INFO)
     try:
         code = args.func(args)
         sys.stdout.flush()  # so that a closed pipe raises here, not at exit

@@ -26,16 +26,11 @@ from operator import add, mul
 from typing import Callable, Union
 
 from .betapoly import BetaPolynomial, beta_symbol
-from .gw import ZERO, DomainError, GWElement, H, ONE, Rational, form, read_int, trace_form
+# ExprError lives in gw, so that the command line catches it without this module
+from .gw import ZERO, DomainError, ExprError, GWElement, H, ONE, Rational, form, read_int, trace_form
 
 _TOKEN = re.compile(r"\s*([0-9]+|tr\(|\S)")
 Value = Union[GWElement, BetaPolynomial]
-
-
-class ExprError(ValueError):
-    def __init__(self, message: str, pos: int):
-        super().__init__(f"{message} (at position {pos})")
-        self.pos = pos
 
 
 class _Tokens:

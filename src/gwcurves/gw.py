@@ -48,7 +48,6 @@ coefficients), which is how values like ``190h + 240*<1>`` are displayed.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, count
@@ -70,6 +69,50 @@ class InternalInvariantError(AssertionError):
     """A structural impossibility (a bad tiling in ``tropical``) rather than
     a filtered curve.  Defined here, beside DomainError, so that the command
     line can catch it without loading the enumeration."""
+
+
+class ExprError(ValueError):
+    """A calculator text that does not parse, at a position in it.  Defined
+    here, beside DomainError, so that the command line can catch it without
+    loading the parser; ``expr`` re-exports it."""
+
+    def __init__(self, message: str, pos: int):
+        super().__init__(f"{message} (at position {pos})")
+        self.pos = pos
+
+
+class _Frozen:
+    """An immutable value with the fields ``_fields``, compared, hashed,
+    shown and pickled by them as a frozen dataclass is.  A subclass sets its
+    fields in ``__init__`` through ``object.__setattr__``; assigning or
+    deleting one afterwards raises AttributeError."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _exact(a: Rational) -> Rational:
@@ -359,8 +402,7 @@ def _check_place(place: Place) -> None:
         raise DomainError(f"not a place of Q: {place!r}")
 
 
-@dataclass(frozen=True)
-class GWElement:
+class GWElement(_Frozen):
     """A virtual diagonal form: map square class -> nonzero integer weight.
 
     Stored as a tuple of (class, coefficient) pairs with classes strictly
@@ -368,11 +410,12 @@ class GWElement:
     ``gw_equal`` for equality in GW(Q).
     """
 
-    terms: tuple[tuple[int, int], ...] = ()
+    __slots__ = _fields = ("terms",)
+    terms: tuple[tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, terms: tuple[tuple[int, int], ...] = ()) -> None:
         last = None
-        for c, n in self.terms:
+        for c, n in terms:
             if n == 0:
                 raise DomainError("zero coefficients must be pruned")
             if c == 0 or c != _squarefree_part(c):
@@ -380,6 +423,7 @@ class GWElement:
             if last is not None and c <= last:
                 raise DomainError("classes must be strictly ascending")
             last = c
+        object.__setattr__(self, "terms", terms)
 
     @classmethod
     def from_dict(cls, d: Mapping[int, int]) -> "GWElement":

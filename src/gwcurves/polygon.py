@@ -13,11 +13,10 @@ recursion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
-from .gw import DomainError, read_int
+from .gw import DomainError, _Frozen, read_int
 
 Point = tuple[int, int]
 
@@ -83,12 +82,15 @@ def primitive(v: Point) -> Point:
     return (v[0] // g, v[1] // g)
 
 
-@dataclass(frozen=True)
-class LatticePolygon:
+class LatticePolygon(_Frozen):
+    """A vertex cycle, validated as the module docstring describes.  It has
+    a ``__dict__``, where each ``cached_property`` stores its value."""
+
+    _fields = ("vertices",)
     vertices: tuple[Point, ...]
 
-    def __post_init__(self) -> None:
-        vs = self.vertices
+    def __init__(self, vertices: tuple[Point, ...]) -> None:
+        vs = vertices
         if len(vs) < 3:
             raise DomainError("a polygon needs at least 3 vertices")
         for v in vs:
@@ -100,6 +102,7 @@ class LatticePolygon:
                 raise DomainError("vertices must be strictly convex counterclockwise")
         if min(vs) != vs[0]:
             raise DomainError("vertex cycle must start at the lexicographic minimum")
+        object.__setattr__(self, "vertices", vs)
 
     # -- basic geometry ------------------------------------------------------
 

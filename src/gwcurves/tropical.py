@@ -62,10 +62,9 @@ from __future__ import annotations
 
 import gc
 import itertools
-import logging
+import sys
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from math import gcd
 from operator import attrgetter, mul
@@ -74,7 +73,14 @@ from typing import NamedTuple
 from .gw import GWElement, InternalInvariantError, ONE, form, gw_equal
 from .polygon import LatticePolygon, Point, lattice_length, _add, _area2, _cross as _orient
 
-logger = logging.getLogger(__name__)
+
+def _log(msg: str, *args) -> None:
+    """Log at INFO through ``logging`` if something imported it: the
+    command line does for ``-v``.  Without that import no handler exists,
+    and the message would be dropped."""
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger(__name__).info(msg, *args)
 
 
 @contextmanager
@@ -99,12 +105,26 @@ def lambda_key(p: Point) -> tuple[int, int]:
 # -- cells -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
+    """A cell of a subdivision, compared, hashed and shown by its first two
+    fields, ``(kind, vertices)``."""
+
     kind: str  # "triangle" | "parallelogram"
     vertices: tuple[Point, ...]  # sorted
-    cycle: tuple[Point, ...] = field(compare=False, repr=False)  # boundary order
-    _sides: tuple[tuple[Point, Point], ...] = field(compare=False, repr=False)
+    cycle: tuple[Point, ...]  # boundary order
+    side_pairs: tuple[tuple[Point, Point], ...]  # see ``sides``
+
+    def __eq__(self, other):
+        return self[:2] == other[:2] if other.__class__ is Cell else NotImplemented
+
+    def __ne__(self, other):
+        return self[:2] != other[:2] if other.__class__ is Cell else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self[:2])
+
+    def __repr__(self) -> str:
+        return f"Cell(kind={self.kind!r}, vertices={self.vertices!r})"
 
     def area2(self) -> int:
         a, b, c = self.cycle[:3]
@@ -112,7 +132,7 @@ class Cell:
 
     def sides(self) -> tuple[tuple[Point, Point], ...]:
         """Sides as sorted endpoint pairs, in cycle order."""
-        return self._sides
+        return self.side_pairs
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "vertices": [list(v) for v in self.vertices]}
@@ -187,8 +207,7 @@ def _shape_mult(ux: int, uy: int, vx: int, vy: int) -> GWElement:
     return m
 
 
-@dataclass(frozen=True)
-class MarkedSubdivision:
+class MarkedSubdivision(NamedTuple):
     path: tuple[Point, ...]
     cells: tuple[Cell, ...]
 
@@ -597,8 +616,7 @@ def _pair_reason(path, left: _Side, right: _Side, poly: LatticePolygon):
 # -- enumeration -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TropicalCurve:
+class TropicalCurve(NamedTuple):
     subdivision: MarkedSubdivision
     motivic: GWElement  # curve_mult of the subdivision
 
@@ -610,8 +628,7 @@ class TropicalCurve:
         return out
 
 
-@dataclass
-class Enumeration:
+class Enumeration(NamedTuple):
     polygon: LatticePolygon
     curves: list[TropicalCurve]
     dropped: Counter
@@ -677,8 +694,8 @@ def _pair_loop(poly: LatticePolygon, paths, keep) -> Counter:
                         dropped[reason] += 1
         if dropped:
             tallies = ", ".join(f"{k}={v}" for k, v in sorted(dropped.items()))
-            logger.info("%s: dropped %d completions (%s)", poly, sum(dropped.values()), tallies)
-        logger.info("%s: completed %d paths with %d completion memo entries", poly, len(paths), len(comp.memo))
+            _log("%s: dropped %d completions (%s)", poly, sum(dropped.values()), tallies)
+        _log("%s: completed %d paths with %d completion memo entries", poly, len(paths), len(comp.memo))
         del comp  # free the memo now: still alive when the collector resumes, it would be scanned
         return dropped
 
@@ -730,8 +747,7 @@ def enumerate_curves(poly: LatticePolygon, jobs: int = 1) -> Enumeration:
     return Enumeration(poly, curves, dropped)
 
 
-@dataclass(frozen=True)
-class Invariants:
+class Invariants(NamedTuple):
     motivic: GWElement  # raw sum over curves
     canonical: GWElement  # (N+W)/2 <1> + (N-W)/2 <-1>
     n: int

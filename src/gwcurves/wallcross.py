@@ -18,10 +18,8 @@ table covers every choice of the extensions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .betapoly import POLY_ZERO, BetaPolynomial
-from .gw import GWElement, DomainError
+from .gw import GWElement, DomainError, _Frozen
 from .polygon import LatticePolygon, preset, sl2z_equivalent
 from .tropical import count_invariants
 
@@ -87,15 +85,15 @@ def wall_cross_step(
     return n_surface + n_blowup.mul_step(next_index)
 
 
-@dataclass(frozen=True)
-class SurfaceChain:
+class SurfaceChain(_Frozen):
     """Polygons linked by depth-2 corner chops, ending with no interior
     points; the chain length equals the interior count of the first."""
 
+    __slots__ = _fields = ("polygons",)
     polygons: tuple[LatticePolygon, ...]
 
-    def __post_init__(self) -> None:
-        polys = self.polygons
+    def __init__(self, polygons: tuple[LatticePolygon, ...]) -> None:
+        polys = polygons
         if not polys:
             raise DomainError("empty chain")
         if polys[-1].interior_count() != 0:
@@ -114,6 +112,7 @@ class SurfaceChain:
                 _chops_to(a, v, b) for v in a.vertices
             ):
                 raise DomainError(f"{b} is not a depth-2 corner chop of {a}")
+        object.__setattr__(self, "polygons", polys)
 
     def __len__(self) -> int:
         return len(self.polygons)
@@ -152,20 +151,22 @@ def quartic_chain() -> SurfaceChain:
     )
 
 
-@dataclass(frozen=True)
-class InvariantTable:
+class InvariantTable(_Frozen):
     """Rows s = 0..point_budget//2 of invariants with s conjugate pairs."""
 
+    __slots__ = _fields = ("polygon", "rows")
     polygon: LatticePolygon
     rows: tuple[BetaPolynomial, ...]
 
-    def __post_init__(self) -> None:
-        ranks = {row.rank_profile() for row in self.rows}
+    def __init__(self, polygon: LatticePolygon, rows: tuple[BetaPolynomial, ...]) -> None:
+        ranks = {row.rank_profile() for row in rows}
         if len(ranks) != 1:
             raise DomainError("rank profile must be constant down a table")
-        for s, row in enumerate(self.rows):
+        for s, row in enumerate(rows):
             if row.indices() - set(range(1, s + 1)):
                 raise DomainError(f"row {s} uses symbols beyond b1..b{s}")
+        object.__setattr__(self, "polygon", polygon)
+        object.__setattr__(self, "rows", rows)
 
     def s_max(self) -> int:
         return len(self.rows) - 1

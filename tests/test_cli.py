@@ -647,6 +647,11 @@ class TestLeadingDashValues:
                 ["table", "--chain", "blf1", "--specialize=-1,-1"],
                 (0, "(s=2): 2h + 4*<1> + 2*<2> + 2*<-2>\n"),
             ),
+            # -h is the text -<1> - <-1> unless it is its subcommand's only argument
+            (["gw-equal", "-h", "<1>"], ["gw-equal", " -h", "<1>"], (1, "not equal\n")),
+            (["gw-equal", "<1>", "-h"], ["gw-equal", "<1>", " -h"], (1, "not equal\n")),
+            (["gw-equal", "-h", "-h"], ["gw-equal", " -h", " -h"], (0, "equal\n")),
+            (["gw-eval", "-h", "--unicode"], ["gw-eval", " -h", "--unicode"], (0, "-h\n")),
         ],
     )
     def test_answers_as_spelled_with_a_space(self, capsys, argv, spelled, want):
@@ -661,6 +666,12 @@ class TestLeadingDashValues:
         out, err = capsys.readouterr()
         assert (exc.value.code, err) == (0, "")
         assert out.startswith("usage: gwcurves")
+
+    def test_h_after_the_one_text_is_a_second_text(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gw-eval", "<2>", "-h"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: -h" in capsys.readouterr().err
 
     def test_unknown_option_is_still_refused(self, capsys):
         with pytest.raises(SystemExit) as exc:

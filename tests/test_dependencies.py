@@ -35,6 +35,13 @@ EXPORTS = {
 
 #: What a command that neither enumerates nor builds tables must not load.
 ENUMERATION = ["gwcurves.tropical", "gwcurves.wallcross", "gwcurves.svgout", "concurrent.futures"]
+#: What no command loads: ``dataclasses`` (which imports ``inspect``, ``ast``,
+#: ``dis`` and ``tokenize``), ``inspect``, and ``logging``, which only ``-v``
+#: loads.
+UNUSED = ["dataclasses", "inspect", "logging"]
+#: The calculator's modules: ``gw-eval`` and ``gw-equal`` load both, ``table``
+#: and ``oracle`` load ``betapoly`` through ``wallcross``.
+CALCULATOR = ["gwcurves.expr", "gwcurves.betapoly"]
 
 
 def fresh(code: str, **env: str) -> str:
@@ -74,6 +81,39 @@ def test_import_leaves_the_enumeration_out():
 )
 def test_calculator_leaves_the_enumeration_out(args):
     run_cli_then_check_absent(args, ENUMERATION)
+
+
+@pytest.mark.parametrize(
+    "args, absent",
+    [
+        (["gw-eval", "<2>"], UNUSED),
+        (["gw-equal", "tr(-1;1)", "h"], UNUSED),
+        (["invariant", "--polygon", "p2:3"], UNUSED + CALCULATOR),
+        (["tropical", "--polygon", "p2:3"], UNUSED + CALCULATOR),
+        (["table", "--chain", "p2:3"], UNUSED),
+    ],
+    ids=["gw-eval", "gw-equal", "invariant", "tropical", "table"],
+)
+def test_command_loads_only_what_it_runs(args, absent):
+    run_cli_then_check_absent(args, absent)
+
+
+def test_verbose_logs_in_a_fresh_interpreter():
+    # logging is imported for -v alone; the caplog tests cannot show that
+    # the lines still reach stderr, as pytest has imported logging already
+    run = subprocess.run(
+        [sys.executable, "-m", "gwcurves.cli", "-v", "invariant", "--polygon", "p2:3"],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        check=True,
+        timeout=60,
+        capture_output=True,
+        text=True,
+    )
+    assert run.stdout == "2h + 8*<1>  N=12  W=8\n"
+    assert run.stderr == (
+        "INFO:gwcurves.tropical:conv{(0,0), (3,0), (0,3)}: dropped 6 completions (boundary-weight=6)\n"
+        "INFO:gwcurves.tropical:conv{(0,0), (3,0), (0,3)}: completed 8 paths with 46 completion memo entries\n"
+    )
 
 
 def test_serial_invariant_leaves_the_pool_out():
