@@ -215,7 +215,7 @@ def _cmd_table(args) -> int:
     names = [s for s in args.chain.split(",") if s.strip()]
     if not names:
         raise UsageError(f"--chain {args.chain!r} names no polygon")
-    # guard before building a chain (it scans interior points); chops only lower the budget
+    # guard before building a chain (one chop per interior point); chops only lower the budget
     polys = [_load_polygon(n) for n in names]
     for poly in polys:
         _guard_budget(poly, args.max_budget)

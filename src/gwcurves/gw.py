@@ -442,9 +442,6 @@ class GWElement(_Frozen):
     def as_dict(self) -> dict[int, int]:
         return dict(self.terms)
 
-    def coeff(self, c: int) -> int:
-        return dict(self.terms).get(square_class(c), 0)
-
     # -- ring structure -------------------------------------------------
 
     def __add__(self, other: "GWElement") -> "GWElement":

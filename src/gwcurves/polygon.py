@@ -172,12 +172,9 @@ class LatticePolygon(_Frozen):
     def _point_set(self) -> frozenset[Point]:
         return frozenset(self.lattice_points)
 
-    @cached_property
-    def interior_points(self) -> tuple[Point, ...]:
-        return tuple(p for p in self.lattice_points if self.strictly_contains(p))
-
     def interior_count(self) -> int:
-        return len(self.interior_points)
+        """Interior lattice points, by Pick (2A = 2I + B - 2) without a scan."""
+        return (self.area2 - self.boundary_count()) // 2 + 1
 
     def boundary_count(self) -> int:
         """Boundary lattice points, summed over the edges without a scan."""

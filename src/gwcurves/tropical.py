@@ -106,33 +106,32 @@ def lambda_key(p: Point) -> tuple[int, int]:
 
 
 class Cell(NamedTuple):
-    """A cell of a subdivision, compared, hashed and shown by its first two
-    fields, ``(kind, vertices)``."""
+    """A cell of a subdivision: its kind and its sorted vertices."""
 
     kind: str  # "triangle" | "parallelogram"
     vertices: tuple[Point, ...]  # sorted
-    cycle: tuple[Point, ...]  # boundary order
-    side_pairs: tuple[tuple[Point, Point], ...]  # see ``sides``
 
-    def __eq__(self, other):
-        return self[:2] == other[:2] if other.__class__ is Cell else NotImplemented
-
-    def __ne__(self, other):
-        return self[:2] != other[:2] if other.__class__ is Cell else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self[:2])
-
-    def __repr__(self) -> str:
-        return f"Cell(kind={self.kind!r}, vertices={self.vertices!r})"
+    @property
+    def cycle(self) -> tuple[Point, ...]:
+        """The vertices in boundary order.  A parallelogram's largest vertex
+        is the one opposite its smallest (see ``parallelogram``)."""
+        if self.kind == "triangle":
+            return self.vertices
+        p, q, r, s = self.vertices
+        return (p, q, s, r)
 
     def area2(self) -> int:
-        a, b, c = self.cycle[:3]
+        a, b, c = self.vertices[:3]  # for a parallelogram, half of it
         return abs(_orient(a, b, c)) * (2 if self.kind == "parallelogram" else 1)
 
     def sides(self) -> tuple[tuple[Point, Point], ...]:
-        """Sides as sorted endpoint pairs, in cycle order."""
-        return self.side_pairs
+        """Sides as sorted endpoint pairs, in cycle order from the one that
+        closes the cycle, read off the sorted vertices."""
+        if self.kind == "triangle":
+            a, b, c = self.vertices
+            return ((a, c), (a, b), (b, c))
+        p, q, r, s = self.vertices
+        return ((p, r), (p, q), (q, s), (r, s))
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "vertices": [list(v) for v in self.vertices]}
@@ -142,7 +141,7 @@ def triangle(a: Point, b: Point, c: Point) -> Cell:
     pts = tuple(sorted((a, b, c)))
     if _orient(*pts) == 0:
         raise InternalInvariantError("degenerate triangle")
-    return _cell("triangle", pts, pts)
+    return Cell("triangle", pts)
 
 
 def parallelogram(a: Point, b: Point, c: Point, d: Point) -> Cell:
@@ -152,12 +151,7 @@ def parallelogram(a: Point, b: Point, c: Point, d: Point) -> Cell:
     p, q, r, s = pts = tuple(sorted((a, b, c, d)))
     if _add(p, s) != _add(q, r) or _orient(p, q, r) == 0:
         raise InternalInvariantError(f"not a parallelogram: {pts}")
-    return _cell("parallelogram", pts, (p, q, s, r))
-
-
-def _cell(kind: str, pts: tuple[Point, ...], cycle: tuple[Point, ...]) -> Cell:
-    sides = tuple(tuple(sorted((cycle[i - 1], cycle[i]))) for i in range(len(cycle)))
-    return Cell(kind, pts, cycle, sides)
+    return Cell("parallelogram", pts)
 
 
 # -- motivic vertex and curve multiplicities -----------------------------------
@@ -231,14 +225,12 @@ def curve_mult(sub: MarkedSubdivision) -> GWElement:
 
 def enumerate_paths(poly: LatticePolygon):
     """All strictly lambda-increasing point sequences of step count equal to
-    the point budget, from the lambda-minimal to the lambda-maximal vertex."""
+    the point budget, from the lambda-minimal to the lambda-maximal vertex.
+    The budget is at least 2: a polygon has at least 3 boundary points."""
     pts = poly.lattice_points
     n = poly.point_budget()
     first, last = pts[0], pts[-1]
-    middle = pts[1:-1]
-    if n < 1 or n - 1 > len(middle):
-        return
-    for chosen in itertools.combinations(middle, n - 1):
+    for chosen in itertools.combinations(pts[1:-1], n - 1):
         yield (first,) + chosen + (last,)
 
 
@@ -606,8 +598,8 @@ def _pair_reason(path, left: _Side, right: _Side, poly: LatticePolygon):
                 root = parent[root]
             components[root] = components.get(root, 0) | tri >> x & 1
         return "disconnected" if all(components.values()) else "line-component"
-    if not triangles:
-        return "line-component"
+    # connected, so a triangle exists: a parallelogram carries two strands of
+    # different edge vectors, and strands join only at triangles
     if triangles != rays - 2:
         return "positive-genus"
     return None

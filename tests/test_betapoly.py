@@ -47,6 +47,19 @@ class TestBasics:
         assert p == POLY_ZERO
         assert format_poly(p) == "0"
 
+    @pytest.mark.parametrize(
+        "monomials, message",
+        [
+            ((((), ZERO),), "zero coefficients must be pruned"),
+            ((((1,), ONE), ((), ONE)), "monomials must be sorted by (degree, indices)"),
+        ],
+        ids=["zero-coefficient", "unsorted"],
+    )
+    def test_constructor_refuses_unpruned_monomials(self, monomials, message):
+        with pytest.raises(DomainError) as exc:
+            BetaPolynomial(monomials)
+        assert str(exc.value) == message
+
     def test_monomial_validation(self):
         with pytest.raises(DomainError):
             BetaPolynomial.from_dict({(0,): ONE})

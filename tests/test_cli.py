@@ -543,6 +543,74 @@ class TestTable:
         assert "conv{(0,0), (5,0), (0,5)} has 6 interior points but 3 chops" in err
         assert "p2:1 to p2:4, f1_4_2e, blf1 and bl2f1" in err
 
+    @pytest.mark.parametrize(
+        "chain, message",
+        [
+            (
+                "p2:3,FILE",
+                "conv{(0,0), (5,0), (0,1)} is not a depth-2 corner chop of conv{(0,0), (3,0), (0,3)}",
+            ),
+            ("p2:3,bl2f1", "point budget must drop by 2 at each chop"),
+            ("p2:4,p2:3", "chain must end with an interior-point-free polygon"),
+        ],
+        ids=["not-a-chop", "budget-drop", "interior-at-the-end"],
+    )
+    def test_explicit_list_refusal(self, capsys, tmp_path, chain, message):
+        # the file is a triangle of p2:3's chops' budget and area, not a chop
+        chain = chain.replace("FILE", polygon_files(tmp_path, [[0, 0], [5, 0], [0, 1]]))
+        code, out, err = run(capsys, "table", "--chain", chain)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_no_chop_available(self, capsys, tmp_path):
+        # three interior points, but no corner has two edges of length >= 2
+        code, out, err = run(capsys, "table", "--chain", polygon_files(tmp_path, [[0, 0], [3, 1], [1, 3]]))
+        assert (code, out, err) == (2, "", "error: no depth-2 chop available on conv{(0,0), (3,1), (1,3)}\n")
+
+
+def polygon_files(tmp_path, *vertex_lists):
+    """Each vertex list written as a polygon file, the names joined by
+    commas as ``--chain`` takes them."""
+    names = []
+    for k, vertices in enumerate(vertex_lists):
+        name = tmp_path / f"chain{k}.json"
+        name.write_text(json.dumps({"vertices": vertices}))
+        names.append(str(name))
+    return ",".join(names)
+
+
+#: An image of p2:4 and one of f1_4_2e on which ``chain_from`` chops at a
+#: point of an exceptional curve, and the first's chain written out.
+P2_4_IMAGE = [[0, 0], [4, 0], [4, 4]]
+F1_IMAGE = [[-22, 14], [-16, 10], [0, 0], [-12, 8]]
+P2_4_IMAGE_CHAIN = [P2_4_IMAGE, [[2, 0], [4, 0], [4, 4], [2, 2]], [[2, 2], [4, 0], [4, 4]], [[2, 2], [4, 2], [4, 4]]]
+chain_defect = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="the chain rule ignores curve classes: wrong rows with exit 0",
+)
+
+
+class TestChainDefect:
+    """The chain defect: tables of an image of a preset must have the
+    preset's signature rows, and its defective chain must be refused.  Today
+    they print 240 144 72 16 -32 -80 and 48 36 28 24 24, and the list exits 0."""
+
+    @chain_defect
+    @pytest.mark.parametrize(
+        "vertices, first_row",
+        [(P2_4_IMAGE, "240 144 80 40 16 0"), (F1_IMAGE, "48 32 20 12 8")],
+        ids=["p2:4-image", "f1_4_2e-image"],
+    )
+    def test_image_has_the_preset_signatures(self, capsys, tmp_path, vertices, first_row):
+        code, out, _ = run(capsys, "table", "--chain", polygon_files(tmp_path, vertices), "--signature", "neg")
+        assert code == 0
+        assert out.splitlines()[0].split(": ")[1] == first_row
+
+    @chain_defect
+    def test_defective_list_is_refused(self, capsys, tmp_path):
+        code, out, err = run(capsys, "table", "--chain", polygon_files(tmp_path, *P2_4_IMAGE_CHAIN))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestOracle:
     def test_kontsevich(self, capsys):

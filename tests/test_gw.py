@@ -307,6 +307,16 @@ class TestClassProduct:
         with pytest.raises(DomainError, match="squarefree"):
             GWElement.from_json({"terms": [{"class": c, "coeff": 1}]})
 
+    @pytest.mark.parametrize(
+        "terms, message",
+        [(((1, 0),), "zero coefficients must be pruned"), (((2, 1), (1, 1)), "classes must be strictly ascending")],
+        ids=["zero-coefficient", "unsorted"],
+    )
+    def test_constructor_refuses_unpruned_terms(self, terms, message):
+        with pytest.raises(DomainError) as exc:
+            GWElement(terms)
+        assert str(exc.value) == message
+
     def test_ring_matches_factoring(self):
         rng = random.Random(12)
         for bound in (30, 10**6):

@@ -35,6 +35,29 @@ class TestConstruction:
         assert q.vertices[0] == (0, 0)
         assert q.area2 > 0
 
+    def test_clockwise_gives_the_counterclockwise_polygon(self):
+        q = polygon([(0, 0), (0, 2), (2, 0)])
+        assert q.vertices == ((0, 0), (2, 0), (0, 2))
+        assert q == p2(2)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: polygon([(0, 0), (1, 0), (0, 1), (1, 0)]), "repeated vertices"),
+            (lambda: LatticePolygon(((0, 0), [1, 0], (0, 1))), "bad vertex [1, 0]: not a tuple"),
+            (
+                lambda: LatticePolygon(((1, 0), (0, 1), (0, 0))),
+                "vertex cycle must start at the lexicographic minimum",
+            ),
+            (lambda: p2(2).chop_corner((0, 0), 0), "chop depth must be positive"),
+        ],
+        ids=["repeated-vertex", "list-vertex", "cycle-not-at-minimum", "chop-depth-0"],
+    )
+    def test_refusal_message(self, build, message):
+        with pytest.raises(DomainError) as exc:
+            build()
+        assert str(exc.value) == message
+
     def test_json_roundtrip(self):
         q = preset("f1_4_2e")
         assert LatticePolygon.from_json(q.to_json()) == q
@@ -62,25 +85,30 @@ class TestConstruction:
             convex_hull([(0, 0), bad, (0, 2), (1, 1)])
 
 
+def interior_scan(q):
+    return {p for p in q.lattice_points if q.strictly_contains(p)}
+
+
 class TestPresets:
     def test_p2_4(self):
         q = p2(4)
         assert q.boundary_count() == 12
         assert q.interior_count() == 3
         assert q.point_budget() == 11
-        assert set(q.interior_points) == {(1, 1), (1, 2), (2, 1)}
+        assert interior_scan(q) == {(1, 1), (1, 2), (2, 1)}
 
     def test_f1(self):
         q = preset("f1_4_2e")
         assert q.boundary_count() == 10
         assert q.point_budget() == 9
-        assert set(q.interior_points) == {(1, 1), (2, 1)}
+        assert q.interior_count() == 2
+        assert interior_scan(q) == {(1, 1), (2, 1)}
 
     def test_blf1(self):
         q = preset("blf1")
         assert q.boundary_count() == 8
         assert q.interior_count() == 1
-        assert set(q.interior_points) == {(1, 1)}
+        assert interior_scan(q) == {(1, 1)}
 
     def test_bl2f1(self):
         q = preset("bl2f1")
@@ -116,6 +144,16 @@ class TestPick:
         b = q.boundary_count()
         assert q.area2 == 2 * q.interior_count() + b - 2
         assert q.point_count() == len(q.lattice_points)
+
+    @given(points_strategy)
+    @settings(max_examples=150, deadline=None)
+    def test_interior_count_matches_the_scan(self, pts):
+        # interior_count is Pick's formula; the scan is independent of it
+        try:
+            q = convex_hull(pts)
+        except DomainError:
+            return
+        assert q.interior_count() == len(interior_scan(q))
 
     def test_boundary_count_needs_no_scan(self):
         q = polygon([(0, 0), (10**9, 0), (3, 10**9)])
@@ -191,6 +229,12 @@ class TestEquivalence:
 
     def test_distinguishes_area(self):
         assert not sl2z_equivalent(p2(1), p2(2))
+
+    def test_distinguishes_vertex_count(self):
+        # a triangle and a quadrilateral of the same area and boundary count
+        a, b = polygon([(0, 0), (4, 0), (0, 1)]), polygon([(0, 0), (2, 0), (2, 1), (0, 1)])
+        assert (a.area2, a.boundary_count()) == (b.area2, b.boundary_count())
+        assert not sl2z_equivalent(a, b) and not sl2z_equivalent(b, a)
 
     def test_distinguishes_shape(self):
         assert not sl2z_equivalent(preset("blf1"), polygon([(0, 0), (4, 0), (4, 1), (0, 1)]))

@@ -614,8 +614,8 @@ def test_two_batches_give_the_quintic_curves():
 def test_each_cell_is_built_once_per_batch(poly, monkeypatch):
     from gwcurves import tropical
 
-    built, make = [], tropical._cell
-    monkeypatch.setattr(tropical, "_cell", lambda *args: built.append(make(*args)) or built[-1])
+    built, make = [], tropical.Cell
+    monkeypatch.setattr(tropical, "Cell", lambda *args: built.append(make(*args)) or built[-1])
     curves = enumerate_curves(poly).curves
     assert len(built) == len(set(built))
     assert set(built) == {cell for curve in curves for cell in curve.subdivision.cells}
@@ -656,11 +656,11 @@ def test_count_builds_no_curve(poly, monkeypatch):
 
 @pytest.mark.parametrize("poly", [p2(1), p2(2)] + HULLS, ids=str)
 def test_count_builds_no_cell(poly, monkeypatch):
-    # every Cell goes through tropical._cell: triangle and parallelogram call it
+    # every Cell is built through tropical.Cell: triangle and parallelogram call it
     from gwcurves import tropical
 
-    built, make = [], tropical._cell
-    monkeypatch.setattr(tropical, "_cell", lambda *args: built.append(make(*args)) or built[-1])
+    built, make = [], tropical.Cell
+    monkeypatch.setattr(tropical, "Cell", lambda *args: built.append(make(*args)) or built[-1])
     count_invariants(poly)
     assert built == []
     enum = enumerate_curves(poly)  # the spy sees the cells the enumeration builds
@@ -822,6 +822,22 @@ def test_parallelogram_cycle_matches_search():
         assert want is not None
         for order in itertools.permutations(pts):
             assert parallelogram(*order).cycle == want
+
+
+def test_sides_and_area_follow_the_cycle():
+    # sides() and area2() read the sorted vertices; the cycle is the reference
+    rng = random.Random(12)
+    seen = 0
+    while seen < 60:
+        p, u, v = ((rng.randrange(-4, 5), rng.randrange(-4, 5)) for _ in range(3))
+        if _orient((0, 0), u, v) == 0:
+            continue
+        seen += 1
+        q, r = (p[0] + u[0], p[1] + u[1]), (p[0] + v[0], p[1] + v[1])
+        for cell in (triangle(p, q, r), parallelogram(p, q, r, (q[0] + v[0], q[1] + v[1]))):
+            cycle = cell.cycle
+            assert cell.sides() == tuple(tuple(sorted((cycle[i - 1], cycle[i]))) for i in range(len(cycle)))
+            assert cell.area2() == abs(sum(a[0] * b[1] - b[0] * a[1] for a, b in zip(cycle, cycle[1:] + cycle[:1])))
 
 
 @pytest.mark.parametrize(

@@ -153,6 +153,11 @@ class TestWallCrossStep:
         with pytest.raises(DomainError):
             wall_cross_step(p, BetaPolynomial.constant(ONE), 1)
 
+    def test_indices_out_of_order(self):
+        with pytest.raises(DomainError) as exc:
+            wall_cross_step(parse_expression("b2"), BetaPolynomial.constant(ONE), 1)
+        assert str(exc.value) == "indices must be crossed in increasing order"
+
 
 class TestChains:
     def test_quartic_chain_is_valid(self):
@@ -186,6 +191,11 @@ class TestChains:
         with pytest.raises(DomainError):
             SurfaceChain((preset("blf1"), polygon([(0, 0), (1, 0), (0, 1)])))
 
+    def test_rejects_empty_chain(self):
+        with pytest.raises(DomainError) as exc:
+            SurfaceChain(())
+        assert str(exc.value) == "empty chain"
+
     def test_single_polygon_chain(self):
         chain = SurfaceChain((preset("bl2f1"),))
         assert len(chain) == 1
@@ -203,6 +213,12 @@ class TestBaseInvariants:
 
 
 class TestTables:
+    def test_rank_must_stay_constant(self):
+        rows = (BetaPolynomial.constant(ONE), BetaPolynomial.constant(2 * ONE))
+        with pytest.raises(DomainError) as exc:
+            InvariantTable(preset("blf1"), rows)
+        assert str(exc.value) == "rank profile must be constant down a table"
+
     def test_golden_rows_structurally(self, quartic_tables):
         assert len(quartic_tables) == 4
         for table, golden in zip(quartic_tables, GOLDEN):
