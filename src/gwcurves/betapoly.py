@@ -25,6 +25,7 @@ from .gw import (
     UNICODE_GLYPHS,
     DomainError,
     _Frozen,
+    _check_tuple,
     Rational,
     beta,
     display_terms,
@@ -58,11 +59,19 @@ class BetaPolynomial(_Frozen):
     monomials: tuple[tuple[Monomial, GWElement], ...]
 
     def __init__(self, monomials: tuple[tuple[Monomial, GWElement], ...] = ()) -> None:
+        _check_tuple(monomials, "monomials")
         last = None
-        for m, g in monomials:
+        for t in monomials:
+            if not (type(t) is tuple and len(t) == 2):
+                raise DomainError(f"bad term {t!r}: need a tuple (monomial, coefficient)")
+            m, g = t
+            if not isinstance(g, GWElement):
+                raise DomainError(f"coefficient {g!r} is not a GWElement")
             if not g:
                 raise DomainError("zero coefficients must be pruned")
-            key = _mono_key(_mono(m))
+            if m != _mono(m):
+                raise DomainError(f"bad monomial {m!r}: need a sorted tuple of indices")
+            key = _mono_key(m)
             if last is not None and key <= last:
                 raise DomainError("monomials must be sorted by (degree, indices)")
             last = key

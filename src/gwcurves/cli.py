@@ -165,7 +165,7 @@ def _enumeration_json(enum, inv) -> dict:
         "pretty": format_gw(inv.canonical),
         "complex": inv.n,
         "welschinger": inv.w,
-        "dropped": dict(sorted(enum.dropped.items())),
+        "dropped": enum.dropped,
     }
 
 

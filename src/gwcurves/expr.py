@@ -21,7 +21,6 @@ value itself (``_parse``).
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from operator import add, mul
 from typing import Callable, Union
 
@@ -77,7 +76,11 @@ class _Tokens:
         den = self.uint()
         if den == 0:
             raise ExprError("zero denominator", start)
-        return num if den == 1 else Fraction(num, den)
+        if den == 1:
+            return num
+        from fractions import Fraction
+
+        return Fraction(num, den)
 
 
 def _poly(v: Value) -> BetaPolynomial:

@@ -48,13 +48,16 @@ coefficients), which is how values like ``190h + 240*<1>`` are displayed.
 from __future__ import annotations
 
 import sys
-from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, count
 from math import comb, gcd, isqrt, prod
-from typing import Callable, Mapping, Union
+from typing import TYPE_CHECKING, Callable, Mapping, Union
 
-Rational = Union[int, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+# fractions, which imports decimal, loads only where a Fraction can arrive
+Rational = Union[int, "Fraction"]
 
 #: The real place of Q.  Finite places are given as the prime itself.
 REAL_PLACE = None
@@ -115,11 +118,22 @@ class _Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+def _check_tuple(value, name: str) -> None:
+    """Refuse a container that is not a tuple: a list would leave the value
+    holding it unhashable and unequal to the same value built from tuples."""
+    if type(value) is not tuple:
+        raise DomainError(f"{name} must be a tuple, not {type(value).__name__}")
+
+
 def _exact(a: Rational) -> Rational:
     """An int as it is; any other exact rational as a Fraction."""
+    if type(a) is int:
+        return a
+    from fractions import Fraction
+
     if isinstance(a, bool) or not isinstance(a, (int, Fraction)):
         raise DomainError(f"expected an exact rational, got {a!r}")
-    return a if type(a) is int else Fraction(a)
+    return Fraction(a)
 
 
 # -- integer factorization (Cohen, A Course in Computational Algebraic Number
@@ -414,8 +428,12 @@ class GWElement(_Frozen):
     terms: tuple[tuple[int, int], ...]
 
     def __init__(self, terms: tuple[tuple[int, int], ...] = ()) -> None:
+        _check_tuple(terms, "terms")
         last = None
-        for c, n in terms:
+        for t in terms:
+            if not (type(t) is tuple and len(t) == 2 and type(t[0]) is int and type(t[1]) is int):
+                raise DomainError(f"bad term {t!r}: need a tuple (class, coefficient) of two ints")
+            c, n = t
             if n == 0:
                 raise DomainError("zero coefficients must be pruned")
             if c == 0 or c != _squarefree_part(c):

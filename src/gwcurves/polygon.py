@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import cached_property
 from math import gcd
 
-from .gw import DomainError, _Frozen, read_int
+from .gw import DomainError, _Frozen, _check_tuple, read_int
 
 Point = tuple[int, int]
 
@@ -90,6 +90,7 @@ class LatticePolygon(_Frozen):
     vertices: tuple[Point, ...]
 
     def __init__(self, vertices: tuple[Point, ...]) -> None:
+        _check_tuple(vertices, "vertices")
         vs = vertices
         if len(vs) < 3:
             raise DomainError("a polygon needs at least 3 vertices")

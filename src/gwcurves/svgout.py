@@ -30,8 +30,9 @@ def render_svg(enum: Enumeration) -> str:
     poly = enum.polygon
     xs = [v[0] for v in poly.vertices]
     ys = [v[1] for v in poly.vertices]
-    w = (max(xs) - min(xs)) * SCALE
-    h = (max(ys) - min(ys)) * SCALE
+    x0, y1 = min(xs), max(ys)
+    w = (max(xs) - x0) * SCALE
+    h = (y1 - min(ys)) * SCALE
     pad = SCALE
     cell_w, cell_h = w + 2 * pad, h + 2 * pad
     count = max(1, len(enum.curves))
@@ -41,8 +42,8 @@ def render_svg(enum: Enumeration) -> str:
 
     def pt(p, ox, oy) -> str:
         # flip y so the polygon is drawn with height increasing upward
-        x = ox + pad + (p[0] - min(xs)) * SCALE
-        y = oy + pad + (max(ys) - p[1]) * SCALE
+        x = ox + pad + (p[0] - x0) * SCALE
+        y = oy + pad + (y1 - p[1]) * SCALE
         return f"{x},{y}"
 
     out = [

@@ -489,24 +489,6 @@ def _complete(comp: _Completer, side: int, p, area: int, want: bool) -> tuple[in
 # -- gluing and validity -----------------------------------------------------------
 
 
-def _side_owners(cells, poly: LatticePolygon) -> dict[tuple[Point, Point], list[int]]:
-    """Map each cell side to the indices of the cells it bounds.
-
-    Raises InternalInvariantError on inconsistent tilings: a side bounding
-    more than two cells, or an interior side bounding only one.
-    """
-    owners: dict[tuple[Point, Point], list[int]] = {}
-    for idx, cell in enumerate(cells):
-        for side in cell.sides():
-            owners.setdefault(side, []).append(idx)
-    for side, ids in owners.items():
-        if len(ids) > 2:
-            raise InternalInvariantError(f"edge {side} shared by {len(ids)} cells")
-        if len(ids) == 1 and not poly.segment_on_boundary(*side):
-            raise InternalInvariantError(f"interior edge {side} has a single cell")
-    return owners
-
-
 def validate_subdivision(sub: MarkedSubdivision, poly: LatticePolygon):
     """None if the subdivision is an irreducible rational curve with
     weight-one ends; otherwise a short reason string.
@@ -514,19 +496,25 @@ def validate_subdivision(sub: MarkedSubdivision, poly: LatticePolygon):
     A parallelogram joins each side to the opposite one (the strand crossing
     it), a triangle joins its three sides (a trivalent vertex); the smaller
     group is relabelled into the larger.  With T triangles and B boundary
-    sides (rays), 3T = 2*arcs + B once no line exists.
+    sides (rays), 3T = 2*arcs + B once no line exists.  Raises
+    InternalInvariantError on a set of cells that does not tile the polygon.
     """
     if sum(c.area2() for c in sub.cells) != poly.area2:
         raise InternalInvariantError("cells do not tile the polygon")
-    owners = _side_owners(sub.cells, poly)
-    rays = [side for side, ids in owners.items() if len(ids) == 1]
+    sides = [cell.sides() for cell in sub.cells]
+    owners = Counter(itertools.chain.from_iterable(sides))
+    for side, n in owners.items():
+        if n > 2:
+            raise InternalInvariantError(f"edge {side} shared by {n} cells")
+        if n == 1 and not poly.segment_on_boundary(*side):
+            raise InternalInvariantError(f"interior edge {side} has a single cell")
+    rays = [side for side, n in owners.items() if n == 1]
     if any(lattice_length(*side) != 1 for side in rays):
         return "boundary-weight"
 
     group = {side: [side] for side in owners}
     vertices = []  # one side of each triangle
-    for cell in sub.cells:
-        s = cell.sides()
+    for cell, s in zip(sub.cells, sides):
         if cell.kind == "triangle":
             vertices.append(s[0])
             joins = ((s[0], s[1]), (s[0], s[2]))
@@ -692,18 +680,11 @@ def _pair_loop(poly: LatticePolygon, paths, keep) -> Counter:
         return dropped
 
 
-_cell_key = attrgetter("kind", "vertices")
-
-
-def _curve_key(curve: TropicalCurve):
-    return (curve.subdivision.path, tuple(map(_cell_key, curve.subdivision.cells)))
-
-
 def enumerate_curves(poly: LatticePolygon, jobs: int = 1) -> Enumeration:
     """All irreducible rational tropical curves of degree ``poly`` through a
-    vertically stretched configuration, in canonical order: one per pair
-    that ``_pair_loop`` keeps, with the product of its two sides'
-    multiplicities and its cells in canonical order.  Dropped completions
+    vertically stretched configuration, in the order of their subdivision
+    tuples: one per pair that ``_pair_loop`` keeps, with the product of its
+    two sides' multiplicities and its cells in tuple order.  Dropped completions
     are tallied in ``Enumeration.dropped``.  ``jobs`` is accepted and
     ignored: the enumeration runs in one process.
 
@@ -730,12 +711,11 @@ def enumerate_curves(poly: LatticePolygon, jobs: int = 1) -> Enumeration:
         return cells
 
     def keep(path, left: _Side, right: _Side) -> None:
-        cells = tuple(sorted(cells_of(left.cells) + cells_of(right.cells), key=_cell_key))
-        curves.append(TropicalCurve(MarkedSubdivision(tuple(path), cells), left.motivic * right.motivic))
+        cells = tuple(sorted(cells_of(left.cells) + cells_of(right.cells)))
+        curves.append(TropicalCurve(MarkedSubdivision(path, cells), left.motivic * right.motivic))
 
     dropped = _pair_loop(poly, list(enumerate_paths(poly)), keep)
-    with collector_paused():  # the sort keys would only trigger rescans of the live curves
-        curves.sort(key=_curve_key)
+    curves.sort(key=attrgetter("subdivision"))  # motivic, a GWElement, has no order
     return Enumeration(poly, curves, dropped)
 
 

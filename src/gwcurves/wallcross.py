@@ -19,7 +19,7 @@ table covers every choice of the extensions.
 from __future__ import annotations
 
 from .betapoly import POLY_ZERO, BetaPolynomial
-from .gw import GWElement, DomainError, _Frozen
+from .gw import GWElement, DomainError, _Frozen, _check_tuple
 from .polygon import LatticePolygon, preset, sl2z_equivalent
 from .tropical import count_invariants
 
@@ -93,6 +93,7 @@ class SurfaceChain(_Frozen):
     polygons: tuple[LatticePolygon, ...]
 
     def __init__(self, polygons: tuple[LatticePolygon, ...]) -> None:
+        _check_tuple(polygons, "polygons")
         polys = polygons
         if not polys:
             raise DomainError("empty chain")
@@ -159,6 +160,7 @@ class InvariantTable(_Frozen):
     rows: tuple[BetaPolynomial, ...]
 
     def __init__(self, polygon: LatticePolygon, rows: tuple[BetaPolynomial, ...]) -> None:
+        _check_tuple(rows, "rows")
         ranks = {row.rank_profile() for row in rows}
         if len(ranks) != 1:
             raise DomainError("rank profile must be constant down a table")

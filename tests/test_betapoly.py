@@ -60,6 +60,22 @@ class TestBasics:
             BetaPolynomial(monomials)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize(
+        "monomials, message",
+        [
+            ((((2, 1), ONE),), "bad monomial (2, 1): need a sorted tuple of indices"),
+            ((([1], ONE),), "bad monomial [1]: need a sorted tuple of indices"),
+            ((((), 1),), "coefficient 1 is not a GWElement"),
+            ([((), ONE)], "monomials must be a tuple, not list"),
+        ],
+        ids=["unsorted-monomial", "list-monomial", "int-coefficient", "list-monomials"],
+    )
+    def test_constructor_refuses_non_canonical_monomials(self, monomials, message):
+        # stored as given, (2, 1) would be unequal to from_dict({(1, 2): ONE})
+        with pytest.raises(DomainError) as exc:
+            BetaPolynomial(monomials)
+        assert str(exc.value) == message
+
     def test_monomial_validation(self):
         with pytest.raises(DomainError):
             BetaPolynomial.from_dict({(0,): ONE})

@@ -43,6 +43,9 @@ UNUSED = ["dataclasses", "inspect", "logging"]
 #: and ``oracle`` load ``betapoly`` through ``wallcross``.
 CALCULATOR = ["gwcurves.expr", "gwcurves.betapoly"]
 
+#: What a command loads only for a written fraction: ``fractions``, which
+#: imports ``decimal``.
+FRACTIONS = ["fractions", "decimal"]
 
 def fresh(code: str, **env: str) -> str:
     """Run ``code`` in a new interpreter with only ``src`` on the path and
@@ -96,6 +99,26 @@ def test_calculator_leaves_the_enumeration_out(args):
 )
 def test_command_loads_only_what_it_runs(args, absent):
     run_cli_then_check_absent(args, absent)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["invariant", "--polygon", "p2:3"],
+        ["tropical", "--polygon", "p2:3"],
+        ["table", "--chain", "p2:3"],
+        ["oracle", "--kontsevich", "4"],
+        ["gw-eval", "<6>*<10>"],
+    ],
+    ids=["invariant", "tropical", "table", "oracle", "gw-eval"],
+)
+def test_fractions_load_only_for_a_written_fraction(args):
+    run_cli_then_check_absent(args, FRACTIONS)
+
+
+def test_written_fraction_still_reduces():
+    # in a fresh interpreter, where no test has imported fractions already
+    assert run_cli_then_check_absent(["gw-eval", "<8/9>"], []) == "<2>\n"
 
 
 def test_verbose_logs_in_a_fresh_interpreter():

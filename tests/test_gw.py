@@ -317,6 +317,21 @@ class TestClassProduct:
             GWElement(terms)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize(
+        "terms, message",
+        [
+            ([(1, 1)], "terms must be a tuple, not list"),
+            (([1, 1],), "bad term [1, 1]: need a tuple (class, coefficient) of two ints"),
+            (((1, 1.5),), "bad term (1, 1.5): need a tuple (class, coefficient) of two ints"),
+            (((True, 1),), "bad term (True, 1): need a tuple (class, coefficient) of two ints"),
+        ],
+        ids=["list-terms", "list-term", "float-coefficient", "bool-class"],
+    )
+    def test_constructor_refuses_non_canonical_terms(self, terms, message):
+        with pytest.raises(DomainError) as exc:
+            GWElement(terms)
+        assert str(exc.value) == message
+
     def test_ring_matches_factoring(self):
         rng = random.Random(12)
         for bound in (30, 10**6):

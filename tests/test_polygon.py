@@ -58,6 +58,11 @@ class TestConstruction:
             build()
         assert str(exc.value) == message
 
+    def test_refuses_a_list_of_vertices(self):
+        with pytest.raises(DomainError) as exc:
+            LatticePolygon([(0, 0), (1, 0), (0, 1)])
+        assert str(exc.value) == "vertices must be a tuple, not list"
+
     def test_json_roundtrip(self):
         q = preset("f1_4_2e")
         assert LatticePolygon.from_json(q.to_json()) == q

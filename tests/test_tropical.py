@@ -8,6 +8,7 @@ import itertools
 import json
 import random
 from collections import Counter
+from operator import attrgetter
 
 import pytest
 
@@ -20,8 +21,6 @@ from gwcurves.tropical import (
     TropicalCurve,
     _Completer,
     _arc_areas,
-    _cell_key,
-    _curve_key,
     _heavy_steps,
     _light_completions,
     _orient,
@@ -249,7 +248,7 @@ class TestCompletions:
             ):
                 for cl in make(path, 1, poly):
                     for cr in make(path, -1, poly):
-                        cells = tuple(sorted(tuple(cl) + tuple(cr), key=_cell_key))
+                        cells = tuple(sorted(tuple(cl) + tuple(cr)))
                         sub = MarkedSubdivision(tuple(path), cells)
                         if validate_subdivision(sub, poly) is None:
                             totals.append(curve_mult(sub))
@@ -376,7 +375,7 @@ class TestEnumerate:
         corners = [(i, j) for i in range(3) for j in range(3 - i)]
         cells = [triangle((i, j), (i + 1, j), (i, j + 1)) for i, j in corners]
         cells += [triangle((i + 1, j), (i, j + 1), (i + 1, j + 1)) for i, j in corners if i + j < 2]
-        sub = MarkedSubdivision(next(enumerate_paths(p2(3))), tuple(sorted(cells, key=_cell_key)))
+        sub = MarkedSubdivision(next(enumerate_paths(p2(3))), tuple(sorted(cells)))
         assert validate_subdivision(sub, p2(3)) == "positive-genus"
         assert strand_walk_reason(sub.cells) == "positive-genus"
 
@@ -418,10 +417,7 @@ class TestQuartic:
             assert curve.motivic.rank() == prod
 
     def test_curves_sorted_canonically(self, quartic_enum):
-        keys = [
-            (c.subdivision.path, tuple(_cell_key(x) for x in c.subdivision.cells))
-            for c in quartic_enum.curves
-        ]
+        keys = [c.subdivision for c in quartic_enum.curves]
         assert keys == sorted(keys)
 
 
@@ -569,7 +565,7 @@ def _kept_curves(poly, paths):
     curves = []
 
     def keep(path, left, right):
-        cells = tuple(sorted(summary_cells(left, poly) + summary_cells(right, poly), key=_cell_key))
+        cells = tuple(sorted(summary_cells(left, poly) + summary_cells(right, poly)))
         curves.append(TropicalCurve(MarkedSubdivision(tuple(path), cells), left.motivic * right.motivic))
 
     return curves, _pair_loop(poly, paths, keep)
@@ -586,7 +582,8 @@ def test_two_batches_give_the_curves_of_one(poly):
         cs, dr = _kept_curves(poly, half)
         split += cs
         split_dropped.update(dr)
-    assert _digest(sorted(split, key=_curve_key)) == _digest(sorted(curves, key=_curve_key))
+    by_subdivision = attrgetter("subdivision")
+    assert _digest(sorted(split, key=by_subdivision)) == _digest(sorted(curves, key=by_subdivision))
     assert split_dropped == dropped
 
 
@@ -603,7 +600,7 @@ def test_two_batches_give_the_quintic_curves():
         cs, dr = _kept_curves(poly, half)
         split += cs
         split_dropped.update(dr)
-    split.sort(key=_curve_key)
+    split.sort(key=attrgetter("subdivision"))
     with collector_paused():  # the curves' JSON dicts stay live until encoded
         curve_bytes = json.dumps([c.to_json() for c in split], sort_keys=True)
     assert hashlib.sha256(curve_bytes.encode()).hexdigest() == QUINTIC_SHA256
@@ -877,7 +874,7 @@ def test_classifier_matches_strand_walk(poly):
     for path in enumerate_paths(poly):
         for cl in complete_path(path, 1, poly):
             for cr in complete_path(path, -1, poly):
-                sub = MarkedSubdivision(tuple(path), tuple(sorted(cl + cr, key=_cell_key)))
+                sub = MarkedSubdivision(tuple(path), tuple(sorted(cl + cr)))
                 assert validate_subdivision(sub, poly) == strand_walk_reason(sub.cells), sub
 
 
@@ -895,7 +892,7 @@ def test_pair_reason_matches_validate_subdivision(poly, monkeypatch):
         for cl in left:
             for cr in right:
                 cells = summary_cells(cl, poly) + summary_cells(cr, poly)
-                sub = MarkedSubdivision(path, tuple(sorted(cells, key=_cell_key)))
+                sub = MarkedSubdivision(path, tuple(sorted(cells)))
                 reason = _pair_reason(path, cl, cr, poly)
                 if validate_subdivision(sub, poly) == "boundary-weight":
                     # end weight is decided per side, before gluing; the grouping still refuses
@@ -937,6 +934,30 @@ def test_fabricated_summaries_raise():
     for message, (left, right) in bad.items():
         with pytest.raises(InternalInvariantError, match=message):
             _pair_reason(path, left, right, poly)
+
+
+@pytest.mark.parametrize(
+    "corners, message",
+    [
+        ([((0, 0), (1, 0), (0, 1))], "cells do not tile the polygon"),
+        (
+            [((0, 0), (1, 0), (0, 1)), ((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 0), (0, 2))],
+            "edge ((0, 0), (1, 0)) shared by 3 cells",
+        ),
+        (
+            [((0, 0), (1, 0), (0, 1)), ((1, 0), (2, 0), (1, 1)), ((0, 1), (1, 1), (0, 2)), ((0, 0), (1, 0), (1, 1))],
+            "interior edge ((0, 1), (1, 0)) has a single cell",
+        ),
+    ],
+    ids=["area", "side-shared-thrice", "interior-side-alone"],
+)
+def test_fabricated_tilings_raise(corners, message):
+    # the reference classifier's own tiling checks, on cells of p2:2 that do not tile it
+    poly = p2(2)
+    cells = tuple(sorted(triangle(*c) for c in corners))
+    with pytest.raises(InternalInvariantError) as exc:
+        validate_subdivision(MarkedSubdivision(next(enumerate_paths(poly)), cells), poly)
+    assert str(exc.value) == message
 
 
 def test_completion_with_an_interior_ray_raises(monkeypatch):

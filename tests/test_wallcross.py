@@ -196,6 +196,11 @@ class TestChains:
             SurfaceChain(())
         assert str(exc.value) == "empty chain"
 
+    def test_rejects_a_list_of_polygons(self):
+        with pytest.raises(DomainError) as exc:
+            SurfaceChain([p2(1)])
+        assert str(exc.value) == "polygons must be a tuple, not list"
+
     def test_single_polygon_chain(self):
         chain = SurfaceChain((preset("bl2f1"),))
         assert len(chain) == 1
@@ -218,6 +223,11 @@ class TestTables:
         with pytest.raises(DomainError) as exc:
             InvariantTable(preset("blf1"), rows)
         assert str(exc.value) == "rank profile must be constant down a table"
+
+    def test_rows_must_be_a_tuple(self):
+        with pytest.raises(DomainError) as exc:
+            InvariantTable(preset("bl2f1"), [BetaPolynomial.constant(ONE)])
+        assert str(exc.value) == "rows must be a tuple, not list"
 
     def test_golden_rows_structurally(self, quartic_tables):
         assert len(quartic_tables) == 4
