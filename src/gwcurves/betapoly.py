@@ -26,12 +26,12 @@ from .gw import (
     DomainError,
     _Frozen,
     _check_tuple,
+    _split_h,
     Rational,
     beta,
     display_terms,
     format_gw,
     gw_equal,
-    hyperbolic_part,
     signed_term,
 )
 
@@ -39,7 +39,14 @@ Monomial = tuple[int, ...]
 
 
 def _mono(indices) -> Monomial:
-    out = tuple(sorted(indices))
+    """``indices`` as a monomial: a sorted tuple of distinct positive ints."""
+    try:
+        out = tuple(sorted(indices))
+    except TypeError:  # not iterable, or without a common order, as (1, "a")
+        out = (None,)
+    for i in out:
+        if type(i) is not int:  # a float or a bool would print as b1.5 or bTrue
+            raise DomainError(f"bad monomial {indices!r}: indices must be ints")
     if out and out[0] < 1:
         raise DomainError(f"bad monomial {indices!r}: indices must be positive")
     for i, j in zip(out, out[1:]):
@@ -48,8 +55,8 @@ def _mono(indices) -> Monomial:
     return out
 
 
-def _mono_key(m: Monomial) -> tuple[int, Monomial]:
-    return (len(m), m)
+def _by_degree(term: tuple[Monomial, GWElement]) -> tuple[int, Monomial]:
+    return (len(term[0]), term[0])
 
 
 class BetaPolynomial(_Frozen):
@@ -71,7 +78,7 @@ class BetaPolynomial(_Frozen):
                 raise DomainError("zero coefficients must be pruned")
             if m != _mono(m):
                 raise DomainError(f"bad monomial {m!r}: need a sorted tuple of indices")
-            key = _mono_key(m)
+            key = (len(m), m)
             if last is not None and key <= last:
                 raise DomainError("monomials must be sorted by (degree, indices)")
             last = key
@@ -80,11 +87,23 @@ class BetaPolynomial(_Frozen):
     @classmethod
     def from_dict(cls, d: Mapping[Monomial, GWElement]) -> "BetaPolynomial":
         items = [(_mono(m), g) for m, g in d.items() if g]
-        return cls(tuple(sorted(items, key=lambda it: _mono_key(it[0]))))
+        return cls(tuple(sorted(items, key=_by_degree)))
+
+    @classmethod
+    def _of(cls, d: Mapping[Monomial, GWElement]) -> "BetaPolynomial":
+        """``from_dict`` without its checks, for ring results: their
+        monomials are stored ones or ``_mono`` values, their coefficients
+        GWElements, so they are only sorted and pruned."""
+        p = object.__new__(cls)
+        terms = sorted([t for t in d.items() if t[1]], key=_by_degree)
+        object.__setattr__(p, "monomials", tuple(terms))
+        return p
 
     @classmethod
     def constant(cls, g: GWElement) -> "BetaPolynomial":
-        return cls((((), g),) if g else ())
+        if not isinstance(g, GWElement):
+            raise DomainError(f"coefficient {g!r} is not a GWElement")
+        return cls._of({(): g})
 
     def as_dict(self) -> dict[Monomial, GWElement]:
         return dict(self.monomials)
@@ -106,10 +125,10 @@ class BetaPolynomial(_Frozen):
         d = self.as_dict()
         for m, g in other.monomials:
             d[m] = d.get(m, ZERO) + g
-        return BetaPolynomial.from_dict(d)
+        return BetaPolynomial._of(d)
 
     def __neg__(self) -> "BetaPolynomial":
-        return BetaPolynomial(tuple((m, -g) for m, g in self.monomials))
+        return BetaPolynomial._of({m: -g for m, g in self.monomials})
 
     def __sub__(self, other: "BetaPolynomial") -> "BetaPolynomial":
         return self + (-other)
@@ -122,7 +141,7 @@ class BetaPolynomial(_Frozen):
             for m2, g2 in other.monomials:
                 m = _mono(m1 + m2)
                 d[m] = d.get(m, ZERO) + g1 * g2
-        return BetaPolynomial.from_dict(d)
+        return BetaPolynomial._of(d)
 
     def mul_step(self, index: int) -> "BetaPolynomial":
         """Multiply by (b_index - 2<1>), formally; the index must be fresh."""
@@ -130,15 +149,16 @@ class BetaPolynomial(_Frozen):
 
     def reduced(self) -> "BetaPolynomial":
         """Apply h*b_i = 2h: hyperbolic multiples hiding in the coefficient
-        of a degree-k monomial move to the constant term as 2^k copies of h.
+        of a degree-k monomial (its stored +/- class pairs, split greedily)
+        move to the constant term as 2^k copies of h.
         """
         d = self.as_dict()
         for m, g in self.monomials:
             if m:
-                k, d[m] = hyperbolic_part(g)
+                k, d[m] = _split_h(g, [c for c, _ in g.terms if c > 0])
                 if k:
                     d[()] = d.get((), ZERO) + (k * 2 ** len(m)) * H
-        return BetaPolynomial.from_dict(d)
+        return BetaPolynomial._of(d)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -191,22 +211,13 @@ class BetaPolynomial(_Frozen):
             ]
         }
 
-    @classmethod
-    def from_json(cls, data: Mapping) -> "BetaPolynomial":
-        return cls.from_dict(
-            {
-                tuple(entry["indices"]): GWElement.from_json(entry["value"])
-                for entry in data["monomials"]
-            }
-        )
-
 
 POLY_ZERO = BetaPolynomial()
 
 
 def beta_symbol(index: int) -> BetaPolynomial:
     """The formal symbol b_index with coefficient <1>."""
-    return BetaPolynomial.from_dict({_mono((index,)): ONE})
+    return BetaPolynomial._of({_mono((index,)): ONE})
 
 
 SUBSCRIPTS = str.maketrans("0123456789", "₀₁₂₃₄₅₆₇₈₉")

@@ -15,9 +15,9 @@ representative.
 
 Factoring is needed only where an integer enters from outside: the square
 class of a given rational (``square_class``), the squarefree check on the
-classes given to ``GWElement``, ``from_dict`` and ``from_json``, and the
-odd places of a Hasse check (the classes left once the summands both sides
-share are cancelled).  It uses the standard library alone.  One gcd with
+classes given to ``GWElement`` and ``from_dict``, and the odd places of a
+Hasse check (the classes left once the summands both sides share are
+cancelled).  It uses the standard library alone.  One gcd with
 the product of the primes below 1000 picks the ones to divide out
 (``_screen``).  A square class then only needs to know whether the cofactor
 m is a square: m has no prime factor below 1009, so if m < 1009**3 (the
@@ -38,7 +38,8 @@ Everything the ring computes from stored classes needs no factoring: the
 class of a product of squarefree classes c1, c2 is (c1/g)(c2/g) with
 g = gcd(c1, c2) (``_class_product``), so products, discriminants, beta and
 the second entry of a trace form take a gcd, and ring results are built
-without checking their classes again (``GWElement._of``).
+without checking their classes again (``GWElement._of``).  The ring results
+of ``betapoly`` skip its checks the same way (``BetaPolynomial._of``).
 
 The hyperbolic plane h = <1> + <-1> is not a separate primitive; the
 pretty-printer extracts h-multiples greedily (min of the <1> and <-1>
@@ -557,10 +558,6 @@ class GWElement(_Frozen):
     def to_json(self) -> dict:
         return {"terms": [{"class": c, "coeff": n} for c, n in self.terms]}
 
-    @classmethod
-    def from_json(cls, data: Mapping) -> "GWElement":
-        return cls.from_dict({t["class"]: t["coeff"] for t in data["terms"]})
-
 
 ZERO = GWElement()
 
@@ -600,15 +597,6 @@ def _split_h(q: GWElement, classes) -> tuple[int, GWElement]:
         d[-c] = n2 - k
         m, split = m + k, True
     return m, (GWElement._of(d) if split else q)
-
-
-def hyperbolic_part(q: GWElement) -> tuple[int, GWElement]:
-    """Greedy split q = m*h + rest over all stored +/- class pairs.
-
-    Exact on the span of <1>, <-1>; elsewhere it only extracts what is
-    visible in the stored representation.
-    """
-    return _split_h(q, [c for c, _ in q.terms if c > 0])
 
 
 UNICODE_GLYPHS = str.maketrans({"<": "⟨", ">": "⟩", "*": "·"})

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gwcurves.betapoly import (
     POLY_ZERO,
@@ -12,7 +14,7 @@ from gwcurves.betapoly import (
     beta_symbol,
     format_poly,
 )
-from gwcurves.gw import H, ONE, ZERO, DomainError, beta, form, gw_equal, hyperbolic_part
+from gwcurves.gw import H, ONE, ZERO, DomainError, _split_h, beta, form, gw_equal
 
 from oracles import random_gw
 
@@ -82,6 +84,32 @@ class TestBasics:
         with pytest.raises(DomainError):
             BetaPolynomial.from_dict({(1, 1): ONE})
 
+    @pytest.mark.parametrize(
+        "monomial, message",
+        [
+            ((1.5,), "bad monomial (1.5,): indices must be ints"),
+            ((True,), "bad monomial (True,): indices must be ints"),
+            (("a",), "bad monomial ('a',): indices must be ints"),
+            ((1, "a"), "bad monomial (1, 'a'): indices must be ints"),
+        ],
+        ids=["float", "bool", "str", "int-and-str"],
+    )
+    def test_indices_must_be_ints(self, monomial, message):
+        # stored as given, 1.5 would print as b1.5, and True as bTrue while equal to b1
+        with pytest.raises(DomainError) as exc:
+            BetaPolynomial.from_dict({monomial: ONE})
+        assert str(exc.value) == message
+        with pytest.raises(DomainError) as exc:
+            BetaPolynomial(((monomial, ONE),))
+        assert str(exc.value) == message
+
+    def test_constant_refuses_a_coefficient_that_is_not_a_gw_element(self):
+        # 0 is not ZERO, and must not give the zero polynomial
+        for g in (0, 1):
+            with pytest.raises(DomainError) as exc:
+                const(g)
+            assert str(exc.value) == f"coefficient {g} is not a GWElement"
+
 
 def random_poly(rng, symbols):
     """Random multilinear polynomial over the given symbol indices."""
@@ -144,7 +172,7 @@ class TestReduced:
     def test_pairs_of_opposite_sign(self):
         # +h from the 2-pair and -h from the 3-pair sum to 0 but both split off
         q = form(2) + form(-2) - form(3) - form(-3)
-        assert hyperbolic_part(q) == (0, ZERO)
+        assert _split_h(q, (2, 3)) == (0, ZERO)
         r = BetaPolynomial.from_dict({(1,): q, (): ONE}).reduced()
         assert r == const(ONE)
 
@@ -227,10 +255,30 @@ class TestProfiles:
 
 
 class TestJsonAndPrint:
-    def test_json_roundtrip(self):
-        p = BetaPolynomial.from_dict({(): 2 * H, (1, 3): form(-3) + 2 * ONE})
-        assert BetaPolynomial.from_json(p.to_json()) == p
-
     def test_print_orders_by_degree(self):
         p = BetaPolynomial.from_dict({(1, 2): ONE, (): 2 * H, (1,): -2 * ONE})
         assert format_poly(p) == "2h - 2*b1 + b1*b2"
+
+
+# Small coefficients over classes whose +/- pairs give reduced() work to do.
+gw_values = st.dictionaries(st.integers(-6, 6).filter(bool), st.integers(-3, 3), max_size=3).map(
+    lambda d: sum((n * form(a) for a, n in d.items()), ZERO)
+)
+
+
+def polys(symbols):
+    monomials = st.sets(st.sampled_from(symbols)).map(lambda s: tuple(sorted(s)))
+    return st.dictionaries(monomials, gw_values, max_size=4).map(BetaPolynomial.from_dict)
+
+
+class TestTrustedResults:
+    """Ring results skip the constructor's checks: each must still be a value
+    that the checked constructors accept and rebuild equal."""
+
+    @given(polys((1, 2, 3)), polys((1, 2, 3)), polys((4, 5)), gw_values)
+    @settings(deadline=None)
+    def test_ring_results_are_canonical(self, p, q, r, g):
+        results = (p + q, p - q, -p, p * r, p.reduced(), p.mul_step(6), const(g))
+        for result in results:
+            assert BetaPolynomial(result.monomials) == result
+            assert BetaPolynomial.from_dict(result.as_dict()) == result

@@ -162,18 +162,18 @@ class TestWallCrossStep:
 class TestChains:
     def test_quartic_chain_is_valid(self):
         chain = quartic_chain()
-        assert len(chain) == 4
+        assert len(chain.polygons) == 4
         assert [q.point_budget() for q in chain.polygons] == [11, 9, 7, 5]
         assert [q.interior_count() for q in chain.polygons] == [3, 2, 1, 0]
 
     def test_chain_from_quartic_matches_preset_shape(self):
         auto = chain_from(p2(4))
-        assert len(auto) == 4
+        assert len(auto.polygons) == 4
         assert [q.interior_count() for q in auto.polygons] == [3, 2, 1, 0]
 
     def test_chain_from_cubic(self):
         chain = chain_from(p2(3))
-        assert len(chain) == 2
+        assert len(chain.polygons) == 2
         assert chain.polygons[1].interior_count() == 0
 
     def test_rejects_wrong_length(self):
@@ -201,9 +201,22 @@ class TestChains:
             SurfaceChain([p2(1)])
         assert str(exc.value) == "polygons must be a tuple, not list"
 
+    @pytest.mark.parametrize(
+        "polygons, message",
+        [
+            ((1,), "polygon 1 is not a LatticePolygon"),
+            ((p2(1), "x"), "polygon 'x' is not a LatticePolygon"),
+        ],
+        ids=["int", "str-after-a-polygon"],
+    )
+    def test_rejects_elements_that_are_not_polygons(self, polygons, message):
+        with pytest.raises(DomainError) as exc:
+            SurfaceChain(polygons)
+        assert str(exc.value) == message
+
     def test_single_polygon_chain(self):
         chain = SurfaceChain((preset("bl2f1"),))
-        assert len(chain) == 1
+        assert len(chain.polygons) == 1
 
 
 class TestBaseInvariants:
@@ -228,6 +241,20 @@ class TestTables:
         with pytest.raises(DomainError) as exc:
             InvariantTable(preset("bl2f1"), [BetaPolynomial.constant(ONE)])
         assert str(exc.value) == "rows must be a tuple, not list"
+
+    @pytest.mark.parametrize(
+        "polygon, rows, message",
+        [
+            ([1], (BetaPolynomial.constant(ONE),), "polygon [1] is not a LatticePolygon"),
+            (p2(1), (1,), "row 1 is not a BetaPolynomial"),
+            (p2(1), (), "a table needs at least one row"),
+        ],
+        ids=["list-polygon", "int-row", "no-rows"],
+    )
+    def test_rejects_bad_elements(self, polygon, rows, message):
+        with pytest.raises(DomainError) as exc:
+            InvariantTable(polygon, rows)
+        assert str(exc.value) == message
 
     def test_golden_rows_structurally(self, quartic_tables):
         assert len(quartic_tables) == 4
