@@ -86,8 +86,16 @@ class BetaPolynomial(_Frozen):
 
     @classmethod
     def from_dict(cls, d: Mapping[Monomial, GWElement]) -> "BetaPolynomial":
-        items = [(_mono(m), g) for m, g in d.items() if g]
-        return cls(tuple(sorted(items, key=_by_degree)))
+        """The polynomial of the nonzero terms of ``d``; two spellings of
+        one monomial, as (1, 2) and (2, 1), are refused."""
+        items: dict[Monomial, tuple] = {}
+        for m, g in d.items():
+            if g:
+                key = _mono(m)
+                if key in items:
+                    raise DomainError(f"repeated monomial {key}: given as {items[key][0]!r} and {m!r}")
+                items[key] = m, g
+        return cls(tuple(sorted(((k, g) for k, (_, g) in items.items()), key=_by_degree)))
 
     @classmethod
     def _of(cls, d: Mapping[Monomial, GWElement]) -> "BetaPolynomial":

@@ -19,14 +19,16 @@ completions, so an end of weight >= 2 is decided by one side alone, and only
 there: only the light completions, without a boundary side of lattice length
 >= 2, are glued, and ``boundary-weight`` counts the other pairs, as |L|*|R| -
 |L_ok|*|R_ok| for L and R the completions of a path and L_ok, R_ok the light
-ones.  One memoized recursion gives |L| always and L_ok only where it can be
-glued: below a peeled cell with a heavy side it only counts, and so it does
-on both sides of a path with a step of lattice length >= 2 on the boundary
-(a doomed path: that step is a heavy side of every tiling built from it).
+ones.  One memoized recursion gives |L| and, where it can be glued, L_ok;
+below a peeled cell with a heavy side, and on both sides of a path with a
+step of lattice length >= 2 on the boundary (a doomed path: that step is a
+heavy side of every tiling built from it), it only counts.  A count is a
+product: a path point on a side's boundary arc never turns toward that side
+(the polygon is convex), and no peel moves it (a reflected point stays in its
+parallelogram), so the region falls apart there into pieces completed alone.
 Both tests read the polygon's ``boundary_steps``.  The paths of one
-enumeration share a ``_Completer``: the memo, keyed by the side and the
-remaining path as integer point ids, and a table of the peeled cells, so
-each count, sub-completion and cell entry is made once per enumeration.
+enumeration share a ``_Completer`` with memos of summaries and of counts,
+keyed by side and remaining path as point ids, and a table of peeled cells.
 
 A glued pair of light completions is decided on the path interface.  The
 same recursion gives each light completion a summary: for each edge of its
@@ -71,7 +73,7 @@ from operator import attrgetter, mul
 from typing import NamedTuple
 
 from .gw import GWElement, InternalInvariantError, ONE, form, gw_equal
-from .polygon import LatticePolygon, Point, lattice_length, _add, _area2, _cross as _orient
+from .polygon import LatticePolygon, Point, lattice_length, _add, _cross as _orient
 
 
 def _log(msg: str, *args) -> None:
@@ -234,27 +236,35 @@ def enumerate_paths(poly: LatticePolygon):
         yield (first,) + chosen + (last,)
 
 
-def _arc_areas(poly: LatticePolygon) -> tuple[int, int]:
-    """Twice the areas left and right of the chord from the lambda-minimal
-    to the lambda-maximal vertex: (left, right).  A path between them with
-    closed shoelace sum s has left + s to its left and right - s to its
-    right.  The right area is the shoelace sum of the counterclockwise vertex
-    arc; lattice points on its edges would add nothing to it."""
-    vs = poly.vertices
-    lo = vs.index(min(vs, key=lambda_key))
-    hi = vs.index(max(vs, key=lambda_key))
-    cycle = vs[lo:] + vs[:lo]
-    right = _area2(cycle[: (hi - lo) % len(vs) + 1])
-    return poly.area2 - right, right
+def _arc_potentials(poly: LatticePolygon, ids: dict[Point, int]) -> dict[int, list[int | None]]:
+    """Per side, by point id, the potential P of each lattice point on the
+    side's arc (None off it): the shoelace sum along the arc, counterclockwise
+    from the lambda-maximal vertex for side 1 (left), from the minimal one for
+    side -1.  Twice the area between the arc and a piece from u to v on it
+    with shoelace sum ``cross`` is ``side * (cross + P(u) - P(v))``."""
+    vs, pts = poly.vertices, poly.lattice_points  # pts[0] and pts[-1] are vertices
+    lo, hi = vs.index(pts[0]), vs.index(pts[-1])
+    out = {}
+    for side, k, end in ((1, hi, lo), (-1, lo, hi)):
+        out[side] = pot = [None] * len(ids)
+        pot[ids[vs[k]]] = 0
+        while k != end:  # along the edge from corner c the sum grows by cross(c, w)
+            (cx, cy), (dx, dy) = poly.edges[k]
+            n, total = gcd(dx - cx, dy - cy), pot[ids[cx, cy]]
+            for m in range(1, n + 1):
+                x, y = cx + m * (dx - cx) // n, cy + m * (dy - cy) // n
+                pot[ids[x, y]] = total + cx * y - x * cy
+            k = (k + 1) % len(vs)
+    return out
 
 
 class _Completer:
     """What the completion recursion shares over one enumeration of the
     paths of ``poly``: the lattice points in lambda order with integer ids
     (``points``, their coordinates ``X`` and ``Y``, and ``ids`` back from a
-    point), the memo (see ``_light_completions``) and the cell table
-    (``cell``).  Kept on the polygon, the memo and the table would outlive
-    the enumeration."""
+    point), the arc potentials (``arc``), the memos of summaries (``memo``)
+    and counts (``counts``) and the cell table (``cell``).  Kept on the
+    polygon, the memos and the table would outlive the enumeration."""
 
     def __init__(self, poly: LatticePolygon):
         self.poly = poly
@@ -262,17 +272,19 @@ class _Completer:
         self.X = [x for x, _ in points]
         self.Y = [y for _, y in points]
         self.ids = {p: k for k, p in enumerate(points)}
-        self.arcs = _arc_areas(poly)
-        self.memo: dict[tuple, tuple[int, list[_Side] | None]] = {}
+        self.arc = _arc_potentials(poly, self.ids)
+        self.memo: dict[tuple, tuple[int, list[_Side]]] = {}
+        self.counts: dict[tuple, int] = {}
         self.cells: dict[tuple[int, ...], tuple] = {}
 
     def root(self, path) -> tuple[tuple[int, ...], dict[int, int]]:
         """The ids of a path's points, and for each side twice the area
-        between the path and the boundary arc on that side: the arc's area
-        (see ``_arc_areas``) plus or minus the path's shoelace sum."""
-        left, right = self.arcs
-        shoelace = _area2(path)
-        return tuple(map(self.ids.__getitem__, path)), {1: left + shoelace, -1: right - shoelace}
+        between the path and the boundary arc on that side: the path runs
+        from the right arc's start, point 0, to the left one's, the last."""
+        ids = tuple(map(self.ids.__getitem__, path))
+        X, Y = self.X, self.Y
+        cross = sum(X[a] * Y[b] - X[b] * Y[a] for a, b in zip(ids, ids[1:]))
+        return ids, {1: cross + self.arc[1][0], -1: self.arc[-1][-1] - cross}
 
     def cell(self, pts: tuple[int, ...]) -> tuple:
         """The cell table's entry for the cell with ids ``pts`` (see
@@ -427,63 +439,87 @@ def _extend(child: _Side, i: int, pts: tuple[int, ...], area2: int, mult) -> _Si
     )
 
 
-def _light_completions(comp: _Completer, root, side: int, want: bool = True) -> tuple[int, list[_Side] | None]:
+def _light_completions(comp: _Completer, root, side: int) -> tuple[int, list[_Side]]:
     """``(len(complete), light)`` for ``complete = complete_path(path, side,
     poly)`` and ``light`` the summaries of its completions without a
     boundary side of lattice length >= 2, in the same order, by the same
-    peel rule; ``light`` is None when not ``want``.  ``root`` is
-    ``comp.root(path)``, which both sides share.
+    peel rule.  ``root`` is ``comp.root(path)``, which both sides share.
 
-    One memoized recursion gives both, and builds summaries only where they
-    can be glued: a peel whose cell is heavy in ``comp``'s cell table
-    recurses count-only, and its children's summaries are not built.
-    ``comp.memo`` maps (side, remaining id path) to ``(count, light or
-    None)``: the area left to fill depends only on the polygon, the side
-    and the remaining path, so one memo serves every path of one
-    enumeration.  A node first reached count-only and later wanted is
-    computed again in full, which replaces its entry; its heavy peels are
-    then memo hits.  The root's own entry is dropped once it is returned.
-
-    A summary extends its child's by the peeled cell.  The triangle at ``b``
-    gives ``ab`` and ``bc`` the group of ``ac``; the parallelogram
-    ``a, b, c, r`` gives ``ab`` the group of ``rc`` and ``bc`` that of
-    ``ar``.  A child edge that no cell of the child owns is a ray, alone in
-    a new group, so the groups of one side never merge."""
+    One memoized recursion gives both, and builds summaries (see ``_extend``)
+    only where they can be glued: below a heavy peeled cell it only counts.
+    ``comp.memo`` maps (side, remaining id path) to ``(count, light)``: the
+    area left to fill depends only on the polygon, the side and the remaining
+    path, so one memo serves every path of one enumeration.  The root's
+    entry is dropped once returned."""
     ids, areas = root
-    out = _complete(comp, side, ids, areas[side], want)
+    out = _complete(comp, side, ids, areas[side])
     del comp.memo[side, ids]
     return out
 
 
-def _complete(comp: _Completer, side: int, p, area: int, want: bool) -> tuple[int, list[_Side] | None]:
+def _complete(comp: _Completer, side: int, p, area: int) -> tuple[int, list[_Side]]:
     """``_light_completions`` of the remaining id path ``p``, with ``area``
     twice the area left to fill; each peel removes its own cell's area."""
     memo = comp.memo
     key = (side, p)
     hit = memo.get(key)
-    if hit is not None and (hit[1] is not None or not want):
+    if hit is not None:
         return hit
     if area < 0:
         raise InternalInvariantError("path escaped its completion region")
-    if not area:  # the path runs along the boundary arc: one empty completion
-        vs = [comp.points[k] for k in p]
-        for edge in zip(vs, vs[1:]):  # every edge that no cell owns starts here
-            if edge not in comp.poly.boundary_steps:
-                raise InternalInvariantError(f"interior edge {edge} has a single cell")
-        memo[key] = out = 1, [_Side(None, (-1,) * (len(p) - 1), 0, 0, 0, 0, ONE)]
+    if not area:  # one empty completion, which the count checks
+        memo[key] = out = _count_path(comp, side, p, 0), [_Side(None, (-1,) * (len(p) - 1), 0, 0, 0, 0, ONE)]
         return out
-    n, light = 0, [] if want else None
+    n, light = 0, []
     cells = comp.cells
     for rest_path, pts, i, a2 in _peels(p, side, comp):
-        entry = (cells.get(pts) or comp.cell(pts)) if want else None
-        glue = want and not entry[0]
-        count, rest_light = _complete(comp, side, rest_path, area - a2, glue)
+        heavy, ids, mult = cells.get(pts) or comp.cell(pts)
+        if heavy:
+            n += _count_path(comp, side, rest_path)
+            continue
+        count, rest_light = _complete(comp, side, rest_path, area - a2)
         n += count
-        if glue and rest_light:
-            _, ids, mult = entry
-            light.extend(_extend(rest, i, ids, a2, mult) for rest in rest_light)
+        light.extend(_extend(rest, i, ids, a2, mult) for rest in rest_light)
     memo[key] = out = n, light
     return out
+
+
+def _count_path(comp: _Completer, side: int, p, area: int | None = None) -> int:
+    """``len(complete_path(path, side, poly))`` for the id path ``p``, kept
+    in ``comp.counts``.  Without ``area``: the product over the pieces
+    between its arc points, with areas from one pass (``_arc_potentials``);
+    a step along the arc is no piece.  With ``area``, twice the area left,
+    ``p`` is a piece; a peel leaves one unless its reflected point is on the arc."""
+    n = comp.counts.get((side, p))
+    if n is not None:
+        return n
+    X, Y, pot = comp.X, comp.Y, comp.arc[side]
+    if area is None:
+        n, start, cross = 1, 0, 0
+        for j, (a, b) in enumerate(zip(p, p[1:]), 1):
+            cross += X[a] * Y[b] - X[b] * Y[a]
+            if pot[b] is not None:
+                area = side * (cross + pot[p[start]] - pot[b])
+                if area or j - start > 1:
+                    n *= _count_path(comp, side, p[start : j + 1], area)
+                    if not n:
+                        break
+                start, cross = j, 0
+    elif area < 0:
+        raise InternalInvariantError("path escaped its completion region")
+    elif not area:  # the path runs along the arc: one empty completion
+        vs = [comp.points[k] for k in p]
+        for edge in zip(vs, vs[1:]):  # every edge that no cell owns starts a ray here
+            if edge not in comp.poly.boundary_steps:
+                raise InternalInvariantError(f"interior edge {edge} has a single cell")
+        n = 1
+    else:
+        n = 0
+        for rest, pts, i, a2 in _peels(p, side, comp):
+            cut = len(pts) == 4 and pot[rest[i]] is not None
+            n += _count_path(comp, side, rest, None if cut else area - a2)
+    comp.counts[side, p] = n
+    return n
 
 
 # -- gluing and validity -----------------------------------------------------------
@@ -649,19 +685,22 @@ def _pair_loop(poly: LatticePolygon, paths, keep) -> Counter:
     glued pair is decided from the two summaries; the |L|*|R| -
     |L_ok|*|R_ok| other pairs go to ``boundary-weight``.  A doomed path (see
     ``_heavy_steps``) has no light pair, so both its sides are counted only.
-    The paths share one ``_Completer``, whose memo and cell table end with
+    The paths share one ``_Completer``, whose memos and cell table end with
     the call, and the loop runs, ``keep`` included, with the cyclic garbage
     collector paused.  Logs the ``-v`` lines: the drop tallies, and the path
-    count with the memo's entry count, count-only nodes included."""
+    count with the entry counts of the summary memo and the count memo."""
     with collector_paused():  # collections would only rescan the memo's live summaries
         dropped: Counter = Counter()
         comp = _Completer(poly)
         for path in paths:
-            want = not _heavy_steps(path, poly)
-            root = comp.root(path)
-            n_left, left_ok = _light_completions(comp, root, 1, want)
-            n_right, right_ok = _light_completions(comp, root, -1, want)
-            left_ok, right_ok = left_ok or [], right_ok or []  # None if doomed
+            if _heavy_steps(path, poly):  # doomed: counted only, no summary built
+                ids, left_ok, right_ok = tuple(map(comp.ids.__getitem__, path)), (), ()
+                n_left = _count_path(comp, 1, ids)
+                n_right = n_left and _count_path(comp, -1, ids)
+            else:
+                root = comp.root(path)
+                n_left, left_ok = _light_completions(comp, root, 1)
+                n_right, right_ok = _light_completions(comp, root, -1)
             heavy = n_left * n_right - len(left_ok) * len(right_ok)
             if heavy:
                 dropped["boundary-weight"] += heavy
@@ -675,8 +714,9 @@ def _pair_loop(poly: LatticePolygon, paths, keep) -> Counter:
         if dropped:
             tallies = ", ".join(f"{k}={v}" for k, v in sorted(dropped.items()))
             _log("%s: dropped %d completions (%s)", poly, sum(dropped.values()), tallies)
-        _log("%s: completed %d paths with %d completion memo entries", poly, len(paths), len(comp.memo))
-        del comp  # free the memo now: still alive when the collector resumes, it would be scanned
+        entries = len(comp.memo), len(comp.counts)
+        _log("%s: completed %d paths with %d summary and %d count memo entries", poly, len(paths), *entries)
+        del comp  # free the memos now: still alive when the collector resumes, they would be scanned
         return dropped
 
 

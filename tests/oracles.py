@@ -3,16 +3,17 @@
 These deliberately avoid the closed-form machinery they are checking:
 local solvability is decided by enumerating square values in residue
 charts, triangle interior counts by scanning the bounding box, boundary
-segments by testing each polygon edge, the arcs beside every lattice path
-by walking the boundary lattice points, a parallelogram's cycle by trying
-each vertex as the far one, the dual curve of a tiling by walking its
-strands, a doomed path and a heavy completion by their boundary sides, and
-a curve's motivic multiplicity by a plain product, the classes of
-products, discriminants, beta and trace forms by factoring, and equality in
-GW(Q) without cancelling the summands both sides share, and a calculator
-expression by a scanner that walks the text one character at a time and
-evaluates every factor as a BetaPolynomial.  Also home to the random form
-generator of the property tests.
+segments by testing each polygon edge, the arcs beside every lattice
+path and their potentials by walking the boundary lattice points, a
+parallelogram's cycle by trying each vertex as the far one, the dual
+curve of a tiling by walking its strands, a doomed path and a heavy
+completion by their boundary sides, and a curve's motivic multiplicity
+by a plain product, the classes of products, discriminants, beta and
+trace forms by factoring, and equality in GW(Q) without cancelling the
+summands both sides share, and a calculator expression by a scanner that
+walks the text one character at a time and evaluates every factor as a
+BetaPolynomial.  Also home to the random form generator of the property
+tests.
 """
 
 from __future__ import annotations
@@ -97,26 +98,47 @@ def segment_on_boundary_scan(poly, p, q) -> bool:
     return False
 
 
-def arc_shoelaces_walk(poly) -> tuple[int, int]:
-    """Shoelace sums of the two boundary arcs from the lambda-min point to
-    the lambda-max point, each closed by the chord back: (left arc, right
-    arc), from a walk over every boundary lattice point.
-
-    Walking the counterclockwise boundary from the minimum reaches the
-    maximum along the right-hand side of any increasing path.
-    """
+def _arcs_walk(poly) -> dict[int, list[tuple[int, int]]]:
+    """The boundary lattice points of each side's arc, in counterclockwise
+    order, from a walk over every boundary lattice point: the left arc
+    (side 1) from the lambda-max point to the lambda-min point, the right
+    arc (side -1) from the min to the max."""
     bd = []
     for a, b in poly.edges:
         step = primitive((b[0] - a[0], b[1] - a[1]))
         bd += [(a[0] + k * step[0], a[1] + k * step[1]) for k in range(lattice_length(a, b))]
     lo = min(bd, key=lambda p: (p[1], p[0]))
     hi = max(bd, key=lambda p: (p[1], p[0]))
-    k = bd.index(lo)
-    bd = bd[k:] + bd[:k]
-    j = bd.index(hi)
-    right = bd[: j + 1]
-    left = [lo] + bd[: j - 1 : -1]
-    return _area2(left), _area2(right)
+    out = {}
+    for side, start, end in ((1, hi, lo), (-1, lo, hi)):
+        k = bd.index(start)
+        walk = bd[k:] + bd[:k]
+        out[side] = walk[: walk.index(end) + 1]
+    return out
+
+
+def arc_shoelaces_walk(poly) -> tuple[int, int]:
+    """Shoelace sums of the two boundary arcs from the lambda-min point to
+    the lambda-max point, each closed by the chord back: (left arc, right
+    arc).
+
+    Walking the counterclockwise boundary from the minimum reaches the
+    maximum along the right-hand side of any increasing path; the left arc
+    runs clockwise from the minimum, the reverse of its walk.
+    """
+    arcs = _arcs_walk(poly)
+    return -_area2(arcs[1]), _area2(arcs[-1])
+
+
+def arc_potentials_walk(poly) -> dict[int, dict[tuple[int, int], int]]:
+    """For each side, the running shoelace sum at each boundary lattice
+    point of its arc (see ``_arcs_walk``), from the arc's start."""
+    out = {}
+    for side, arc in _arcs_walk(poly).items():
+        out[side] = pot = {arc[0]: 0}
+        for p, q in zip(arc, arc[1:]):
+            pot[q] = pot[p] + p[0] * q[1] - q[0] * p[1]
+    return out
 
 
 def par_cycle_search(pts):

@@ -78,6 +78,12 @@ class TestBasics:
             BetaPolynomial(monomials)
         assert str(exc.value) == message
 
+    def test_two_spellings_of_one_monomial_are_refused(self):
+        # both would be kept, and the constructor would refuse their order
+        with pytest.raises(DomainError) as exc:
+            BetaPolynomial.from_dict({(1, 2): ONE, (2, 1): form(3)})
+        assert str(exc.value) == "repeated monomial (1, 2): given as (1, 2) and (2, 1)"
+
     def test_monomial_validation(self):
         with pytest.raises(DomainError):
             BetaPolynomial.from_dict({(0,): ONE})

@@ -11,6 +11,8 @@ from collections import Counter
 from operator import attrgetter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gwcurves.gw import H, ONE, DomainError, form, gw_equal
 from gwcurves.polygon import convex_hull, lattice_length, p2, polygon, preset
@@ -20,7 +22,8 @@ from gwcurves.tropical import (
     MarkedSubdivision,
     TropicalCurve,
     _Completer,
-    _arc_areas,
+    _arc_potentials,
+    _count_path,
     _heavy_steps,
     _light_completions,
     _orient,
@@ -42,6 +45,7 @@ from gwcurves.tropical import (
 )
 
 from oracles import (
+    arc_potentials_walk,
     arc_shoelaces_walk,
     doomed,
     heavy_boundary,
@@ -168,9 +172,10 @@ def alt_completions(path, side, poly):
     The completion set must not depend on the resolution order.
     """
     from gwcurves.polygon import _area2
-    from gwcurves.tropical import _arc_areas, parallelogram
+    from gwcurves.tropical import parallelogram
 
-    left, right = _arc_areas(poly)
+    s_left, s_right = arc_shoelaces_walk(poly)
+    left, right = -s_left, s_right
 
     def area2(p):
         s = _area2(p)
@@ -382,7 +387,7 @@ class TestEnumerate:
     def test_doomed_paths_are_logged(self, caplog):
         with caplog.at_level("INFO", logger="gwcurves.tropical"):
             enumerate_curves(p2(3))
-        assert "completed 8 paths with 46 completion memo entries" in caplog.text
+        assert "completed 8 paths with 34 summary and 25 count memo entries" in caplog.text
 
     def test_no_count_carries_over_between_polygons(self):
         # Each pair shares coordinates but not areas.  A completion memo that
@@ -520,43 +525,65 @@ def test_complete_path_refuses_a_point_off_the_polygon():
         complete_path(((0, 0), (5, 5), (0, 3)), 1, p2(3))
 
 
+def _factorized_counts_match_complete_path(poly) -> tuple[int, int]:
+    """The count of every path and side, from one completer shared by all
+    paths (as in an enumeration) and from a fresh one per path, against
+    ``complete_path``, which peels the whole path without factorizing.
+    Returns the shared count memo's size and the fresh ones' total."""
+    shared, fresh_entries = _Completer(poly), 0
+    for path in enumerate_paths(poly):
+        for side in (1, -1):
+            want = len(complete_path(path, side, poly))
+            fresh = _Completer(poly)
+            for comp in (shared, fresh):
+                assert _count_path(comp, side, tuple(map(comp.ids.__getitem__, path))) == want, (path, side)
+            fresh_entries += len(fresh.counts)
+    return len(shared.counts), fresh_entries
+
+
 @pytest.mark.parametrize("poly", HULLS, ids=str)
 def test_revisited_count_only_nodes_match_a_fresh_memo(poly):
-    # count the doomed paths first, as an enumeration does, so that later
-    # paths want summaries of nodes first reached count-only
-    comp = _Completer(poly)
-    memo = comp.memo
-    paths = list(enumerate_paths(poly))
-    for path in (p for p in paths if _heavy_steps(p, poly)):
-        for side in (1, -1):
-            assert _light_completions(comp, comp.root(path), side, want=False)[1] is None
-    count_only = {key for key, (_, light) in memo.items() if light is None}
-    for path in paths:
-        for side in (1, -1):
-            n, light = _light_completions(comp, comp.root(path), side)
-            fresh_comp = _Completer(poly)
-            m, fresh = _light_completions(fresh_comp, fresh_comp.root(path), side)
-            assert (n, [s.cells for s in light]) == (m, [s.cells for s in fresh]), path
-    # a node later visited as a root has dropped its entry
-    revisited = {key for key in count_only if memo.get(key, (0, None))[1] is not None}
-    assert not count_only or revisited
+    # with more than one path, later paths reach count memo entries that
+    # earlier paths made
+    shared_entries, fresh_entries = _factorized_counts_match_complete_path(poly)
+    assert shared_entries < fresh_entries or len(list(enumerate_paths(poly))) == 1
+
+
+_hull_points = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=3, max_size=6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_hull_points, st.integers(-3, 3), st.booleans(), st.tuples(st.integers(-9, 9), st.integers(-9, 9)))
+def test_factorized_count_matches_complete_path_on_random_hulls(points, k, horizontal, shift):
+    # sheared, translated, and thin when the points are nearly collinear
+    moved = [(x + k * y, y) if horizontal else (x, y + k * x) for x, y in points]
+    try:
+        poly = convex_hull([(x + shift[0], y + shift[1]) for x, y in moved])
+    except DomainError:  # fewer than 3 distinct points, or all collinear
+        return
+    if poly.point_budget() <= 9:
+        _factorized_counts_match_complete_path(poly)
 
 
 def test_doomed_paths_are_counted_only(monkeypatch):
+    # a doomed path's counts come from the factorized count; no summary is built
     from gwcurves import tropical
 
-    poly, calls = p2(4), []
-    light_completions = tropical._light_completions
+    poly, extended = p2(4), []
+    extend = tropical._extend
+    monkeypatch.setattr(tropical, "_extend", lambda *args: extended.append(args) or extend(*args))
+    paths = list(enumerate_paths(poly))
+    doomed_paths = [path for path in paths if doomed(path, poly)]
+    assert len(paths) == 286 and len(doomed_paths) == 163
 
-    def spy(comp, root, side, want=True):
-        calls.append((tuple(comp.points[k] for k in root[0]), want))
-        return light_completions(comp, root, side, want)
+    def refuse(*args):
+        raise AssertionError("kept a doomed pair")
 
-    monkeypatch.setattr(tropical, "_light_completions", spy)
-    enumerate_curves(poly)
-    assert len(calls) == 2 * 286
-    assert sum(not want for _, want in calls) == 2 * 163
-    assert all(want != doomed(path, poly) for path, want in calls)
+    heavy = sum(len(complete_path(path, 1, poly)) * len(complete_path(path, -1, poly)) for path in doomed_paths)
+    assert _pair_loop(poly, doomed_paths, refuse) == {"boundary-weight": heavy}
+    assert extended == []
+    enumerate_curves(poly)  # the spy sees the summaries of the other paths
+    assert extended
 
 
 def _kept_curves(poly, paths):
@@ -618,11 +645,11 @@ def test_each_cell_is_built_once_per_batch(poly, monkeypatch):
     assert set(built) == {cell for curve in curves for cell in curve.subdivision.cells}
 
 
-@pytest.mark.parametrize("poly, entries", [(p2(4), 1455), (SQUARE, 4299)], ids=str)
+@pytest.mark.parametrize("poly, entries", [(p2(4), (782, 618)), (SQUARE, (1520, 2168))], ids=str)
 def test_memo_entries_are_logged(poly, entries, caplog):
     with caplog.at_level("INFO", logger="gwcurves.tropical"):
         enumerate_curves(poly)
-    assert f"with {entries} completion memo entries" in caplog.text
+    assert "with %d summary and %d count memo entries" % entries in caplog.text
 
 
 TRAPEZOID = polygon([(0, 0), (5, 0), (2, 3), (0, 3)])  # the F1 trapezoid: 6 334 curves
@@ -733,8 +760,12 @@ def test_sheared_copies_count_alike(poly):
 @pytest.mark.parametrize(
     "poly, drops, memo",
     [
-        (p2(4), "1377 completions (boundary-weight=1322, disconnected=55)", "286 paths with 1455"),
-        (SQUARE, "7843 completions (boundary-weight=7370, disconnected=165, line-component=308)", "1001 paths with 4299"),
+        (p2(4), "1377 completions (boundary-weight=1322, disconnected=55)", "286 paths with 782 summary and 618"),
+        (
+            SQUARE,
+            "7843 completions (boundary-weight=7370, disconnected=165, line-component=308)",
+            "1001 paths with 1520 summary and 2168",
+        ),
     ],
     ids=["p2:4", "square"],
 )
@@ -745,7 +776,7 @@ def test_count_logs_the_lines_of_the_enumeration(poly, drops, memo, caplog):
         with caplog.at_level("INFO", logger="gwcurves.tropical"):
             run(poly)
         logs.append(caplog.messages)
-    assert logs[0] == logs[1] == [f"{poly}: dropped {drops}", f"{poly}: completed {memo} completion memo entries"]
+    assert logs[0] == logs[1] == [f"{poly}: dropped {drops}", f"{poly}: completed {memo} count memo entries"]
 
 
 @pytest.mark.parametrize("poly", HULLS, ids=str)
@@ -800,9 +831,19 @@ def test_lattice_points_match_box_scan(poly):
 
 @pytest.mark.parametrize("poly", HULLS, ids=str)
 def test_arc_areas_match_boundary_walk(poly):
-    # the left arc runs clockwise, so its closed shoelace sum is minus its area
+    from gwcurves.polygon import _area2
+
+    comp = _Completer(poly)
+    walks = arc_potentials_walk(poly)
+    for side, pot in _arc_potentials(poly, comp.ids).items():
+        assert {comp.points[k]: v for k, v in enumerate(pot) if v is not None} == walks[side], side
+    # the left arc runs clockwise, so its closed shoelace sum is minus its
+    # area; a path with closed shoelace sum s adds s to the left and takes
+    # it from the right
     s_left, s_right = arc_shoelaces_walk(poly)
-    assert _arc_areas(poly) == (-s_left, s_right)
+    for path in enumerate_paths(poly):
+        s = _area2(path)
+        assert comp.root(path)[1] == {1: -s_left + s, -1: s_right - s}, path
 
 
 def test_parallelogram_cycle_matches_search():
@@ -968,6 +1009,21 @@ def test_completion_with_an_interior_ray_raises(monkeypatch):
         for path in enumerate_paths(poly):
             comp = _Completer(poly)
             _light_completions(comp, comp.root(path), 1)
+
+
+def test_count_refuses_a_negative_or_unclosed_area(monkeypatch):
+    poly = p2(3)
+    paths = list(enumerate_paths(poly))
+    comp = _Completer(poly)
+    with pytest.raises(InternalInvariantError, match="escaped its completion region"):
+        _count_path(comp, 1, tuple(map(comp.ids.__getitem__, paths[0])), -2)
+    # with no boundary at all, a piece left with no area is not on the arc
+    monkeypatch.setitem(vars(poly), "boundary_steps", {})
+    with pytest.raises(InternalInvariantError, match="single cell"):
+        for path in paths:
+            for side in (1, -1):
+                comp = _Completer(poly)
+                _count_path(comp, side, tuple(map(comp.ids.__getitem__, path)))
 
 
 @pytest.mark.parametrize("enabled", [True, False])
