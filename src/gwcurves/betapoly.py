@@ -26,6 +26,7 @@ from .gw import (
     DomainError,
     _Frozen,
     _check_tuple,
+    _product_terms,
     _split_h,
     Rational,
     beta,
@@ -171,18 +172,24 @@ class BetaPolynomial(_Frozen):
     # -- evaluation ---------------------------------------------------------
 
     def specialize(self, assignment: Mapping[int, Rational]) -> GWElement:
-        """Substitute b_i := beta(c_i) and evaluate in GW(Q)."""
-        missing = self.indices() - set(assignment)
+        """Substitute b_i := beta(c_i) and evaluate in GW(Q).
+
+        Each monomial's coefficient is multiplied by its betas as a plain
+        class -> weight dict (``_product_terms``) and added into one
+        accumulator; only the sum becomes a GWElement."""
+        used = self.indices()
+        missing = used - set(assignment)
         if missing:
             raise DomainError(f"no value for indices {sorted(missing)}")
-        betas = {i: beta(assignment[i]) for i in self.indices()}
-        total = ZERO
+        betas = {i: beta(assignment[i]).terms for i in used}
+        total: dict[int, int] = {}
         for m, g in self.monomials:
-            val = g
+            terms = g.terms
             for i in m:
-                val = val * betas[i]
-            total = total + val
-        return total
+                terms = _product_terms(terms, betas[i]).items()
+            for c, n in terms:
+                total[c] = total.get(c, 0) + n
+        return GWElement._of(total)
 
     def rank_profile(self) -> int:
         """Rank after substituting any rank-2 form for every symbol."""

@@ -225,6 +225,14 @@ def _cmd_table(args) -> int:
         chain = quartic_chain()
     else:
         chain = chain_from(polys[0])
+    # the first level's table has the most rows: a value past its s_max is used by no level
+    top = chain.polygons[0]
+    s_max = top.point_budget() // 2
+    if args.specialize is not None and len(args.specialize) > s_max:
+        raise UsageError(
+            f"--specialize gives {len(args.specialize)} values, but the chain's first "
+            f"table, {top}, has s_max = {s_max}"
+        )
     tables = build_tables(chain)
     if args.signature:
         sign = 1 if args.signature == "pos" else -1

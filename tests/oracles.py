@@ -9,7 +9,8 @@ parallelogram's cycle by trying each vertex as the far one, the dual
 curve of a tiling by walking its strands, a doomed path and a heavy
 completion by their boundary sides, and a curve's motivic multiplicity
 by a plain product, the classes of products, discriminants, beta and
-trace forms by factoring, and equality in GW(Q) without cancelling the
+trace forms by factoring, a β-polynomial's value at β(c_i) one monomial
+at a time, and equality in GW(Q) without cancelling the
 summands both sides share, and a calculator expression by a scanner that
 walks the text one character at a time and evaluates every factor as a
 BetaPolynomial.  Also home to the random form generator of the property
@@ -24,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, prod
 
-from sympy import primefactors
+from sympy import factorint, primefactors
 
 from gwcurves.betapoly import POLY_ZERO, BetaPolynomial, beta_symbol
 from gwcurves.expr import ExprError
@@ -360,15 +361,45 @@ def uncancelled_gw_equal(q1: GWElement, q2: GWElement) -> bool:
 # -- the ring's class arithmetic by factoring every product -------------------
 
 
+#: The primes of each squarefree class seen, so that a product of large
+#: classes is never factored from scratch.
+_class_primes: dict[int, frozenset[int]] = {}
+
+
+def _primes_of(c: int) -> frozenset[int]:
+    out = _class_primes.get(c)
+    if out is None:
+        powers = factorint(abs(c))
+        if any(e != 1 for e in powers.values()):
+            raise ValueError(f"{c} is not a squarefree class")
+        out = _class_primes[c] = frozenset(powers)
+    return out
+
+
+def _factored_class_product(c1: int, c2: int) -> int:
+    """The square class of c1*c2 for squarefree c1, c2, read off the
+    factorization of the product: the primes that divide exactly one of
+    them, with the sign of the product.  The primes of each class are found
+    by sympy, or recorded when the class was made here as a product."""
+    primes = _primes_of(c1) ^ _primes_of(c2)
+    c = prod(primes) * (-1 if (c1 < 0) != (c2 < 0) else 1)
+    _class_primes.setdefault(c, primes)
+    return c
+
+
 def factoring_product(q1: GWElement, q2: GWElement) -> GWElement:
     """q1 * q2 with the class of each product of classes found by factoring
     the product, and the result's classes checked by the public constructor."""
+    return GWElement.from_dict(_factored_product_terms(q1.terms, q2.terms))
+
+
+def _factored_product_terms(t1, t2) -> dict[int, int]:
     d: dict[int, int] = {}
-    for c1, n1 in q1.terms:
-        for c2, n2 in q2.terms:
-            c = _squarefree_part(c1 * c2)
+    for c1, n1 in t1:
+        for c2, n2 in t2:
+            c = _factored_class_product(c1, c2)
             d[c] = d.get(c, 0) + n1 * n2
-    return GWElement.from_dict(d)
+    return d
 
 
 def factoring_discriminant(q: GWElement) -> int:
@@ -387,6 +418,20 @@ def factoring_trace_form(c, a, b=0) -> GWElement:
     c = square_class(c)
     det = 4 * c * (a * a - b * b * c)
     return GWElement.from_dict(Counter((square_class(2 * a), square_class(2 * a * det))))
+
+
+def specialize_per_monomial(row: BetaPolynomial, assignment) -> GWElement:
+    """``row.specialize`` as it was first written: one GWElement per
+    monomial, its coefficient times beta(c_i) built again for every index,
+    summed with ``+``.  Each product of classes is factored.  The products
+    skip the public constructor, whose check would factor a product of
+    several large classes from scratch."""
+    total = ZERO
+    for m, g in row.monomials:
+        for i in m:
+            g = GWElement._of(_factored_product_terms(g.terms, factoring_beta(assignment[i]).terms))
+        total = total + g
+    return total
 
 
 # -- calculator expressions, one character at a time ----------------------------

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import gc
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gwcurves.betapoly import (
@@ -14,9 +16,9 @@ from gwcurves.betapoly import (
     beta_symbol,
     format_poly,
 )
-from gwcurves.gw import H, ONE, ZERO, DomainError, _split_h, beta, form, gw_equal
+from gwcurves.gw import H, ONE, ZERO, DomainError, GWElement, _split_h, beta, form, gw_equal
 
-from oracles import random_gw
+from oracles import random_gw, specialize_per_monomial
 
 
 def const(g):
@@ -203,8 +205,18 @@ class TestSpecialize:
         assert const(2 * H).specialize({}) == 2 * H
 
     def test_missing_index(self):
-        with pytest.raises(DomainError):
-            beta_symbol(3).specialize({1: -1})
+        with pytest.raises(DomainError) as exc:
+            (beta_symbol(3) * beta_symbol(1) + beta_symbol(5)).specialize({1: -1})
+        assert str(exc.value) == "no value for indices [3, 5]"
+
+    def test_zero_has_no_square_class(self):
+        with pytest.raises(DomainError) as exc:
+            (beta_symbol(1) + beta_symbol(2)).specialize({1: 3, 2: 0})
+        assert str(exc.value) == "zero has no square class"
+
+    def test_extra_keys_are_ignored(self):
+        p = beta_symbol(1).mul_step(2)
+        assert p.specialize({1: -1, 2: 7, 3: 0, 9: 5}) == p.specialize({1: -1, 2: 7})
 
     def test_commutes_with_add_and_mul_step(self):
         rng = random.Random(17)
@@ -288,3 +300,48 @@ class TestTrustedResults:
         for result in results:
             assert BetaPolynomial(result.monomials) == result
             assert BetaPolynomial.from_dict(result.as_dict()) == result
+
+
+# Coefficients with h, negative weights and classes beyond the betas'.
+spec_coefficients = st.dictionaries(st.integers(-40, 40).filter(bool), st.integers(-3, 3), max_size=3).map(
+    lambda d: sum((n * form(a) for a, n in d.items()), ZERO)
+) | st.tuples(st.integers(-3, 3), gw_values).map(lambda t: t[0] * H + t[1])
+# Every subset of b1..b6 may be a monomial, so a monomial's prefixes may be absent.
+spec_polys = st.dictionaries(
+    st.sets(st.integers(1, 6)).map(lambda s: tuple(sorted(s))), spec_coefficients, max_size=8
+).map(BetaPolynomial.from_dict)
+nonzero = st.integers(-(10**12), 10**12).filter(bool)
+spec_values = st.one_of(
+    nonzero,
+    st.builds(Fraction, st.integers(-(10**6), 10**6).filter(bool), st.integers(1, 10**6)),
+    st.integers(1, 10**6).map(lambda k: k * k),
+    st.integers(1, 10**6).map(lambda k: -k * k),
+)
+
+
+class TestSpecializeKernel:
+    """``specialize`` folds each monomial into one class -> weight dict; the
+    reference builds a GWElement per monomial and factors every product."""
+
+    @given(spec_polys, st.fixed_dictionaries({i: spec_values for i in range(1, 7)}))
+    @example(POLY_ZERO, dict.fromkeys(range(1, 7), 3))
+    @example(const(-3 * H + form(-5)), dict.fromkeys(range(1, 7), -1))
+    @example(BetaPolynomial.from_dict({(2, 4, 6): H - 2 * ONE, (5,): form(7)}), {i: (-1) ** i * (10**12 - i) for i in range(1, 7)})
+    @settings(deadline=None)
+    def test_matches_the_per_monomial_reference(self, p, cs):
+        assert p.specialize(cs).terms == specialize_per_monomial(p, cs).terms
+
+    def test_reference_refuses_a_class_that_is_not_squarefree(self):
+        # _of skips the squarefree check, so the reference must not read <4> as <2>
+        p = BetaPolynomial.from_dict({(1,): GWElement._of({4: 1})})
+        with pytest.raises(ValueError, match="4 is not a squarefree class"):
+            specialize_per_monomial(p, {1: 3})
+
+    def test_leaves_no_reference_cycles(self, quartic_tables, gc_state):
+        row = quartic_tables[0].rows[5]
+        cs = {1: 3, 2: -7, 3: 1019, 4: -7919, 5: 1000003}
+        gc.disable()
+        gc.collect()
+        for _ in range(20):
+            row.specialize(cs)
+        assert gc.collect() == 0

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import random
+from math import comb
 
 import pytest
 
-from gwcurves.betapoly import BetaPolynomial
+from gwcurves.betapoly import POLY_ZERO, BetaPolynomial, beta_symbol
 from gwcurves.expr import parse_expression
-from gwcurves.gw import H, ONE, ZERO, DomainError, GWElement, gw_equal
+from gwcurves.gw import H, ONE, ZERO, DomainError, beta, gw_equal
 from gwcurves.polygon import p2, polygon, preset
 from gwcurves.wallcross import (
     InvariantTable,
@@ -24,7 +27,7 @@ from gwcurves.wallcross import (
 
 from gwcurves.tropical import count_invariants
 
-from oracles import blowup_count, factoring_beta, factoring_product
+from oracles import blowup_count, specialize_per_monomial
 
 # The degree-4 invariant tables: rows s = 0.. for the plane, the Hirzebruch
 # surface with class 4-2E, its blow-up with 4-2E-2E', and the conic polygon.
@@ -323,30 +326,115 @@ class TestTables:
         assert "| 1 | 2h + 6·⟨1⟩ + β₁ |" in md
 
 
-# -- specialization against evaluating each monomial by factoring ---------------
+# -- every chain the CLI builds, and the 4x2 rectangle's ----------------------
 
 #: The chains ``table --chain NAME`` builds: the quartic chain for p2:4 and
 #: ``chain_from`` for every other preset that chains.
 CLI_CHAIN_NAMES = ["p2:1", "p2:2", "p2:3", "p2:4", "f1_4_2e", "blf1", "bl2f1"]
+CHAIN_NAMES = CLI_CHAIN_NAMES + ["rect4x2"]
 
 
-def specialize_per_monomial(row: BetaPolynomial, assignment) -> GWElement:
-    """``row.specialize``, with beta(c_i) built again for every monomial and
-    index and each product of classes factored."""
-    total = ZERO
-    for m, g in row.monomials:
-        for i in m:
-            g = factoring_product(g, factoring_beta(assignment[i]))
-        total = total + g
-    return total
+@pytest.fixture(scope="module")
+def chain_tables(quartic_tables):
+    """The tables of a chain in ``CHAIN_NAMES``, each built once."""
+    built = {"p2:4": quartic_tables}
+
+    def tables(name):
+        if name not in built:
+            top = polygon([(0, 0), (4, 0), (4, 2), (0, 2)]) if name == "rect4x2" else preset(name)
+            built[name] = build_tables(chain_from(top))
+        return built[name]
+
+    return tables
+
+
+# -- specialization against evaluating each monomial by factoring ---------------
 
 
 @pytest.mark.parametrize("name", CLI_CHAIN_NAMES)
-def test_specialize_matches_per_monomial_evaluation(name, quartic_tables):
-    tables = quartic_tables if name == "p2:4" else build_tables(chain_from(preset(name)))
+def test_specialize_matches_per_monomial_evaluation(name, chain_tables):
     rng = random.Random(name)
-    for t in tables:
+    for t in chain_tables(name):
         for s, row in enumerate(t.rows):
             for bound in (30, 10**6):
                 cs = {i: rng.choice([-1, 1]) * rng.randrange(1, bound) for i in range(1, s + 1)}
                 assert row.specialize(cs) == specialize_per_monomial(row, cs), (t.polygon, s, cs)
+
+
+# -- every row is a sum over its base column ------------------------------------
+#
+# Induction on s turns the DP N_j(s+1) = N_j(s) + (b_{s+1} - 2<1>) N_{j+1}(s)
+# into N_j(s) = sum_k e_k(b_1 - 2<1>, ..., b_s - 2<1>) N_{j+k}(0), with e_k the
+# k-th elementary symmetric polynomial and N_m(0) = 0 past the last level.
+
+
+def elementary(values, k, one):
+    """e_k of ``values``, elements of the ring whose unit is ``one``: the sum
+    over k-subsets of their products."""
+    total = one - one
+    for subset in itertools.combinations(values, k):
+        total = total + functools.reduce(operator.mul, subset, one)
+    return total
+
+
+def closed_form_row(tables, j: int, s: int) -> BetaPolynomial:
+    """Row s of level j from the bases alone, by BetaPolynomial + and *."""
+    one = BetaPolynomial.constant(ONE)
+    shifted = [beta_symbol(i) - BetaPolynomial.constant(2 * ONE) for i in range(1, s + 1)]
+    out = POLY_ZERO
+    for k in range(min(s, len(tables) - 1 - j) + 1):
+        out = out + elementary(shifted, k, one) * tables[j + k].rows[0]
+    return out
+
+
+@pytest.mark.parametrize("name", CHAIN_NAMES)
+def test_every_row_is_a_sum_over_its_base_column(name, chain_tables):
+    tables = chain_tables(name)
+    for j, t in enumerate(tables):
+        for s, row in enumerate(t.rows):
+            assert row.equivalent(closed_form_row(tables, j, s)), (t.polygon, s)
+
+
+@pytest.mark.parametrize("name", CHAIN_NAMES)
+def test_rows_are_symmetric_in_their_symbols(name, chain_tables):
+    # the adjacent transpositions generate every permutation of b1..bs
+    for t in chain_tables(name):
+        for s, row in enumerate(t.rows):
+            for i in range(1, s):
+                swap = {i: i + 1, i + 1: i}
+                permuted = {tuple(sorted(swap.get(x, x) for x in m)): g for m, g in row.monomials}
+                assert BetaPolynomial.from_dict(permuted) == row, (t.polygon, s, i)
+
+
+@pytest.mark.parametrize("name", CHAIN_NAMES)
+def test_signature_ladders_follow_from_the_bases(name, chain_tables):
+    # b_i - 2<1> has signature 0 for c_i > 0 and -2 for c_i < 0
+    tables = chain_tables(name)
+    w = [t.rows[0].constant_value().signature() for t in tables]
+    for j, t in enumerate(tables):
+        pos = [row.signature_profile(dict.fromkeys(range(1, s + 1), 1)) for s, row in enumerate(t.rows)]
+        neg = [row.signature_profile(dict.fromkeys(range(1, s + 1), -1)) for s, row in enumerate(t.rows)]
+        assert pos == [w[j]] * len(t.rows), t.polygon
+        assert neg == [
+            sum(comb(s, k) * (-2) ** k * w[j + k] for k in range(min(s, len(tables) - 1 - j) + 1))
+            for s in range(len(t.rows))
+        ], t.polygon
+
+
+def test_quartic_top_row_specializes_to_the_closed_form(quartic_tables):
+    rng = random.Random(31)
+    bases = [t.rows[0].constant_value() for t in quartic_tables]
+    top = quartic_tables[0]
+    for _ in range(4):
+        # two small, two medium and one large c, each with a square factor and a sign
+        sizes = [rng.randrange(2, 100) for _ in range(2)]
+        sizes += [rng.randrange(10**3, 10**4) * rng.randrange(10**3, 10**4) for _ in range(2)]
+        sizes.append(rng.randrange(10**5, 10**6))
+        rng.shuffle(sizes)
+        cs = {i: rng.choice([-1, 1]) * rng.randrange(1, 30) ** 2 * c for i, c in enumerate(sizes, 1)}
+        deltas = [beta(cs[i]) - 2 * ONE for i in range(1, 6)]
+        for s, row in enumerate(top.rows):
+            want = ZERO
+            for k in range(min(s, len(bases) - 1) + 1):
+                want = want + elementary(deltas[:s], k, ONE) * bases[k]
+            assert gw_equal(row.specialize(cs), want), (s, cs)
