@@ -493,20 +493,17 @@ class TestTable:
         assert "(s=2): 2h + 4*<1> + 2*<2> + 2*<-2>" in out
 
     @pytest.mark.parametrize(
-        "chain, values, table, s_max",
-        [("p2:3", "5,-1,2,7,9,11", "conv{(0,0), (3,0), (0,3)}", 4), ("blf1,bl2f1", "1,2,3,4", "conv{(0,0), (2,0), (2,2), (0,2)}", 3)],
+        "chain, values, message",
+        [
+            ("p2:3", "5,-1,2,7,9,11", "--specialize gives 6 values, but the chain's first table, conv{(0,0), (3,0), (0,3)}, has s_max = 4"),
+            ("blf1,bl2f1", "1,2,3,4", "--specialize gives 4 values, but the chain's first table, conv{(0,0), (2,0), (2,2), (0,2)}, has s_max = 3"),
+            # an invalid chain reports its own error first
+            ("blf1,p2:4", "1,2,3,4", "chain must end with an interior-point-free polygon"),
+        ],
     )
-    def test_specialize_refuses_values_no_level_uses(self, capsys, chain, values, table, s_max):
+    def test_specialize_refuses_values_no_level_uses(self, capsys, chain, values, message):
         code, out, err = run(capsys, "table", "--chain", chain, f"--specialize={values}")
-        assert (code, out) == (2, "")
-        n = len(values.split(","))
-        assert err == f"error: --specialize gives {n} values, but the chain's first table, {table}, has s_max = {s_max}\n"
-
-    def test_specialize_checks_the_chain_before_the_list(self, capsys):
-        # the chain's own error comes first, even when the list is too long
-        code, out, err = run(capsys, "table", "--chain", "blf1,p2:4", "--specialize=1,2,3,4")
-        assert (code, out) == (2, "")
-        assert err == "error: chain must end with an interior-point-free polygon\n"
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_specialize_at_s_max_is_accepted(self, capsys):
         code, out, _ = run(capsys, "table", "--chain", "p2:3", "--specialize=5,-1,2,7")
