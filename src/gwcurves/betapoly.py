@@ -26,14 +26,14 @@ from .gw import (
     DomainError,
     _Frozen,
     _check_tuple,
-    _product_terms,
+    _class_product,
     _split_h,
     Rational,
-    beta,
     display_terms,
     format_gw,
     gw_equal,
     signed_term,
+    square_class,
 )
 
 Monomial = tuple[int, ...]
@@ -174,21 +174,39 @@ class BetaPolynomial(_Frozen):
     def specialize(self, assignment: Mapping[int, Rational]) -> GWElement:
         """Substitute b_i := beta(c_i) and evaluate in GW(Q).
 
-        Each monomial's coefficient is multiplied by its betas as a plain
-        class -> weight dict (``_product_terms``) and added into one
-        accumulator; only the sum becomes a GWElement."""
+        As beta(c) = <2>(<1> + <c>), a monomial over the index set S becomes
+        <2>^|S| times the sum over the subsets T of S of <c_T>, c_T the
+        class of the product of the c_i over T.  The used indices are bits
+        of a mask.  The class of c_T (|S| even) or of 2*c_T (|S| odd) is
+        kept per subset mask and filled, on first use, from the subset
+        without T's lowest bit with one class product; only subsets of the
+        monomials present are filled.  Every coefficient term is added into
+        one class -> weight dict; only the sum becomes a GWElement."""
         used = self.indices()
         missing = used - set(assignment)
         if missing:
             raise DomainError(f"no value for indices {sorted(missing)}")
-        betas = {i: beta(assignment[i]).terms for i in used}
+        bits = {i: 1 << k for k, i in enumerate(sorted(used))}
+        by_bit = {bits[i]: square_class(assignment[i]) for i in used}
+        subset_classes = ({0: 1}, {0: 2})  # by |S| mod 2: c_T, 2*c_T
         total: dict[int, int] = {}
         for m, g in self.monomials:
-            terms = g.terms
+            table = subset_classes[len(m) & 1]
+            mask = 0
             for i in m:
-                terms = _product_terms(terms, betas[i]).items()
-            for c, n in terms:
-                total[c] = total.get(c, 0) + n
+                mask |= bits[i]
+            t = 0
+            while True:  # the subsets of mask in ascending order, from 0
+                c = table.get(t)
+                if c is None:
+                    low = t & -t
+                    c = table[t] = _class_product(table[t ^ low], by_bit[low])
+                for a, n in g.terms:
+                    ac = c if a == 1 else _class_product(a, c)
+                    total[ac] = total.get(ac, 0) + n
+                t = (t - mask) & mask
+                if not t:
+                    break
         return GWElement._of(total)
 
     def rank_profile(self) -> int:

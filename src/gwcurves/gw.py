@@ -360,17 +360,6 @@ def _class_product(c1: int, c2: int) -> int:
     return (c1 // g) * (c2 // g)
 
 
-def _product_terms(t1, t2) -> dict[int, int]:
-    """The product of two (class, weight) term lists as a class -> weight
-    dict, zero weights kept: one ``_class_product`` per pair of terms."""
-    d: dict[int, int] = {}
-    for c1, n1 in t1:
-        for c2, n2 in t2:
-            c = _class_product(c1, c2)
-            d[c] = d.get(c, 0) + n1 * n2
-    return d
-
-
 def square_class(a: Rational) -> int:
     """Canonical squarefree integer representing a in Q*/(Q*)^2.
 
@@ -469,6 +458,12 @@ class GWElement(_Frozen):
         object.__setattr__(q, "terms", tuple(sorted([t for t in d.items() if t[1]])))
         return q
 
+    def __reduce__(self):
+        """Rebuild through ``_of``: the terms are a GWElement's, so
+        ``pickle`` and ``copy`` do not factor them again.  Unpickle only
+        bytes this program wrote."""
+        return GWElement._of, (self.as_dict(),)
+
     def as_dict(self) -> dict[int, int]:
         return dict(self.terms)
 
@@ -495,7 +490,12 @@ class GWElement(_Frozen):
                 return other
             if other.terms == ((1, 1),):
                 return self
-            return GWElement._of(_product_terms(self.terms, other.terms))
+            d: dict[int, int] = {}
+            for c1, n1 in self.terms:
+                for c2, n2 in other.terms:
+                    c = _class_product(c1, c2)
+                    d[c] = d.get(c, 0) + n1 * n2
+            return GWElement._of(d)
         if isinstance(other, int):
             return GWElement._of({c: n * other for c, n in self.terms})
         return NotImplemented

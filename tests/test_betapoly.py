@@ -10,13 +10,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gwcurves import betapoly
 from gwcurves.betapoly import (
     POLY_ZERO,
     BetaPolynomial,
     beta_symbol,
     format_poly,
 )
-from gwcurves.gw import H, ONE, ZERO, DomainError, GWElement, _split_h, beta, form, gw_equal
+from gwcurves.gw import H, ONE, ZERO, DomainError, GWElement, _class_product, _split_h, beta, form, gw_equal
 
 from oracles import random_gw, specialize_per_monomial
 
@@ -317,16 +318,31 @@ spec_values = st.one_of(
     st.integers(1, 10**6).map(lambda k: k * k),
     st.integers(1, 10**6).map(lambda k: -k * k),
 )
+# All 2**6 monomials over b1..b6, with the coefficients <-1>, <3> and h in turn.
+every_monomial = BetaPolynomial.from_dict(
+    {
+        tuple(i + 1 for i in range(6) if mask >> i & 1): (form(-1), form(3), H)[mask % 3]
+        for mask in range(2**6)
+    }
+)
+QUARTIC_CS = {1: 3, 2: -7, 3: 1019, 4: -7919, 5: 1000003}
 
 
 class TestSpecializeKernel:
-    """``specialize`` folds each monomial into one class -> weight dict; the
-    reference builds a GWElement per monomial and factors every product."""
+    """``specialize`` sums each monomial's subset classes into one
+    class -> weight dict; the reference builds a GWElement per monomial and
+    factors every product."""
 
     @given(spec_polys, st.fixed_dictionaries({i: spec_values for i in range(1, 7)}))
     @example(POLY_ZERO, dict.fromkeys(range(1, 7), 3))
     @example(const(-3 * H + form(-5)), dict.fromkeys(range(1, 7), -1))
     @example(BetaPolynomial.from_dict({(2, 4, 6): H - 2 * ONE, (5,): form(7)}), {i: (-1) ** i * (10**12 - i) for i in range(1, 7)})
+    # classes that repeat or cancel: c1 = c2, c and 4c, c and -c, Fractions
+    @example(every_monomial, {1: 5, 2: 5, 3: 7, 4: 5, 5: 11, 6: 7})
+    @example(every_monomial, {1: 3, 2: 12, 3: 27, 4: -3, 5: 2, 6: 6})
+    @example(every_monomial, {1: 3, 2: -3, 3: -1, 4: 1, 5: -6, 6: 2})
+    @example(every_monomial, {1: Fraction(3, 4), 2: Fraction(-1, 3), 3: 3, 4: Fraction(2, 5), 5: 10, 6: -1})
+    @example(every_monomial, {i: (-1) ** i * (10**12 - i) for i in range(1, 7)})
     @settings(deadline=None)
     def test_matches_the_per_monomial_reference(self, p, cs):
         assert p.specialize(cs).terms == specialize_per_monomial(p, cs).terms
@@ -339,9 +355,40 @@ class TestSpecializeKernel:
 
     def test_leaves_no_reference_cycles(self, quartic_tables, gc_state):
         row = quartic_tables[0].rows[5]
-        cs = {1: 3, 2: -7, 3: 1019, 4: -7919, 5: 1000003}
         gc.disable()
         gc.collect()
         for _ in range(20):
-            row.specialize(cs)
+            row.specialize(QUARTIC_CS)
         assert gc.collect() == 0
+
+
+class TestSpecializeWork:
+    """The class products ``specialize`` makes: one per subset class the
+    monomials present need, plus one per coefficient term of class other
+    than 1 and subset."""
+
+    @staticmethod
+    def products(monkeypatch, p, cs) -> int:
+        calls = []
+
+        def spy(c1, c2):
+            calls.append((c1, c2))
+            return _class_product(c1, c2)
+
+        monkeypatch.setattr(betapoly, "_class_product", spy)
+        p.specialize(cs)
+        return len(calls)
+
+    def test_quartic_top_row(self, quartic_tables, monkeypatch):
+        # 26 monomials of degree <= 3 over b1..b5: 15 even and 25 odd subset
+        # classes, and one product for the constant's <-1>.  Multiplying out
+        # each monomial's betas made 215; two full tables hold 2 * 2**5.
+        row = quartic_tables[0].rows[5]
+        assert len(row.monomials) == 26
+        assert self.products(monkeypatch, row, QUARTIC_CS) == 41
+
+    def test_no_power_set_table(self, monkeypatch):
+        # b1 + ... + b41: a table of every subset of the used symbols would
+        # have 2**41 entries; one class per monomial is needed
+        p = sum((beta_symbol(i) for i in range(1, 42)), POLY_ZERO)
+        assert self.products(monkeypatch, p, {i: 1000 + i for i in range(1, 42)}) == 41

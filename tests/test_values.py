@@ -3,13 +3,14 @@ position as the frozen dataclasses they replaced were."""
 
 from __future__ import annotations
 
+import copy
 import pickle
 from collections import Counter
 
 import pytest
 
 from gwcurves.betapoly import BetaPolynomial
-from gwcurves.gw import ONE, ZERO, GWElement
+from gwcurves.gw import ONE, ZERO, DomainError, GWElement
 from gwcurves.polygon import LatticePolygon
 from gwcurves.tropical import Cell, Enumeration, Invariants, MarkedSubdivision, TropicalCurve, triangle
 from gwcurves.wallcross import InvariantTable, SurfaceChain
@@ -102,6 +103,19 @@ def test_equal_values_hash_equal(cls):
 def test_pickle_round_trip(cls):
     value = build(cls)
     assert pickle.loads(pickle.dumps(value)) == value
+
+
+def test_a_computed_value_rebuilds_without_factoring(quartic_tables):
+    # the class 999999999989 * 999999999961 has 80 bits and two 40-bit
+    # primes: past the factoring bound that GWElement(...) checks under
+    value = quartic_tables[0].rows[2].specialize({1: 999999999989, 2: 999999999961})
+    assert (999999999950000000000429, 8) in value.terms
+    poly = BetaPolynomial.constant(value)
+    for v in (value, poly):
+        assert pickle.loads(pickle.dumps(v)) == v
+        assert copy.deepcopy(v) == v
+    with pytest.raises(DomainError, match="cannot factor"):
+        GWElement(value.terms)
 
 
 def test_cell_compares_on_kind_and_vertices():

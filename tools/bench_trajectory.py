@@ -1,8 +1,15 @@
 #!/usr/bin/env python3
 """Write one point of the benchmark trajectory: the end-to-end metrics of
-HEAD beside those of its parent HEAD^, measured in alternating runs.
+one revision beside those of another, by default HEAD beside its parent
+HEAD^, measured in alternating runs.
 
-    python3 tools/bench_trajectory.py --out BENCH_<n>.json [tables:10 enumerate:5 ...]
+    python3 tools/bench_trajectory.py --out BENCH_<n>.json [--base REV] [--head REV]
+        [tables:10 enumerate:5 ...]
+
+``--head`` is the revision measured (the file's ``commit``) and ``--base``
+the one it is measured against (its ``parent``; by default the head's
+parent), so that a change of several commits can be measured against the
+commit it started from.
 
 Each workload argument is ``NAME`` or ``NAME:N``, for seeds 1..N (at least
 3; 3 when N is left out); the default is every workload at 3 seeds.  Each
@@ -47,7 +54,10 @@ def git(*args: str) -> bytes:
 
 def export(rev: str, into: Path) -> str:
     """The files of ``rev`` under ``into``; returns the full commit id."""
-    sha = git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
+    try:
+        sha = git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
+    except subprocess.CalledProcessError:
+        sys.exit(f"not a commit: {rev!r}")
     with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", sha))) as tar:
         tar.extractall(into, filter="data")
     return sha
@@ -85,14 +95,16 @@ def summary(values: list[float]) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, type=Path, help="the JSON file to write")
+    parser.add_argument("--base", metavar="REV", help="the revision measured against (default: the head's parent)")
+    parser.add_argument("--head", metavar="REV", default="HEAD", help="the revision measured (default HEAD)")
     parser.add_argument("workloads", nargs="*", type=workload_spec, metavar="NAME[:N]")
     args = parser.parse_args(argv)
     plan = args.workloads or [(w, MIN_SEEDS) for w in WORKLOADS]
 
     with tempfile.TemporaryDirectory(prefix="bench-trajectory-") as tmp:
         sides = {"commit": Path(tmp, "commit"), "parent": Path(tmp, "parent")}
-        commit = export("HEAD", sides["commit"])
-        parent = export(f"{commit}^", sides["parent"])
+        commit = export(args.head, sides["commit"])
+        parent = export(args.base or f"{commit}^", sides["parent"])
         declared = json.loads((sides["commit"] / "BENCHMARK.json").read_text())
         better = {m["name"]: m["better"] for m in declared["end_to_end"]}
         seconds = declared["run_seconds"]
