@@ -186,7 +186,7 @@ class BetaPolynomial(_Frozen):
         missing = used - set(assignment)
         if missing:
             raise DomainError(f"no value for indices {sorted(missing)}")
-        bits = {i: 1 << k for k, i in enumerate(sorted(used))}
+        bits = {i: 1 << k for k, i in enumerate(used)}
         by_bit = {bits[i]: square_class(assignment[i]) for i in used}
         subset_classes = ({0: 1}, {0: 2})  # by |S| mod 2: c_T, 2*c_T
         total: dict[int, int] = {}

@@ -337,7 +337,7 @@ class TestSpecializeKernel:
     @example(POLY_ZERO, dict.fromkeys(range(1, 7), 3))
     @example(const(-3 * H + form(-5)), dict.fromkeys(range(1, 7), -1))
     @example(BetaPolynomial.from_dict({(2, 4, 6): H - 2 * ONE, (5,): form(7)}), {i: (-1) ** i * (10**12 - i) for i in range(1, 7)})
-    # classes that repeat or cancel: c1 = c2, c and 4c, c and -c, Fractions
+    # classes that repeat or cancel: c1 = c2, c and c*k**2, c and -c, Fractions
     @example(every_monomial, {1: 5, 2: 5, 3: 7, 4: 5, 5: 11, 6: 7})
     @example(every_monomial, {1: 3, 2: 12, 3: 27, 4: -3, 5: 2, 6: 6})
     @example(every_monomial, {1: 3, 2: -3, 3: -1, 4: 1, 5: -6, 6: 2})
