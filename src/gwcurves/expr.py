@@ -21,12 +21,11 @@ value itself (``_parse``).
 from __future__ import annotations
 
 import re
-from operator import add, mul
-from typing import Callable, Union
+from typing import Union
 
-from .betapoly import BetaPolynomial, beta_symbol
+from .betapoly import BetaPolynomial, Monomial, beta_symbol
 # ExprError lives in gw, so that the command line catches it without this module
-from .gw import ZERO, DomainError, ExprError, GWElement, H, ONE, Rational, form, read_int, trace_form
+from .gw import ZERO, DomainError, ExprError, GWElement, H, ONE, Rational, _add_into, form, read_int, trace_form
 
 _TOKEN = re.compile(r"\s*([0-9]+|tr\(|\S)")
 Value = Union[GWElement, BetaPolynomial]
@@ -87,11 +86,11 @@ def _poly(v: Value) -> BetaPolynomial:
     return BetaPolynomial.constant(v) if isinstance(v, GWElement) else v
 
 
-def _apply(op: Callable, x: Value, y: Value) -> Value:
-    """op(x, y) in GW(Q) if both are constants, else on BetaPolynomials."""
+def _mul(x: Value, y: Value) -> Value:
+    """x*y in GW(Q) if both are constants, else on BetaPolynomials."""
     if isinstance(x, GWElement) and isinstance(y, GWElement):
-        return op(x, y)
-    return op(_poly(x), _poly(y))
+        return x * y
+    return _poly(x) * _poly(y)
 
 
 def _factor(tk: _Tokens) -> Value:
@@ -133,29 +132,33 @@ def _term(tk: _Tokens) -> Value:
         start = tk.at
         factor = _factor(tk)
         try:
-            out = _apply(mul, out, factor)
+            out = _mul(out, factor)
         except DomainError as exc:  # a repeated symbol
             raise ExprError(str(exc), start) from None
-    return out if coeff == 1 else _apply(mul, coeff * ONE, out)
+    return out if coeff == 1 else _mul(coeff * ONE, out)
 
 
 def _parse(text: str) -> Value:
     """The value of ``text``: a GWElement if it is constant, also when its
     symbols cancel (``b1 - b1``), else a BetaPolynomial with symbols."""
     tk = _Tokens(text)
-    total: Value = ZERO
-    negate = tk.take("-")
-    while True:
-        term = _term(tk)
-        total = _apply(add, total, -term if negate else term)
-        if not tk.tok:
-            if isinstance(total, GWElement) or total.indices():
-                return total
-            return dict(total.monomials).get((), ZERO)
-        if tk.tok not in ("+", "-"):
-            raise ExprError("expected '+', '-' or end of input", tk.at)
+    terms = [-_term(tk) if tk.take("-") else _term(tk)]
+    while tk.tok in ("+", "-"):
         negate = tk.tok == "-"
         tk.advance()
+        terms.append(-_term(tk) if negate else _term(tk))
+    if tk.tok:
+        raise ExprError("expected '+', '-' or end of input", tk.at)
+    total = terms[0]
+    if len(terms) > 1:  # one class -> weight dict per monomial, not a running sum copied per term
+        sums: dict[Monomial, dict[int, int]] = {}
+        for term in terms:
+            for m, g in (((), term),) if isinstance(term, GWElement) else term.monomials:
+                _add_into(sums.setdefault(m, {}), g)
+        total = BetaPolynomial._of({m: GWElement._of(d) for m, d in sums.items()})
+    if isinstance(total, GWElement) or total.indices():
+        return total
+    return dict(total.monomials).get((), ZERO)
 
 
 def parse_expression(text: str) -> BetaPolynomial:

@@ -381,7 +381,6 @@ def _split(n: int, p: int) -> tuple[int, int]:
     return v, n
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def _hilbert_int(a: int, b: int, place: Place) -> int:
     if place is REAL_PLACE:
         return -1 if a < 0 and b < 0 else 1
@@ -566,6 +565,12 @@ class GWElement(_Frozen):
 
 
 ZERO = GWElement()
+
+
+def _add_into(total: dict[int, int], q: GWElement) -> None:
+    """Add the terms of ``q`` into the class -> coefficient dict ``total``."""
+    for c, n in q.terms:
+        total[c] = total.get(c, 0) + n
 
 
 def _diagonal(classes) -> GWElement:

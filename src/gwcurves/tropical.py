@@ -43,7 +43,8 @@ sides'.  A summary names its cells by their point ids, in a link to its child's
 summary, and a light triangle's multiplicity comes from one cache keyed by
 its shape up to translation, so the count builds no ``Cell``:
 ``enumerate_curves`` alone builds the cells of the pairs it keeps, each
-once per enumeration.
+once per enumeration, and walks a kept pair's two links once each with no
+memo of assembled cells: a link's hash is not cached, so a lookup walks too.
 ``validate_subdivision`` and ``curve_mult`` decide a whole tiling, end
 weights included, and serve as the reference.
 
@@ -72,7 +73,7 @@ from math import gcd
 from operator import attrgetter, mul
 from typing import NamedTuple
 
-from .gw import GWElement, InternalInvariantError, ONE, form, gw_equal
+from .gw import GWElement, InternalInvariantError, ONE, _add_into, form, gw_equal
 from .polygon import LatticePolygon, Point, lattice_length, _add, _cross as _orient
 
 
@@ -660,12 +661,6 @@ class Enumeration(NamedTuple):
         return _invariants(self.motivic_total())
 
 
-def _add_into(total: dict[int, int], q: GWElement) -> None:
-    """Add the terms of ``q`` into the class -> coefficient dict ``total``."""
-    for c, n in q.terms:
-        total[c] = total.get(c, 0) + n
-
-
 def _invariants(total: GWElement) -> "Invariants":
     """``total`` with its rank N and signature W; checks that the total is
     determined by (N, W) as a sum of <1> and <-1> summands."""
@@ -728,31 +723,27 @@ def enumerate_curves(poly: LatticePolygon, jobs: int = 1) -> Enumeration:
     are tallied in ``Enumeration.dropped``.  ``jobs`` is accepted and
     ignored: the enumeration runs in one process.
 
-    The summaries name their cells by point ids (``_Side.cells``).  The
-    cells of a link are built once per enumeration, each cell from its ids
-    the first time a kept pair holds it (checked by ``triangle`` or
+    The summaries name their cells by point ids (``_Side.cells``).  A kept
+    pair's two links are walked once each, unmemoized: hashing a nested-tuple
+    link walks its chain too.  Each cell is built once per enumeration, from
+    its ids, when a kept pair first holds it (checked by ``triangle`` or
     ``parallelogram``), so no other cell is built."""
     curves: list[TropicalCurve] = []
     points = poly.lattice_points
     built: dict[tuple[int, ...], Cell] = {}  # cell ids -> cell
-    linked: dict[tuple, tuple[Cell, ...]] = {}  # summary link -> its cells
-
-    def cells_of(link) -> tuple[Cell, ...]:
-        if link is None:
-            return ()
-        cells = linked.get(link)
-        if cells is None:
-            pts, child = link
-            cell = built.get(pts)
-            if cell is None:
-                vs = [points[k] for k in pts]
-                cell = built[pts] = triangle(*vs) if len(vs) == 3 else parallelogram(*vs)
-            cells = linked[link] = cells_of(child) + (cell,)
-        return cells
 
     def keep(path, left: _Side, right: _Side) -> None:
-        cells = tuple(sorted(cells_of(left.cells) + cells_of(right.cells)))
-        curves.append(TropicalCurve(MarkedSubdivision(path, cells), left.motivic * right.motivic))
+        cells = []
+        for link in (left.cells, right.cells):
+            while link is not None:
+                pts, link = link
+                cell = built.get(pts)
+                if cell is None:
+                    vs = [points[k] for k in pts]
+                    cell = built[pts] = triangle(*vs) if len(vs) == 3 else parallelogram(*vs)
+                cells.append(cell)
+        cells.sort()
+        curves.append(TropicalCurve(MarkedSubdivision(path, tuple(cells)), left.motivic * right.motivic))
 
     dropped = _pair_loop(poly, list(enumerate_paths(poly)), keep)
     curves.sort(key=attrgetter("subdivision"))  # motivic, a GWElement, has no order

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from gwcurves.cli import main
 from gwcurves.expr import ExprError, parse_expression
-from gwcurves.gw import DomainError
+from gwcurves.gw import DomainError, form, format_gw
 
 from oracles import uncancelled_gw_equal
 from test_expr import expressions
@@ -166,6 +166,18 @@ class TestGwEval:
             f"error: result has a {digits}-digit number; Python prints at most 4300 digits\n"
         )
         assert perf_counter() - t0 < 1.0
+
+    def test_long_symbol_sum_is_linear(self, capsys):
+        # a sum is built once from its terms; re-adding the running sum took 6 s here
+        expr = " + ".join(f"b{i}" for i in range(1, 4001))
+        t0 = perf_counter()
+        code, out, _ = run(capsys, "gw-eval", expr)
+        assert perf_counter() - t0 < 1.0
+        assert (code, out) == (0, expr + "\n")
+
+    def test_long_class_sum(self, capsys):
+        code, out, _ = run(capsys, "gw-eval", "+".join(f"<{i}>" for i in range(1, 4001)))
+        assert (code, out) == (0, format_gw(form(*range(1, 4001))) + "\n")
 
 
 class TestGwEqual:

@@ -655,6 +655,13 @@ def test_memo_entries_are_logged(poly, entries, caplog):
 TRAPEZOID = polygon([(0, 0), (5, 0), (2, 3), (0, 3)])  # the F1 trapezoid: 6 334 curves
 
 
+def test_trapezoid_curves_are_pinned():
+    # below p2:5, the polygon with the deepest cell links and all three drop kinds
+    enum = enumerate_curves(TRAPEZOID)
+    assert _digest(enum.curves) == "1fa17588873c5e7db979c7bb884ef31c08f82aec225d7fa966acbaff65d6d7e7"
+    assert enum.dropped == {"boundary-weight": 58614, "line-component": 1416, "disconnected": 1419}
+
+
 @pytest.mark.parametrize("poly", [p2(1), p2(2), TRAPEZOID] + HULLS, ids=str)
 def test_count_equals_the_enumeration(poly):
     # HULLS hold the other presets and the square; p2:5 is in criterion 10.
