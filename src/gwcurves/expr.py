@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from typing import Union
 
-from .betapoly import BetaPolynomial, Monomial, beta_symbol
+from .betapoly import BetaPolynomial, Monomial
 # ExprError lives in gw, so that the command line catches it without this module
 from .gw import ZERO, DomainError, ExprError, GWElement, H, ONE, Rational, _add_into, form, read_int, trace_form
 
@@ -86,14 +86,8 @@ def _poly(v: Value) -> BetaPolynomial:
     return BetaPolynomial.constant(v) if isinstance(v, GWElement) else v
 
 
-def _mul(x: Value, y: Value) -> Value:
-    """x*y in GW(Q) if both are constants, else on BetaPolynomials."""
-    if isinstance(x, GWElement) and isinstance(y, GWElement):
-        return x * y
-    return _poly(x) * _poly(y)
-
-
-def _factor(tk: _Tokens) -> Value:
+def _factor(tk: _Tokens) -> GWElement | int:
+    """A constant factor, or the index of a symbol ``bN``."""
     start = tk.at
     try:
         if tk.take("<"):
@@ -117,25 +111,38 @@ def _factor(tk: _Tokens) -> Value:
         idx = tk.uint()
         if idx == 0:
             raise ExprError("symbol index must be positive", start)
-        return beta_symbol(idx)
+        return idx
     raise ExprError("expected a factor", tk.at)
 
 
 def _term(tk: _Tokens) -> Value:
+    """The product of the constant factors, in GW(Q), and of the symbols,
+    collected and made one monomial at the end: a monomial rebuilt at every
+    ``*`` makes a product of n symbols cost n^2."""
     coeff = 1
     if "0" <= tk.tok[:1] <= "9":
         coeff = tk.uint()
         if not tk.take("*") and tk.tok in ("", "+", "-"):
             return coeff * ONE
-    out = _factor(tk)
+    out, symbols = _factor(tk), None
+    if type(out) is int:
+        out, symbols = None, {out}
     while tk.take("*"):
         start = tk.at
         factor = _factor(tk)
-        try:
-            out = _mul(out, factor)
-        except DomainError as exc:  # a repeated symbol
-            raise ExprError(str(exc), start) from None
-    return out if coeff == 1 else _mul(coeff * ONE, out)
+        if type(factor) is not int:
+            out = factor if out is None else out * factor
+        elif symbols is None:
+            symbols = {factor}
+        elif factor in symbols:
+            raise ExprError(f"repeated symbol b{factor}", start)
+        else:
+            symbols.add(factor)
+    if out is None:  # symbols alone
+        out = coeff * ONE
+    elif coeff != 1:
+        out = coeff * ONE * out
+    return BetaPolynomial._of({tuple(sorted(symbols)): out}) if symbols else out
 
 
 def _parse(text: str) -> Value:

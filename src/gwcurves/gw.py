@@ -653,10 +653,13 @@ def display_terms(q: GWElement) -> list[tuple[int, str]]:
     the <1>, <-1> coefficients first (body ``h``), then the remaining classes
     ordered by (|class|, sign) (body ``<c>``).  Raises DomainError if a
     stored class or coefficient is too long to print; no displayed or JSON
-    number is longer than the stored ones."""
+    number is longer than the stored ones.  Below 3 * the digit limit in
+    bits, every int prints (see ``_check_printable``)."""
+    bound = 3 * sys.get_int_max_str_digits()
     for c, n in q.terms:
-        _check_printable(c)
-        _check_printable(n)
+        if bound and (c.bit_length() > bound or n.bit_length() > bound):
+            _check_printable(c)
+            _check_printable(n)
     m, rest = _split_h(q, (1,))
     out = [(m, "h")] if m else []
     out += [(n, f"<{c}>") for c, n in sorted(rest.terms, key=lambda t: (abs(t[0]), t[0] < 0))]

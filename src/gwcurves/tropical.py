@@ -15,20 +15,25 @@ is a connected component, one without a triangle a line, and a connected
 curve with T triangles and B boundary sides is a tree iff T = B - 2.
 
 Every boundary side of a tiling comes from exactly one of its two
-completions, so an end of weight >= 2 is decided by one side alone, and only
-there: only the light completions, without a boundary side of lattice length
->= 2, are glued, and ``boundary-weight`` counts the other pairs, as |L|*|R| -
+completions, so an end of weight >= 2 is decided by one side alone: only
+the light completions, without a boundary side of lattice length >= 2, are
+glued, and ``boundary-weight`` counts the other pairs, as |L|*|R| -
 |L_ok|*|R_ok| for L and R the completions of a path and L_ok, R_ok the light
 ones.  One memoized recursion gives |L| and, where it can be glued, L_ok;
-below a peeled cell with a heavy side, and on both sides of a path with a
-step of lattice length >= 2 on the boundary (a doomed path: that step is a
-heavy side of every tiling built from it), it only counts.  A count is a
-product: a path point on a side's boundary arc never turns toward that side
-(the polygon is convex), and no peel moves it (a reflected point stays in its
+below a peeled cell with a heavy side it only counts.  It only counts, too,
+both sides of a doomed path, with a heavy step on the boundary (a side of
+every tiling built from it), and the left side of a path whose right side,
+completed first, has no light completion.  A count is a product: a path
+point on a side's boundary arc never turns toward that side (the polygon is
+convex), and no peel moves it (a reflected point stays in its
 parallelogram), so the region falls apart there into pieces completed alone.
-Both tests read the polygon's ``boundary_steps``.  The paths of one
-enumeration share a ``_Completer`` with memos of summaries and of counts,
-keyed by side and remaining path as point ids, and a table of peeled cells.
+
+All of it runs on point ids, the indices of the lattice points in lambda
+order: paths are ``combinations`` of ids, and one boundary walk gives the
+arc areas and an id-keyed table of boundary steps, which the doomed test,
+the heavy test of a cell, the check of a piece along the arc and the gluing
+read.  The paths of one enumeration share a ``_Completer`` with its memos
+and cell table; points are built only for kept curves and messages.
 
 A glued pair of light completions is decided on the path interface.  The
 same recursion gives each light completion a summary: for each edge of its
@@ -36,17 +41,15 @@ path the side group of the cell owning it, which groups hold a triangle,
 its area and the product of its vertex multiplicities.  Groups of one side
 never merge (a peel adds sides to one group, or starts a new one at a ray),
 and a group's ray is its only side off the path that one cell owns, so the
-group count is the ray count.  The two sides' groups join only across
-the path edges both of them own, so one union-find over the path's labels
-gives the reason, and a curve's multiplicity is the product of its two
-sides'.  A summary names its cells by their point ids, in a link to its child's
-summary, and a light triangle's multiplicity comes from one cache keyed by
-its shape up to translation, so the count builds no ``Cell``:
-``enumerate_curves`` alone builds the cells of the pairs it keeps, each
-once per enumeration, and walks a kept pair's two links once each with no
-memo of assembled cells: a link's hash is not cached, so a lookup walks too.
-``validate_subdivision`` and ``curve_mult`` decide a whole tiling, end
-weights included, and serve as the reference.
+group count is the ray count.  The two sides' groups join only across the
+path edges both of them own, so one union-find over the path's labels gives
+the reason.  A curve's multiplicity is the product of its two sides': the
+count multiplies each left summary's by the sum of its kept right partners'.
+A summary links the ids of its cells, and a light triangle's multiplicity
+comes from a cache keyed by its shape, so only ``enumerate_curves`` builds
+cells: those of the pairs it keeps, each once.  ``validate_subdivision`` and
+``curve_mult`` decide a whole tiling, end weights included, and serve as the
+reference.
 
 Each trivalent vertex, dual to a triangle with edge lattice lengths
 l1, l2, l3, twice-area A2 and I interior lattice points, carries the
@@ -212,10 +215,7 @@ class MarkedSubdivision(NamedTuple):
         return [c for c in self.cells if c.kind == "triangle"]
 
     def to_json(self) -> dict:
-        return {
-            "path": [list(p) for p in self.path],
-            "cells": [c.to_json() for c in self.cells],
-        }
+        return {"path": [list(p) for p in self.path], "cells": [c.to_json() for c in self.cells]}
 
 
 def curve_mult(sub: MarkedSubdivision) -> GWElement:
@@ -228,43 +228,50 @@ def curve_mult(sub: MarkedSubdivision) -> GWElement:
 
 def enumerate_paths(poly: LatticePolygon):
     """All strictly lambda-increasing point sequences of step count equal to
-    the point budget, from the lambda-minimal to the lambda-maximal vertex.
-    The budget is at least 2: a polygon has at least 3 boundary points."""
+    the point budget, from the lambda-minimal to the lambda-maximal vertex."""
     pts = poly.lattice_points
-    n = poly.point_budget()
-    first, last = pts[0], pts[-1]
-    for chosen in itertools.combinations(pts[1:-1], n - 1):
-        yield (first,) + chosen + (last,)
+    return (tuple(map(pts.__getitem__, p)) for p in _id_paths(poly))
 
 
-def _arc_potentials(poly: LatticePolygon, ids: dict[Point, int]) -> dict[int, list[int | None]]:
+def _id_paths(poly: LatticePolygon) -> list[tuple[int, ...]]:
+    """``enumerate_paths`` as ids into ``poly.lattice_points``, in lambda
+    order.  The budget is at least 2: a polygon has at least 3 boundary points."""
+    last = len(poly.lattice_points) - 1
+    return [(0, *c, last) for c in itertools.combinations(range(1, last), poly.point_budget() - 1)]
+
+
+def _boundary_tables(poly: LatticePolygon, ids: dict[Point, int]) -> tuple[dict, dict]:
     """Per side, by point id, the potential P of each lattice point on the
     side's arc (None off it): the shoelace sum along the arc, counterclockwise
     from the lambda-maximal vertex for side 1 (left), from the minimal one for
     side -1.  Twice the area between the arc and a piece from u to v on it
-    with shoelace sum ``cross`` is ``side * (cross + P(u) - P(v))``."""
+    with shoelace sum ``cross`` is ``side * (cross + P(u) - P(v))``.  And,
+    from the same walk, ``poly.boundary_steps`` with the points as ids."""
     vs, pts = poly.vertices, poly.lattice_points  # pts[0] and pts[-1] are vertices
     lo, hi = vs.index(pts[0]), vs.index(pts[-1])
-    out = {}
+    arc, steps = {}, {}
     for side, k, end in ((1, hi, lo), (-1, lo, hi)):
-        out[side] = pot = [None] * len(ids)
+        arc[side] = pot = [None] * len(ids)
         pot[ids[vs[k]]] = 0
         while k != end:  # along the edge from corner c the sum grows by cross(c, w)
             (cx, cy), (dx, dy) = poly.edges[k]
             n, total = gcd(dx - cx, dy - cy), pot[ids[cx, cy]]
+            run = [ids[cx, cy]]
             for m in range(1, n + 1):
                 x, y = cx + m * (dx - cx) // n, cy + m * (dy - cy) // n
                 pot[ids[x, y]] = total + cx * y - x * cy
+                run.append(ids[x, y])
+            steps.update(((a, b), abs(i - j) > 1) for i, a in enumerate(run) for j, b in enumerate(run) if i != j)
             k = (k + 1) % len(vs)
-    return out
+    return arc, steps
 
 
 class _Completer:
     """What the completion recursion shares over one enumeration of the
-    paths of ``poly``: the lattice points in lambda order with integer ids
-    (``points``, their coordinates ``X`` and ``Y``, and ``ids`` back from a
-    point), the arc potentials (``arc``), the memos of summaries (``memo``)
-    and counts (``counts``) and the cell table (``cell``).  Kept on the
+    paths of ``poly``: the lattice points in lambda order (``points``, their
+    coordinates ``X`` and ``Y``, and ``ids`` back from a point), the ``arc``
+    and ``steps`` of ``_boundary_tables``, the memos of summaries (``memo``)
+    and counts (``counts``) and the cell table (``cells``).  Kept on the
     polygon, the memos and the table would outlive the enumeration."""
 
     def __init__(self, poly: LatticePolygon):
@@ -273,42 +280,37 @@ class _Completer:
         self.X = [x for x, _ in points]
         self.Y = [y for _, y in points]
         self.ids = {p: k for k, p in enumerate(points)}
-        self.arc = _arc_potentials(poly, self.ids)
-        self.memo: dict[tuple, tuple[int, list[_Side]]] = {}
-        self.counts: dict[tuple, int] = {}
-        self.cells: dict[tuple[int, ...], tuple] = {}
+        self.arc, self.steps = _boundary_tables(poly, self.ids)
+        self.memo, self.counts, self.cells = {}, {}, {}  # see the class docstring
 
-    def root(self, path) -> tuple[tuple[int, ...], dict[int, int]]:
-        """The ids of a path's points, and for each side twice the area
-        between the path and the boundary arc on that side: the path runs
-        from the right arc's start, point 0, to the left one's, the last."""
-        ids = tuple(map(self.ids.__getitem__, path))
+    def root(self, p: tuple[int, ...]) -> tuple[tuple[int, ...], dict[int, int]]:
+        """The id path ``p``, and for each side twice the area between it and
+        that side's arc, which starts at point 0 (right) or the last (left)."""
         X, Y = self.X, self.Y
-        cross = sum(X[a] * Y[b] - X[b] * Y[a] for a, b in zip(ids, ids[1:]))
-        return ids, {1: cross + self.arc[1][0], -1: self.arc[-1][-1] - cross}
+        cross = sum(X[a] * Y[b] - X[b] * Y[a] for a, b in zip(p, p[1:]))
+        return p, {1: cross + self.arc[1][0], -1: self.arc[-1][-1] - cross}
+
+    def at(self, ids) -> tuple[Point, ...]:  # the points of ``ids``, for messages
+        return tuple(map(self.points.__getitem__, ids))
 
     def cell(self, pts: tuple[int, ...]) -> tuple:
-        """The cell table's entry for the cell with ids ``pts`` (see
-        ``_peels``): ``(heavy, pts, mult)``, and no ``Cell``.  ``heavy``
-        tells whether a side of the cell is heavy (see ``_heavy_steps``);
-        ``mult`` is a light triangle's ``vertex_mult``, from its shape
-        (``_shape_mult``).  The key names the cell whichever side peels it,
-        so each cell is checked once per enumeration: a triangle must not be
-        flat, and four points must be a parallelogram with diagonals
-        ``pts[0] pts[2]`` and ``pts[1] pts[3]``.  Summaries keep the entry's
-        ``pts``, one tuple per cell."""
+        """The cell table's entry ``(heavy, pts, mult)`` for the cell with ids
+        ``pts`` (see ``_peels``), and no ``Cell``: whether a side is heavy,
+        and a light triangle's ``vertex_mult`` (``_shape_mult``).  The key
+        names the cell whichever side peels it, so each cell is checked once
+        per enumeration: a triangle must not be flat, and four points must be
+        a parallelogram with diagonals ``pts[0] pts[2]`` and ``pts[1] pts[3]``.
+        Summaries keep the entry's ``pts``, one tuple per cell."""
         X, Y = self.X, self.Y
         a, b, c = pts[:3]
         ux, uy, vx, vy = X[b] - X[a], Y[b] - Y[a], X[c] - X[a], Y[c] - Y[a]
-        vs = [self.points[k] for k in pts]
         if ux * vy == uy * vx:
-            raise InternalInvariantError(f"degenerate cell {vs}")
+            raise InternalInvariantError(f"degenerate cell {list(self.at(pts))}")
         if len(pts) == 4 and (X[a] + X[c] != X[b] + X[pts[3]] or Y[a] + Y[c] != Y[b] + Y[pts[3]]):
-            raise InternalInvariantError(f"not a parallelogram: {vs}")
-        heavy = _heavy_steps(vs + vs[:1], self.poly)
+            raise InternalInvariantError(f"not a parallelogram: {list(self.at(pts))}")
+        heavy = _heavy_steps(self.steps, pts + pts[:1])
         mult = None if heavy or len(pts) == 4 else _shape_mult(ux, uy, vx, vy)
-        entry = heavy, pts, mult
-        self.cells[pts] = entry
+        self.cells[pts] = entry = heavy, pts, mult
         return entry
 
 
@@ -338,14 +340,9 @@ def _peels(p, side: int, comp: _Completer) -> list:
 
 def complete_path(path, side: int, poly: LatticePolygon):
     """All completion cell sets between ``path`` and the boundary arc on the
-    given side (+1: left of travel, -1: right).
-
-    At the first vertex where the path turns toward the side, branch on
-    peeling the turn triangle (vertex deleted) and, when the reflected point
-    stays in the polygon, the turn parallelogram (vertex reflected); see
+    given side (+1: left of travel, -1: right), by the peel rule of
     ``_peels``.  A path with no remaining area on that side contributes the
-    empty set; a path with area but no turn toward the side is a dead end.
-    """
+    empty set; a path with area but no turn toward the side is a dead end."""
     if side not in (1, -1):
         raise ValueError("side must be +1 or -1")
     if not all(map(poly.contains, path)):
@@ -353,9 +350,7 @@ def complete_path(path, side: int, poly: LatticePolygon):
     comp = _Completer(poly)
     cache: dict[tuple, list[tuple[Cell, ...]]] = {}
 
-    def rec(p, area: int) -> list[tuple[Cell, ...]]:
-        """Completions of ``p``, with ``area`` twice the area between ``p``
-        and the boundary arc; each peel removes its own cell's area."""
+    def rec(p, area: int) -> list[tuple[Cell, ...]]:  # area: twice the area left, less each peeled cell's
         hit = cache.get(p)
         if hit is not None:
             return hit
@@ -369,7 +364,7 @@ def complete_path(path, side: int, poly: LatticePolygon):
         cache[p] = out
         return out
 
-    ids, areas = comp.root(path)
+    ids, areas = comp.root(tuple(map(comp.ids.__getitem__, path)))
     return rec(ids, areas[side])
 
 
@@ -398,12 +393,11 @@ class _Side(NamedTuple):
     motivic: GWElement
 
 
-def _heavy_steps(pts, poly: LatticePolygon) -> bool:
-    """True if a step between consecutive points of ``pts`` lies on the
-    boundary with lattice length >= 2: for a path, it is a side of a cell in
-    every tiling built from the path (the path is doomed); for a cell's
-    closed cycle, an end of weight >= 2 of every tiling holding the cell."""
-    return any(map(poly.boundary_steps.get, zip(pts, pts[1:])))
+def _heavy_steps(steps: dict[tuple[int, int], bool], pts) -> bool:
+    """True if ``steps`` (``_boundary_tables``) marks a step of the ids
+    ``pts`` heavy: on a path, a side of every tiling built from it (it is
+    doomed); on a cell's closed cycle, an end of weight >= 2."""
+    return any(map(steps.get, zip(pts, pts[1:])))
 
 
 def _extend(child: _Side, i: int, pts: tuple[int, ...], area2: int, mult) -> _Side:
@@ -429,29 +423,16 @@ def _extend(child: _Side, i: int, pts: tuple[int, ...], area2: int, mult) -> _Si
         tri_groups |= 1 << ac
         triangles += 1
         motivic = motivic * mult
-    return _Side(
-        (pts, child.cells),
-        labels,
-        groups,
-        tri_groups,
-        triangles,
-        child.area2 + area2,
-        motivic,
-    )
+    return _Side((pts, child.cells), labels, groups, tri_groups, triangles, child.area2 + area2, motivic)
 
 
 def _light_completions(comp: _Completer, root, side: int) -> tuple[int, list[_Side]]:
     """``(len(complete), light)`` for ``complete = complete_path(path, side,
-    poly)`` and ``light`` the summaries of its completions without a
-    boundary side of lattice length >= 2, in the same order, by the same
-    peel rule.  ``root`` is ``comp.root(path)``, which both sides share.
-
-    One memoized recursion gives both, and builds summaries (see ``_extend``)
-    only where they can be glued: below a heavy peeled cell it only counts.
+    poly)`` and ``light`` the summaries (``_extend``) of its light
+    completions, in order; ``root`` is ``comp.root`` of the ids of ``path``.
     ``comp.memo`` maps (side, remaining id path) to ``(count, light)``: the
-    area left to fill depends only on the polygon, the side and the remaining
-    path, so one memo serves every path of one enumeration.  The root's
-    entry is dropped once returned."""
+    area left depends only on them, so one memo serves every path of one
+    enumeration.  The root's entry is dropped once returned."""
     ids, areas = root
     out = _complete(comp, side, ids, areas[side])
     del comp.memo[side, ids]
@@ -488,7 +469,7 @@ def _complete(comp: _Completer, side: int, p, area: int) -> tuple[int, list[_Sid
 def _count_path(comp: _Completer, side: int, p, area: int | None = None) -> int:
     """``len(complete_path(path, side, poly))`` for the id path ``p``, kept
     in ``comp.counts``.  Without ``area``: the product over the pieces
-    between its arc points, with areas from one pass (``_arc_potentials``);
+    between its arc points, with areas from one pass (``_boundary_tables``);
     a step along the arc is no piece.  With ``area``, twice the area left,
     ``p`` is a piece; a peel leaves one unless its reflected point is on the arc."""
     n = comp.counts.get((side, p))
@@ -509,10 +490,9 @@ def _count_path(comp: _Completer, side: int, p, area: int | None = None) -> int:
     elif area < 0:
         raise InternalInvariantError("path escaped its completion region")
     elif not area:  # the path runs along the arc: one empty completion
-        vs = [comp.points[k] for k in p]
-        for edge in zip(vs, vs[1:]):  # every edge that no cell owns starts a ray here
-            if edge not in comp.poly.boundary_steps:
-                raise InternalInvariantError(f"interior edge {edge} has a single cell")
+        for edge in zip(p, p[1:]):  # every edge that no cell owns starts a ray here
+            if edge not in comp.steps:
+                raise InternalInvariantError(f"interior edge {comp.at(edge)} has a single cell")
         n = 1
     else:
         n = 0
@@ -566,8 +546,7 @@ def validate_subdivision(sub: MarkedSubdivision, poly: LatticePolygon):
             big.extend(small)
             for side in small:
                 group[side] = big
-    if (len(vertices) - len(rays)) % 2:
-        # every strand has two ends, so 3T + B is even
+    if (len(vertices) - len(rays)) % 2:  # every strand has two ends, so 3T + B is even
         raise InternalInvariantError("dual graph slot count mismatch")
     components = {id(g) for g in group.values()}
     if len({id(group[side]) for side in vertices}) < len(components):
@@ -580,20 +559,18 @@ def validate_subdivision(sub: MarkedSubdivision, poly: LatticePolygon):
     return None
 
 
-def _pair_reason(path, left: _Side, right: _Side, poly: LatticePolygon):
+def _pair_reason(comp: _Completer, p, left: _Side, right: _Side):
     """``validate_subdivision`` of the tiling glued from two light completion
-    summaries of ``path`` (see ``_Side``), decided on the path's edges: a
+    summaries of the id path ``p`` (see ``_Side``), decided on its edges: a
     path edge owned by both sides joins their groups there, one owned by a
     single side is a ray, whose weight is not read (no doomed path is glued).
     On light pairs: the reasons and the InternalInvariantErrors of
     ``validate_subdivision``."""
-    if left.area2 + right.area2 != poly.area2:
+    if left.area2 + right.area2 != comp.poly.area2:
         raise InternalInvariantError("cells do not tile the polygon")
-    off = left.groups
+    off, merges = left.groups, 0
     parent = list(range(off + right.groups))
-    merges = 0
     rays = len(parent)  # one per group (see ``_Side``)
-    steps = poly.boundary_steps
     for i, (lab, rab) in enumerate(zip(left.labels, right.labels)):
         if lab >= 0 and rab >= 0:
             x, y = lab, off + rab
@@ -605,11 +582,11 @@ def _pair_reason(path, left: _Side, right: _Side, poly: LatticePolygon):
                 parent[y] = x
                 merges += 1
             continue
-        edge = path[i], path[i + 1]
+        edge = p[i], p[i + 1]
         if lab < 0 and rab < 0:
-            raise InternalInvariantError(f"path edge {edge} owned by neither side")
-        if edge not in steps:
-            raise InternalInvariantError(f"interior edge {edge} has a single cell")
+            raise InternalInvariantError(f"path edge {comp.at(edge)} owned by neither side")
+        if edge not in comp.steps:
+            raise InternalInvariantError(f"interior edge {comp.at(edge)} has a single cell")
         rays += 1
     triangles = left.triangles + right.triangles
     if (triangles - rays) % 2:
@@ -639,9 +616,7 @@ class TropicalCurve(NamedTuple):
 
     def to_json(self) -> dict:
         out = self.subdivision.to_json()
-        out.update(
-            motivic=self.motivic.to_json(), complex=self.motivic.rank(), welschinger=self.motivic.signature()
-        )
+        out.update(motivic=self.motivic.to_json(), complex=self.motivic.rank(), welschinger=self.motivic.signature())
         return out
 
 
@@ -668,44 +643,44 @@ def _invariants(total: GWElement) -> "Invariants":
     if (n + w) % 2:
         raise InternalInvariantError("rank and signature have different parity")
     canonical = ((n + w) // 2) * form(1) + ((n - w) // 2) * form(-1)
-    if not gw_equal(total, canonical):
+    if total.terms != canonical.terms and not gw_equal(total, canonical):
         raise InternalInvariantError("motivic total is not of hyperbolic-plus-ones shape")
     return Invariants(total, canonical, n, w)
 
 
 def _pair_loop(poly: LatticePolygon, paths, keep) -> Counter:
-    """Drop tallies of ``paths``, lattice paths of ``poly``; ``keep(path,
-    left, right)`` is called on each glued pair that ``_pair_reason`` accepts.
-    Only light completions (see ``_light_completions``) are glued, and each
-    glued pair is decided from the two summaries; the |L|*|R| -
-    |L_ok|*|R_ok| other pairs go to ``boundary-weight``.  A doomed path (see
-    ``_heavy_steps``) has no light pair, so both its sides are counted only.
-    The paths share one ``_Completer``, whose memos and cell table end with
-    the call, and the loop runs, ``keep`` included, with the cyclic garbage
-    collector paused.  Logs the ``-v`` lines: the drop tallies, and the path
-    count with the entry counts of the summary memo and the count memo."""
+    """Drop tallies of ``paths``, id paths of ``poly`` (``_id_paths``), as
+    the module docstring says; ``keep(p, kept)`` gets each path ``p`` with a
+    pair that ``_pair_reason`` accepts, ``kept`` listing each such left
+    summary with its accepted right ones.  The paths share one
+    ``_Completer``, and the loop, ``keep`` included, runs with the cyclic
+    garbage collector paused.  Logs the ``-v`` lines: the drop tallies, and
+    the path count with the summary and count memos' entry counts."""
     with collector_paused():  # collections would only rescan the memo's live summaries
         dropped: Counter = Counter()
         comp = _Completer(poly)
-        for path in paths:
-            if _heavy_steps(path, poly):  # doomed: counted only, no summary built
-                ids, left_ok, right_ok = tuple(map(comp.ids.__getitem__, path)), (), ()
-                n_left = _count_path(comp, 1, ids)
-                n_right = n_left and _count_path(comp, -1, ids)
+        steps = comp.steps
+        for p in paths:
+            if _heavy_steps(steps, p):  # doomed: no light completion on either side
+                n_right, right_ok = _count_path(comp, -1, p), ()
             else:
-                root = comp.root(path)
-                n_left, left_ok = _light_completions(comp, root, 1)
+                root = comp.root(p)
                 n_right, right_ok = _light_completions(comp, root, -1)
+            if right_ok:
+                n_left, left_ok = _light_completions(comp, root, 1)
+            else:  # nothing to glue to: the left side is counted only
+                n_left, left_ok = n_right and _count_path(comp, 1, p), ()
             heavy = n_left * n_right - len(left_ok) * len(right_ok)
             if heavy:
                 dropped["boundary-weight"] += heavy
+            kept = []
             for cl in left_ok:
-                for cr in right_ok:
-                    reason = _pair_reason(path, cl, cr, poly)
-                    if reason is None:
-                        keep(path, cl, cr)
-                    else:
-                        dropped[reason] += 1
+                reasons = [_pair_reason(comp, p, cl, cr) for cr in right_ok]
+                dropped.update(filter(None, reasons))
+                if None in reasons:
+                    kept.append((cl, [cr for cr, reason in zip(right_ok, reasons) if reason is None]))
+            if kept:
+                keep(p, kept)
         if dropped:
             tallies = ", ".join(f"{k}={v}" for k, v in sorted(dropped.items()))
             _log("%s: dropped %d completions (%s)", poly, sum(dropped.values()), tallies)
@@ -719,33 +694,45 @@ def enumerate_curves(poly: LatticePolygon, jobs: int = 1) -> Enumeration:
     """All irreducible rational tropical curves of degree ``poly`` through a
     vertically stretched configuration, in the order of their subdivision
     tuples: one per pair that ``_pair_loop`` keeps, with the product of its
-    two sides' multiplicities and its cells in tuple order.  Dropped completions
-    are tallied in ``Enumeration.dropped``.  ``jobs`` is accepted and
-    ignored: the enumeration runs in one process.
-
-    The summaries name their cells by point ids (``_Side.cells``).  A kept
-    pair's two links are walked once each, unmemoized: hashing a nested-tuple
-    link walks its chain too.  Each cell is built once per enumeration, from
-    its ids, when a kept pair first holds it (checked by ``triangle`` or
-    ``parallelogram``), so no other cell is built."""
+    two sides' multiplicities and its cells in tuple order.  Dropped
+    completions are tallied in ``Enumeration.dropped``.  ``jobs`` is ignored:
+    the enumeration runs in one process.  On each path, a kept summary's cell
+    link is walked and sorted once, and a kept pair merges its two sides'
+    cells.  A cell is built once per enumeration, when a kept pair first
+    holds it (checked by ``triangle`` or ``parallelogram``)."""
     curves: list[TropicalCurve] = []
     points = poly.lattice_points
-    built: dict[tuple[int, ...], Cell] = {}  # cell ids -> cell
+    n, rank = len(points), {p: k for k, p in enumerate(sorted(points))}
+    keys: dict[tuple[int, ...], int] = {}  # cell ids -> sort key
+    built: dict[int, Cell] = {}  # sort key -> cell
 
-    def keep(path, left: _Side, right: _Side) -> None:
-        cells = []
-        for link in (left.cells, right.cells):
-            while link is not None:
-                pts, link = link
-                cell = built.get(pts)
-                if cell is None:
-                    vs = [points[k] for k in pts]
-                    cell = built[pts] = triangle(*vs) if len(vs) == 3 else parallelogram(*vs)
-                cells.append(cell)
-        cells.sort()
-        curves.append(TropicalCurve(MarkedSubdivision(path, tuple(cells)), left.motivic * right.motivic))
+    def sorted_keys(side: _Side) -> list[int]:
+        # a key's digits: kind (parallelogram first), vertex ranks (a triangle's
+        # first again as a fourth), so keys sort as cells do
+        out, link = [], side.cells
+        while link is not None:
+            pts, link = link
+            key = keys.get(pts)
+            if key is None:
+                vs = [points[k] for k in pts]
+                cell = triangle(*vs) if len(vs) == 3 else parallelogram(*vs)
+                key = reduce(lambda k, v: k * n + rank[v], (cell.vertices * 2)[:4], len(vs) == 3)
+                keys[pts], built[key] = key, cell
+            out.append(key)
+        out.sort()
+        return out
 
-    dropped = _pair_loop(poly, list(enumerate_paths(poly)), keep)
+    def keep(p, kept) -> None:
+        path = tuple(map(points.__getitem__, p))
+        right_keys = {id(cr): cr for _, rights in kept for cr in rights}  # each once
+        right_keys = {k: sorted_keys(cr) for k, cr in right_keys.items()}
+        for cl, rights in kept:
+            left_keys = sorted_keys(cl)
+            for cr in rights:  # sorting two sorted runs merges them
+                cells = tuple(map(built.__getitem__, sorted(left_keys + right_keys[id(cr)])))
+                curves.append(TropicalCurve(MarkedSubdivision(path, cells), cl.motivic * cr.motivic))
+
+    dropped = _pair_loop(poly, _id_paths(poly), keep)
     curves.sort(key=attrgetter("subdivision"))  # motivic, a GWElement, has no order
     return Enumeration(poly, curves, dropped)
 
@@ -759,11 +746,22 @@ class Invariants(NamedTuple):
 
 def count_invariants(poly: LatticePolygon, jobs: int = 1) -> Invariants:
     """``enumerate_curves(poly).invariants()``, without building the curves:
-    the pair loop adds the motivic multiplicity of each pair it keeps (the
-    product of its two sides') into one dict, runs the checks of
-    ``Enumeration.invariants`` on the total and logs the same ``-v`` lines.
-    ``jobs`` is accepted and ignored, as by ``enumerate_curves``."""
+    the product of each kept left summary's multiplicity with the sum of its
+    kept right partners' (bilinear, so the sum over the kept pairs) goes into
+    one dict.  It logs the same ``-v`` lines.  ``jobs`` is ignored, as by
+    ``enumerate_curves``."""
     total: dict[int, int] = {}
-    paths = list(enumerate_paths(poly))
-    _pair_loop(poly, paths, lambda path, left, right: _add_into(total, left.motivic * right.motivic))
+
+    def add(p, kept) -> None:
+        for cl, rights in kept:
+            partners = [cr.motivic for cr in rights]
+            if len(partners) > 1 and cl.motivic.terms != ((1, 1),):  # multiply once, by their sum
+                right_sum: dict[int, int] = {}
+                for m in partners:
+                    _add_into(right_sum, m)
+                partners = [GWElement._of(right_sum)]
+            for m in partners:
+                _add_into(total, cl.motivic * m)
+
+    _pair_loop(poly, _id_paths(poly), add)
     return _invariants(GWElement._of(total))

@@ -175,6 +175,14 @@ class TestGwEval:
         assert perf_counter() - t0 < 1.0
         assert (code, out) == (0, expr + "\n")
 
+    def test_long_symbol_product_is_linear(self, capsys):
+        # a term's symbols make one monomial: rebuilding it at every * is quadratic
+        expr = "*".join(f"b{i}" for i in range(1, 16001))
+        t0 = perf_counter()
+        code, out, _ = run(capsys, "gw-eval", expr)
+        assert perf_counter() - t0 < 1.0
+        assert (code, out) == (0, expr + "\n")
+
     def test_long_class_sum(self, capsys):
         code, out, _ = run(capsys, "gw-eval", "+".join(f"<{i}>" for i in range(1, 4001)))
         assert (code, out) == (0, format_gw(form(*range(1, 4001))) + "\n")

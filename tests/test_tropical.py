@@ -22,7 +22,7 @@ from gwcurves.tropical import (
     MarkedSubdivision,
     TropicalCurve,
     _Completer,
-    _arc_potentials,
+    _boundary_tables,
     _count_path,
     _heavy_steps,
     _light_completions,
@@ -73,6 +73,31 @@ def brute_interior(cell: Cell) -> int:
             if (s1 > 0 and s2 > 0 and s3 > 0) or (s1 < 0 and s2 < 0 and s3 < 0):
                 count += 1
     return count
+
+
+def _ids(comp, path):
+    """The point ids of ``path`` in ``comp``, as the pair loop runs on them."""
+    return tuple(map(comp.ids.__getitem__, path))
+
+
+def _root(comp, path):
+    return comp.root(_ids(comp, path))
+
+
+def _without_boundary(monkeypatch):
+    """Every completer built from now on finds no boundary step: the fault of
+    a polygon with no boundary at all, where the boundary lookups read."""
+    from gwcurves import tropical
+
+    tables = tropical._boundary_tables
+    monkeypatch.setattr(tropical, "_boundary_tables", lambda poly, ids: (tables(poly, ids)[0], {}))
+
+
+def _no_heavy_steps(monkeypatch):
+    """Let heavy paths and cells through the doomed and heavy-cell prunes."""
+    from gwcurves import tropical
+
+    monkeypatch.setattr(tropical, "_heavy_steps", lambda steps, pts: False)
 
 
 class TestVertexMult:
@@ -313,8 +338,9 @@ class TestEnumerate:
         assert quartic_enum.motivic_total().rank() == 620
         pair_reason = tropical._pair_reason
 
-        def keep_reason(path, left, right, poly):
-            got = pair_reason(path, left, right, poly)
+        def keep_reason(comp, p, left, right):
+            poly = comp.poly
+            got = pair_reason(comp, p, left, right)
             if reason == "boundary-weight":
                 # the pair reason reads no end weight: keep the pairs with a heavy end
                 cells = summary_cells(left, poly) + summary_cells(right, poly)
@@ -325,7 +351,7 @@ class TestEnumerate:
         if reason == "boundary-weight":
             # the heavy-peel and doomed-path prunes drop these before gluing;
             # let them through
-            monkeypatch.setattr(tropical, "_heavy_steps", lambda pts, poly: False)
+            _no_heavy_steps(monkeypatch)
         enum = enumerate_curves(p2(4))
         assert reason not in enum.dropped
         assert enum.motivic_total().rank() != 620
@@ -387,7 +413,7 @@ class TestEnumerate:
     def test_doomed_paths_are_logged(self, caplog):
         with caplog.at_level("INFO", logger="gwcurves.tropical"):
             enumerate_curves(p2(3))
-        assert "completed 8 paths with 34 summary and 25 count memo entries" in caplog.text
+        assert "completed 8 paths with 30 summary and 28 count memo entries" in caplog.text
 
     def test_no_count_carries_over_between_polygons(self):
         # Each pair shares coordinates but not areas.  A completion memo that
@@ -511,7 +537,7 @@ def test_count_matches_complete_path(poly):
         for side in (1, -1):
             full = complete_path(path, side, poly)
             light = [c for c in full if not heavy_boundary(c, poly)]
-            n, sides = _light_completions(comp, comp.root(path), side)
+            n, sides = _light_completions(comp, _root(comp, path), side)
             cells = [summary_cells(s, poly) for s in sides]
             assert (n, cells) == (len(full), light)
             # the group count is the ray count: sides one cell owns, off the path
@@ -536,7 +562,7 @@ def _factorized_counts_match_complete_path(poly) -> tuple[int, int]:
             want = len(complete_path(path, side, poly))
             fresh = _Completer(poly)
             for comp in (shared, fresh):
-                assert _count_path(comp, side, tuple(map(comp.ids.__getitem__, path))) == want, (path, side)
+                assert _count_path(comp, side, _ids(comp, path)) == want, (path, side)
             fresh_entries += len(fresh.counts)
     return len(shared.counts), fresh_entries
 
@@ -580,7 +606,8 @@ def test_doomed_paths_are_counted_only(monkeypatch):
         raise AssertionError("kept a doomed pair")
 
     heavy = sum(len(complete_path(path, 1, poly)) * len(complete_path(path, -1, poly)) for path in doomed_paths)
-    assert _pair_loop(poly, doomed_paths, refuse) == {"boundary-weight": heavy}
+    ids = [_ids(_Completer(poly), path) for path in doomed_paths]
+    assert _pair_loop(poly, ids, refuse) == {"boundary-weight": heavy}
     assert extended == []
     enumerate_curves(poly)  # the spy sees the summaries of the other paths
     assert extended
@@ -589,13 +616,16 @@ def test_doomed_paths_are_counted_only(monkeypatch):
 def _kept_curves(poly, paths):
     """The curves that ``_pair_loop`` keeps over ``paths`` of ``poly``, as
     ``enumerate_curves`` builds them, and the loop's drop tallies."""
-    curves = []
+    curves, comp = [], _Completer(poly)
 
-    def keep(path, left, right):
-        cells = tuple(sorted(summary_cells(left, poly) + summary_cells(right, poly)))
-        curves.append(TropicalCurve(MarkedSubdivision(tuple(path), cells), left.motivic * right.motivic))
+    def keep(p, kept):
+        path = tuple(comp.points[k] for k in p)
+        for left, rights in kept:
+            for right in rights:
+                cells = tuple(sorted(summary_cells(left, poly) + summary_cells(right, poly)))
+                curves.append(TropicalCurve(MarkedSubdivision(path, cells), left.motivic * right.motivic))
 
-    return curves, _pair_loop(poly, paths, keep)
+    return curves, _pair_loop(poly, [_ids(comp, path) for path in paths], keep)
 
 
 @pytest.mark.parametrize("poly", HULLS, ids=str)
@@ -645,8 +675,9 @@ def test_each_cell_is_built_once_per_batch(poly, monkeypatch):
     assert set(built) == {cell for curve in curves for cell in curve.subdivision.cells}
 
 
-@pytest.mark.parametrize("poly, entries", [(p2(4), (782, 618)), (SQUARE, (1520, 2168))], ids=str)
+@pytest.mark.parametrize("poly, entries", [(p2(4), (546, 686)), (SQUARE, (1440, 2213))], ids=str)
 def test_memo_entries_are_logged(poly, entries, caplog):
+    # the count logs the same line: test_count_logs_the_lines_of_the_enumeration
     with caplog.at_level("INFO", logger="gwcurves.tropical"):
         enumerate_curves(poly)
     assert "with %d summary and %d count memo entries" % entries in caplog.text
@@ -764,40 +795,52 @@ def test_sheared_copies_count_alike(poly):
         assert (inv.n, inv.w, inv.canonical) == (want.n, want.w, want.canonical), matrix
 
 
-@pytest.mark.parametrize(
-    "poly, drops, memo",
-    [
-        (p2(4), "1377 completions (boundary-weight=1322, disconnected=55)", "286 paths with 782 summary and 618"),
-        (
-            SQUARE,
-            "7843 completions (boundary-weight=7370, disconnected=165, line-component=308)",
-            "1001 paths with 1520 summary and 2168",
-        ),
-    ],
-    ids=["p2:4", "square"],
-)
-def test_count_logs_the_lines_of_the_enumeration(poly, drops, memo, caplog):
-    logs = []
+PINNED_DROPS = {
+    "p2:4": "1377 completions (boundary-weight=1322, disconnected=55)",
+    "square": "7843 completions (boundary-weight=7370, disconnected=165, line-component=308)",
+}
+
+
+def _name(poly) -> str:
+    return {str(p2(4)): "p2:4", str(SQUARE): "square"}.get(str(poly), str(poly))
+
+
+@pytest.mark.parametrize("poly", HULLS + [polygon([(0, 0), (4, 0), (4, 2), (0, 2)]), TRAPEZOID], ids=_name)
+def test_count_logs_the_lines_of_the_enumeration(poly, caplog):
+    # the count counts a left side without summaries where the right side has
+    # no light completion, and multiplies each left summary by the sum of its
+    # kept right partners: term for term it must give the enumeration's total
+    logs, outs = [], []
     for run in (count_invariants, enumerate_curves):
         caplog.clear()
         with caplog.at_level("INFO", logger="gwcurves.tropical"):
-            run(poly)
+            outs.append(run(poly))
         logs.append(caplog.messages)
-    assert logs[0] == logs[1] == [f"{poly}: dropped {drops}", f"{poly}: completed {memo} count memo entries"]
+    inv, enum = outs
+    assert inv.motivic.terms == enum.motivic_total().terms
+    assert logs[0] == logs[1]
+    drops = ", ".join(f"{k}={v}" for k, v in sorted(enum.dropped.items()))
+    drops = f"{sum(enum.dropped.values())} completions ({drops})"
+    assert drops == PINNED_DROPS.get(_name(poly), drops)
+    assert logs[0][:-1] == ([f"{poly}: dropped {drops}"] if enum.dropped else [])
 
 
 @pytest.mark.parametrize("poly", HULLS, ids=str)
 def test_doomed_test_matches_boundary_steps(poly):
+    comp = _Completer(poly)
     for path in enumerate_paths(poly):
-        assert _heavy_steps(path, poly) == doomed(path, poly), path
+        assert _heavy_steps(comp.steps, _ids(comp, path)) == doomed(path, poly), path
 
 
 @pytest.mark.parametrize("poly", HULLS, ids=str)
 def test_boundary_steps_match_edge_scan(poly):
     # distinct points only: a single point is no step
+    # and the completer's table of them by point id, from its boundary walk
+    comp = _Completer(poly)
     for a, b in itertools.permutations(poly.lattice_points, 2):
         want = lattice_length(a, b) != 1 if segment_on_boundary_scan(poly, a, b) else None
         assert poly.boundary_steps.get((a, b)) == want, (a, b)
+        assert comp.steps.get(_ids(comp, (a, b))) == want, (a, b)
 
 
 @pytest.mark.parametrize("poly", HULLS, ids=str)
@@ -842,7 +885,7 @@ def test_arc_areas_match_boundary_walk(poly):
 
     comp = _Completer(poly)
     walks = arc_potentials_walk(poly)
-    for side, pot in _arc_potentials(poly, comp.ids).items():
+    for side, pot in _boundary_tables(poly, comp.ids)[0].items():
         assert {comp.points[k]: v for k, v in enumerate(pot) if v is not None} == walks[side], side
     # the left arc runs clockwise, so its closed shoelace sum is minus its
     # area; a path with closed shoelace sum s adds s to the left and takes
@@ -850,7 +893,7 @@ def test_arc_areas_match_boundary_walk(poly):
     s_left, s_right = arc_shoelaces_walk(poly)
     for path in enumerate_paths(poly):
         s = _area2(path)
-        assert comp.root(path)[1] == {1: -s_left + s, -1: s_right - s}, path
+        assert _root(comp, path)[1] == {1: -s_left + s, -1: s_right - s}, path
 
 
 def test_parallelogram_cycle_matches_search():
@@ -931,17 +974,17 @@ def test_pair_reason_matches_validate_subdivision(poly, monkeypatch):
     # every glued pair, heavy completions included
     from gwcurves import tropical
 
-    monkeypatch.setattr(tropical, "_heavy_steps", lambda pts, poly: False)
+    _no_heavy_steps(monkeypatch)
     comp = _Completer(poly)
     for path in enumerate_paths(poly):
-        left, right = (_light_completions(comp, comp.root(path), side)[1] for side in (1, -1))
+        left, right = (_light_completions(comp, _root(comp, path), side)[1] for side in (1, -1))
         assert [summary_cells(s, poly) for s in left] == complete_path(path, 1, poly)
         assert [summary_cells(s, poly) for s in right] == complete_path(path, -1, poly)
         for cl in left:
             for cr in right:
                 cells = summary_cells(cl, poly) + summary_cells(cr, poly)
                 sub = MarkedSubdivision(path, tuple(sorted(cells)))
-                reason = _pair_reason(path, cl, cr, poly)
+                reason = _pair_reason(comp, _ids(comp, path), cl, cr)
                 if validate_subdivision(sub, poly) == "boundary-weight":
                     # end weight is decided per side, before gluing; the grouping still refuses
                     assert heavy_boundary(sub.cells, poly) and reason is not None, sub
@@ -951,20 +994,21 @@ def test_pair_reason_matches_validate_subdivision(poly, monkeypatch):
 
 
 def _kept_pair(poly):
-    """The first path of ``poly`` with a pair of completions that is a curve."""
+    """The first path of ``poly`` with a pair of completions that is a curve,
+    with the completer that made the pair."""
     comp = _Completer(poly)
     for path in enumerate_paths(poly):
-        left, right = (_light_completions(comp, comp.root(path), side)[1] for side in (1, -1))
+        left, right = (_light_completions(comp, _root(comp, path), side)[1] for side in (1, -1))
         for cl in left:
             for cr in right:
-                if _pair_reason(path, cl, cr, poly) is None:
-                    return path, cl, cr
+                if _pair_reason(comp, _ids(comp, path), cl, cr) is None:
+                    return comp, path, cl, cr
     raise AssertionError("no curve")
 
 
 def test_fabricated_summaries_raise():
     poly = p2(3)
-    path, cl, cr = _kept_pair(poly)
+    comp, path, cl, cr = _kept_pair(poly)
     shared = next(i for i, (a, b) in enumerate(zip(cl.labels, cr.labels)) if a >= 0 and b >= 0)
     assert not poly.segment_on_boundary(path[shared], path[shared + 1])
 
@@ -981,7 +1025,7 @@ def test_fabricated_summaries_raise():
     }
     for message, (left, right) in bad.items():
         with pytest.raises(InternalInvariantError, match=message):
-            _pair_reason(path, left, right, poly)
+            _pair_reason(comp, _ids(comp, path), left, right)
 
 
 @pytest.mark.parametrize(
@@ -1011,11 +1055,11 @@ def test_fabricated_tilings_raise(corners, message):
 def test_completion_with_an_interior_ray_raises(monkeypatch):
     # with no boundary at all, the first child edge no cell owns is interior
     poly = p2(3)
-    monkeypatch.setitem(vars(poly), "boundary_steps", {})
+    _without_boundary(monkeypatch)
     with pytest.raises(InternalInvariantError, match="single cell"):
         for path in enumerate_paths(poly):
             comp = _Completer(poly)
-            _light_completions(comp, comp.root(path), 1)
+            _light_completions(comp, _root(comp, path), 1)
 
 
 def test_count_refuses_a_negative_or_unclosed_area(monkeypatch):
@@ -1023,14 +1067,14 @@ def test_count_refuses_a_negative_or_unclosed_area(monkeypatch):
     paths = list(enumerate_paths(poly))
     comp = _Completer(poly)
     with pytest.raises(InternalInvariantError, match="escaped its completion region"):
-        _count_path(comp, 1, tuple(map(comp.ids.__getitem__, paths[0])), -2)
+        _count_path(comp, 1, _ids(comp, paths[0]), -2)
     # with no boundary at all, a piece left with no area is not on the arc
-    monkeypatch.setitem(vars(poly), "boundary_steps", {})
+    _without_boundary(monkeypatch)
     with pytest.raises(InternalInvariantError, match="single cell"):
         for path in paths:
             for side in (1, -1):
                 comp = _Completer(poly)
-                _count_path(comp, side, tuple(map(comp.ids.__getitem__, path)))
+                _count_path(comp, side, _ids(comp, path))
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -1054,7 +1098,7 @@ def test_batch_pauses_the_collector_and_restores_it(gc_state, monkeypatch, enabl
 
 def test_collector_restored_after_an_invariant_error(gc_state, monkeypatch):
     poly = p2(3)
-    monkeypatch.setitem(vars(poly), "boundary_steps", {})
+    _without_boundary(monkeypatch)
     gc.enable()
     with pytest.raises(InternalInvariantError, match="single cell"):
         enumerate_curves(poly)
