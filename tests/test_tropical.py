@@ -85,8 +85,9 @@ def _root(comp, path):
 
 
 def _without_boundary(monkeypatch):
-    """Every completer built from now on finds no boundary step: the fault of
-    a polygon with no boundary at all, where the boundary lookups read."""
+    """Completers built from now on get an empty table of boundary steps,
+    which every boundary lookup reads: the fault of a polygon with no
+    boundary at all."""
     from gwcurves import tropical
 
     tables = tropical._boundary_tables
@@ -606,7 +607,8 @@ def test_doomed_paths_are_counted_only(monkeypatch):
         raise AssertionError("kept a doomed pair")
 
     heavy = sum(len(complete_path(path, 1, poly)) * len(complete_path(path, -1, poly)) for path in doomed_paths)
-    ids = [_ids(_Completer(poly), path) for path in doomed_paths]
+    comp = _Completer(poly)
+    ids = [_ids(comp, path) for path in doomed_paths]
     assert _pair_loop(poly, ids, refuse) == {"boundary-weight": heavy}
     assert extended == []
     enumerate_curves(poly)  # the spy sees the summaries of the other paths
