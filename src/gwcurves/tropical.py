@@ -32,8 +32,12 @@ All of it runs on point ids, the indices of the lattice points in lambda
 order: paths are ``combinations`` of ids, and one boundary walk gives the
 arc areas and an id-keyed table of boundary steps, which the doomed test,
 the heavy test of a cell, the check of a piece along the arc and the gluing
-read.  The paths of one enumeration share a ``_Completer`` with its memos
-and cell table; points are built only for kept curves and messages.
+read.  The paths of one enumeration share a ``_Completer``: a cell table
+and, per side, a summary and a count memo keyed by the remaining id path,
+which callers read before they recurse.  A peel at path vertex i leaves
+vertices 1 .. i-2 their neighbours, where no turn was, so the child's scan
+for a turn starts at i - 1 (at 1 for a piece cut anew).  Points are built
+only for kept curves and messages.
 
 A glued pair of light completions is decided on the path interface.  The
 same recursion gives each light completion a summary: for each edge of its
@@ -270,9 +274,9 @@ class _Completer:
     """What the completion recursion shares over one enumeration of the
     paths of ``poly``: the lattice points in lambda order (``points``, their
     coordinates ``X`` and ``Y``, and ``ids`` back from a point), the ``arc``
-    and ``steps`` of ``_boundary_tables``, the memos of summaries (``memo``)
-    and counts (``counts``) and the cell table (``cells``).  Kept on the
-    polygon, the memos and the table would outlive the enumeration."""
+    and ``steps`` of ``_boundary_tables``, per side the memos of summaries
+    (``memo``) and counts (``counts``), and the cell table (``cells``).  Kept
+    on the polygon, the memos and the table would outlive the enumeration."""
 
     def __init__(self, poly: LatticePolygon):
         self.poly = poly
@@ -281,7 +285,7 @@ class _Completer:
         self.Y = [y for _, y in points]
         self.ids = {p: k for k, p in enumerate(points)}
         self.arc, self.steps = _boundary_tables(poly, self.ids)
-        self.memo, self.counts, self.cells = {}, {}, {}  # see the class docstring
+        self.memo, self.counts, self.cells = {1: {}, -1: {}}, {1: {}, -1: {}}, {}  # see the class docstring
 
     def root(self, p: tuple[int, ...]) -> tuple[tuple[int, ...], dict[int, int]]:
         """The id path ``p``, and for each side twice the area between it and
@@ -314,17 +318,18 @@ class _Completer:
         return entry
 
 
-def _peels(p, side: int, comp: _Completer) -> list:
+def _peels(p, side: int, comp: _Completer, start: int = 1) -> list:
     """The peel rule, on a path ``p`` of point ids of ``comp``.  At the first
-    vertex ``p[i]`` where ``p`` turns toward ``side``: the turn triangle
-    (``p[i]`` deleted) and, when the reflected point ``r = p[i-1] + p[i+1] -
-    p[i]`` stays in the polygon, the turn parallelogram (``p[i]`` replaced by
-    it).  Each peel is (remaining path, cell ids, i, twice the cell's area);
-    none if ``p`` never turns toward ``side``.  The cell ids run along its
-    cycle from ``p[i-1]``, its lambda-least vertex, with the smaller of
-    ``p[i]`` and ``r`` second: one key, whichever side peels the cell."""
+    vertex ``p[i]``, ``i >= start`` (the hint of the module docstring), where
+    ``p`` turns toward ``side``: the turn triangle (``p[i]`` deleted) and,
+    when the reflected point ``r = p[i-1] + p[i+1] - p[i]`` stays in the
+    polygon, the turn parallelogram (``p[i]`` replaced by it).  Each peel is
+    (remaining path, cell ids, i, twice the cell's area); none if ``p`` never
+    turns toward ``side``.  The cell ids run along its cycle from ``p[i-1]``,
+    its lambda-least vertex, with the smaller of ``p[i]`` and ``r`` second:
+    one key, whichever side peels the cell."""
     X, Y = comp.X, comp.Y
-    for i in range(1, len(p) - 1):
+    for i in range(start, len(p) - 1):
         a, b, c = p[i - 1], p[i], p[i + 1]
         xa, ya = X[a], Y[a]
         turn = (X[b] - xa) * (Y[c] - ya) - (Y[b] - ya) * (X[c] - xa)
@@ -400,81 +405,68 @@ def _heavy_steps(steps: dict[tuple[int, int], bool], pts) -> bool:
     return any(map(steps.get, zip(pts, pts[1:])))
 
 
-def _extend(child: _Side, i: int, pts: tuple[int, ...], area2: int, mult) -> _Side:
-    """The summary of ``child`` plus the cell with ids ``pts``, peeled at
-    path vertex ``i``, linked in front of the child's cells in O(1);
-    ``mult`` is a triangle's ``vertex_mult``.  A side of the cell on the
-    child's path that no cell of ``child`` owns is a ray, alone in a new
-    group."""
-    labels, groups, tri_groups, triangles = child.labels, child.groups, child.tri_groups, child.triangles
-    motivic = child.motivic
-    if mult is None:  # parallelogram: ab takes the group of rc, bc that of ar
-        rc, ar = labels[i], labels[i - 1]
-        if rc < 0:
-            rc, groups = groups, groups + 1
-        if ar < 0:
-            ar, groups = groups, groups + 1
-        labels = labels[: i - 1] + (rc, ar) + labels[i + 1 :]
-    else:  # triangle: ab and bc take the group of ac
-        ac = labels[i - 1]
-        if ac < 0:
-            ac, groups = groups, groups + 1
-        labels = labels[: i - 1] + (ac, ac) + labels[i:]
-        tri_groups |= 1 << ac
-        triangles += 1
-        motivic = motivic * mult
-    return _Side((pts, child.cells), labels, groups, tri_groups, triangles, child.area2 + area2, motivic)
-
-
 def _light_completions(comp: _Completer, root, side: int) -> tuple[int, list[_Side]]:
     """``(len(complete), light)`` for ``complete = complete_path(path, side,
-    poly)`` and ``light`` the summaries (``_extend``) of its light
+    poly)`` and ``light`` the summaries (``_complete``) of its light
     completions, in order; ``root`` is ``comp.root`` of the ids of ``path``.
-    ``comp.memo`` maps (side, remaining id path) to ``(count, light)``: the
-    area left depends only on them, so one memo serves every path of one
-    enumeration.  The root's entry is dropped once returned."""
+    ``comp.memo[side]`` keeps it per remaining id path, which fixes the area
+    left, over one enumeration; the root's entry is dropped once returned."""
     ids, areas = root
-    out = _complete(comp, side, ids, areas[side])
-    del comp.memo[side, ids]
+    out = comp.memo[side].get(ids) or _complete(comp, side, ids, areas[side], 1)
+    del comp.memo[side][ids]
     return out
 
 
-def _complete(comp: _Completer, side: int, p, area: int) -> tuple[int, list[_Side]]:
-    """``_light_completions`` of the remaining id path ``p``, with ``area``
-    twice the area left to fill; each peel removes its own cell's area."""
-    memo = comp.memo
-    key = (side, p)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
+def _complete(comp: _Completer, side: int, p, area: int, hint: int) -> tuple[int, list[_Side]]:
+    """``_light_completions`` of the remaining id path ``p``, in no memo yet,
+    with ``area`` twice the area left (a peel removes its cell's) and ``hint``
+    the ``start`` of ``_peels``.  A child's summary gets the cell peeled at
+    ``i`` linked in front in O(1); a side of the cell on the child's path that
+    no cell of the child owns is a ray, alone in a new group."""
     if area < 0:
         raise InternalInvariantError("path escaped its completion region")
+    memo, counts = comp.memo[side], comp.counts[side]
     if not area:  # one empty completion, which the count checks
-        memo[key] = out = _count_path(comp, side, p, 0), [_Side(None, (-1,) * (len(p) - 1), 0, 0, 0, 0, ONE)]
+        n = counts.get(p) or _count_path(comp, side, p, 0)  # 1, or it raises
+        memo[p] = out = n, [_Side(None, (-1,) * (len(p) - 1), 0, 0, 0, 0, ONE)]
         return out
-    n, light = 0, []
-    cells = comp.cells
-    for rest_path, pts, i, a2 in _peels(p, side, comp):
+    n, light, cells, new = 0, [], comp.cells, tuple.__new__
+    for rest_path, pts, i, a2 in _peels(p, side, comp, hint):
         heavy, ids, mult = cells.get(pts) or comp.cell(pts)
         if heavy:
-            n += _count_path(comp, side, rest_path)
+            n += _count_path(comp, side, rest_path) if (count := counts.get(rest_path)) is None else count
             continue
-        count, rest_light = _complete(comp, side, rest_path, area - a2)
+        count, rest_light = memo.get(rest_path) or _complete(comp, side, rest_path, area - a2, i - 1 or 1)
         n += count
-        light.extend(_extend(rest, i, ids, a2, mult) for rest in rest_light)
-    memo[key] = out = n, light
+        if mult is None:  # parallelogram: ab takes the group of rc, bc that of ar
+            for link, labels, groups, tri_groups, triangles, area2, motivic in rest_light:
+                rc, ar = labels[i], labels[i - 1]
+                if rc < 0:
+                    rc, groups = groups, groups + 1
+                if ar < 0:
+                    ar, groups = groups, groups + 1
+                labels = labels[: i - 1] + (rc, ar) + labels[i + 1 :]
+                light.append(new(_Side, ((ids, link), labels, groups, tri_groups, triangles, area2 + a2, motivic)))
+        else:  # triangle: ab and bc take the group of ac
+            for link, labels, groups, tri_groups, triangles, area2, motivic in rest_light:
+                ac = labels[i - 1]
+                if ac < 0:
+                    ac, groups = groups, groups + 1
+                labels = labels[: i - 1] + (ac, ac) + labels[i:]
+                summary = (ids, link), labels, groups, tri_groups | 1 << ac, triangles + 1, area2 + a2, motivic * mult
+                light.append(new(_Side, summary))
+    memo[p] = out = n, light
     return out
 
 
-def _count_path(comp: _Completer, side: int, p, area: int | None = None) -> int:
+def _count_path(comp: _Completer, side: int, p, area: int | None = None, hint: int = 1) -> int:
     """``len(complete_path(path, side, poly))`` for the id path ``p``, kept
-    in ``comp.counts``.  Without ``area``: the product over the pieces
-    between its arc points, with areas from one pass (``_boundary_tables``);
-    a step along the arc is no piece.  With ``area``, twice the area left,
-    ``p`` is a piece; a peel leaves one unless its reflected point is on the arc."""
-    n = comp.counts.get((side, p))
-    if n is not None:
-        return n
+    in ``comp.counts[side]``, where callers look first.  Without ``area``:
+    the product over the pieces between its arc points, with areas from one
+    pass (``_boundary_tables``); a step along the arc is no piece.  With
+    ``area``, twice the area left, ``p`` is a piece, peeled from ``hint``; a
+    peel leaves one unless its reflected point is on the arc."""
+    counts = comp.counts[side]
     X, Y, pot = comp.X, comp.Y, comp.arc[side]
     if area is None:
         n, start, cross = 1, 0, 0
@@ -483,7 +475,8 @@ def _count_path(comp: _Completer, side: int, p, area: int | None = None) -> int:
             if pot[b] is not None:
                 area = side * (cross + pot[p[start]] - pot[b])
                 if area or j - start > 1:
-                    n *= _count_path(comp, side, p[start : j + 1], area)
+                    piece = p[start : j + 1]
+                    n *= _count_path(comp, side, piece, area) if (m := counts.get(piece)) is None else m
                     if not n:
                         break
                 start, cross = j, 0
@@ -496,10 +489,12 @@ def _count_path(comp: _Completer, side: int, p, area: int | None = None) -> int:
         n = 1
     else:
         n = 0
-        for rest, pts, i, a2 in _peels(p, side, comp):
-            cut = len(pts) == 4 and pot[rest[i]] is not None
-            n += _count_path(comp, side, rest, None if cut else area - a2)
-    comp.counts[side, p] = n
+        for rest, pts, i, a2 in _peels(p, side, comp, hint):
+            if (m := counts.get(rest)) is None:
+                cut = len(pts) == 4 and pot[rest[i]] is not None
+                m = _count_path(comp, side, rest) if cut else _count_path(comp, side, rest, area - a2, i - 1 or 1)
+            n += m
+    counts[p] = n
     return n
 
 
@@ -642,7 +637,7 @@ def _invariants(total: GWElement) -> "Invariants":
     n, w = total.rank(), total.signature()
     if (n + w) % 2:
         raise InternalInvariantError("rank and signature have different parity")
-    canonical = ((n + w) // 2) * form(1) + ((n - w) // 2) * form(-1)
+    canonical = GWElement._of({1: (n + w) // 2, -1: (n - w) // 2})
     if total.terms != canonical.terms and not gw_equal(total, canonical):
         raise InternalInvariantError("motivic total is not of hyperbolic-plus-ones shape")
     return Invariants(total, canonical, n, w)
@@ -659,32 +654,37 @@ def _pair_loop(poly: LatticePolygon, paths, keep) -> Counter:
     with collector_paused():  # collections would only rescan the memo's live summaries
         dropped: Counter = Counter()
         comp = _Completer(poly)
-        steps = comp.steps
+        steps, left_counts, right_counts = comp.steps, comp.counts[1], comp.counts[-1]
         for p in paths:
             if _heavy_steps(steps, p):  # doomed: no light completion on either side
-                n_right, right_ok = _count_path(comp, -1, p), ()
+                n_right, right_ok = right_counts.get(p) or _count_path(comp, -1, p), ()
             else:
                 root = comp.root(p)
                 n_right, right_ok = _light_completions(comp, root, -1)
             if right_ok:
                 n_left, left_ok = _light_completions(comp, root, 1)
             else:  # nothing to glue to: the left side is counted only
-                n_left, left_ok = n_right and _count_path(comp, 1, p), ()
+                n_left, left_ok = n_right and (left_counts.get(p) or _count_path(comp, 1, p)), ()
             heavy = n_left * n_right - len(left_ok) * len(right_ok)
             if heavy:
                 dropped["boundary-weight"] += heavy
             kept = []
             for cl in left_ok:
-                reasons = [_pair_reason(comp, p, cl, cr) for cr in right_ok]
-                dropped.update(filter(None, reasons))
-                if None in reasons:
-                    kept.append((cl, [cr for cr, reason in zip(right_ok, reasons) if reason is None]))
+                rights = []
+                for cr in right_ok:
+                    reason = _pair_reason(comp, p, cl, cr)
+                    if reason is None:
+                        rights.append(cr)
+                    else:
+                        dropped[reason] += 1
+                if rights:
+                    kept.append((cl, rights))
             if kept:
                 keep(p, kept)
         if dropped:
             tallies = ", ".join(f"{k}={v}" for k, v in sorted(dropped.items()))
             _log("%s: dropped %d completions (%s)", poly, sum(dropped.values()), tallies)
-        entries = len(comp.memo), len(comp.counts)
+        entries = (sum(map(len, memo.values())) for memo in (comp.memo, comp.counts))
         _log("%s: completed %d paths with %d summary and %d count memo entries", poly, len(paths), *entries)
         del comp  # free the memos now: still alive when the collector resumes, they would be scanned
         return dropped

@@ -29,6 +29,7 @@ from gwcurves.tropical import (
     _orient,
     _pair_loop,
     _pair_reason,
+    _peels,
     collector_paused,
     complete_path,
     count_invariants,
@@ -556,7 +557,8 @@ def _factorized_counts_match_complete_path(poly) -> tuple[int, int]:
     """The count of every path and side, from one completer shared by all
     paths (as in an enumeration) and from a fresh one per path, against
     ``complete_path``, which peels the whole path without factorizing.
-    Returns the shared count memo's size and the fresh ones' total."""
+    Returns the shared count memos' size, over both sides, and the fresh
+    ones' total."""
     shared, fresh_entries = _Completer(poly), 0
     for path in enumerate_paths(poly):
         for side in (1, -1):
@@ -564,8 +566,13 @@ def _factorized_counts_match_complete_path(poly) -> tuple[int, int]:
             fresh = _Completer(poly)
             for comp in (shared, fresh):
                 assert _count_path(comp, side, _ids(comp, path)) == want, (path, side)
-            fresh_entries += len(fresh.counts)
-    return len(shared.counts), fresh_entries
+            fresh_entries += _entries(fresh.counts)
+    return _entries(shared.counts), fresh_entries
+
+
+def _entries(memos) -> int:
+    """The entry count of a completer's per-side memos, both sides."""
+    return sum(map(len, memos.values()))
 
 
 @pytest.mark.parametrize("poly", HULLS, ids=str)
@@ -592,13 +599,10 @@ def test_factorized_count_matches_complete_path_on_random_hulls(points, k, horiz
         _factorized_counts_match_complete_path(poly)
 
 
-def test_doomed_paths_are_counted_only(monkeypatch):
-    # a doomed path's counts come from the factorized count; no summary is built
-    from gwcurves import tropical
-
-    poly, extended = p2(4), []
-    extend = tropical._extend
-    monkeypatch.setattr(tropical, "_extend", lambda *args: extended.append(args) or extend(*args))
+def test_doomed_paths_are_counted_only(caplog):
+    # a doomed path's counts come from the factorized count; no summary is
+    # built, so the summary memo stays empty
+    poly = p2(4)
     paths = list(enumerate_paths(poly))
     doomed_paths = [path for path in paths if doomed(path, poly)]
     assert len(paths) == 286 and len(doomed_paths) == 163
@@ -609,10 +613,54 @@ def test_doomed_paths_are_counted_only(monkeypatch):
     heavy = sum(len(complete_path(path, 1, poly)) * len(complete_path(path, -1, poly)) for path in doomed_paths)
     comp = _Completer(poly)
     ids = [_ids(comp, path) for path in doomed_paths]
-    assert _pair_loop(poly, ids, refuse) == {"boundary-weight": heavy}
-    assert extended == []
-    enumerate_curves(poly)  # the spy sees the summaries of the other paths
-    assert extended
+    with caplog.at_level("INFO", logger="gwcurves.tropical"):
+        assert _pair_loop(poly, ids, refuse) == {"boundary-weight": heavy}
+    assert "completed 163 paths with 0 summary and " in caplog.text
+    caplog.clear()
+    with caplog.at_level("INFO", logger="gwcurves.tropical"):
+        enumerate_curves(poly)  # the other paths build summaries
+    assert "completed 286 paths with 546 summary and " in caplog.text
+
+
+def _hinted_peels_match_a_full_scan(poly) -> int:
+    """Each ``_peels`` call of ``enumerate_curves(poly)`` with a hint (a
+    start past vertex 1), which both the summaries and the count make,
+    against the same call scanning from vertex 1.  Returns their number."""
+    from gwcurves import tropical
+
+    peels, hinted = tropical._peels, []
+
+    def spy(p, side, comp, start=1):
+        if start > 1:
+            hinted.append((p, side, comp, start))
+        return peels(p, side, comp, start)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tropical, "_peels", spy)
+        enumerate_curves(poly)
+    for p, side, comp, start in hinted:
+        assert _peels(p, side, comp, start) == _peels(p, side, comp), (comp.at(p), side, start)
+    return len(hinted)
+
+
+@pytest.mark.parametrize("poly", HULLS, ids=str)
+def test_peel_hint_matches_a_scan_from_vertex_one(poly):
+    # a peel at vertex i leaves vertices 1 .. i-2 their neighbours, where
+    # the parent did not turn toward the side: its child scans from i - 1;
+    # every hull here with a budget over 5 takes the hint somewhere
+    assert _hinted_peels_match_a_full_scan(poly) or poly.point_budget() <= 5
+
+
+@settings(max_examples=40, deadline=None)
+@given(_hull_points, st.integers(-3, 3), st.booleans(), st.tuples(st.integers(-9, 9), st.integers(-9, 9)))
+def test_peel_hint_matches_a_scan_from_vertex_one_on_random_hulls(points, k, horizontal, shift):
+    moved = [(x + k * y, y) if horizontal else (x, y + k * x) for x, y in points]
+    try:
+        poly = convex_hull([(x + shift[0], y + shift[1]) for x, y in moved])
+    except DomainError:  # fewer than 3 distinct points, or all collinear
+        return
+    if poly.point_budget() <= 9:
+        _hinted_peels_match_a_full_scan(poly)
 
 
 def _kept_curves(poly, paths):
