@@ -584,18 +584,24 @@ def test_revisited_count_only_nodes_match_a_fresh_memo(poly):
 
 
 _hull_points = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=3, max_size=6)
+_hull_moves = (st.integers(-3, 3), st.booleans(), st.tuples(st.integers(-9, 9), st.integers(-9, 9)))
+
+
+def _moved_hull(points, k, horizontal, shift):
+    """The hull of ``points`` sheared by ``k`` and translated by ``shift``,
+    thin when the points are nearly collinear; None if it has no area."""
+    moved = [(x + k * y, y) if horizontal else (x, y + k * x) for x, y in points]
+    try:
+        return convex_hull([(x + shift[0], y + shift[1]) for x, y in moved])
+    except DomainError:  # fewer than 3 distinct points, or all collinear
+        return None
 
 
 @settings(max_examples=40, deadline=None)
-@given(_hull_points, st.integers(-3, 3), st.booleans(), st.tuples(st.integers(-9, 9), st.integers(-9, 9)))
+@given(_hull_points, *_hull_moves)
 def test_factorized_count_matches_complete_path_on_random_hulls(points, k, horizontal, shift):
-    # sheared, translated, and thin when the points are nearly collinear
-    moved = [(x + k * y, y) if horizontal else (x, y + k * x) for x, y in points]
-    try:
-        poly = convex_hull([(x + shift[0], y + shift[1]) for x, y in moved])
-    except DomainError:  # fewer than 3 distinct points, or all collinear
-        return
-    if poly.point_budget() <= 9:
+    poly = _moved_hull(points, k, horizontal, shift)
+    if poly is not None and poly.point_budget() <= 9:
         _factorized_counts_match_complete_path(poly)
 
 
@@ -652,14 +658,10 @@ def test_peel_hint_matches_a_scan_from_vertex_one(poly):
 
 
 @settings(max_examples=40, deadline=None)
-@given(_hull_points, st.integers(-3, 3), st.booleans(), st.tuples(st.integers(-9, 9), st.integers(-9, 9)))
+@given(_hull_points, *_hull_moves)
 def test_peel_hint_matches_a_scan_from_vertex_one_on_random_hulls(points, k, horizontal, shift):
-    moved = [(x + k * y, y) if horizontal else (x, y + k * x) for x, y in points]
-    try:
-        poly = convex_hull([(x + shift[0], y + shift[1]) for x, y in moved])
-    except DomainError:  # fewer than 3 distinct points, or all collinear
-        return
-    if poly.point_budget() <= 9:
+    poly = _moved_hull(points, k, horizontal, shift)
+    if poly is not None and poly.point_budget() <= 9:
         _hinted_peels_match_a_full_scan(poly)
 
 
