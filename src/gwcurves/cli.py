@@ -210,7 +210,7 @@ def _cmd_invariant(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    from .wallcross import SurfaceChain, build_tables, chain_from, quartic_chain
+    from .wallcross import SurfaceChain, build_tables, chain_for
 
     names = [s for s in args.chain.split(",") if s.strip()]
     if not names:
@@ -219,12 +219,7 @@ def _cmd_table(args) -> int:
     polys = [_load_polygon(n) for n in names]
     for poly in polys:
         _guard_budget(poly, args.max_budget)
-    if len(polys) > 1:
-        chain = SurfaceChain(tuple(polys))
-    elif polys[0] == preset("p2:4"):  # in any spelling, the name or a file
-        chain = quartic_chain()
-    else:
-        chain = chain_from(polys[0])
+    chain = SurfaceChain(tuple(polys)) if len(polys) > 1 else chain_for(polys[0])
     # the first level's table has the most rows: a value past its s_max is used by no level
     top = chain.polygons[0]
     s_max = top.point_budget() // 2
@@ -237,11 +232,8 @@ def _cmd_table(args) -> int:
     if args.signature:
         sign = 1 if args.signature == "pos" else -1
         for t in tables:
-            sigs = [
-                row.signature_profile({i: sign for i in range(1, s + 1)})
-                for s, row in enumerate(t.rows)
-            ]
-            print(f"{t.polygon}: " + " ".join(str(v) for v in sigs))
+            sigs = (row.signature_profile({i: sign for i in range(1, s + 1)}) for s, row in enumerate(t.rows))
+            print(f"{t.polygon}: " + " ".join(map(str, sigs)))
         return 0
     if args.specialize is not None:
         for t in tables:

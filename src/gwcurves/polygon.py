@@ -1,7 +1,7 @@
 """Convex lattice polygons encoding a toric surface with a curve class.
 
-A polygon is stored up to translation as a counterclockwise vertex cycle
-(no three consecutive vertices collinear) starting at the lexicographically
+A polygon is stored as given: a counterclockwise vertex cycle (no three
+consecutive vertices collinear), rotated to start at its lexicographically
 smallest vertex.  The number of boundary lattice points minus one is the
 point budget: the number of generic point conditions that cut the count of
 rational curves in the class down to a finite number.
@@ -301,30 +301,27 @@ def preset_names() -> list[str]:
     return ["p2:<d>"] + sorted(_presets())
 
 
+def normal_form(poly: LatticePolygon):
+    """The normal form under lattice-affine maps (Grinis-Kasprzyk, arXiv:1301.6641,
+    in the plane): the least vertex tuple, over each start vertex of the cycle
+    and of its mirror, with the start at the origin, its outgoing edge along
+    (1, 0) and its incoming edge sheared to (a, b), 0 <= a < b.  Returned with
+    a matrix m of determinant +-1 and a vertex o: x -> m(x - o) maps ``poly`` onto it."""
+    vs, n, best = poly.vertices, len(poly.vertices), None
+    for s in (1, -1):  # the mirror runs the cycle backward, under a map of determinant -1
+        for i, o in enumerate(vs):
+            ws = [_sub(vs[(i + s * j) % n], o) for j in range(n)]
+            (p, q), (fx, fy) = primitive(ws[1]), ws[-1]
+            u = pow(p, -1, abs(q)) if q else p  # u p + v q = 1
+            v = (1 - u * p) // q if q else 0
+            k = (u * fx + v * fy) // (s * (p * fy - q * fx))
+            m = ((u + k * s * q, v - k * s * p), (-s * q, s * p))
+            image = tuple((m[0][0] * x + m[0][1] * y, m[1][0] * x + m[1][1] * y) for x, y in ws)
+            if best is None or image < best[0]:
+                best = (image, m, o)
+    return (LatticePolygon(best[0]),) + best[1:]
+
+
 def sl2z_equivalent(a: LatticePolygon, b: LatticePolygon) -> bool:
-    """Lattice-affine equivalence: some SL(2,Z) map plus a translation sends
-    one vertex cycle onto the other."""
-    ea = [_sub(q, p) for p, q in a.edges]
-    eb = [_sub(q, p) for p, q in b.edges]
-    if len(ea) != len(eb):
-        return False
-    n = len(ea)
-    det0 = ea[0][0] * ea[1][1] - ea[0][1] * ea[1][0]
-    for shift in range(n):
-        f0, f1 = eb[shift], eb[(shift + 1) % n]
-        # Solve M @ ea[0] = f0, M @ ea[1] = f1 over Q; accept integral det-1 M.
-        num_a = f0[0] * ea[1][1] - f1[0] * ea[0][1]
-        num_b = f1[0] * ea[0][0] - f0[0] * ea[1][0]
-        num_c = f0[1] * ea[1][1] - f1[1] * ea[0][1]
-        num_d = f1[1] * ea[0][0] - f0[1] * ea[1][0]
-        if any(v % det0 for v in (num_a, num_b, num_c, num_d)):
-            continue
-        m = (num_a // det0, num_b // det0, num_c // det0, num_d // det0)
-        if m[0] * m[3] - m[1] * m[2] != 1:
-            continue
-        mapped = [
-            (m[0] * v[0] + m[1] * v[1], m[2] * v[0] + m[3] * v[1]) for v in ea
-        ]
-        if mapped == [eb[(shift + k) % n] for k in range(n)]:
-            return True
-    return False
+    """Whether a GL(2,Z) map and a translation send one polygon onto the other."""
+    return normal_form(a)[0] == normal_form(b)[0]

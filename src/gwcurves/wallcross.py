@@ -18,9 +18,11 @@ table covers every choice of the extensions.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from .betapoly import POLY_ZERO, BetaPolynomial
 from .gw import GWElement, DomainError, _Frozen, _check_tuple
-from .polygon import LatticePolygon, preset, sl2z_equivalent
+from .polygon import LatticePolygon, normal_form, polygon, preset
 from .tropical import count_invariants
 
 
@@ -110,44 +112,53 @@ class SurfaceChain(_Frozen):
         for a, b in zip(polys, polys[1:]):
             if a.point_budget() - 2 != b.point_budget():
                 raise DomainError("point budget must drop by 2 at each chop")
-            if not any(
-                _chops_to(a, v, b) for v in a.vertices
-            ):
+            if normal_form(b)[0] not in {normal_form(c)[0] for c in _depth2_chops(a)}:
                 raise DomainError(f"{b} is not a depth-2 corner chop of {a}")
         object.__setattr__(self, "polygons", polys)
 
 
-def _chops_to(a: LatticePolygon, vertex, b: LatticePolygon) -> bool:
-    try:
-        chopped = a.chop_corner(vertex, 2)
-    except DomainError:
-        return False
-    return sl2z_equivalent(chopped, b)
+def _depth2_chops(poly: LatticePolygon):
+    """The depth-2 corner chops of ``poly``, in cycle order."""
+    for v in poly.vertices:
+        try:
+            yield poly.chop_corner(v, 2)
+        except DomainError:
+            pass
 
 
 def chain_from(top: LatticePolygon) -> SurfaceChain:
-    """Chop depth-2 corners (first choppable vertex in cycle order) until no
-    interior points remain."""
+    """Chop the first depth-2 corner in cycle order until no interior points remain."""
     polys = [top]
-    while polys[-1].interior_count() > 0:
-        cur = polys[-1]
-        for v in cur.vertices:
-            try:
-                nxt = cur.chop_corner(v, 2)
-            except DomainError:
-                continue
-            polys.append(nxt)
-            break
-        else:
-            raise DomainError(f"no depth-2 chop available on {cur}")
+    while polys[-1].interior_count():
+        nxt = next(_depth2_chops(polys[-1]), None)
+        if nxt is None:
+            raise DomainError(f"no depth-2 chop available on {polys[-1]}")
+        polys.append(nxt)
     return SurfaceChain(tuple(polys))
+
+
+_QUARTIC = ("p2:4", "f1_4_2e", "blf1", "bl2f1")
 
 
 def quartic_chain() -> SurfaceChain:
     """The quartic chain: P2 degree 4, then 4-2E, 4-2E-2E', 4-2E-2E'-2E''."""
-    return SurfaceChain(
-        (preset("p2:4"), preset("f1_4_2e"), preset("blf1"), preset("bl2f1"))
-    )
+    return SurfaceChain(tuple(map(preset, _QUARTIC)))
+
+
+def chain_for(poly: LatticePolygon) -> SurfaceChain:
+    """The chain ``table`` builds on one polygon, alike for all its images: below
+    each level, the first depth-2 chop of its normal form, or the rest of the quartic
+    chain below an image of ``p2:4``, mapped back through m^-1 = det(m) adj(m)."""
+    polys = [poly]
+    while polys[-1].interior_count():
+        form, ((a, b), (c, d)), (ox, oy) = normal_form(polys[-1])
+        e = a * d - b * c
+        chops = map(preset, _QUARTIC[1:]) if form == preset("p2:4") else islice(_depth2_chops(form), 1)
+        below = [polygon([(e * (d * x - b * y) + ox, e * (a * y - c * x) + oy) for x, y in q.vertices]) for q in chops]
+        if not below:
+            raise DomainError(f"no depth-2 chop available on {polys[-1]}")
+        polys += below
+    return SurfaceChain(tuple(polys))
 
 
 class InvariantTable(_Frozen):

@@ -3,7 +3,8 @@
 These deliberately avoid the closed-form machinery they are checking:
 local solvability is decided by enumerating square values in residue
 charts, triangle interior counts by scanning the bounding box, boundary
-segments by testing each polygon edge, the arcs beside every lattice
+segments by testing each polygon edge, orientation-keeping lattice-affine
+equivalence by solving for the SL(2,Z) map that sends two edges onto two, the arcs beside every lattice
 path and their potentials by walking the boundary lattice points, a
 parallelogram's cycle by trying each vertex as the far one, the dual
 curve of a tiling by walking its strands, a doomed path and a heavy
@@ -41,7 +42,7 @@ from gwcurves.gw import (
     square_class,
     trace_form,
 )
-from gwcurves.polygon import _area2, lattice_length, primitive
+from gwcurves.polygon import _area2, _sub, lattice_length, primitive
 from gwcurves.tropical import parallelogram, triangle, vertex_mult
 
 PLACES = [None, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
@@ -95,6 +96,35 @@ def segment_on_boundary_scan(poly, p, q) -> bool:
         if on_line and all(
             min(a[k], b[k]) <= c[k] <= max(a[k], b[k]) for c in (p, q) for k in range(2)
         ):
+            return True
+    return False
+
+
+def two_edge_sl2z_equivalent(a, b) -> bool:
+    """Lattice-affine equivalence: some SL(2,Z) map plus a translation sends
+    one vertex cycle onto the other."""
+    ea = [_sub(q, p) for p, q in a.edges]
+    eb = [_sub(q, p) for p, q in b.edges]
+    if len(ea) != len(eb):
+        return False
+    n = len(ea)
+    det0 = ea[0][0] * ea[1][1] - ea[0][1] * ea[1][0]
+    for shift in range(n):
+        f0, f1 = eb[shift], eb[(shift + 1) % n]
+        # Solve M @ ea[0] = f0, M @ ea[1] = f1 over Q; accept integral det-1 M.
+        num_a = f0[0] * ea[1][1] - f1[0] * ea[0][1]
+        num_b = f1[0] * ea[0][0] - f0[0] * ea[1][0]
+        num_c = f0[1] * ea[1][1] - f1[1] * ea[0][1]
+        num_d = f1[1] * ea[0][0] - f0[1] * ea[1][0]
+        if any(v % det0 for v in (num_a, num_b, num_c, num_d)):
+            continue
+        m = (num_a // det0, num_b // det0, num_c // det0, num_d // det0)
+        if m[0] * m[3] - m[1] * m[2] != 1:
+            continue
+        mapped = [
+            (m[0] * v[0] + m[1] * v[1], m[2] * v[0] + m[3] * v[1]) for v in ea
+        ]
+        if mapped == [eb[(shift + k) % n] for k in range(n)]:
             return True
     return False
 

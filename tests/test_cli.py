@@ -616,27 +616,29 @@ def polygon_files(tmp_path, *vertex_lists):
     return ",".join(names)
 
 
-#: An image of p2:4 and one of f1_4_2e on which ``chain_from`` chops at a
-#: point of an exceptional curve, and the first's chain written out.
+#: An image of p2:4, its mirror image and an image of f1_4_2e, on which
+#: ``chain_from`` of the raw coordinates chops at a point of an exceptional
+#: curve, and the first's chain written out.
 P2_4_IMAGE = [[0, 0], [4, 0], [4, 4]]
+P2_4_MIRROR = [[0, 0], [0, 4], [4, 4]]
 F1_IMAGE = [[-22, 14], [-16, 10], [0, 0], [-12, 8]]
 P2_4_IMAGE_CHAIN = [P2_4_IMAGE, [[2, 0], [4, 0], [4, 4], [2, 2]], [[2, 2], [4, 0], [4, 4]], [[2, 2], [4, 2], [4, 4]]]
 chain_defect = pytest.mark.xfail(
     strict=True, raises=AssertionError,
-    reason="the chain rule ignores curve classes: wrong rows with exit 0",
+    reason="the chain rule ignores curve classes (ROADMAP item 2): a defective list exits 0",
 )
 
 
 class TestChainDefect:
     """The chain defect: tables of an image of a preset must have the
-    preset's signature rows, and its defective chain must be refused.  Today
-    they print 240 144 72 16 -32 -80 and 48 36 28 24 24, and the list exits 0."""
+    preset's signature rows, and its defective chain must be refused.  A
+    single polygon is chained on its normal form, so its images agree; an
+    explicit list is still checked by chops alone and exits 0."""
 
-    @chain_defect
     @pytest.mark.parametrize(
         "vertices, first_row",
-        [(P2_4_IMAGE, "240 144 80 40 16 0"), (F1_IMAGE, "48 32 20 12 8")],
-        ids=["p2:4-image", "f1_4_2e-image"],
+        [(P2_4_IMAGE, "240 144 80 40 16 0"), (P2_4_MIRROR, "240 144 80 40 16 0"), (F1_IMAGE, "48 32 20 12 8")],
+        ids=["p2:4-image", "p2:4-mirror", "f1_4_2e-image"],
     )
     def test_image_has_the_preset_signatures(self, capsys, tmp_path, vertices, first_row):
         code, out, _ = run(capsys, "table", "--chain", polygon_files(tmp_path, vertices), "--signature", "neg")

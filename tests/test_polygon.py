@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gwcurves.gw import DomainError
@@ -11,6 +11,7 @@ from gwcurves.polygon import (
     LatticePolygon,
     convex_hull,
     lattice_length,
+    normal_form,
     p2,
     polygon,
     preset,
@@ -18,7 +19,7 @@ from gwcurves.polygon import (
     sl2z_equivalent,
 )
 
-from oracles import segment_on_boundary_scan
+from oracles import segment_on_boundary_scan, two_edge_sl2z_equivalent
 
 
 class TestConstruction:
@@ -243,6 +244,96 @@ class TestEquivalence:
 
     def test_distinguishes_shape(self):
         assert not sl2z_equivalent(preset("blf1"), polygon([(0, 0), (4, 0), (4, 1), (0, 1)]))
+
+    def test_accepts_a_mirror_image(self):
+        # no orientation-keeping map sends this quadrilateral onto its mirror image
+        a = polygon([(0, 0), (2, 0), (3, 1), (0, 3)])
+        b = polygon([(x, -y) for x, y in a.vertices])
+        assert sl2z_equivalent(a, b) and not two_edge_sl2z_equivalent(a, b)
+
+    @pytest.mark.parametrize("name", ["p2:1", "p2:4", "p2:5", "blf1", "bl2f1"])
+    def test_presets_that_are_their_own_normal_form(self, name):
+        q = preset(name)
+        assert normal_form(q) == (q, ((1, 0), (0, 1)), (0, 0))
+
+    def test_normal_form_of_f1_4_2e(self):
+        form = normal_form(preset("f1_4_2e"))[0]
+        assert form.vertices == ((0, 0), (2, 0), (2, 2), (0, 4))
+
+
+# -- the normal form, on seeded images of random hulls ----------------------------
+
+#: Generators of GL(2,Z): the two shears and their inverses, the swap, negation and the mirror.
+GENERATORS = [
+    ((1, 1), (0, 1)), ((1, -1), (0, 1)), ((1, 0), (1, 1)), ((1, 0), (-1, 1)),
+    ((0, 1), (1, 0)), ((-1, 0), (0, -1)), ((1, 0), (0, -1)),
+]
+hull_points = st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=3, max_size=10)
+#: A lattice-affine map: a word in the generators, then a translation.
+affine_maps = st.tuples(
+    st.lists(st.sampled_from(GENERATORS), max_size=8), st.tuples(st.integers(-20, 20), st.integers(-20, 20))
+)
+seeded = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+def _apply(m, v):
+    return (m[0][0] * v[0] + m[0][1] * v[1], m[1][0] * v[0] + m[1][1] * v[1])
+
+
+def _hull(points) -> LatticePolygon:
+    try:
+        return convex_hull(points)
+    except DomainError:  # fewer than 3 distinct points, or all collinear
+        assume(False)
+
+
+def image_of(q: LatticePolygon, word, shift) -> LatticePolygon:
+    vs = list(q.vertices)
+    for g in word:
+        vs = [_apply(g, v) for v in vs]
+    return polygon([(x + shift[0], y + shift[1]) for x, y in vs])
+
+
+def _det(word) -> int:
+    det = 1
+    for (a, b), (c, d) in word:
+        det *= a * d - b * c
+    return det
+
+
+@seeded
+@given(hull_points, affine_maps)
+def test_an_image_has_the_normal_form_of_its_hull(points, f):
+    q = _hull(points)
+    assert normal_form(image_of(q, *f))[0] == normal_form(q)[0]
+
+
+@seeded
+@given(hull_points)
+def test_the_normal_form_is_its_own(points):
+    form = normal_form(_hull(points))[0]
+    assert normal_form(form) == (form, ((1, 0), (0, 1)), (0, 0))
+
+
+@seeded
+@given(hull_points, affine_maps)
+def test_the_map_sends_the_vertices_onto_the_form(points, f):
+    q = image_of(_hull(points), *f)
+    form, m, o = normal_form(q)
+    assert abs(m[0][0] * m[1][1] - m[0][1] * m[1][0]) == 1 and o in q.vertices
+    assert sorted(_apply(m, (x - o[0], y - o[1])) for x, y in q.vertices) == sorted(form.vertices)
+
+
+@seeded
+@given(hull_points, hull_points, affine_maps, st.booleans())
+def test_verdict_is_the_two_edge_solve_up_to_the_mirror(points_a, points_b, f, same):
+    a = _hull(points_a)
+    b = image_of(a if same else _hull(points_b), *f)
+    verdict = sl2z_equivalent(a, b)
+    mirror = polygon([(x, -y) for x, y in b.vertices])
+    assert verdict == (two_edge_sl2z_equivalent(a, b) or two_edge_sl2z_equivalent(a, mirror))
+    if same and _det(f[0]) == 1:  # a pair that keeps orientation
+        assert verdict and two_edge_sl2z_equivalent(a, b)
 
 
 def test_segment_on_boundary():

@@ -9,16 +9,19 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gwcurves.betapoly import POLY_ZERO, BetaPolynomial, beta_symbol
 from gwcurves.expr import parse_expression
 from gwcurves.gw import H, ONE, ZERO, DomainError, beta, gw_equal
-from gwcurves.polygon import p2, polygon, preset
+from gwcurves.polygon import normal_form, p2, polygon, preset
 from gwcurves.wallcross import (
     InvariantTable,
     SurfaceChain,
     base_invariant,
     build_tables,
+    chain_for,
     chain_from,
     kontsevich_nd,
     quartic_chain,
@@ -28,6 +31,7 @@ from gwcurves.wallcross import (
 from gwcurves.tropical import count_invariants
 
 from oracles import blowup_count, specialize_per_monomial
+from test_polygon import affine_maps, image_of
 
 # The degree-4 invariant tables: rows s = 0.. for the plane, the Hirzebruch
 # surface with class 4-2E, its blow-up with 4-2E-2E', and the conic polygon.
@@ -221,6 +225,66 @@ class TestChains:
         chain = SurfaceChain((preset("bl2f1"),))
         assert len(chain.polygons) == 1
 
+    def test_chain_for_maps_the_normal_form_chain_back(self):
+        # f1_4_2e is not its own normal form: its level is chopped there and mapped back
+        assert [str(q) for q in chain_for(preset("f1_4_2e")).polygons] == [
+            "conv{(0,0), (4,0), (2,2), (0,2)}", "conv{(0,0), (2,0), (2,2), (0,2)}", "conv{(0,2), (2,0), (2,2)}",
+        ]
+
+    def test_chain_for_chops_each_level_on_its_own_normal_form(self):
+        # the 4x2 rectangle's first chop is an image of f1_4_2e, and gets its chain below;
+        # the first chops of the rectangle's normal form alone give 48 36 28 24 24 there
+        tables = build_tables(chain_for(polygon([(0, 0), (4, 0), (4, 2), (0, 2)])))
+        assert [t.rows for t in tables[1:]] == preset_rows("f1_4_2e")
+
+    def test_chain_for_an_image_of_p2_4_is_the_quartic_chain_mapped_back(self):
+        top = polygon([(0, 0), (4, 4), (0, 4)])  # p2:4 under (x, y) -> (y, x + y)
+        chain = chain_for(top)
+        _, ((a, b), (c, d)), (ox, oy) = normal_form(top)
+        forward = [
+            polygon([(a * (x - ox) + b * (y - oy), c * (x - ox) + d * (y - oy)) for x, y in q.vertices])
+            for q in chain.polygons
+        ]
+        assert chain.polygons[0] == top and forward == list(quartic_chain().polygons)
+
+    def test_chain_for_maps_back_through_a_mirror(self):
+        # a chiral triangle, sent to its normal form by a map of determinant -1
+        top = polygon([(0, 0), (3, 3), (1, 3)])
+        (a, b), (c, d) = normal_form(top)[1]
+        assert a * d - b * c == -1
+        assert chain_for(top).polygons == (top, polygon([(0, 0), (1, 1), (1, 3)]))
+
+    def test_chain_for_names_the_stuck_level_as_given(self):
+        with pytest.raises(DomainError) as exc:
+            chain_for(polygon([(0, 0), (3, 1), (1, 3)]))
+        assert str(exc.value) == "no depth-2 chop available on conv{(0,0), (3,1), (1,3)}"
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="chain_from chops without curve classes (ROADMAP item 2); table sends p2:4 to quartic_chain()",
+    )
+    def test_chain_from_quartic_keeps_the_classes(self):
+        level = build_tables(chain_from(p2(4)))[2]
+        assert str(level.polygon) == "conv{(0,4), (2,0), (4,0)}"
+        # blf1's base; the level, chopped at a point of an exceptional curve, has 2h + 6*<1>
+        assert level.rows[0].constant_value() == 2 * H + 8 * ONE
+
+
+@functools.lru_cache(maxsize=None)
+def preset_rows(name: str) -> list:
+    return [t.rows for t in build_tables(chain_for(preset(name)))]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(["p2:3", "p2:4", "f1_4_2e", "blf1"]), affine_maps)
+def test_an_image_gets_the_tables_of_its_preset(name, f):
+    # shears, the swap, negation, the mirror and translations: the chain starts
+    # at the polygon as given, and its tables are the preset's, row for row
+    q = image_of(preset(name), *f)
+    chain = chain_for(q)
+    assert chain.polygons[0] == q
+    assert [t.rows for t in build_tables(chain)] == preset_rows(name)
+
 
 class TestBaseInvariants:
     def test_base_values(self, quartic_bases):
@@ -328,8 +392,8 @@ class TestTables:
 
 # -- every chain the CLI builds, and the 4x2 rectangle's ----------------------
 
-#: The chains ``table --chain NAME`` builds: the quartic chain for p2:4 and
-#: ``chain_from`` for every other preset that chains.
+#: The presets ``table --chain NAME`` chains, each built here with ``chain_from``
+#: (``table`` chops the normal form, and sends p2:4 to the quartic chain).
 CLI_CHAIN_NAMES = ["p2:1", "p2:2", "p2:3", "p2:4", "f1_4_2e", "blf1", "bl2f1"]
 CHAIN_NAMES = CLI_CHAIN_NAMES + ["rect4x2"]
 
