@@ -393,7 +393,7 @@ class TestTables:
 # -- every chain the CLI builds, and the 4x2 rectangle's ----------------------
 
 #: The presets ``table --chain NAME`` chains, each built here with ``chain_from``
-#: (``table`` chops the normal form, and sends p2:4 to the quartic chain).
+#: (``table`` chops each level's normal form, and sends p2:4 to the quartic chain).
 CLI_CHAIN_NAMES = ["p2:1", "p2:2", "p2:3", "p2:4", "f1_4_2e", "blf1", "bl2f1"]
 CHAIN_NAMES = CLI_CHAIN_NAMES + ["rect4x2"]
 
