@@ -210,7 +210,7 @@ def _cmd_invariant(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    from .wallcross import SurfaceChain, build_tables, chain_for
+    from .wallcross import SurfaceChain, build_tables, chain_from
 
     names = [s for s in args.chain.split(",") if s.strip()]
     if not names:
@@ -219,7 +219,7 @@ def _cmd_table(args) -> int:
     polys = [_load_polygon(n) for n in names]
     for poly in polys:
         _guard_budget(poly, args.max_budget)
-    chain = SurfaceChain(tuple(polys)) if len(polys) > 1 else chain_for(polys[0])
+    chain = SurfaceChain(tuple(polys)) if len(polys) > 1 else chain_from(polys[0])
     # the first level's table has the most rows: a value past its s_max is used by no level
     top = chain.polygons[0]
     s_max = top.point_budget() // 2

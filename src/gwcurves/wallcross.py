@@ -3,9 +3,9 @@
 Replacing two rational point conditions by a conjugate pair over Q(sqrt(c))
 changes the motivic count by (beta - 2<1>) times the count on the blow-up
 with class D - 2E, where beta = <2> + <2c> is the trace form of <1>.  Over
-a chain of polygons obtained by successive depth-2 corner chops this gives
-a dynamic program: with N_j(s) the invariant of chain level j with s
-conjugate pairs,
+a chain of depth-2 corner chops (one rule, ``chain_from``, picks each level's
+chop on its normal form) this gives a dynamic program: with N_j(s) the
+invariant of chain level j with s conjugate pairs,
 
     N_j(s+1) = N_j(s) + (b_{s+1} - 2<1>) * N_{j+1}(s),
 
@@ -94,27 +94,26 @@ class SurfaceChain(_Frozen):
 
     def __init__(self, polygons: tuple[LatticePolygon, ...]) -> None:
         _check_tuple(polygons, "polygons")
-        polys = polygons
-        if not polys:
+        if not polygons:
             raise DomainError("empty chain")
-        for p in polys:
+        for p in polygons:
             if not isinstance(p, LatticePolygon):
                 raise DomainError(f"polygon {p!r} is not a LatticePolygon")
-        if polys[-1].interior_count() != 0:
+        if polygons[-1].interior_count() != 0:
             raise DomainError("chain must end with an interior-point-free polygon")
-        top, interior, chops = polys[0], polys[0].interior_count(), len(polys) - 1
+        top, interior, chops = polygons[0], polygons[0].interior_count(), len(polygons) - 1
         if chops != interior:
             raise DomainError(
                 "a wall-crossing chain needs one depth-2 corner chop per interior "
                 f"point: {top} has {interior} interior points but {chops} chops were "
                 "found (chains exist for p2:1 to p2:4, f1_4_2e, blf1 and bl2f1)"
             )
-        for a, b in zip(polys, polys[1:]):
+        for a, b in zip(polygons, polygons[1:]):
             if a.point_budget() - 2 != b.point_budget():
                 raise DomainError("point budget must drop by 2 at each chop")
             if normal_form(b)[0] not in {normal_form(c)[0] for c in _depth2_chops(a)}:
                 raise DomainError(f"{b} is not a depth-2 corner chop of {a}")
-        object.__setattr__(self, "polygons", polys)
+        object.__setattr__(self, "polygons", polygons)
 
 
 def _depth2_chops(poly: LatticePolygon):
@@ -126,17 +125,6 @@ def _depth2_chops(poly: LatticePolygon):
             pass
 
 
-def chain_from(top: LatticePolygon) -> SurfaceChain:
-    """Chop the first depth-2 corner in cycle order until no interior points remain."""
-    polys = [top]
-    while polys[-1].interior_count():
-        nxt = next(_depth2_chops(polys[-1]), None)
-        if nxt is None:
-            raise DomainError(f"no depth-2 chop available on {polys[-1]}")
-        polys.append(nxt)
-    return SurfaceChain(tuple(polys))
-
-
 _QUARTIC = ("p2:4", "f1_4_2e", "blf1", "bl2f1")
 
 
@@ -145,10 +133,11 @@ def quartic_chain() -> SurfaceChain:
     return SurfaceChain(tuple(map(preset, _QUARTIC)))
 
 
-def chain_for(poly: LatticePolygon) -> SurfaceChain:
-    """The chain ``table`` builds on one polygon, alike for all its images: below
-    each level, the first depth-2 chop of its normal form, or the rest of the quartic
-    chain below an image of ``p2:4``, mapped back through m^-1 = det(m) adj(m)."""
+def chain_from(poly: LatticePolygon) -> SurfaceChain:
+    """The chain of one polygon, alike for all its lattice-affine images: below each level, the
+    first depth-2 chop of its normal form, mapped back through m^-1 = det(m) adj(m).  Below an
+    image of ``p2:4`` come ``f1_4_2e``, ``blf1`` and ``bl2f1`` instead; the first chops have their
+    normal forms and rows, so this keeps only the coordinates the golden ``table`` digests pin."""
     polys = [poly]
     while polys[-1].interior_count():
         form, ((a, b), (c, d)), (ox, oy) = normal_form(polys[-1])

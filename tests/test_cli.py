@@ -538,7 +538,7 @@ class TestTable:
 
     @pytest.mark.parametrize("spelling", ["p2:04", "p2: 4", "file"])
     def test_quartic_in_any_spelling_gives_the_quartic_table(self, capsys, tmp_path, spelling):
-        # other spellings used to get chain_from's chops and a wrong ladder
+        # other spellings once got a chop of their raw coordinates and a wrong ladder
         if spelling == "file":
             spelling = str(tmp_path / "poly.json")
             Path(spelling).write_text(json.dumps({"vertices": [[0, 4], [0, 0], [4, 0]]}))
@@ -616,9 +616,9 @@ def polygon_files(tmp_path, *vertex_lists):
     return ",".join(names)
 
 
-#: An image of p2:4, its mirror image and an image of f1_4_2e, on which
-#: ``chain_from`` of the raw coordinates chops at a point of an exceptional
-#: curve, and the first's chain written out.
+#: An image of p2:4, its mirror image and an image of f1_4_2e, on which the
+#: first depth-2 chop of the raw coordinates, in cycle order, lands at a point
+#: of an exceptional curve, and the first's chain by that chop written out.
 P2_4_IMAGE = [[0, 0], [4, 0], [4, 4]]
 P2_4_MIRROR = [[0, 0], [0, 4], [4, 4]]
 F1_IMAGE = [[-22, 14], [-16, 10], [0, 0], [-12, 8]]

@@ -6,7 +6,7 @@ import functools
 import itertools
 import operator
 import random
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +21,6 @@ from gwcurves.wallcross import (
     SurfaceChain,
     base_invariant,
     build_tables,
-    chain_for,
     chain_from,
     kontsevich_nd,
     quartic_chain,
@@ -177,6 +176,7 @@ class TestChains:
         auto = chain_from(p2(4))
         assert len(auto.polygons) == 4
         assert [q.interior_count() for q in auto.polygons] == [3, 2, 1, 0]
+        assert auto == quartic_chain()
 
     def test_chain_from_cubic(self):
         chain = chain_from(p2(3))
@@ -225,21 +225,21 @@ class TestChains:
         chain = SurfaceChain((preset("bl2f1"),))
         assert len(chain.polygons) == 1
 
-    def test_chain_for_maps_the_normal_form_chain_back(self):
+    def test_chain_from_maps_the_normal_form_chain_back(self):
         # f1_4_2e is not its own normal form: its level is chopped there and mapped back
-        assert [str(q) for q in chain_for(preset("f1_4_2e")).polygons] == [
+        assert [str(q) for q in chain_from(preset("f1_4_2e")).polygons] == [
             "conv{(0,0), (4,0), (2,2), (0,2)}", "conv{(0,0), (2,0), (2,2), (0,2)}", "conv{(0,2), (2,0), (2,2)}",
         ]
 
-    def test_chain_for_chops_each_level_on_its_own_normal_form(self):
+    def test_chain_from_chops_each_level_on_its_own_normal_form(self):
         # the 4x2 rectangle's first chop is an image of f1_4_2e, and gets its chain below;
         # the first chops of the rectangle's normal form alone give 48 36 28 24 24 there
-        tables = build_tables(chain_for(polygon([(0, 0), (4, 0), (4, 2), (0, 2)])))
+        tables = build_tables(chain_from(polygon([(0, 0), (4, 0), (4, 2), (0, 2)])))
         assert [t.rows for t in tables[1:]] == preset_rows("f1_4_2e")
 
-    def test_chain_for_an_image_of_p2_4_is_the_quartic_chain_mapped_back(self):
+    def test_chain_from_an_image_of_p2_4_is_the_quartic_chain_mapped_back(self):
         top = polygon([(0, 0), (4, 4), (0, 4)])  # p2:4 under (x, y) -> (y, x + y)
-        chain = chain_for(top)
+        chain = chain_from(top)
         _, ((a, b), (c, d)), (ox, oy) = normal_form(top)
         forward = [
             polygon([(a * (x - ox) + b * (y - oy), c * (x - ox) + d * (y - oy)) for x, y in q.vertices])
@@ -247,32 +247,76 @@ class TestChains:
         ]
         assert chain.polygons[0] == top and forward == list(quartic_chain().polygons)
 
-    def test_chain_for_maps_back_through_a_mirror(self):
+    def test_chain_from_maps_back_through_a_mirror(self):
         # a chiral triangle, sent to its normal form by a map of determinant -1
         top = polygon([(0, 0), (3, 3), (1, 3)])
         (a, b), (c, d) = normal_form(top)[1]
         assert a * d - b * c == -1
-        assert chain_for(top).polygons == (top, polygon([(0, 0), (1, 1), (1, 3)]))
+        assert chain_from(top).polygons == (top, polygon([(0, 0), (1, 1), (1, 3)]))
 
-    def test_chain_for_names_the_stuck_level_as_given(self):
+    def test_chain_from_names_the_stuck_level_as_given(self):
         with pytest.raises(DomainError) as exc:
-            chain_for(polygon([(0, 0), (3, 1), (1, 3)]))
+            chain_from(polygon([(0, 0), (3, 1), (1, 3)]))
         assert str(exc.value) == "no depth-2 chop available on conv{(0,0), (3,1), (1,3)}"
+
+    @pytest.mark.parametrize(
+        "top",
+        [preset(name) for name in ["p2:1", "p2:2", "p2:3", "p2:4", "f1_4_2e", "blf1", "bl2f1"]]
+        + [polygon([(0, 0), (4, 0), (4, 2), (0, 2)])],
+        ids=str,
+    )
+    def test_every_level_of_a_preset_chain_is_in_the_bl3_fan(self, top):
+        assert all(in_bl3_fan(q) for q in chain_from(top).polygons)
 
     @pytest.mark.xfail(
         strict=True, raises=AssertionError,
-        reason="chain_from chops without curve classes (ROADMAP item 2); table sends p2:4 to quartic_chain()",
+        reason="chain_from chops without curve classes (ROADMAP item 2): the pentagon's level 1 leaves the fan",
     )
-    def test_chain_from_quartic_keeps_the_classes(self):
-        level = build_tables(chain_from(p2(4)))[2]
-        assert str(level.polygon) == "conv{(0,4), (2,0), (4,0)}"
-        # blf1's base; the level, chopped at a point of an exceptional curve, has 2h + 6*<1>
-        assert level.rows[0].constant_value() == 2 * H + 8 * ONE
+    def test_chain_from_keeps_the_pentagon_in_the_bl3_fan(self):
+        # N = 96, W = 48; level 1 is conv{(0,5), (3,2), (4,2), (4,3)}, whose N is 10, and
+        # table prints 48 36 28 24 24 where a chain kept in the fan gives 48 32 20 12 8
+        try:
+            chain = chain_from(polygon([(0, 5), (3, 2), (4, 2), (4, 3), (2, 5)]))
+        except DomainError:
+            return
+        assert all(in_bl3_fan(q) for q in chain.polygons)
+
+
+#: The primitive edge directions of the fan of Bl3P2, the blow-up of the plane
+#: in three points, in cyclic order.
+BL3_FAN = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
+
+
+def in_bl3_fan(poly) -> bool:
+    """Whether one GL(2,Z) map sends the primitive edge directions of ``poly``,
+    in cycle order, into ``BL3_FAN`` in its cyclic order: the polygon is then a
+    curve class on Bl3P2 or on one of its toric blow-downs."""
+    vs = poly.vertices
+    dirs = []
+    for (x0, y0), (x1, y1) in zip(vs, vs[1:] + vs[:1]):
+        g = gcd(x1 - x0, y1 - y0)
+        dirs.append(((x1 - x0) // g, (y1 - y0) // g))
+    (p, q), (r, s) = dirs[0], dirs[1]
+    det = p * s - q * r
+    for (a, c), (b, d) in itertools.product(BL3_FAN, repeat=2):
+        # the map sending dirs[0] to (a, c) and dirs[1] to (b, d), det times its inverse's adjugate
+        m = ((a * s - b * q, b * p - a * r), (c * s - d * q, d * p - c * r))
+        if any(v % det for row in m for v in row):
+            continue
+        (m00, m01), (m10, m11) = ((v // det for v in row) for row in m)
+        images = [(m00 * x + m01 * y, m10 * x + m11 * y) for x, y in dirs]
+        if abs(m00 * m11 - m01 * m10) != 1 or not all(v in BL3_FAN for v in images):
+            continue
+        idx = [BL3_FAN.index(v) for v in images]
+        steps = [(j - i) % 6 for i, j in zip(idx, idx[1:] + idx[:1])]
+        if all(steps) and sum(steps) == 6:
+            return True
+    return False
 
 
 @functools.lru_cache(maxsize=None)
 def preset_rows(name: str) -> list:
-    return [t.rows for t in build_tables(chain_for(preset(name)))]
+    return [t.rows for t in build_tables(chain_from(preset(name)))]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -281,7 +325,7 @@ def test_an_image_gets_the_tables_of_its_preset(name, f):
     # shears, the swap, negation, the mirror and translations: the chain starts
     # at the polygon as given, and its tables are the preset's, row for row
     q = image_of(preset(name), *f)
-    chain = chain_for(q)
+    chain = chain_from(q)
     assert chain.polygons[0] == q
     assert [t.rows for t in build_tables(chain)] == preset_rows(name)
 
@@ -392,15 +436,16 @@ class TestTables:
 
 # -- every chain the CLI builds, and the 4x2 rectangle's ----------------------
 
-#: The presets ``table --chain NAME`` chains, each built here with ``chain_from``
-#: (``table`` chops each level's normal form, and sends p2:4 to the quartic chain).
+#: The presets ``table --chain NAME`` chains, each built here with ``chain_from``,
+#: the rule ``table`` runs; ``rect4x2`` is the 4x2 rectangle's chain by the same rule.
 CLI_CHAIN_NAMES = ["p2:1", "p2:2", "p2:3", "p2:4", "f1_4_2e", "blf1", "bl2f1"]
 CHAIN_NAMES = CLI_CHAIN_NAMES + ["rect4x2"]
 
 
 @pytest.fixture(scope="module")
 def chain_tables(quartic_tables):
-    """The tables of a chain in ``CHAIN_NAMES``, each built once."""
+    """The tables ``table`` prints for a chain in ``CHAIN_NAMES``, each built once;
+    p2:4's are the shared quartic tables, since ``chain_from(p2(4))`` is the quartic chain."""
     built = {"p2:4": quartic_tables}
 
     def tables(name):
