@@ -2,11 +2,11 @@
 
     PYTHONPATH=src python tests/reach.py
 
-Runs a fixed list of ``gwcurves`` commands in this interpreter through
-``cli.main`` under ``sys.settrace``: every subcommand and flag, and one
-refusal of each kind.  Then prints each function defined in the package's
-modules whose code no command entered, as ``module:line qualname``, and a
-last line with their count.  A function on the list is a candidate for
+Imports ``gwcurves.cli`` and runs a fixed list of ``gwcurves`` commands in
+this interpreter through ``cli.main``, all under ``sys.settrace``: every
+subcommand and flag, and one refusal of each kind.  Then prints each
+function defined in the package's modules whose code no command entered, as
+``module:line qualname``, and a last line with their count.  A function on the list is a candidate for
 deletion, or for a command that should reach it; the list decides neither.
 
 Exits 1, printing the command, if a command's exit code is not the one
@@ -17,21 +17,21 @@ listed: then the audit would measure a broken command.  The file has no
 from __future__ import annotations
 
 import contextlib
+import importlib
 import io
 import json
 import sys
 import tempfile
+from importlib.util import find_spec
 from inspect import CO_NEWLOCALS
 from pathlib import Path
 
-import gwcurves
-from gwcurves.cli import main
-
-PACKAGE = Path(gwcurves.__file__).parent
+PACKAGE = Path(find_spec("gwcurves").origin).parent
 
 #: (exit code, argv); FILE:NAME is the polygon file NAME, OUT:NAME a fresh path.
 COMMANDS = [
     (0, ["gw-eval", "<6>*<10>"]),
+    (0, ["gw-eval", "<1000000000039> * <3000000000013>"]),
     (0, ["gw-eval", "--json", "2*<3> + h"]),
     (0, ["gw-eval", "--unicode", "tr(5; 1, 2) + b1"]),
     (0, ["gw-eval", "--json", "b1 + <2>"]),
@@ -117,7 +117,7 @@ def argv_in(tmp: Path, argv: list[str]) -> list[str]:
     return out
 
 
-def run(argv: list[str]) -> int:
+def run(main, argv: list[str]) -> int:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
             return main(argv)
@@ -131,13 +131,18 @@ def reached_codes() -> set:
     def tracer(frame, event, arg):
         seen.add(key(frame.f_code))  # called on "call" events only, as no local tracer is returned
 
+    def traced(call):
+        sys.settrace(tracer)
+        try:
+            return call()
+        finally:
+            sys.settrace(None)
+
+    # every command imports the package, so what its import calls is reached
+    main = traced(lambda: importlib.import_module("gwcurves.cli")).main
     with tempfile.TemporaryDirectory() as tmp:
         for want, argv in COMMANDS:
-            sys.settrace(tracer)
-            try:
-                code = run(argv_in(Path(tmp), argv))
-            finally:
-                sys.settrace(None)
+            code = traced(lambda: run(main, argv_in(Path(tmp), argv)))
             if code != want:
                 sys.exit(f"gwcurves {' '.join(argv)} exited {code}, not {want}")
     return seen
