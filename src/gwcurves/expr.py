@@ -82,10 +82,6 @@ class _Tokens:
         return Fraction(num, den)
 
 
-def _poly(v: Value) -> BetaPolynomial:
-    return BetaPolynomial.constant(v) if isinstance(v, GWElement) else v
-
-
 def _factor(tk: _Tokens) -> GWElement | int:
     """A constant factor, or the index of a symbol ``bN``."""
     start = tk.at
@@ -169,7 +165,8 @@ def _parse(text: str) -> Value:
 
 
 def parse_expression(text: str) -> BetaPolynomial:
-    return _poly(_parse(text))
+    v = _parse(text)
+    return BetaPolynomial.constant(v) if isinstance(v, GWElement) else v
 
 
 def parse_gw(text: str) -> GWElement:

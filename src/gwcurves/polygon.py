@@ -117,36 +117,8 @@ class LatticePolygon(_Frozen):
         vs = self.vertices
         return tuple(zip(vs, vs[1:] + vs[:1]))
 
-    def contains(self, p: Point) -> bool:
-        """A lookup in the lattice points, scanned once."""
-        return p in self._point_set
-
     def strictly_contains(self, p: Point) -> bool:
         return all(_cross(a, b, p) > 0 for a, b in self.edges)
-
-    @cached_property
-    def boundary_steps(self) -> dict[tuple[Point, Point], bool]:
-        """Each ordered pair of distinct boundary lattice points on a common
-        edge, mapped to whether the segment between them has lattice length
-        >= 2 (as a cell side, an end of weight >= 2).  A pair of lattice
-        points that is not a key has a segment leaving the boundary."""
-        out: dict[tuple[Point, Point], bool] = {}
-        for a, b in self.edges:
-            step = primitive(_sub(b, a))
-            pts = [_add(a, (step[0] * k, step[1] * k)) for k in range(lattice_length(a, b) + 1)]
-            for i, p in enumerate(pts):
-                for j, q in enumerate(pts):
-                    if i != j:
-                        out[p, q] = abs(i - j) >= 2
-        return out
-
-    def segment_on_boundary(self, p: Point, q: Point) -> bool:
-        """True iff the whole segment [p, q] between two lattice points lies
-        inside one polygon edge: a key of ``boundary_steps``, or a single
-        boundary point."""
-        if p == q:
-            return self.contains(p) and not self.strictly_contains(p)
-        return (p, q) in self.boundary_steps
 
     # -- lattice point counts ------------------------------------------------
 
@@ -168,10 +140,6 @@ class LatticePolygon(_Frozen):
         if self.area2 != 2 * interior + boundary - 2:
             raise AssertionError("Pick's theorem violated")
         return pts
-
-    @cached_property
-    def _point_set(self) -> frozenset[Point]:
-        return frozenset(self.lattice_points)
 
     def interior_count(self) -> int:
         """Interior lattice points, by Pick (2A = 2I + B - 2) without a scan."""

@@ -47,13 +47,12 @@ never merge (a peel adds sides to one group, or starts a new one at a ray),
 and a group's ray is its only side off the path that one cell owns, so the
 group count is the ray count.  The two sides' groups join only across the
 path edges both of them own, so one union-find over the path's labels gives
-the reason.  A curve's multiplicity is the product of its two sides': the
-count multiplies each left summary's by the sum of its kept right partners'.
-A summary links the ids of its cells, and a light triangle's multiplicity
-comes from a cache keyed by its shape, so only ``enumerate_curves`` builds
-cells: those of the pairs it keeps, each once.  ``validate_subdivision`` and
-``curve_mult`` decide a whole tiling, end weights included, and serve as the
-reference.
+the reason.  A curve's multiplicity is the product of its two sides', and
+the count adds up that product pair by pair.  A summary links the ids of
+its cells, and a light triangle's multiplicity comes from a cache keyed by
+its shape, so only ``enumerate_curves`` builds cells: those of the pairs it
+keeps, each once.  ``validate_subdivision`` and ``curve_mult`` decide a
+whole tiling, end weights included, and serve as the reference.
 
 Each trivalent vertex, dual to a triangle with edge lattice lengths
 l1, l2, l3, twice-area A2 and I interior lattice points, carries the
@@ -250,7 +249,8 @@ def _boundary_tables(poly: LatticePolygon, ids: dict[Point, int]) -> tuple[dict,
     from the lambda-maximal vertex for side 1 (left), from the minimal one for
     side -1.  Twice the area between the arc and a piece from u to v on it
     with shoelace sum ``cross`` is ``side * (cross + P(u) - P(v))``.  And,
-    from the same walk, ``poly.boundary_steps`` with the points as ids."""
+    from the same walk, the one table of boundary steps: each ordered pair
+    of ids on a common edge, mapped to whether its lattice length is >= 2."""
     vs, pts = poly.vertices, poly.lattice_points  # pts[0] and pts[-1] are vertices
     lo, hi = vs.index(pts[0]), vs.index(pts[-1])
     arc, steps = {}, {}
@@ -350,9 +350,9 @@ def complete_path(path, side: int, poly: LatticePolygon):
     empty set; a path with area but no turn toward the side is a dead end."""
     if side not in (1, -1):
         raise ValueError("side must be +1 or -1")
-    if not all(map(poly.contains, path)):
-        raise ValueError(f"path {tuple(path)} leaves the lattice points of {poly}")
     comp = _Completer(poly)
+    if not all(map(comp.ids.__contains__, path)):
+        raise ValueError(f"path {tuple(path)} leaves the lattice points of {poly}")
     cache: dict[tuple, list[tuple[Cell, ...]]] = {}
 
     def rec(p, area: int) -> list[tuple[Cell, ...]]:  # area: twice the area left, less each peeled cell's
@@ -518,7 +518,8 @@ def validate_subdivision(sub: MarkedSubdivision, poly: LatticePolygon):
     for side, n in owners.items():
         if n > 2:
             raise InternalInvariantError(f"edge {side} shared by {n} cells")
-        if n == 1 and not poly.segment_on_boundary(*side):
+        # a tiling's vertices are lattice points of the convex polygon: a side on an edge's line lies on the edge
+        if n == 1 and not any(_orient(a, b, side[0]) == 0 == _orient(a, b, side[1]) for a, b in poly.edges):
             raise InternalInvariantError(f"interior edge {side} has a single cell")
     rays = [side for side, n in owners.items() if n == 1]
     if any(lattice_length(*side) != 1 for side in rays):
@@ -746,22 +747,15 @@ class Invariants(NamedTuple):
 
 def count_invariants(poly: LatticePolygon, jobs: int = 1) -> Invariants:
     """``enumerate_curves(poly).invariants()``, without building the curves:
-    the product of each kept left summary's multiplicity with the sum of its
-    kept right partners' (bilinear, so the sum over the kept pairs) goes into
-    one dict.  It logs the same ``-v`` lines.  ``jobs`` is ignored, as by
+    the product of each kept pair's two multiplicities goes into one dict.
+    It logs the same ``-v`` lines.  ``jobs`` is ignored, as by
     ``enumerate_curves``."""
     total: dict[int, int] = {}
 
     def add(p, kept) -> None:
         for cl, rights in kept:
-            partners = [cr.motivic for cr in rights]
-            if len(partners) > 1 and cl.motivic.terms != ((1, 1),):  # multiply once, by their sum
-                right_sum: dict[int, int] = {}
-                for m in partners:
-                    _add_into(right_sum, m)
-                partners = [GWElement._of(right_sum)]
-            for m in partners:
-                _add_into(total, cl.motivic * m)
+            for cr in rights:
+                _add_into(total, cl.motivic * cr.motivic)
 
     _pair_loop(poly, _id_paths(poly), add)
     return _invariants(GWElement._of(total))

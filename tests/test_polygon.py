@@ -18,6 +18,7 @@ from gwcurves.polygon import (
     preset_names,
     sl2z_equivalent,
 )
+from gwcurves.tropical import _Completer
 
 from oracles import segment_on_boundary_scan, two_edge_sl2z_equivalent
 
@@ -336,25 +337,30 @@ def test_verdict_is_the_two_edge_solve_up_to_the_mirror(points_a, points_b, f, s
         assert verdict and two_edge_sl2z_equivalent(a, b)
 
 
+def _step(q: LatticePolygon, p, r):
+    """The completer's boundary step table at ``p -> r``: True if heavy,
+    False if light, None off the boundary."""
+    comp = _Completer(q)
+    return comp.steps.get((comp.ids[p], comp.ids[r]))
+
+
 def test_segment_on_boundary():
     q = p2(3)
-    assert q.segment_on_boundary((0, 0), (2, 0))
-    assert q.segment_on_boundary((2, 1), (1, 2))
-    assert not q.segment_on_boundary((0, 0), (1, 1))
-    assert not q.segment_on_boundary((1, 1), (2, 1))
+    assert _step(q, (0, 0), (2, 0)) is True
+    assert _step(q, (2, 1), (1, 2)) is False
+    assert _step(q, (0, 0), (1, 1)) is None
+    assert _step(q, (1, 1), (2, 1)) is None
 
 
 def _agrees_with_edge_scan(q: LatticePolygon) -> None:
-    xs = [v[0] for v in q.vertices]
-    ys = [v[1] for v in q.vertices]
-    box = [
-        (x, y)
-        for x in range(min(xs) - 1, max(xs) + 2)
-        for y in range(min(ys) - 1, max(ys) + 2)
-    ]
-    for p in box:
-        for r in box:
-            assert q.segment_on_boundary(p, r) == segment_on_boundary_scan(q, p, r), (q, p, r)
+    # the completer's table, by point id, over ordered pairs of distinct lattice points
+    comp = _Completer(q)
+    for p in q.lattice_points:
+        for r in q.lattice_points:
+            if p != r:
+                on = segment_on_boundary_scan(q, p, r)
+                want = lattice_length(p, r) != 1 if on else None
+                assert comp.steps.get((comp.ids[p], comp.ids[r])) == want, (q, p, r)
 
 
 @pytest.mark.parametrize(

@@ -225,7 +225,7 @@ def alt_completions(path, side, poly):
         for rest in rec(p[:i] + p[i + 1 :]):
             out.append(rest | {t})
         refl = (p[i - 1][0] + p[i + 1][0] - p[i][0], p[i - 1][1] + p[i + 1][1] - p[i][1])
-        if poly.contains(refl):
+        if refl in poly.lattice_points:
             par = parallelogram(p[i - 1], p[i], p[i + 1], refl)
             for rest in rec(p[:i] + (refl,) + p[i + 1 :]):
                 out.append(rest | {par})
@@ -886,12 +886,11 @@ def test_doomed_test_matches_boundary_steps(poly):
 
 @pytest.mark.parametrize("poly", HULLS, ids=str)
 def test_boundary_steps_match_edge_scan(poly):
+    # the completer's table of steps by point id, from its boundary walk;
     # distinct points only: a single point is no step
-    # and the completer's table of them by point id, from its boundary walk
     comp = _Completer(poly)
     for a, b in itertools.permutations(poly.lattice_points, 2):
         want = lattice_length(a, b) != 1 if segment_on_boundary_scan(poly, a, b) else None
-        assert poly.boundary_steps.get((a, b)) == want, (a, b)
         assert comp.steps.get(_ids(comp, (a, b))) == want, (a, b)
 
 
@@ -911,10 +910,11 @@ def test_doomed_paths_have_no_light_pair(poly):
 def test_contains_matches_half_planes(poly):
     xs = [v[0] for v in poly.vertices]
     ys = [v[1] for v in poly.vertices]
+    points = set(poly.lattice_points)
     for x in range(min(xs) - 1, max(xs) + 2):
         for y in range(min(ys) - 1, max(ys) + 2):
             inside = all(_orient(a, b, (x, y)) >= 0 for a, b in poly.edges)
-            assert poly.contains((x, y)) == inside, (x, y)
+            assert ((x, y) in points) == inside, (x, y)
 
 
 @pytest.mark.parametrize("poly", HULLS, ids=str)
@@ -1062,7 +1062,7 @@ def test_fabricated_summaries_raise():
     poly = p2(3)
     comp, path, cl, cr = _kept_pair(poly)
     shared = next(i for i, (a, b) in enumerate(zip(cl.labels, cr.labels)) if a >= 0 and b >= 0)
-    assert not poly.segment_on_boundary(path[shared], path[shared + 1])
+    assert not segment_on_boundary_scan(poly, path[shared], path[shared + 1])
 
     def unowned(side):
         labels = list(side.labels)
