@@ -7,16 +7,18 @@ a class is stored canonically as a squarefree integer.  Elements here are
 either sign, so that rank-zero differences such as 2<1> - (<2> + <2c>) are
 first-class values.
 
-Equality in GW(Q) is decided by Hasse-Minkowski: after trading each negative
-term -<a> for <-a> - h (hyperbolic padding), two effective forms of equal
-rank are isometric iff their signatures, discriminants and Hasse invariants
-agree at the real place, at 2 and at every odd prime dividing a stored
-representative.
+Equality in GW(Q) is decided by Hasse-Minkowski: q1 == q2 iff q1 - q2 is
+a multiple of h.  Trading each negative term -<a> of the difference for
+<-a> - h and cancelling each pair <c> + <-c> as one h leaves an effective
+form e and a count m, and q1 == q2 iff e is isometric to m*h: signature 0,
+discriminant (-1)**m, and Hasse invariant +1 at every odd prime dividing a
+class of e.  The real place follows from the signature, 2 from Hilbert
+reciprocity, and every other odd prime gives +1 on both sides.
 
 Factoring is needed only where an integer enters from outside: the square
 class of a given rational (``square_class``), the squarefree check on the
 classes given to ``GWElement`` and ``from_dict``, and the odd places of a
-Hasse check (the classes left once the summands both sides share are
+Hasse check (the classes of the difference left once its +-c pairs are
 cancelled).  It uses the standard library alone.  One gcd with
 the product of the primes below 1000 picks the ones to divide out
 (``_screen``).  A square class then only needs to know whether the cofactor
@@ -235,15 +237,18 @@ def _is_strong_lucas_probable_prime(n: int) -> bool:
 
 
 def _is_prime(n: int) -> bool:
-    """Baillie-PSW: trial division by the primes below 1000, then a strong
-    base-2 Miller-Rabin and a strong Lucas test.  No composite passing both
-    is known; below 2**64 there is none."""
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            return n == p
-    if n < 1000 * 1000:
-        return n > 1
-    return _is_strong_base2_probable_prime(n) and _is_strong_lucas_probable_prime(n)
+    """Baillie-PSW: trial division by the primes below 1000 (``_screen``),
+    then a strong base-2 Miller-Rabin and a strong Lucas test.  A number
+    below 10**6 with no prime factor below 1000 is prime untested.  No
+    composite passing both tests is known; below 2**64 there is none."""
+    if n < 2:
+        return False
+    small, m = _screen(n)
+    if small:
+        return small == {n: 1}
+    return m < 1000 * 1000 or (
+        _is_strong_base2_probable_prime(m) and _is_strong_lucas_probable_prime(m)
+    )
 
 
 def _step_cost(n: int) -> int:
@@ -297,11 +302,9 @@ def _screen(n: int) -> tuple[dict[int, int], int]:
 def _factor(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 1 as ascending (prime, exponent) pairs.
 
-    Trial division by ``_screen``, then Baillie-PSW and Pollard-Brent rho
+    Trial division by ``_screen``, then ``_is_prime`` and Pollard-Brent rho
     on what is left, within FACTOR_EFFORT; raises DomainError when the
-    effort runs out.  No prime below 1000 divides that cofactor or any
-    divisor rho finds of it, so each of them below 10**6 is prime without a
-    test."""
+    effort runs out."""
     left = FACTOR_EFFORT
 
     def spend(units: int) -> None:
@@ -315,9 +318,7 @@ def _factor(n: int) -> tuple[tuple[int, int], ...]:
     while todo:
         m = todo.pop()
         spend(2 * m.bit_length() * _step_cost(m))
-        if m < 1000 * 1000 or (
-            _is_strong_base2_probable_prime(m) and _is_strong_lucas_probable_prime(m)
-        ):
+        if _is_prime(m):
             # divide m out of the cofactors still to split, so that a prime
             # power costs one search rather than one per exponent
             e = 1
@@ -678,39 +679,25 @@ def format_gw(q: GWElement, unicode: bool = False) -> str:
 
 
 def gw_equal(q1: GWElement, q2: GWElement) -> bool:
-    """Decide q1 == q2 in GW(Q) by local invariants.
+    """Decide q1 == q2 in GW(Q): whether d = q1 - q2 is a multiple of h.
 
-    Rank first.  Then both sides are padded with hyperbolic planes to a
-    common effective shape, and the diagonal summands they share are
-    cancelled (Witt cancellation, as char Q != 2).  What is left is compared
-    by signature, discriminant and Hasse invariants at the real place, at 2
-    and at the odd primes dividing a class left; all other finite places
-    give +1.  Only the classes left are factored, so equal forms need none.
-    """
-    if q1.rank() != q2.rank():
+    d must have rank 0.  Effectivized, d + m*h is a form e, and each pair
+    <c> + <-c> in e is one h, cancelled from e and m (Witt cancellation).
+    Then q1 == q2 iff e is isometric to m*h: signature 0, discriminant
+    (-1)**m, and Hasse invariant +1 at each odd prime dividing a class of e.
+    The real place agrees once the signatures do, 2 by Hilbert reciprocity,
+    and an odd prime dividing no class gives +1 on both sides.  Only the
+    classes of e are factored, so a d made of +-c pairs needs none."""
+    d = q1 - q2
+    if d.rank():
         return False
-    e1, m1 = q1._effectivized()
-    e2, m2 = q2._effectivized()
-    pad = max(m1, m2)
-    if pad > m1:
-        e1 = e1 + (pad - m1) * H
-    if pad > m2:
-        e2 = e2 + (pad - m2) * H
-    d1, d2 = e1.as_dict(), e2.as_dict()
-    for c in d1.keys() & d2.keys():
-        k = min(d1[c], d2[c])
-        d1[c] -= k
-        d2[c] -= k
-    e1, e2 = GWElement._of(d1), GWElement._of(d2)
-    if e1.signature() != e2.signature():
+    e, m = d._effectivized()
+    k, e = _split_h(e, [c for c, _ in e.terms if c > 0])
+    m -= k
+    if e.signature() or e.discriminant() != (-1) ** m:
         return False
-    if e1.discriminant() != e2.discriminant():
-        return False
-    places: set[Place] = {REAL_PLACE, 2}
-    for q in (e1, e2):
-        for c, _ in q.terms:
-            places.update(p for p, _ in _factor(abs(c)) if p != 2)
-    return all(e1.hasse_invariant(v) == e2.hasse_invariant(v) for v in places)
+    places = {p for c, _ in e.terms for p, _ in _factor(abs(c)) if p != 2}
+    return all(e.hasse_invariant(p) == 1 for p in places)
 
 
 # -- trace forms from quadratic extensions -------------------------------

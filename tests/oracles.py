@@ -11,8 +11,8 @@ curve of a tiling by walking its strands, a doomed path and a heavy
 completion by their boundary sides, and a curve's motivic multiplicity
 by a plain product, the classes of products, discriminants, beta and
 trace forms by factoring, a β-polynomial's value at β(c_i) one monomial
-at a time, and equality in GW(Q) without cancelling the
-summands both sides share, and a calculator expression by a scanner that
+at a time, and equality in GW(Q) by comparing both padded sides whole,
+cancelling nothing, and a calculator expression by a scanner that
 walks the text one character at a time and evaluates every factor as a
 BetaPolynomial.  Also home to the random form generator of the property
 tests.

@@ -209,8 +209,11 @@ class TestGwEqual:
         assert (code, out, err) == (2, "", "error: gw-equal compares constants; got formal b symbols\n")
 
     def test_equal_products_need_no_factoring(self, capsys):
-        # <P*Q> on both sides cancels before any Hasse place is sought
+        # <P*Q> on both sides, or <P*Q> + <-P*Q> against h, cancels before
+        # any Hasse place is sought
         code, out, err = run(capsys, "gw-equal", f"<{P}> * <{Q}>", f"<{P}> * <{Q}>")
+        assert (code, out, err) == (0, "equal\n", "")
+        code, out, err = run(capsys, "gw-equal", f"<{P}> * <{Q}> + <-{P}> * <{Q}>", "h")
         assert (code, out, err) == (0, "equal\n", "")
 
     def test_hasse_places_of_an_unshared_product_still_factor(self, capsys):

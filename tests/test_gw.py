@@ -428,6 +428,9 @@ class TestGWEqual:
         assert gw_equal(form(2) + form(-2), H)
         assert gw_equal(form(1) + form(1), form(2) + form(2))
         assert not gw_equal(form(1), form(2))
+        # the difference effectivizes to 3<1> + <-2> + <-3> + <-6> with m = 3
+        # and no +-c pair: its discriminant is -1, that of 3h, not 1
+        assert gw_equal(form(1, 1, 1), form(2, 3, 6))
 
     def test_rank_zero(self):
         assert gw_equal(ZERO, ZERO)
@@ -472,23 +475,39 @@ class TestGWEqual:
         assert not gw_equal(form(1) + form(1), H)
         assert not gw_equal(form(2), form(-2))
         assert not gw_equal(2 * ONE, form(3) + form(3))
+        # the difference effectivizes to 4<1> with m = 2: discriminant 1, as
+        # 2h has, and no odd place, but signature 4
+        assert not gw_equal(2 * ONE, 2 * form(-1))
+
+    def test_opposite_classes_cancel_unfactored(self, monkeypatch):
+        # <c> + <-c> is h for a c past the factoring effort bound: the pair
+        # cancels as one h, so no class is left to factor
+        c = form(1000000000039) * form(3000000000013)
+        rho = spy_on_rho(monkeypatch)
+        assert gw_equal(c + form(-1) * c, H)
+        assert gw_equal(H, c + form(-1) * c)
+        assert rho == []
 
     @settings(max_examples=300)
     @given(
         st.integers(2, 3).flatmap(lambda n: st.tuples(*[st.lists(small_classes, min_size=n, max_size=n)] * 2)),
-        st.booleans(),
+        st.sampled_from([None, "sum", "h"]),
         st.lists(small_classes, max_size=3),
         st.sampled_from([1, -1]),
     )
     def test_cancellation_keeps_the_verdict(self, sides, rewrite, shared, sign):
         # the second side is random, or the first rewritten by
-        # <a> + <b> = <a+b> + <ab(a+b)>; the shared summands are positive, or
+        # <a> + <b> = <a+b> + <ab(a+b)>, or both sides h + rest written as
+        # <a> + <-a> and <b> + <-b>; the shared summands are positive, or
         # negative so that the hyperbolic padding meets them
-        (a, b, *rest), other = sides
-        if rewrite and a + b:
+        first, other = sides
+        a, b, *rest = first
+        if rewrite == "sum" and a + b:
             other = [a + b, a * b * (a + b), *rest]
+        elif rewrite == "h":
+            first, other = [a, -a, *rest], [b, -b, *rest]
         common = sign * form(*shared)
-        q1, q2 = form(a, b, *rest) + common, form(*other) + common
+        q1, q2 = form(*first) + common, form(*other) + common
         assert gw_equal(q1, q2) == uncancelled_gw_equal(q1, q2)
 
 
