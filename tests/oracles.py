@@ -4,7 +4,9 @@ These deliberately avoid the closed-form machinery they are checking:
 local solvability is decided by enumerating square values in residue
 charts, triangle interior counts by scanning the bounding box, boundary
 segments by testing each polygon edge, orientation-keeping lattice-affine
-equivalence by solving for the SL(2,Z) map that sends two edges onto two, the arcs beside every lattice
+equivalence by solving for the SL(2,Z) map that sends two edges onto two, a wall-crossing
+chain by three rules (an interior-free bottom, one chop per interior point of the top and a
+point budget that drops by 2 at each normal-form chop), the arcs beside every lattice
 path and their potentials by walking the boundary lattice points, a
 parallelogram's cycle by trying each vertex as the far one, the dual
 curve of a tiling by walking its strands, a doomed path and a heavy
@@ -42,7 +44,7 @@ from gwcurves.gw import (
     square_class,
     trace_form,
 )
-from gwcurves.polygon import _area2, _sub, lattice_length, primitive
+from gwcurves.polygon import _area2, _sub, lattice_length, normal_form, primitive
 from gwcurves.tropical import parallelogram, triangle, vertex_mult
 
 PLACES = [None, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
@@ -127,6 +129,35 @@ def two_edge_sl2z_equivalent(a, b) -> bool:
         if mapped == [eb[(shift + k) % n] for k in range(n)]:
             return True
     return False
+
+
+def three_rule_chain_ok(polygons) -> bool:
+    """Whether ``polygons`` is a wall-crossing chain by three rules: the bottom
+    has no interior points, the chain has one chop per interior point of its
+    top, and each step drops the point budget by 2 and is a depth-2 corner
+    chop up to normal form.  Pick's theorem makes these one rule, a depth-2
+    chop that removes exactly one interior point."""
+    if polygons[-1].interior_count() != 0:
+        return False
+    if len(polygons) - 1 != polygons[0].interior_count():
+        return False
+    for a, b in zip(polygons, polygons[1:]):
+        if a.point_budget() - 2 != b.point_budget():
+            return False
+        if normal_form(b)[0] not in {normal_form(c)[0] for c in depth2_chops(a)}:
+            return False
+    return True
+
+
+def depth2_chops(poly) -> list:
+    """The depth-2 chops of ``poly`` at each corner whose two edges allow one."""
+    out = []
+    for v in poly.vertices:
+        try:
+            out.append(poly.chop_corner(v, 2))
+        except DomainError:
+            pass
+    return out
 
 
 def _arcs_walk(poly) -> dict[int, list[tuple[int, int]]]:

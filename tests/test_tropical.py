@@ -1037,11 +1037,14 @@ def test_pair_reason_matches_validate_subdivision(poly, monkeypatch):
                 cells = summary_cells(cl, poly) + summary_cells(cr, poly)
                 sub = MarkedSubdivision(path, tuple(sorted(cells)))
                 reason = _pair_reason(comp, _ids(comp, path), cl, cr)
-                if validate_subdivision(sub, poly) == "boundary-weight":
+                valid = validate_subdivision(sub, poly)
+                if valid == "boundary-weight":
                     # end weight is decided per side, before gluing; the grouping still refuses
                     assert heavy_boundary(sub.cells, poly) and reason is not None, sub
                 else:
-                    assert reason == validate_subdivision(sub, poly), sub
+                    # a light pair's curve is G one-ray trees a side, joined by the G - 1 path edges
+                    # both sides own: connected, it is a tree, so neither check finds a cycle
+                    assert reason == valid and valid != "positive-genus", sub
                     assert cl.motivic * cr.motivic == curve_mult(sub), sub
 
 
