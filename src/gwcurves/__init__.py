@@ -19,16 +19,13 @@ from .gw import (
     DomainError,
     GWElement,
     InternalInvariantError,
-    beta,
-    delta,
     form,
     format_gw,
     gw_equal,
-    hilbert_symbol,
     square_class,
     trace_form,
 )
-from .polygon import LatticePolygon, convex_hull, p2, polygon, preset, sl2z_equivalent
+from .polygon import LatticePolygon, p2, polygon, preset
 
 #: The re-exports that load on first use, by the module that defines them.
 _LAZY = {

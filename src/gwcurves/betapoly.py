@@ -172,9 +172,9 @@ class BetaPolynomial(_Frozen):
     # -- evaluation ---------------------------------------------------------
 
     def specialize(self, assignment: Mapping[int, Rational]) -> GWElement:
-        """Substitute b_i := beta(c_i) and evaluate in GW(Q).
+        """Substitute for b_i the form <2> + <2c_i> and evaluate in GW(Q).
 
-        As beta(c) = <2>(<1> + <c>), a monomial over the index set S becomes
+        As <2> + <2c> = <2>(<1> + <c>), a monomial over the index set S becomes
         <2>^|S| times the sum over the subsets T of S of <c_T>, c_T the
         class of the product of the c_i over T.  The used indices are bits
         of a mask.  The class of c_T (|S| even) or of 2*c_T (|S| odd) is

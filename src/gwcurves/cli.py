@@ -101,8 +101,11 @@ def _integer(text: str) -> int:
 
 
 def _integers(text: str) -> list[int]:
-    """A comma-separated ``_integer`` list; blank items are skipped."""
-    return [_integer(v.strip()) for v in text.split(",") if v.strip()]
+    """A comma-separated ``_integer`` list; a blank item is refused unless only blanks follow it."""
+    items = [v.strip() for v in text.split(",")]
+    while items and not items[-1]:
+        items.pop()
+    return [_integer(v) for v in items]
 
 
 def _check_writable(name: str | None) -> None:

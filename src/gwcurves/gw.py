@@ -38,8 +38,8 @@ takes the classes of c and 2a but not of its norm a**2, which is 1.
 
 Everything the ring computes from stored classes needs no factoring: the
 class of a product of squarefree classes c1, c2 is (c1/g)(c2/g) with
-g = gcd(c1, c2) (``_class_product``), so products, discriminants, beta and
-the second entry of a trace form take a gcd, and ring results are built
+g = gcd(c1, c2) (``_class_product``), so products, discriminants and the
+second entry of a trace form take a gcd, and ring results are built
 without checking their classes again (``GWElement._of``).  The ring results
 of ``betapoly`` skip its checks the same way (``BetaPolynomial._of``).
 
@@ -402,21 +402,6 @@ def _hilbert_int(a: int, b: int, place: Place) -> int:
     return sym
 
 
-def hilbert_symbol(a: Rational, b: Rational, place: Place = REAL_PLACE) -> int:
-    """Hilbert symbol (a, b) at a place of Q: +1 iff z^2 = a x^2 + b y^2 has
-    a nontrivial solution in the completion, -1 otherwise.
-
-    ``place`` is a prime number or REAL_PLACE (None).
-    """
-    _check_place(place)
-    return _hilbert_int(square_class(a), square_class(b), place)
-
-
-def _check_place(place: Place) -> None:
-    if place is not REAL_PLACE and not (type(place) is int and _is_prime(place)):
-        raise DomainError(f"not a place of Q: {place!r}")
-
-
 class GWElement(_Frozen):
     """A virtual diagonal form: map square class -> nonzero integer weight.
 
@@ -526,9 +511,11 @@ class GWElement(_Frozen):
         return d
 
     def hasse_invariant(self, place: Place) -> int:
-        """Product of pairwise Hilbert symbols of the diagonal entries, at
-        the place checked as by ``hilbert_symbol``."""
-        _check_place(place)
+        """Product of pairwise Hilbert symbols (a, b) of the diagonal entries at
+        ``place``, a prime number or REAL_PLACE (None): (a, b) is +1 iff
+        z^2 = a x^2 + b y^2 has a nontrivial solution in the completion, else -1."""
+        if place is not REAL_PLACE and not (type(place) is int and _is_prime(place)):
+            raise DomainError(f"not a place of Q: {place!r}")
         if not self.is_effective():
             raise DomainError("Hasse invariant needs an effective form")
         out = 1
@@ -731,17 +718,3 @@ def trace_form(c: Rational, a: Rational, b: Rational = 0) -> GWElement:
     s = square_class(2 * a)
     norm = square_class(a * a - b * b * c) if b else 1
     return _diagonal((s, _class_product(_class_product(s, c), norm)))
-
-
-def beta(c: Rational) -> GWElement:
-    """Trace of <1> from Q(sqrt(c)): the rank-2 form <2> + <2c>.
-
-    Also meaningful for square c, where it is isometric to 2<1> (the split
-    algebra Q x Q case)."""
-    return _diagonal((2, _class_product(2, square_class(c))))
-
-
-def delta(c: Rational) -> GWElement:
-    """Wall-crossing defect 2<1> - beta(c): rank 0, signature 2 for c < 0."""
-    return 2 * ONE - beta(c)
-

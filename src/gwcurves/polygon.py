@@ -209,25 +209,6 @@ def polygon(points) -> LatticePolygon:
     return LatticePolygon(tuple(vs[k:] + vs[:k]))
 
 
-def convex_hull(points) -> LatticePolygon:
-    """Convex hull (Andrew monotone chain) of a lattice point set."""
-    pts = sorted({_as_point(p) for p in points})
-    if len(pts) < 3:
-        raise DomainError("need at least 3 points")
-
-    def half(seq):
-        chain: list[Point] = []
-        for p in seq:
-            while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0:
-                chain.pop()
-            chain.append(p)
-        return chain
-
-    lower = half(pts)
-    upper = half(reversed(pts))
-    return polygon(lower[:-1] + upper[:-1])
-
-
 # -- named polygons --------------------------------------------------------
 
 
@@ -288,8 +269,3 @@ def normal_form(poly: LatticePolygon):
             if best is None or image < best[0]:
                 best = (image, m, o)
     return (LatticePolygon(best[0]),) + best[1:]
-
-
-def sl2z_equivalent(a: LatticePolygon, b: LatticePolygon) -> bool:
-    """Whether a GL(2,Z) map and a translation send one polygon onto the other."""
-    return normal_form(a)[0] == normal_form(b)[0]

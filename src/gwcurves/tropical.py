@@ -171,10 +171,6 @@ def triangle_edge_lengths(cell: Cell) -> tuple[int, int, int]:
     return (lattice_length(a, b), lattice_length(a, c), lattice_length(b, c))
 
 
-def triangle_interior_count(cell: Cell) -> int:
-    return _pick_interior(cell.area2(), sum(triangle_edge_lengths(cell)), cell.vertices)
-
-
 def _pick_interior(a2: int, boundary: int, where) -> int:
     """Pick: 2*Area = 2*I + B - 2 with B the boundary lattice points."""
     i2 = a2 - boundary + 2

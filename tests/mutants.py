@@ -45,7 +45,9 @@ class Mutant(NamedTuple):
 
 
 WALLCROSS, GW = "src/gwcurves/wallcross.py", "src/gwcurves/gw.py"
+POLYGON, TROPICAL = "src/gwcurves/polygon.py", "src/gwcurves/tropical.py"
 CHAIN_TESTS = ("tests/test_wallcross.py", "tests/test_cli.py")
+NORMAL_FORM_TESTS = ("tests/test_polygon.py",)
 
 MUTANTS = [
     # each chain step removes exactly one interior point
@@ -74,6 +76,44 @@ MUTANTS = [
     Mutant("gw-equal-signature", GW, "if e.signature() or e.discriminant()", "if e.discriminant()", ("tests/test_gw.py",)),
     # gw_equal: e has Hasse invariant +1 at each odd place dividing one of its classes
     Mutant("gw-equal-hasse", GW, "return all(e.hasse_invariant(p) == 1 for p in places)", "return True", ("tests/test_gw.py",)),
+    # normal_form: the least tuple over the cycle and its mirror
+    Mutant("normal-form-mirror", POLYGON, "for s in (1, -1):", "for s in (1,):", NORMAL_FORM_TESTS),
+    # normal_form: the incoming edge sheared to (a, b) with 0 <= a < b
+    Mutant("normal-form-shear", POLYGON, "k = (u * fx + v * fy) // (s * (p * fy - q * fx))", "k = 0", NORMAL_FORM_TESTS),
+    # normal_form: the least image, not the greatest
+    Mutant("normal-form-min", POLYGON, "if best is None or image < best[0]:", "if best is None or image > best[0]:", NORMAL_FORM_TESTS),
+    # normal_form: the origin of the map is the start vertex of the least image
+    Mutant("normal-form-origin", POLYGON, "best = (image, m, o)", "best = (image, m, vs[0])", NORMAL_FORM_TESTS),
+    # chain_from: m^-1 = det(m) adj(m), det(m) = -1 under a mirror
+    Mutant("chain-map-back-det", WALLCROSS, "e = a * d - b * c", "e = 1", CHAIN_TESTS),
+    # chain_from: an image of p2:4 is known by its normal form, not its coordinates
+    Mutant(
+        "chain-quartic-test",
+        WALLCROSS,
+        'if form == preset("p2:4") else',
+        'if polys[-1] == preset("p2:4") else',
+        CHAIN_TESTS,
+    ),
+    # validate_subdivision: a side on no polygon edge needs two cells
+    Mutant(
+        "validate-single-cell",
+        TROPICAL,
+        'raise InternalInvariantError(f"interior edge {side} has a single cell")',
+        "pass",
+        ("tests/test_tropical.py",),
+    ),
+    # the Hilbert symbol at 2: both valuation terms
+    Mutant(
+        "hilbert-2-valuation",
+        GW,
+        "e += al * ((w * w - 1) // 8) + bl * ((u * u - 1) // 8)",
+        "e += bl * ((u * u - 1) // 8)",
+        ("tests/test_gw.py",),
+    ),
+    # the Hilbert symbol at an odd prime: (-1/p) when both valuations are odd
+    Mutant("hilbert-odd-minus-one", GW, "sym = _jacobi(-1, p) if al * bl % 2 else 1", "sym = 1", ("tests/test_gw.py",)),
+    # hasse_invariant: a class of weight n pairs with itself comb(n, 2) times
+    Mutant("hasse-self-pairs", GW, "if comb(n, 2) % 2:", "if False:", ("tests/test_gw.py",)),
 ]
 
 

@@ -16,8 +16,10 @@ trace forms by factoring, a β-polynomial's value at β(c_i) one monomial
 at a time, and equality in GW(Q) by comparing both padded sides whole,
 cancelling nothing, and a calculator expression by a scanner that
 walks the text one character at a time and evaluates every factor as a
-BetaPolynomial.  Also home to the random form generator of the property
-tests.
+BetaPolynomial.  Also home to helpers that only tests call: the random
+form generator of the property tests, the convex hull that builds their
+random polygons, and a triangle's interior count by Pick's formula, which
+the tests check against a scan.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ from gwcurves.gw import (
     square_class,
     trace_form,
 )
-from gwcurves.polygon import _area2, _sub, lattice_length, normal_form, primitive
-from gwcurves.tropical import parallelogram, triangle, vertex_mult
+from gwcurves.polygon import _area2, _as_point, _cross, _sub, lattice_length, normal_form, polygon, primitive
+from gwcurves.tropical import _pick_interior, parallelogram, triangle, triangle_edge_lengths, vertex_mult
 
 PLACES = [None, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
@@ -86,6 +88,29 @@ def hilbert_oracle(a, b, place) -> int:
     if key not in _cache:
         _cache[key] = _oracle(key[0], key[1], place)
     return _cache[key]
+
+
+def convex_hull(points):
+    """Convex hull (Andrew monotone chain) of a lattice point set."""
+    pts = sorted({_as_point(p) for p in points})
+    if len(pts) < 3:
+        raise DomainError("need at least 3 points")
+
+    def half(seq):
+        chain = []
+        for p in seq:
+            while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0:
+                chain.pop()
+            chain.append(p)
+        return chain
+
+    lower = half(pts)
+    upper = half(reversed(pts))
+    return polygon(lower[:-1] + upper[:-1])
+
+
+def triangle_interior_count(cell) -> int:
+    return _pick_interior(cell.area2(), sum(triangle_edge_lengths(cell)), cell.vertices)
 
 
 def segment_on_boundary_scan(poly, p, q) -> bool:

@@ -1,4 +1,4 @@
-"""Which functions of ``gwcurves`` no console command reaches.
+"""Which functions of ``gwcurves`` no console command reaches, and why each stays.
 
     PYTHONPATH=src python tests/reach.py
 
@@ -6,12 +6,16 @@ Imports ``gwcurves.cli`` and runs a fixed list of ``gwcurves`` commands in
 this interpreter through ``cli.main``, all under ``sys.settrace``: every
 subcommand and flag, and one refusal of each kind.  Then prints each
 function defined in the package's modules whose code no command entered, as
-``module:line qualname``, and a last line with their count.  A function on the list is a candidate for
-deletion, or for a command that should reach it; the list decides neither.
+``module:line qualname: reason``, and a last line with their count.  Each
+such function must have a reason in ``REASONS`` to stay in ``src``;
+otherwise it is a candidate for deletion, or for a command that should
+reach it.
 
 Exits 1, printing the command, if a command's exit code is not the one
-listed: then the audit would measure a broken command.  The file has no
-``test_`` prefix, so pytest does not collect it.
+listed: then the audit would measure a broken command.  Also exits 1 if an
+unreached function has no reason, or a reason names a function that a
+command now reaches or that is gone.  The file has no ``test_`` prefix, so
+pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -75,6 +79,44 @@ COMMANDS = [
     (2, ["oracle", "--kontsevich", "0"]),
 ]
 
+PERFBENCH = "perfbench calls it (ROADMAP item 18)"
+REFERENCE = "perfbench's reference enumeration calls it (ROADMAP item 18)"
+PROTOCOL = "Python protocol method"
+LAZY = "lazy-export hook"
+API = "documented API with a test"
+
+#: Why each function that no command reaches stays in ``src``, by ``module:qualname``.
+REASONS = {
+    "__init__:__getattr__": LAZY,
+    "__init__:__dir__": LAZY,
+    "betapoly:BetaPolynomial.from_dict": API,
+    "betapoly:BetaPolynomial.coeff": "perfbench calls it through constant_value (ROADMAP item 18)",
+    "betapoly:BetaPolynomial.constant_value": PERFBENCH,
+    "betapoly:BetaPolynomial.equivalent": PERFBENCH,
+    "betapoly:BetaPolynomial.__str__": PROTOCOL,
+    "expr:parse_expression": PERFBENCH,
+    "expr:parse_gw": API,
+    "gw:_Frozen.__repr__": PROTOCOL,
+    "gw:_Frozen.__reduce__": PROTOCOL,
+    "gw:_Frozen.__setattr__": PROTOCOL,
+    "gw:_Frozen.__delattr__": PROTOCOL,
+    "gw:GWElement.from_dict": PERFBENCH,
+    "gw:GWElement.__reduce__": PROTOCOL,
+    "gw:GWElement.__str__": PROTOCOL,
+    "tropical:lambda_key": REFERENCE,
+    "tropical:Cell.area2": REFERENCE,
+    "tropical:Cell.sides": PERFBENCH,
+    "tropical:vertex_mult": REFERENCE,
+    "tropical:MarkedSubdivision.triangles": REFERENCE,
+    "tropical:curve_mult": PERFBENCH,
+    "tropical:enumerate_paths": PERFBENCH,
+    "tropical:_Completer.at": "error-message path: the points of a failed internal check",
+    "tropical:complete_path": PERFBENCH,
+    "tropical:complete_path.<locals>.rec": REFERENCE,
+    "tropical:validate_subdivision": PERFBENCH,
+    "wallcross:quartic_chain": PERFBENCH,
+}
+
 POLYGONS = {
     "cubic": [[10, 10], [13, 10], [10, 13]],
     "quartic_image": [[0, 0], [4, 0], [4, 4]],
@@ -86,15 +128,18 @@ POLYGONS = {
 
 def functions() -> dict[tuple[str, int, str], tuple[str, int, str]]:
     """Every function of the package, keyed as its code objects are, with its
-    module, line and qualified name; class bodies and comprehensions are left out."""
+    module, line and qualified name; class bodies and comprehensions are left out.
+    The qualified name is built from the nesting, as Python 3.10 code has no ``co_qualname``."""
     found = {}
     for path in sorted(PACKAGE.glob("*.py")):
-        stack = [compile(path.read_text(), str(path), "exec")]
+        stack = [(compile(path.read_text(), str(path), "exec"), "")]
         while stack:
-            code = stack.pop()
-            stack.extend(c for c in code.co_consts if hasattr(c, "co_code"))
-            if code.co_flags & CO_NEWLOCALS and not code.co_name.startswith("<"):
-                found[key(code)] = path.stem, code.co_firstlineno, getattr(code, "co_qualname", code.co_name)
+            code, qualname = stack.pop()
+            function = code.co_flags & CO_NEWLOCALS
+            prefix = f"{qualname}.<locals>." if function else f"{qualname}." if qualname else ""
+            stack.extend((c, prefix + c.co_name) for c in code.co_consts if hasattr(c, "co_code"))
+            if function and not code.co_name.startswith("<"):
+                found[key(code)] = path.stem, code.co_firstlineno, qualname
     return found
 
 
@@ -153,5 +198,15 @@ if __name__ == "__main__":
     seen = reached_codes()
     unreached = sorted(where for k, where in every.items() if k not in seen)
     for module, line, name in unreached:
-        print(f"{module}:{line} {name}")
+        print(f"{module}:{line} {name}: {REASONS.get(f'{module}:{name}', 'no reason')}")
     print(f"{len(unreached)} of {len(every)} functions reached by no command")
+    names = {f"{module}:{name}" for module, _, name in unreached}
+    defined = {f"{module}:{name}" for module, _, name in every.values()}
+    faults = [f"{name} is reached by no command and has no reason" for name in sorted(names - REASONS.keys())]
+    faults += [
+        f"{name} has a reason but is {'reached by a command' if name in defined else 'gone'}"
+        for name in sorted(REASONS.keys() - names)
+    ]
+    for fault in faults:
+        print(fault, file=sys.stderr)
+    sys.exit(1 if faults else 0)

@@ -743,6 +743,9 @@ class TestIntegerOptions:
             (["invariant", "--polygon", "p2:3", "--max-budget", "\u0661\u0664"], "\u0661\u0664"),
             (["tropical", "--polygon", "p2:3", "--max-budget", "1_4"], "1_4"),
             (["table", "--chain", "p2:3", "--max-budget", " 14"], " 14"),
+            # a blank item before a value would shift the later values down one symbol
+            (["table", "--chain", "p2:3", "--specialize=5,,2"], ""),
+            (["table", "--chain", "p2:3", "--specialize=,5"], ""),
         ],
     )
     def test_ascii_digits_only(self, capsys, argv, bad):

@@ -12,16 +12,15 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-#: The names ``gwcurves`` has re-exported since before its lazy loading,
-#: by the module that defines each.
+#: The names ``gwcurves`` re-exports, by the module that defines each.
 EXPORTS = {
     "betapoly": ["BetaPolynomial", "beta_symbol", "format_poly"],
     "expr": ["ExprError", "parse_expression", "parse_gw"],
     "gw": [
-        "H", "ONE", "ZERO", "DomainError", "GWElement", "InternalInvariantError", "beta",
-        "delta", "form", "format_gw", "gw_equal", "hilbert_symbol", "square_class", "trace_form",
+        "H", "ONE", "ZERO", "DomainError", "GWElement", "InternalInvariantError", "form",
+        "format_gw", "gw_equal", "square_class", "trace_form",
     ],
-    "polygon": ["LatticePolygon", "convex_hull", "p2", "polygon", "preset", "sl2z_equivalent"],
+    "polygon": ["LatticePolygon", "p2", "polygon", "preset"],
     "tropical": [
         "Cell", "Enumeration", "InternalInvariantError", "MarkedSubdivision",
         "complete_path", "count_invariants", "curve_mult", "enumerate_curves",

@@ -19,12 +19,9 @@ from gwcurves.gw import (
     ZERO,
     DomainError,
     GWElement,
-    beta,
-    delta,
     form,
     format_gw,
     gw_equal,
-    hilbert_symbol,
     square_class,
     trace_form,
     _class_product,
@@ -347,9 +344,9 @@ class TestClassProduct:
         for bound in (30, 10**6):
             for _ in range(200):
                 c = rng.choice([-1, 1]) * rng.randrange(1, bound)
-                assert beta(c) == factoring_beta(c)
                 if square_class(c) == 1:
                     continue
+                assert trace_form(c, 1) == factoring_beta(c)
                 a = Fraction(rng.choice([-1, 1]) * rng.randrange(1, bound), rng.randrange(1, 50))
                 b = Fraction(rng.randrange(-bound, bound), rng.randrange(1, 50))
                 assert trace_form(c, a, b) == factoring_trace_form(c, a, b)
@@ -361,15 +358,17 @@ from oracles import PLACES, hilbert_oracle as oracle  # noqa: E402
 
 
 class TestHilbertSymbol:
+    """The Hilbert symbol (a, b) at a place is the Hasse invariant of <a> + <b>."""
+
     def test_examples(self):
-        assert hilbert_symbol(-1, -1, None) == -1
-        assert hilbert_symbol(-1, -1, 2) == -1
-        assert hilbert_symbol(2, 3, 5) == 1
+        assert form(-1, -1).hasse_invariant(None) == -1
+        assert form(-1, -1).hasse_invariant(2) == -1
+        assert form(2, 3).hasse_invariant(5) == 1
 
     def test_place_validation(self):
         for place in (4, 1, True, 2.0):
             with pytest.raises(DomainError, match="not a place of Q"):
-                hilbert_symbol(2, 3, place)
+                form(2, 3).hasse_invariant(place)
             with pytest.raises(DomainError, match="not a place of Q"):
                 form(3).hasse_invariant(place)  # a rank-1 form needs no symbol
 
@@ -378,7 +377,7 @@ class TestHilbertSymbol:
         for place in PLACES:
             for a in values:
                 for b in values:
-                    assert hilbert_symbol(a, b, place) == oracle(a, b, place), (a, b, place)
+                    assert form(a, b).hasse_invariant(place) == oracle(a, b, place), (a, b, place)
 
     def test_against_oracle_sampled_rationals(self):
         rng = random.Random(20240)
@@ -386,15 +385,15 @@ class TestHilbertSymbol:
             a = Fraction(rng.choice([-1, 1]) * rng.randint(1, 30), rng.randint(1, 30))
             b = Fraction(rng.choice([-1, 1]) * rng.randint(1, 30), rng.randint(1, 30))
             place = rng.choice(PLACES)
-            assert hilbert_symbol(a, b, place) == oracle(a, b, place), (a, b, place)
+            assert form(a, b).hasse_invariant(place) == oracle(a, b, place), (a, b, place)
 
     def test_symmetry_and_bilinearity_spot(self):
         rng = random.Random(5)
         for _ in range(200):
             a, b, c = (rng.choice([-1, 1]) * rng.randint(1, 50) for _ in range(3))
             v = rng.choice(PLACES)
-            assert hilbert_symbol(a, b, v) == hilbert_symbol(b, a, v)
-            assert hilbert_symbol(a * b, c, v) == hilbert_symbol(a, c, v) * hilbert_symbol(b, c, v)
+            assert form(a, b).hasse_invariant(v) == form(b, a).hasse_invariant(v)
+            assert form(a * b, c).hasse_invariant(v) == form(a, c).hasse_invariant(v) * form(b, c).hasse_invariant(v)
 
 
 class TestHasseInvariant:
@@ -411,7 +410,7 @@ class TestHasseInvariant:
             want = 1
             for i in range(len(expanded)):
                 for j in range(i + 1, len(expanded)):
-                    want *= hilbert_symbol(expanded[i], expanded[j], place)
+                    want *= oracle(expanded[i], expanded[j], place)
             assert q.hasse_invariant(place) == want
 
     def test_virtual_rejected(self):
@@ -588,19 +587,22 @@ class TestTraceForm:
 
 
 class TestBetaDelta:
+    """beta(c) = <2> + <2c>, the trace form of <1> for a nonsquare c, and the
+    wall-crossing defect delta(c) = 2<1> - beta(c)."""
+
     def test_beta_examples(self):
-        assert beta(-1) == form(2) + form(-2)
-        assert gw_equal(beta(-1), H)
-        assert gw_equal(beta(1), 2 * ONE)
+        assert trace_form(-1, 1) == form(2) + form(-2)
+        assert gw_equal(trace_form(-1, 1), H)
+        assert gw_equal(form(2, 2), 2 * ONE)  # c = 1: the split algebra Q x Q
 
     def test_delta_rank_and_signature(self):
         rng = random.Random(31)
         for _ in range(100):
             c = rng.choice([-1, 1]) * rng.randint(1, 200)
-            d = delta(c)
+            d = 2 * ONE - form(2, 2 * c)
             assert d.rank() == 0
             assert d.signature() == (2 if c < 0 else 0)
-        assert delta(-1).signature() == 2
+        assert (2 * ONE - trace_form(-1, 1)).signature() == 2
 
 
 class TestFormatting:

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gwcurves.gw import H, ONE, DomainError, form, gw_equal
-from gwcurves.polygon import convex_hull, lattice_length, p2, polygon, preset
+from gwcurves.polygon import lattice_length, p2, polygon, preset
 from gwcurves.tropical import (
     Cell,
     InternalInvariantError,
@@ -40,7 +40,6 @@ from gwcurves.tropical import (
     parallelogram,
     triangle,
     triangle_edge_lengths,
-    triangle_interior_count,
     validate_subdivision,
     vertex_mult,
 )
@@ -48,6 +47,7 @@ from gwcurves.tropical import (
 from oracles import (
     arc_potentials_walk,
     arc_shoelaces_walk,
+    convex_hull,
     doomed,
     heavy_boundary,
     motivic_fold,
@@ -55,6 +55,7 @@ from oracles import (
     segment_on_boundary_scan,
     strand_walk_reason,
     summary_cells,
+    triangle_interior_count,
 )
 
 

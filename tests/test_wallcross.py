@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 from gwcurves import wallcross
 from gwcurves.betapoly import POLY_ZERO, BetaPolynomial, beta_symbol
 from gwcurves.expr import parse_expression
-from gwcurves.gw import H, ONE, ZERO, DomainError, beta, gw_equal
-from gwcurves.polygon import convex_hull, normal_form, p2, polygon, preset
+from gwcurves.gw import H, ONE, ZERO, DomainError, form, gw_equal
+from gwcurves.polygon import normal_form, p2, polygon, preset
 from gwcurves.wallcross import (
     InvariantTable,
     SurfaceChain,
@@ -31,7 +31,7 @@ from gwcurves.wallcross import (
 
 from gwcurves.tropical import count_invariants
 
-from oracles import blowup_count, depth2_chops, specialize_per_monomial, three_rule_chain_ok
+from oracles import blowup_count, convex_hull, depth2_chops, specialize_per_monomial, three_rule_chain_ok
 from test_polygon import affine_maps, image_of
 
 # The degree-4 invariant tables: rows s = 0.. for the plane, the Hirzebruch
@@ -615,7 +615,7 @@ def test_quartic_top_row_specializes_to_the_closed_form(quartic_tables):
         sizes.append(rng.randrange(10**5, 10**6))
         rng.shuffle(sizes)
         cs = {i: rng.choice([-1, 1]) * rng.randrange(1, 30) ** 2 * c for i, c in enumerate(sizes, 1)}
-        deltas = [beta(cs[i]) - 2 * ONE for i in range(1, 6)]
+        deltas = [form(2, 2 * cs[i]) - 2 * ONE for i in range(1, 6)]
         for s, row in enumerate(top.rows):
             want = ZERO
             for k in range(min(s, len(bases) - 1) + 1):
