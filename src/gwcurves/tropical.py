@@ -33,11 +33,11 @@ order: paths are ``combinations`` of ids, and one boundary walk gives the
 arc areas and an id-keyed table of boundary steps, which the doomed test,
 the heavy test of a cell, the check of a piece along the arc and the gluing
 read.  The paths of one enumeration share a ``_Completer``: a cell table
-and, per side, a summary and a count memo keyed by the remaining id path,
-which callers read before they recurse.  A peel at path vertex i leaves
-vertices 1 .. i-2 their neighbours, where no turn was, so the child's scan
-for a turn starts at i - 1 (at 1 for a piece cut anew).  Points are built
-only for kept curves and messages.
+and, per side, a summary memo keyed by the remaining id path, which callers
+read before they recurse, and a count memo of pieces alone.  A peel at path
+vertex i leaves vertices 1 .. i-2 their neighbours, where no turn was, so
+the child's scan for a turn starts at i - 1 (at 1 for a piece cut anew).
+Points are built only for kept curves and messages.
 
 A glued pair of light completions is decided on the path interface.  The
 same recursion gives each light completion a summary: for each edge of its
@@ -77,7 +77,7 @@ from contextlib import contextmanager
 from functools import lru_cache, reduce
 from math import gcd
 from operator import attrgetter, mul
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .gw import GWElement, InternalInvariantError, ONE, _add_into, form, gw_equal
 from .polygon import LatticePolygon, Point, lattice_length, _add, _cross as _orient
@@ -232,11 +232,11 @@ def enumerate_paths(poly: LatticePolygon):
     return (tuple(map(pts.__getitem__, p)) for p in _id_paths(poly))
 
 
-def _id_paths(poly: LatticePolygon) -> list[tuple[int, ...]]:
+def _id_paths(poly: LatticePolygon) -> Iterator[tuple[int, ...]]:
     """``enumerate_paths`` as ids into ``poly.lattice_points``, in lambda
     order.  The budget is at least 2: a polygon has at least 3 boundary points."""
     last = len(poly.lattice_points) - 1
-    return [(0, *c, last) for c in itertools.combinations(range(1, last), poly.point_budget() - 1)]
+    return ((0, *c, last) for c in itertools.combinations(range(1, last), poly.point_budget() - 1))
 
 
 def _boundary_tables(poly: LatticePolygon, ids: dict[Point, int]) -> tuple[dict, dict]:
@@ -421,16 +421,15 @@ def _complete(comp: _Completer, side: int, p, area: int, hint: int) -> tuple[int
     no cell of the child owns is a ray, alone in a new group."""
     if area < 0:
         raise InternalInvariantError("path escaped its completion region")
-    memo, counts = comp.memo[side], comp.counts[side]
-    if not area:  # one empty completion, which the count checks
-        n = counts.get(p) or _count_path(comp, side, p, 0)  # 1, or it raises
-        memo[p] = out = n, [_Side(None, (-1,) * (len(p) - 1), 0, 0, 0, 0, ONE)]
+    memo = comp.memo[side]
+    if not area:  # one empty completion, which the count checks: 1, or it raises
+        memo[p] = out = _count_path(comp, side, p, 0), [_Side(None, (-1,) * (len(p) - 1), 0, 0, 0, 0, ONE)]
         return out
     n, light, cells, new = 0, [], comp.cells, tuple.__new__
     for rest_path, pts, i, a2 in _peels(p, side, comp, hint):
         heavy, ids, mult = cells.get(pts) or comp.cell(pts)
         if heavy:
-            n += _count_path(comp, side, rest_path) if (count := counts.get(rest_path)) is None else count
+            n += _count_path(comp, side, rest_path)
             continue
         count, rest_light = memo.get(rest_path) or _complete(comp, side, rest_path, area - a2, i - 1 or 1)
         n += count
@@ -456,12 +455,14 @@ def _complete(comp: _Completer, side: int, p, area: int, hint: int) -> tuple[int
 
 
 def _count_path(comp: _Completer, side: int, p, area: int | None = None, hint: int = 1) -> int:
-    """``len(complete_path(path, side, poly))`` for the id path ``p``, kept
-    in ``comp.counts[side]``, where callers look first.  Without ``area``:
-    the product over the pieces between its arc points, with areas from one
-    pass (``_boundary_tables``); a step along the arc is no piece.  With
-    ``area``, twice the area left, ``p`` is a piece, peeled from ``hint``; a
-    peel leaves one unless its reflected point is on the arc."""
+    """``len(complete_path(path, side, poly))`` for the id path ``p``.
+    Without ``area``: the product over the pieces between its arc points,
+    with areas from one pass (``_boundary_tables``), returned and not kept; a
+    step along the arc has no area and is no piece, and a run off the arc
+    encloses some.  With ``area``, twice the area left, ``p`` is a piece,
+    peeled from ``hint`` and kept in ``comp.counts[side]``, the one memo of
+    counts; a peel leaves a piece unless its reflected point is on the arc,
+    which cuts the rest into pieces."""
     counts = comp.counts[side]
     X, Y, pot = comp.X, comp.Y, comp.arc[side]
     if area is None:
@@ -470,13 +471,14 @@ def _count_path(comp: _Completer, side: int, p, area: int | None = None, hint: i
             cross += X[a] * Y[b] - X[b] * Y[a]
             if pot[b] is not None:
                 area = side * (cross + pot[p[start]] - pot[b])
-                if area or j - start > 1:
+                if area:
                     piece = p[start : j + 1]
                     n *= _count_path(comp, side, piece, area) if (m := counts.get(piece)) is None else m
                     if not n:
                         break
                 start, cross = j, 0
-    elif area < 0:
+        return n
+    if area < 0:
         raise InternalInvariantError("path escaped its completion region")
     elif not area:  # the path runs along the arc: one empty completion
         for edge in zip(p, p[1:]):  # every edge that no cell owns starts a ray here
@@ -486,10 +488,10 @@ def _count_path(comp: _Completer, side: int, p, area: int | None = None, hint: i
     else:
         n = 0
         for rest, pts, i, a2 in _peels(p, side, comp, hint):
-            if (m := counts.get(rest)) is None:
-                cut = len(pts) == 4 and pot[rest[i]] is not None
-                m = _count_path(comp, side, rest) if cut else _count_path(comp, side, rest, area - a2, i - 1 or 1)
-            n += m
+            if len(pts) == 4 and pot[rest[i]] is not None:  # cut: r is on the arc
+                n += _count_path(comp, side, rest)
+            else:
+                n += _count_path(comp, side, rest, area - a2, i - 1 or 1) if (m := counts.get(rest)) is None else m
     counts[p] = n
     return n
 
@@ -651,17 +653,18 @@ def _pair_loop(poly: LatticePolygon, paths, keep) -> Counter:
     with collector_paused():  # collections would only rescan the memo's live summaries
         dropped: Counter = Counter()
         comp = _Completer(poly)
-        steps, left_counts, right_counts = comp.steps, comp.counts[1], comp.counts[-1]
+        steps, n_paths = comp.steps, 0
         for p in paths:
+            n_paths += 1
             if _heavy_steps(steps, p):  # doomed: no light completion on either side
-                n_right, right_ok = right_counts.get(p) or _count_path(comp, -1, p), ()
+                n_right, right_ok = _count_path(comp, -1, p), ()
             else:
                 root = comp.root(p)
                 n_right, right_ok = _light_completions(comp, root, -1)
             if right_ok:
                 n_left, left_ok = _light_completions(comp, root, 1)
             else:  # nothing to glue to: the left side is counted only
-                n_left, left_ok = n_right and (left_counts.get(p) or _count_path(comp, 1, p)), ()
+                n_left, left_ok = n_right and _count_path(comp, 1, p), ()
             heavy = n_left * n_right - len(left_ok) * len(right_ok)
             if heavy:
                 dropped["boundary-weight"] += heavy
@@ -682,7 +685,7 @@ def _pair_loop(poly: LatticePolygon, paths, keep) -> Counter:
             tallies = ", ".join(f"{k}={v}" for k, v in sorted(dropped.items()))
             _log("%s: dropped %d completions (%s)", poly, sum(dropped.values()), tallies)
         entries = (sum(map(len, memo.values())) for memo in (comp.memo, comp.counts))
-        _log("%s: completed %d paths with %d summary and %d count memo entries", poly, len(paths), *entries)
+        _log("%s: completed %d paths with %d summary and %d count memo entries", poly, n_paths, *entries)
         del comp  # free the memos now: still alive when the collector resumes, they would be scanned
         return dropped
 

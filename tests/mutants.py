@@ -48,6 +48,7 @@ WALLCROSS, GW = "src/gwcurves/wallcross.py", "src/gwcurves/gw.py"
 POLYGON, TROPICAL = "src/gwcurves/polygon.py", "src/gwcurves/tropical.py"
 CHAIN_TESTS = ("tests/test_wallcross.py", "tests/test_cli.py")
 NORMAL_FORM_TESTS = ("tests/test_polygon.py",)
+TROPICAL_TESTS = ("tests/test_tropical.py",)
 
 MUTANTS = [
     # each chain step removes exactly one interior point
@@ -100,7 +101,7 @@ MUTANTS = [
         TROPICAL,
         'raise InternalInvariantError(f"interior edge {side} has a single cell")',
         "pass",
-        ("tests/test_tropical.py",),
+        TROPICAL_TESTS,
     ),
     # the Hilbert symbol at 2: both valuation terms
     Mutant(
@@ -114,6 +115,30 @@ MUTANTS = [
     Mutant("hilbert-odd-minus-one", GW, "sym = _jacobi(-1, p) if al * bl % 2 else 1", "sym = 1", ("tests/test_gw.py",)),
     # hasse_invariant: a class of weight n pairs with itself comb(n, 2) times
     Mutant("hasse-self-pairs", GW, "if comb(n, 2) % 2:", "if False:", ("tests/test_gw.py",)),
+    # _count_path: a whole path is the product over every piece with area, one step long too
+    Mutant("count-split-at-arc", TROPICAL, "if area:", "if j - start > 1:", TROPICAL_TESTS),
+    # _count_path: a parallelogram whose reflected point is on the arc cuts the rest into pieces
+    Mutant("count-cut", TROPICAL, "if len(pts) == 4 and pot[rest[i]] is not None:", "if False:", TROPICAL_TESTS),
+    # _count_path: a peel at vertex i changes the turn at i - 1, where the child's scan starts
+    Mutant(
+        "count-peel-hint",
+        TROPICAL,
+        "_count_path(comp, side, rest, area - a2, i - 1 or 1)",
+        "_count_path(comp, side, rest, area - a2, i)",
+        TROPICAL_TESTS,
+    ),
+    # _shape_mult: the odd class of an all-odd triangle carries (-1)^I
+    Mutant("vertex-mult-sign", TROPICAL, "sign = -1 if _pick_interior", "sign = 1 if _pick_interior", TROPICAL_TESTS),
+    # _shape_mult: the odd class of an all-odd triangle is the product of all three edge lengths
+    Mutant("vertex-mult-odd-class", TROPICAL, "form(sign * l1 * l2 * l3)", "form(sign * l1 * l2)", TROPICAL_TESTS),
+    # wall_cross_step: N(s+1) = N(s) + (b - 2<1>) * N_blowup(s)
+    Mutant(
+        "wall-cross-sum",
+        WALLCROSS,
+        "return n_surface + n_blowup.mul_step(next_index)",
+        "return n_surface - n_blowup.mul_step(next_index)",
+        CHAIN_TESTS,
+    ),
 ]
 
 

@@ -134,7 +134,7 @@ def test_verbose_logs_in_a_fresh_interpreter():
     assert run.stdout == "2h + 8*<1>  N=12  W=8\n"
     assert run.stderr == (
         "INFO:gwcurves.tropical:conv{(0,0), (3,0), (0,3)}: dropped 6 completions (boundary-weight=6)\n"
-        "INFO:gwcurves.tropical:conv{(0,0), (3,0), (0,3)}: completed 8 paths with 30 summary and 28 count memo entries\n"
+        "INFO:gwcurves.tropical:conv{(0,0), (3,0), (0,3)}: completed 8 paths with 30 summary and 19 count memo entries\n"
     )
 
 

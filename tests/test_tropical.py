@@ -416,7 +416,7 @@ class TestEnumerate:
     def test_doomed_paths_are_logged(self, caplog):
         with caplog.at_level("INFO", logger="gwcurves.tropical"):
             enumerate_curves(p2(3))
-        assert "completed 8 paths with 30 summary and 28 count memo entries" in caplog.text
+        assert "completed 8 paths with 30 summary and 19 count memo entries" in caplog.text
 
     def test_no_count_carries_over_between_polygons(self):
         # Each pair shares coordinates but not areas.  A completion memo that
@@ -728,12 +728,41 @@ def test_each_cell_is_built_once_per_batch(poly, monkeypatch):
     assert set(built) == {cell for curve in curves for cell in curve.subdivision.cells}
 
 
-@pytest.mark.parametrize("poly, entries", [(p2(4), (546, 686)), (SQUARE, (1440, 2213))], ids=str)
+@pytest.mark.parametrize(
+    "poly, entries", [pytest.param(p, e, id=str(p)) for p, e in ((p2(4), (546, 208)), (SQUARE, (1440, 531)))]
+)
 def test_memo_entries_are_logged(poly, entries, caplog):
     # the count logs the same line: test_count_logs_the_lines_of_the_enumeration
     with caplog.at_level("INFO", logger="gwcurves.tropical"):
         enumerate_curves(poly)
     assert "with %d summary and %d count memo entries" % entries in caplog.text
+
+
+@pytest.mark.parametrize("poly", [p2(3), p2(4), SQUARE, preset("f1_4_2e"), preset("blf1")], ids=str)
+def test_count_memo_keeps_arc_pieces_only(poly, monkeypatch):
+    # a whole path's count is a product over its pieces, returned and not
+    # kept: every key of the count memo runs from the side's arc to the arc,
+    # off it in between or, for a run of area 0, along it
+    from gwcurves import tropical
+
+    made = []
+
+    class Recording(tropical._Completer):
+        def __init__(self, poly):
+            super().__init__(poly)
+            made.append(self)
+
+    monkeypatch.setattr(tropical, "_Completer", Recording)
+    enumerate_curves(poly)
+    (comp,) = made
+    assert comp.counts[1] and comp.counts[-1]
+    for side in (1, -1):
+        on_arc = comp.arc[side]
+        for key in comp.counts[side]:
+            where = side, comp.at(key)
+            assert on_arc[key[0]] is not None and on_arc[key[-1]] is not None, where
+            inner = {on_arc[k] is not None for k in key[1:-1]}
+            assert inner <= {False} or all(step in comp.steps for step in zip(key, key[1:])), where
 
 
 TRAPEZOID = polygon([(0, 0), (5, 0), (2, 3), (0, 3)])  # the F1 trapezoid: 6 334 curves
