@@ -179,6 +179,25 @@ class LatticePolygon(_Frozen):
         new = list(vs[:i]) + ([a] if a != u else []) + ([b] if b != w else []) + list(vs[i + 1 :])
         return polygon(new)
 
+    # -- normal form -------------------------------------------------------------
+
+    @cached_property
+    def _normal_form(self):
+        """What ``normal_form`` returns, solved once."""
+        vs, n, best = self.vertices, len(self.vertices), None
+        for s in (1, -1):  # the mirror runs the cycle backward, under a map of determinant -1
+            for i, o in enumerate(vs):
+                ws = [_sub(vs[(i + s * j) % n], o) for j in range(n)]
+                (p, q), (fx, fy) = primitive(ws[1]), ws[-1]
+                u = pow(p, -1, abs(q)) if q else p  # u p + v q = 1
+                v = (1 - u * p) // q if q else 0
+                k = (u * fx + v * fy) // (s * (p * fy - q * fx))
+                m = ((u + k * s * q, v - k * s * p), (-s * q, s * p))
+                image = tuple((m[0][0] * x + m[0][1] * y, m[1][0] * x + m[1][1] * y) for x, y in ws)
+                if best is None or image < best[0]:
+                    best = (image, m, o)
+        return (LatticePolygon(best[0]),) + best[1:]
+
     # -- presentation ------------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -255,17 +274,6 @@ def normal_form(poly: LatticePolygon):
     in the plane): the least vertex tuple, over each start vertex of the cycle
     and of its mirror, with the start at the origin, its outgoing edge along
     (1, 0) and its incoming edge sheared to (a, b), 0 <= a < b.  Returned with
-    a matrix m of determinant +-1 and a vertex o: x -> m(x - o) maps ``poly`` onto it."""
-    vs, n, best = poly.vertices, len(poly.vertices), None
-    for s in (1, -1):  # the mirror runs the cycle backward, under a map of determinant -1
-        for i, o in enumerate(vs):
-            ws = [_sub(vs[(i + s * j) % n], o) for j in range(n)]
-            (p, q), (fx, fy) = primitive(ws[1]), ws[-1]
-            u = pow(p, -1, abs(q)) if q else p  # u p + v q = 1
-            v = (1 - u * p) // q if q else 0
-            k = (u * fx + v * fy) // (s * (p * fy - q * fx))
-            m = ((u + k * s * q, v - k * s * p), (-s * q, s * p))
-            image = tuple((m[0][0] * x + m[0][1] * y, m[1][0] * x + m[1][1] * y) for x, y in ws)
-            if best is None or image < best[0]:
-                best = (image, m, o)
-    return (LatticePolygon(best[0]),) + best[1:]
+    a matrix m of determinant +-1 and a vertex o: x -> m(x - o) maps ``poly`` onto it.
+    Solved once per polygon object and kept with its other geometry."""
+    return poly._normal_form

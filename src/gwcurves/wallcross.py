@@ -17,6 +17,7 @@ formal symbols b_i so one table covers every choice of the extensions.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import islice
 
 from .betapoly import POLY_ZERO, BetaPolynomial
@@ -68,10 +69,37 @@ def _kontsevich_counts(d: int) -> list[int]:
     return counts
 
 
+class _Level:
+    """A polygon that hashes and compares by its normal form: the key of
+    ``_canonical_count``, which counts the polygon it carries."""
+
+    __slots__ = ("poly", "form")
+
+    def __init__(self, poly: LatticePolygon) -> None:
+        self.poly = poly
+        self.form = normal_form(poly)[0]
+
+    def __hash__(self) -> int:
+        return hash(self.form)
+
+    def __eq__(self, other) -> bool:
+        return self.form == other.form
+
+
+@lru_cache(maxsize=128)
+def _canonical_count(level: _Level) -> GWElement:
+    return count_invariants(level.poly).canonical
+
+
 def base_invariant(poly: LatticePolygon) -> GWElement:
     """Motivic count for an all-rational configuration, in the canonical
-    a*h + b*<1> shape (checked isometric to the raw tropical sum)."""
-    return count_invariants(poly).canonical
+    a*h + b*<1> shape (checked isometric to the raw tropical sum).
+
+    N and W do not change under lattice-affine maps, so one count serves
+    every polygon with the same normal form: the first one asked for is
+    counted as given, and later ones get its value until
+    ``_canonical_count.cache_clear()``."""
+    return _canonical_count(_Level(poly))
 
 
 def wall_cross_step(

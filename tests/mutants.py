@@ -139,6 +139,24 @@ MUTANTS = [
         "return n_surface - n_blowup.mul_step(next_index)",
         CHAIN_TESTS,
     ),
+    # wall_cross_step: a symbol already in use is refused, not only a later one
+    Mutant(
+        "wall-cross-index-order",
+        WALLCROSS,
+        "if used and max(used) >= next_index:",
+        "if used and max(used) > next_index:",
+        CHAIN_TESTS,
+    ),
+    # base_invariant: the memo is keyed by the normal form, which fixes N and W; the budget does not
+    Mutant("base-memo-key", WALLCROSS, "self.form = normal_form(poly)[0]", "self.form = poly.point_budget()", CHAIN_TESTS),
+    # _pair_reason: a component with no triangle is a line, even when another has one
+    Mutant(
+        "pair-reason-line-component",
+        TROPICAL,
+        'return "disconnected" if all(components.values()) else "line-component"',
+        'return "disconnected" if any(components.values()) else "line-component"',
+        TROPICAL_TESTS,
+    ),
 ]
 
 

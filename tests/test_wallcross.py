@@ -409,6 +409,71 @@ class TestBaseInvariants:
         assert base_invariant(preset("bl2f1")) == ONE
 
 
+#: The tops of the tables workload's chains: the quartic, the cubic, F1 and the 4x2 rectangle.
+MEMO_TOPS = [p2(4), p2(3), preset("f1_4_2e"), polygon([(0, 0), (4, 0), (4, 2), (0, 2)])]
+
+
+@pytest.fixture
+def cold_memo():
+    """An empty base-count memo, so that no entry of an earlier test can mask a count."""
+    wallcross._canonical_count.cache_clear()
+    yield
+    wallcross._canonical_count.cache_clear()
+
+
+@pytest.fixture
+def counted(cold_memo, monkeypatch):
+    """The polygons ``build_tables`` counts, in order."""
+    seen = []
+
+    def spy(poly, *args, **kwargs):
+        seen.append(poly)
+        return count_invariants(poly, *args, **kwargs)
+
+    monkeypatch.setattr(wallcross, "count_invariants", spy)
+    return seen
+
+
+def rendered(chain):
+    tables = build_tables(chain)
+    return [t.markdown() for t in tables], [t.to_json() for t in tables]
+
+
+class TestBaseMemo:
+    def test_a_shared_memo_renders_what_a_cold_one_does(self, cold_memo):
+        chains = [chain_from(top) for top in MEMO_TOPS]
+        warm = [rendered(chain) for chain in chains]
+        for chain, out in zip(chains, warm):
+            wallcross._canonical_count.cache_clear()
+            assert rendered(chain) == out
+
+    def test_each_lattice_class_of_level_is_counted_once(self, counted):
+        chains = [chain_from(top) for top in MEMO_TOPS]
+        for chain in chains:
+            build_tables(chain)
+        assert sum(len(chain.polygons) for chain in chains) == 13
+        # the F1 chain and the rectangle's levels 1-3 are quartic levels 1-3 up to lattice maps
+        assert len(counted) == 7
+        assert len({normal_form(p)[0] for p in counted}) == 7
+        assert counted[0] == p2(4) and counted[-1] == MEMO_TOPS[-1]  # each counted as given
+
+    def test_a_level_of_the_same_budget_and_interior_count_gets_its_own_count(self, cold_memo):
+        a = polygon([(1, 0), (4, 2), (2, 2)])  # 2h, N=4, W=0
+        b = polygon([(1, 3), (2, 1), (3, 2), (2, 3)])  # 2h + <1>, N=5, W=1
+        assert (a.point_budget(), a.interior_count()) == (b.point_budget(), b.interior_count()) == (3, 1)
+        assert base_invariant(a) == count_invariants(a).canonical == 2 * H
+        assert base_invariant(b) == count_invariants(b).canonical == 2 * H + ONE
+
+    def test_an_image_is_a_hit_until_the_memo_is_cleared(self, counted):
+        q = preset("blf1")
+        assert base_invariant(q) == 2 * H + 8 * ONE
+        assert base_invariant(image_of(q, [((1, 1), (0, 1)), ((0, 1), (1, 0))], (5, -3))) == 2 * H + 8 * ONE
+        assert counted == [q]
+        wallcross._canonical_count.cache_clear()
+        assert base_invariant(q) == 2 * H + 8 * ONE
+        assert counted == [q, q]
+
+
 class TestTables:
     def test_rank_must_stay_constant(self):
         rows = (BetaPolynomial.constant(ONE), BetaPolynomial.constant(2 * ONE))
