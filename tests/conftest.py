@@ -5,7 +5,15 @@ import time
 
 import pytest
 
-from gwcurves import build_tables, enumerate_curves, p2, quartic_chain, preset
+from gwcurves import build_tables, enumerate_curves, p2, quartic_chain, preset, wallcross
+
+
+@pytest.fixture(autouse=True)
+def cold_base_counts():
+    """Every test starts with an empty base-count cache, so that each table it
+    builds counts its levels and no entry of an earlier test can stand in for
+    a count, or mask a patched one."""
+    wallcross._canonical_count.cache_clear()
 
 
 @pytest.fixture

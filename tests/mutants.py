@@ -149,6 +149,22 @@ MUTANTS = [
     ),
     # base_invariant: the memo is keyed by the normal form, which fixes N and W; the budget does not
     Mutant("base-memo-key", WALLCROSS, "self.form = normal_form(poly)[0]", "self.form = poly.point_budget()", CHAIN_TESTS),
+    # base counts that depend on where a level lies, or on which way round it is: images must catch both
+    Mutant(
+        "base-count-coordinates",
+        WALLCROSS,
+        "return count_invariants(level.poly).canonical",
+        "c = count_invariants(level.poly).canonical; return 2 * c if min(level.poly.vertices)[0] < 0 else c",
+        CHAIN_TESTS,
+    ),
+    Mutant(
+        "base-count-orientation",
+        WALLCROSS,
+        "return count_invariants(level.poly).canonical",
+        "(a, b), (c, d) = normal_form(level.poly)[1]; n = count_invariants(level.poly).canonical; "
+        "return 2 * n if a * d < b * c else n",
+        CHAIN_TESTS,
+    ),
     # _pair_reason: a component with no triangle is a line, even when another has one
     Mutant(
         "pair-reason-line-component",

@@ -395,7 +395,12 @@ def test_an_image_gets_the_tables_of_its_preset(name, f):
     q = image_of(preset(name), *f)
     chain = chain_from(q)
     assert chain.polygons[0] == q
-    assert [t.rows for t in build_tables(chain)] == preset_rows(name)
+    want = preset_rows(name)
+    # every example runs under one call of the autouse fixture: empty the
+    # base-count cache, so that the image's levels are counted, not read back
+    # from the preset's, and a count that moved under the map shows
+    wallcross._canonical_count.cache_clear()
+    assert [t.rows for t in build_tables(chain)] == want
 
 
 class TestBaseInvariants:
@@ -414,16 +419,9 @@ MEMO_TOPS = [p2(4), p2(3), preset("f1_4_2e"), polygon([(0, 0), (4, 0), (4, 2), (
 
 
 @pytest.fixture
-def cold_memo():
-    """An empty base-count memo, so that no entry of an earlier test can mask a count."""
-    wallcross._canonical_count.cache_clear()
-    yield
-    wallcross._canonical_count.cache_clear()
-
-
-@pytest.fixture
-def counted(cold_memo, monkeypatch):
-    """The polygons ``build_tables`` counts, in order."""
+def counted(monkeypatch):
+    """The polygons ``build_tables`` counts, in order, from the empty cache
+    that conftest's autouse fixture leaves."""
     seen = []
 
     def spy(poly, *args, **kwargs):
@@ -440,7 +438,7 @@ def rendered(chain):
 
 
 class TestBaseMemo:
-    def test_a_shared_memo_renders_what_a_cold_one_does(self, cold_memo):
+    def test_a_shared_memo_renders_what_a_cold_one_does(self):
         chains = [chain_from(top) for top in MEMO_TOPS]
         warm = [rendered(chain) for chain in chains]
         for chain, out in zip(chains, warm):
@@ -457,12 +455,27 @@ class TestBaseMemo:
         assert len({normal_form(p)[0] for p in counted}) == 7
         assert counted[0] == p2(4) and counted[-1] == MEMO_TOPS[-1]  # each counted as given
 
-    def test_a_level_of_the_same_budget_and_interior_count_gets_its_own_count(self, cold_memo):
+    def test_a_level_of_the_same_budget_and_interior_count_gets_its_own_count(self):
         a = polygon([(1, 0), (4, 2), (2, 2)])  # 2h, N=4, W=0
         b = polygon([(1, 3), (2, 1), (3, 2), (2, 3)])  # 2h + <1>, N=5, W=1
         assert (a.point_budget(), a.interior_count()) == (b.point_budget(), b.interior_count()) == (3, 1)
         assert base_invariant(a) == count_invariants(a).canonical == 2 * H
         assert base_invariant(b) == count_invariants(b).canonical == 2 * H + ONE
+
+    def test_the_mirror_of_a_chiral_level_counts_alike(self):
+        # no map of determinant +1 takes this triangle onto its mirror image,
+        # yet the two share a normal form and so a cache entry: each, counted
+        # from an empty cache, must give the same count and the same rows
+        q = polygon([(0, 0), (3, 0), (1, 2)])
+        m = image_of(q, [((-1, 0), (0, 1))], (0, 0))
+        assert normal_form(q)[0] == normal_form(m)[0]
+        assert sorted(a * d - b * c for (a, b), (c, d) in (normal_form(p)[1] for p in (q, m))) == [-1, 1]
+        rows = []
+        for p in (q, m):
+            wallcross._canonical_count.cache_clear()
+            assert base_invariant(p) == 2 * H + 3 * ONE
+            rows.append([t.rows for t in build_tables(chain_from(p))])
+        assert rows[0] == rows[1]
 
     def test_an_image_is_a_hit_until_the_memo_is_cleared(self, counted):
         q = preset("blf1")
