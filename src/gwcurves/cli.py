@@ -54,7 +54,7 @@ def _load_polygon(name: str) -> LatticePolygon:
     try:
         return LatticePolygon.from_json(json.loads(path.read_text()))
     # RecursionError: nested deeper than the JSON decoder recurses
-    except (OSError, ValueError, KeyError, DomainError, RecursionError) as exc:
+    except (OSError, ValueError, DomainError, RecursionError) as exc:
         raise UsageError(f"cannot read polygon from {name}: {exc}") from exc
 
 
@@ -231,6 +231,9 @@ def _cmd_table(args) -> int:
             f"--specialize gives {len(args.specialize)} values, but the chain's first "
             f"table, {top}, has s_max = {s_max}"
         )
+    # refused on every chain, not only where a row's symbol meets the 0
+    if args.specialize is not None and 0 in args.specialize:
+        raise UsageError("zero has no square class")
     tables = build_tables(chain)
     if args.signature:
         sign = 1 if args.signature == "pos" else -1

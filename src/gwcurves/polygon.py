@@ -205,7 +205,7 @@ class LatticePolygon(_Frozen):
 
     @classmethod
     def from_json(cls, data) -> "LatticePolygon":
-        if not isinstance(data, dict):
+        if not isinstance(data, dict) or "vertices" not in data:
             raise DomainError("a polygon file holds an object {\"vertices\": [[x, y], ...]}")
         vertices = data["vertices"]
         if not isinstance(vertices, list):

@@ -47,7 +47,10 @@ never merge (a peel adds sides to one group, or starts a new one at a ray),
 and a group's ray is its only side off the path that one cell owns, so the
 group count is the ray count.  The two sides' groups join only across the
 path edges both of them own, so one union-find over the path's labels gives
-the reason.  A curve's multiplicity is the product of its two sides', and
+the reason.  Each group is a tree whose ends are its ray and its path
+edges, so a light pair with B rays, on B - 1 path edges, has T = B - 2
+triangles and is a curve when connected.  T = B - 2 is checked; a heavy
+pair breaks it.  A curve's multiplicity is the product of its two sides', and
 the count adds up that product pair by pair.  A summary links the ids of
 its cells, and a light triangle's multiplicity comes from a cache keyed by
 its shape, so only ``enumerate_curves`` builds cells: those of the pairs it
@@ -559,7 +562,8 @@ def _pair_reason(comp: _Completer, p, left: _Side, right: _Side):
     path edge owned by both sides joins their groups there, one owned by a
     single side is a ray, whose weight is not read (no doomed path is glued).
     On light pairs: the reasons and the InternalInvariantErrors of
-    ``validate_subdivision``."""
+    ``validate_subdivision``, whose parity check of 3T + B is here the
+    stronger T = B - 2, which an even slip or a heavy pair breaks too."""
     if left.area2 + right.area2 != comp.poly.area2:
         raise InternalInvariantError("cells do not tile the polygon")
     off, merges = left.groups, 0
@@ -582,8 +586,7 @@ def _pair_reason(comp: _Completer, p, left: _Side, right: _Side):
         if edge not in comp.steps:
             raise InternalInvariantError(f"interior edge {comp.at(edge)} has a single cell")
         rays += 1
-    triangles = left.triangles + right.triangles
-    if (triangles - rays) % 2:
+    if left.triangles + right.triangles != rays - 2:
         raise InternalInvariantError("dual graph slot count mismatch")
     if merges < len(parent) - 1:  # more than one component: only such pairs pay for this pass
         tri = left.tri_groups | right.tri_groups << off
@@ -594,10 +597,6 @@ def _pair_reason(comp: _Completer, p, left: _Side, right: _Side):
                 root = parent[root]
             components[root] = components.get(root, 0) | tri >> x & 1
         return "disconnected" if all(components.values()) else "line-component"
-    # connected, so a triangle exists: a parallelogram carries two strands of
-    # different edge vectors, and strands join only at triangles
-    if triangles != rays - 2:
-        return "positive-genus"
     return None
 
 

@@ -173,6 +173,8 @@ MUTANTS = [
         'return "disconnected" if any(components.values()) else "line-component"',
         TROPICAL_TESTS,
     ),
+    # _pair_reason: a glued pair has T = B - 2 triangles, which an even slip or a heavy pair breaks
+    Mutant("pair-light-identity", TROPICAL, "if left.triangles + right.triangles != rays - 2:", "if False:", TROPICAL_TESTS),
 ]
 
 

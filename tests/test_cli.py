@@ -344,13 +344,16 @@ class TestInvariant:
         assert (code, out) == (2, "")
         assert "integer coordinates" in err
 
-    @pytest.mark.parametrize("data", [[[0, 0], [1, 0], [0, 1]], {"vertices": 5}])
+    @pytest.mark.parametrize("data", [[[0, 0], [1, 0], [0, 1]], {"vertices": 5}, {"verts": []}])
     def test_malformed_polygon_file(self, capsys, tmp_path, data):
         ppath = tmp_path / "poly.json"
         ppath.write_text(json.dumps(data))
         code, out, err = run(capsys, "invariant", "--polygon", str(ppath))
-        assert (code, out) == (2, "")
-        assert "cannot read polygon" in err
+        if "vertices" in data:
+            message = '"vertices" must be a list of [x, y] pairs, not 5'
+        else:  # a list, or an object without the key
+            message = 'a polygon file holds an object {"vertices": [[x, y], ...]}'
+        assert (code, out, err) == (2, "", f"error: cannot read polygon from {ppath}: {message}\n")
 
     @pytest.mark.parametrize("command, flag", [("invariant", "--polygon"), ("table", "--chain")])
     def test_deeply_nested_polygon_file(self, capsys, tmp_path, command, flag):
@@ -522,6 +525,9 @@ class TestTable:
             ("blf1,bl2f1", "1,2,3,4", "--specialize gives 4 values, but the chain's first table, conv{(0,0), (2,0), (2,2), (0,2)}, has s_max = 3"),
             # an invalid chain reports its own error first
             ("blf1,p2:4", "1,2,3,4", "chain must end with an interior-point-free polygon"),
+            # a 0 is refused before the tables are built, whether or not a row's symbol meets it
+            ("bl2f1", "0", "zero has no square class"),
+            ("p2:3", "0", "zero has no square class"),
         ],
     )
     def test_specialize_refuses_values_no_level_uses(self, capsys, chain, values, message):

@@ -73,7 +73,7 @@ class TestConstruction:
             convex_hull([(0, 0), (bad, 0), (0, 2), (1, 1)])
 
     @pytest.mark.parametrize(
-        "data", [[[0, 0], [1, 0], [0, 1]], {"vertices": 5}, {"vertices": "abc"}]
+        "data", [[[0, 0], [1, 0], [0, 1]], {"vertices": 5}, {"vertices": "abc"}, {}, {"verts": []}]
     )
     def test_from_json_rejects_malformed_files(self, data):
         with pytest.raises(DomainError):

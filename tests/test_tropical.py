@@ -343,11 +343,11 @@ class TestEnumerate:
 
         def keep_reason(comp, p, left, right):
             poly = comp.poly
-            got = pair_reason(comp, p, left, right)
             if reason == "boundary-weight":
-                # the pair reason reads no end weight: keep the pairs with a heavy end
-                cells = summary_cells(left, poly) + summary_cells(right, poly)
-                return None if heavy_boundary(cells, poly) else got
+                # keep the pairs with a heavy end, which the pair reason refuses as a broken T = B - 2
+                if heavy_boundary(summary_cells(left, poly) + summary_cells(right, poly), poly):
+                    return None
+            got = pair_reason(comp, p, left, right)
             return None if got == reason else got
 
         monkeypatch.setattr(tropical, "_pair_reason", keep_reason)
@@ -1075,14 +1075,17 @@ def test_pair_reason_matches_validate_subdivision(poly, monkeypatch):
             for cr in right:
                 cells = summary_cells(cl, poly) + summary_cells(cr, poly)
                 sub = MarkedSubdivision(path, tuple(sorted(cells)))
-                reason = _pair_reason(comp, _ids(comp, path), cl, cr)
                 valid = validate_subdivision(sub, poly)
                 if valid == "boundary-weight":
-                    # end weight is decided per side, before gluing; the grouping still refuses
-                    assert heavy_boundary(sub.cells, poly) and reason is not None, sub
+                    # end weight is decided per side, before gluing; a heavy pair breaks
+                    # T = B - 2 by twice its boundary points less its boundary sides
+                    assert heavy_boundary(sub.cells, poly), sub
+                    with pytest.raises(InternalInvariantError, match="slot count"):
+                        _pair_reason(comp, _ids(comp, path), cl, cr)
                 else:
                     # a light pair's curve is G one-ray trees a side, joined by the G - 1 path edges
-                    # both sides own: connected, it is a tree, so neither check finds a cycle
+                    # both sides own: T = B - 2 holds, and connected, it is a tree
+                    reason = _pair_reason(comp, _ids(comp, path), cl, cr)
                     assert reason == valid and valid != "positive-genus", sub
                     assert cl.motivic * cr.motivic == curve_mult(sub), sub
 
@@ -1111,13 +1114,15 @@ def test_fabricated_summaries_raise():
         labels[shared] = -1
         return side._replace(labels=tuple(labels))
 
-    bad = {
-        "do not tile": (cl._replace(area2=cl.area2 + 2), cr),
-        "owned by neither side": (unowned(cl), unowned(cr)),
-        "has a single cell": (cl, unowned(cr)),
-        "slot count": (cl._replace(triangles=cl.triangles + 1), cr),
-    }
-    for message, (left, right) in bad.items():
+    bad = [
+        ("do not tile", cl._replace(area2=cl.area2 + 2), cr),
+        ("owned by neither side", unowned(cl), unowned(cr)),
+        ("has a single cell", cl, unowned(cr)),
+        ("slot count", cl._replace(triangles=cl.triangles + 1), cr),
+        # an even slip: the parity of 3T + B holds, T = B - 2 does not
+        ("slot count", cl._replace(triangles=cl.triangles + 2), cr),
+    ]
+    for message, left, right in bad:
         with pytest.raises(InternalInvariantError, match=message):
             _pair_reason(comp, _ids(comp, path), left, right)
 
