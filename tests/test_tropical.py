@@ -1063,8 +1063,6 @@ def test_classifier_matches_strand_walk(poly):
 @pytest.mark.parametrize("poly", HULLS, ids=str)
 def test_pair_reason_matches_validate_subdivision(poly, monkeypatch):
     # every glued pair, heavy completions included
-    from gwcurves import tropical
-
     _no_heavy_steps(monkeypatch)
     comp = _Completer(poly)
     for path in enumerate_paths(poly):
