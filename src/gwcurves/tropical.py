@@ -27,6 +27,8 @@ completed first, has no light completion.  A count is a product: a path
 point on a side's boundary arc never turns toward that side (the polygon is
 convex), and no peel moves it (a reflected point stays in its
 parallelogram), so the region falls apart there into pieces completed alone.
+A doomed path's two sides are counted in one pass over its steps, the left
+one only when the right count is not 0, as the two counts would be alone.
 
 All of it runs on point ids, the indices of the lattice points in lambda
 order: paths are ``combinations`` of ids, and one boundary walk gives the
@@ -54,8 +56,10 @@ pair breaks it.  A curve's multiplicity is the product of its two sides', and
 the count adds up that product pair by pair.  A summary links the ids of
 its cells, and a light triangle's multiplicity comes from a cache keyed by
 its shape, so only ``enumerate_curves`` builds cells: those of the pairs it
-keeps, each once.  ``validate_subdivision`` and ``curve_mult`` decide a
-whole tiling, end weights included, and serve as the reference.
+keeps, each once.  It sorts the curves of a path by integer cell keys, which
+order as the cells do, and the paths by their points, each once.
+``validate_subdivision`` and ``curve_mult`` decide a whole tiling, end
+weights included, and serve as the reference.
 
 Each trivalent vertex, dual to a triangle with edge lattice lengths
 l1, l2, l3, twice-area A2 and I interior lattice points, carries the
@@ -79,7 +83,7 @@ from collections import Counter
 from contextlib import contextmanager
 from functools import lru_cache, reduce
 from math import gcd
-from operator import attrgetter, mul
+from operator import itemgetter, mul
 from typing import Iterator, NamedTuple
 
 from .gw import GWElement, InternalInvariantError, ONE, _add_into, form, gw_equal
@@ -499,6 +503,46 @@ def _count_path(comp: _Completer, side: int, p, area: int | None = None, hint: i
     return n
 
 
+def _count_doomed(comp: _Completer, p) -> tuple[int, int]:
+    """``(n_left, n_right)`` for a doomed id path ``p``, in one pass over its
+    steps: ``n_right = _count_path(comp, -1, p)`` and ``n_left = n_right and
+    _count_path(comp, 1, p)``.  With S the shoelace sum of ``p`` so far,
+    each side keeps P - S at its last arc point u (P of
+    ``_boundary_tables``), and the piece that it closes at its next arc
+    point v has twice the area ``side * ((P - S)(u) - (P - S)(v))``.  A right
+    piece is counted where the pass meets it.  A left piece is kept, and
+    counted after the pass only if the right product is not 0, and only up
+    to the first 0: the count memos get the calls of the two ``_count_path``
+    in their order."""
+    X, Y = comp.X, comp.Y
+    left_pot, right_pot, right_counts = comp.arc[1], comp.arc[-1], comp.counts[-1]
+    a = p[0]
+    s, n_right, left_start, right_start, left_pieces = 0, 1, 0, 0, []
+    left_base, right_base = left_pot[a], right_pot[a]  # P - S at the last arc point
+    for j, b in enumerate(p[1:], 1):
+        s += X[a] * Y[b] - X[b] * Y[a]
+        a = b
+        if (v := right_pot[b]) is not None:
+            v -= s
+            if v != right_base:  # a piece with area
+                piece = p[right_start : j + 1]
+                n_right *= _count_path(comp, -1, piece, v - right_base) if (m := right_counts.get(piece)) is None else m
+                if not n_right:
+                    return 0, 0
+            right_start, right_base = j, v
+        if (v := left_pot[b]) is not None:
+            v -= s
+            if v != left_base:
+                left_pieces.append((p[left_start : j + 1], left_base - v))
+            left_start, left_base = j, v
+    n_left, left_counts = 1, comp.counts[1]
+    for piece, area in left_pieces:
+        n_left *= _count_path(comp, 1, piece, area) if (m := left_counts.get(piece)) is None else m
+        if not n_left:
+            break
+    return n_left, n_right
+
+
 # -- gluing and validity -----------------------------------------------------------
 
 
@@ -647,8 +691,10 @@ def _pair_loop(poly: LatticePolygon, paths, keep) -> Counter:
     pair that ``_pair_reason`` accepts, ``kept`` listing each such left
     summary with its accepted right ones.  The paths share one
     ``_Completer``, and the loop, ``keep`` included, runs with the cyclic
-    garbage collector paused.  Logs the ``-v`` lines: the drop tallies, and
-    the path count with the summary and count memos' entry counts."""
+    garbage collector paused.  A doomed path gets no summary: ``_count_doomed``
+    counts its two sides in one pass.  A live path gets no such pass; its
+    counts come with the summaries.  Logs the ``-v`` lines: the drop tallies,
+    and the path count with the summary and count memos' entry counts."""
     with collector_paused():  # collections would only rescan the memo's live summaries
         dropped: Counter = Counter()
         comp = _Completer(poly)
@@ -656,14 +702,14 @@ def _pair_loop(poly: LatticePolygon, paths, keep) -> Counter:
         for p in paths:
             n_paths += 1
             if _heavy_steps(steps, p):  # doomed: no light completion on either side
-                n_right, right_ok = _count_path(comp, -1, p), ()
+                (n_left, n_right), left_ok, right_ok = _count_doomed(comp, p), (), ()
             else:
                 root = comp.root(p)
                 n_right, right_ok = _light_completions(comp, root, -1)
-            if right_ok:
-                n_left, left_ok = _light_completions(comp, root, 1)
-            else:  # nothing to glue to: the left side is counted only
-                n_left, left_ok = n_right and _count_path(comp, 1, p), ()
+                if right_ok:
+                    n_left, left_ok = _light_completions(comp, root, 1)
+                else:  # nothing to glue to: the left side is counted only
+                    n_left, left_ok = n_right and _count_path(comp, 1, p), ()
             heavy = n_left * n_right - len(left_ok) * len(right_ok)
             if heavy:
                 dropped["boundary-weight"] += heavy
@@ -696,14 +742,20 @@ def enumerate_curves(poly: LatticePolygon, jobs: int = 1) -> Enumeration:
     two sides' multiplicities and its cells in tuple order.  Dropped
     completions are tallied in ``Enumeration.dropped``.  ``jobs`` is ignored:
     the enumeration runs in one process.  On each path, a kept summary's cell
-    link is walked and sorted once, and a kept pair merges its two sides'
-    cells.  A cell is built once per enumeration, when a kept pair first
-    holds it (checked by ``triangle`` or ``parallelogram``)."""
-    curves: list[TropicalCurve] = []
+    link is walked and its integer cell keys sorted once, and a kept pair
+    merges its two sides' keys.  The keys order as the cells do, so a path's
+    curves are sorted by their merged keys, and the paths once by their
+    points.  A cell is built once per enumeration, when a kept pair first
+    holds it (checked by ``triangle`` or ``parallelogram``), and a product of
+    two multiplicities once per pair of factors, found by their ids (the
+    memo holds the factors, so no id is reused)."""
+    by_path: list[tuple[tuple[Point, ...], list[TropicalCurve]]] = []
     points = poly.lattice_points
     n, rank = len(points), {p: k for k, p in enumerate(sorted(points))}
     keys: dict[tuple[int, ...], int] = {}  # cell ids -> sort key
     built: dict[int, Cell] = {}  # sort key -> cell
+    products: dict[tuple[int, int], tuple] = {}  # factor ids -> (the factors, their product)
+    new = tuple.__new__
 
     def sorted_keys(side: _Side) -> list[int]:
         # a key's digits: kind (parallelogram first), vertex ranks (a triangle's
@@ -725,15 +777,25 @@ def enumerate_curves(poly: LatticePolygon, jobs: int = 1) -> Enumeration:
         path = tuple(map(points.__getitem__, p))
         right_keys = {id(cr): cr for _, rights in kept for cr in rights}  # each once
         right_keys = {k: sorted_keys(cr) for k, cr in right_keys.items()}
+        pairs = []
         for cl, rights in kept:
-            left_keys = sorted_keys(cl)
+            left_keys, a = sorted_keys(cl), cl.motivic
             for cr in rights:  # sorting two sorted runs merges them
-                cells = tuple(map(built.__getitem__, sorted(left_keys + right_keys[id(cr)])))
-                curves.append(TropicalCurve(MarkedSubdivision(path, cells), cl.motivic * cr.motivic))
+                b = cr.motivic
+                hit = products.get((id(a), id(b)))
+                if hit is None:
+                    products[id(a), id(b)] = hit = a, b, a * b
+                pairs.append((sorted(left_keys + right_keys[id(cr)]), hit[2]))
+        pairs.sort(key=itemgetter(0))  # key lists sort as the cell tuples they name
+        curves = []
+        for cell_keys, motivic in pairs:
+            sub = new(MarkedSubdivision, (path, tuple(map(built.__getitem__, cell_keys))))
+            curves.append(new(TropicalCurve, (sub, motivic)))
+        by_path.append((path, curves))
 
     dropped = _pair_loop(poly, _id_paths(poly), keep)
-    curves.sort(key=attrgetter("subdivision"))  # motivic, a GWElement, has no order
-    return Enumeration(poly, curves, dropped)
+    by_path.sort(key=itemgetter(0))  # paths are distinct
+    return Enumeration(poly, [c for _, curves in by_path for c in curves], dropped)
 
 
 class Invariants(NamedTuple):

@@ -127,6 +127,16 @@ MUTANTS = [
         "_count_path(comp, side, rest, area - a2, i)",
         TROPICAL_TESTS,
     ),
+    # _count_doomed: each side reads the potentials of its own arc
+    Mutant(
+        "count-doomed-left-arc",
+        TROPICAL,
+        "left_pot, right_pot, right_counts = comp.arc[1], comp.arc[-1]",
+        "left_pot, right_pot, right_counts = comp.arc[-1], comp.arc[-1]",
+        TROPICAL_TESTS,
+    ),
+    # enumerate_curves: no sort of all the curves follows the sort of each path's
+    Mutant("keep-path-sort", TROPICAL, "pairs.sort(key=itemgetter(0))", "pass", TROPICAL_TESTS),
     # _shape_mult: the odd class of an all-odd triangle carries (-1)^I
     Mutant("vertex-mult-sign", TROPICAL, "sign = -1 if _pick_interior", "sign = 1 if _pick_interior", TROPICAL_TESTS),
     # _shape_mult: the odd class of an all-odd triangle is the product of all three edge lengths
