@@ -218,6 +218,8 @@ def _cmd_table(args) -> int:
     names = [s for s in args.chain.split(",") if s.strip()]
     if not names:
         raise UsageError(f"--chain {args.chain!r} names no polygon")
+    if names != args.chain.split(",")[: len(names)]:  # only blanks may follow the last name
+        raise UsageError(f"--chain {args.chain!r} has a blank item before a polygon")
     # guard before building a chain (one chop per interior point); chops only lower the budget
     polys = [_load_polygon(n) for n in names]
     for poly in polys:

@@ -52,8 +52,9 @@ path edges both of them own, so one union-find over the path's labels gives
 the reason.  Each group is a tree whose ends are its ray and its path
 edges, so a light pair with B rays, on B - 1 path edges, has T = B - 2
 triangles and is a curve when connected.  T = B - 2 is checked; a heavy
-pair breaks it.  A curve's multiplicity is the product of its two sides', and
-the count adds up that product pair by pair.  A summary links the ids of
+pair breaks it.  A curve's multiplicity is the product of its two sides',
+formed in the pair loop once per pair of factors, and the count sums each
+distinct product once, times its curve count.  A summary links the ids of
 its cells, and a light triangle's multiplicity comes from a cache keyed by
 its shape, so only ``enumerate_curves`` builds cells: those of the pairs it
 keeps, each once.  It sorts the curves of a path by integer cell keys, which
@@ -685,20 +686,23 @@ def _invariants(total: GWElement) -> "Invariants":
     return Invariants(total, canonical, n, w)
 
 
-def _pair_loop(poly: LatticePolygon, paths, keep) -> Counter:
+def _pair_loop(poly: LatticePolygon, paths, keep) -> tuple[Counter, GWElement]:
     """Drop tallies of ``paths``, id paths of ``poly`` (``_id_paths``), as
-    the module docstring says; ``keep(p, kept)`` gets each path ``p`` with a
-    pair that ``_pair_reason`` accepts, ``kept`` listing each such left
-    summary with its accepted right ones.  The paths share one
-    ``_Completer``, and the loop, ``keep`` included, runs with the cyclic
-    garbage collector paused.  A doomed path gets no summary: ``_count_doomed``
-    counts its two sides in one pass.  A live path gets no such pass; its
-    counts come with the summaries.  Logs the ``-v`` lines: the drop tallies,
-    and the path count with the summary and count memos' entry counts."""
+    the module docstring says, and the sum of the kept pairs' multiplicities,
+    each product of two sides' formed once per pair of factors (found by
+    their ids; the memo holds the factors, so no id is reused) and summed
+    once, times its curve count.  Unless None, ``keep(p, kept)`` gets each
+    path ``p`` with a pair that ``_pair_reason`` accepts, ``kept`` listing
+    each such left summary with its accepted right ones and their products.
+    The paths share one ``_Completer``, and the loop, ``keep`` included,
+    runs with the cyclic garbage collector paused.  A doomed path gets no
+    summary: ``_count_doomed`` counts its two sides in one pass; a live
+    path's counts come with its summaries.  Logs the ``-v`` lines: the drop
+    tallies, and the path count with the summary and count memos' entries."""
     with collector_paused():  # collections would only rescan the memo's live summaries
         dropped: Counter = Counter()
         comp = _Completer(poly)
-        steps, n_paths = comp.steps, 0
+        steps, n_paths, products = comp.steps, 0, {}  # factor ids -> [the factors, their product, curve count]
         for p in paths:
             n_paths += 1
             if _heavy_steps(steps, p):  # doomed: no light completion on either side
@@ -715,24 +719,32 @@ def _pair_loop(poly: LatticePolygon, paths, keep) -> Counter:
                 dropped["boundary-weight"] += heavy
             kept = []
             for cl in left_ok:
-                rights = []
+                a, rights = cl.motivic, []
                 for cr in right_ok:
                     reason = _pair_reason(comp, p, cl, cr)
-                    if reason is None:
-                        rights.append(cr)
-                    else:
+                    if reason is not None:
                         dropped[reason] += 1
+                        continue
+                    key = id(a), id(cr.motivic)
+                    hit = products.get(key)
+                    if hit is None:
+                        products[key] = hit = [a, cr.motivic, a * cr.motivic, 0]
+                    hit[3] += 1
+                    rights.append((cr, hit[2]))
                 if rights:
                     kept.append((cl, rights))
-            if kept:
+            if kept and keep is not None:
                 keep(p, kept)
+        total: Counter = Counter()
+        for _, _, product, curves in products.values():
+            total.update({c: curves * k for c, k in product.terms})
         if dropped:
             tallies = ", ".join(f"{k}={v}" for k, v in sorted(dropped.items()))
             _log("%s: dropped %d completions (%s)", poly, sum(dropped.values()), tallies)
         entries = (sum(map(len, memo.values())) for memo in (comp.memo, comp.counts))
         _log("%s: completed %d paths with %d summary and %d count memo entries", poly, n_paths, *entries)
-        del comp  # free the memos now: still alive when the collector resumes, they would be scanned
-        return dropped
+        del comp, products  # free the memos now: still alive when the collector resumes, they would be scanned
+        return dropped, GWElement._of(total)
 
 
 def enumerate_curves(poly: LatticePolygon, jobs: int = 1) -> Enumeration:
@@ -746,15 +758,13 @@ def enumerate_curves(poly: LatticePolygon, jobs: int = 1) -> Enumeration:
     merges its two sides' keys.  The keys order as the cells do, so a path's
     curves are sorted by their merged keys, and the paths once by their
     points.  A cell is built once per enumeration, when a kept pair first
-    holds it (checked by ``triangle`` or ``parallelogram``), and a product of
-    two multiplicities once per pair of factors, found by their ids (the
-    memo holds the factors, so no id is reused)."""
+    holds it (checked by ``triangle`` or ``parallelogram``); a curve's
+    multiplicity is the product that ``_pair_loop`` hands over with its pair."""
     by_path: list[tuple[tuple[Point, ...], list[TropicalCurve]]] = []
     points = poly.lattice_points
     n, rank = len(points), {p: k for k, p in enumerate(sorted(points))}
     keys: dict[tuple[int, ...], int] = {}  # cell ids -> sort key
     built: dict[int, Cell] = {}  # sort key -> cell
-    products: dict[tuple[int, int], tuple] = {}  # factor ids -> (the factors, their product)
     new = tuple.__new__
 
     def sorted_keys(side: _Side) -> list[int]:
@@ -775,17 +785,13 @@ def enumerate_curves(poly: LatticePolygon, jobs: int = 1) -> Enumeration:
 
     def keep(p, kept) -> None:
         path = tuple(map(points.__getitem__, p))
-        right_keys = {id(cr): cr for _, rights in kept for cr in rights}  # each once
+        right_keys = {id(cr): cr for _, rights in kept for cr, _ in rights}  # each once
         right_keys = {k: sorted_keys(cr) for k, cr in right_keys.items()}
         pairs = []
         for cl, rights in kept:
-            left_keys, a = sorted_keys(cl), cl.motivic
-            for cr in rights:  # sorting two sorted runs merges them
-                b = cr.motivic
-                hit = products.get((id(a), id(b)))
-                if hit is None:
-                    products[id(a), id(b)] = hit = a, b, a * b
-                pairs.append((sorted(left_keys + right_keys[id(cr)]), hit[2]))
+            left_keys = sorted_keys(cl)
+            for cr, motivic in rights:  # sorting two sorted runs merges them
+                pairs.append((sorted(left_keys + right_keys[id(cr)]), motivic))
         pairs.sort(key=itemgetter(0))  # key lists sort as the cell tuples they name
         curves = []
         for cell_keys, motivic in pairs:
@@ -793,7 +799,7 @@ def enumerate_curves(poly: LatticePolygon, jobs: int = 1) -> Enumeration:
             curves.append(new(TropicalCurve, (sub, motivic)))
         by_path.append((path, curves))
 
-    dropped = _pair_loop(poly, _id_paths(poly), keep)
+    dropped, _ = _pair_loop(poly, _id_paths(poly), keep)
     by_path.sort(key=itemgetter(0))  # paths are distinct
     return Enumeration(poly, [c for _, curves in by_path for c in curves], dropped)
 
@@ -807,15 +813,6 @@ class Invariants(NamedTuple):
 
 def count_invariants(poly: LatticePolygon, jobs: int = 1) -> Invariants:
     """``enumerate_curves(poly).invariants()``, without building the curves:
-    the product of each kept pair's two multiplicities goes into one dict.
-    It logs the same ``-v`` lines.  ``jobs`` is ignored, as by
-    ``enumerate_curves``."""
-    total: dict[int, int] = {}
-
-    def add(p, kept) -> None:
-        for cl, rights in kept:
-            for cr in rights:
-                _add_into(total, cl.motivic * cr.motivic)
-
-    _pair_loop(poly, _id_paths(poly), add)
-    return _invariants(GWElement._of(total))
+    ``_invariants`` of ``_pair_loop``'s total, from the same products and
+    with the same ``-v`` lines.  ``jobs`` is ignored, as by ``enumerate_curves``."""
+    return _invariants(_pair_loop(poly, _id_paths(poly), None)[1])

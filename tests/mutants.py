@@ -185,6 +185,9 @@ MUTANTS = [
     ),
     # _pair_reason: a glued pair has T = B - 2 triangles, which an even slip or a heavy pair breaks
     Mutant("pair-light-identity", TROPICAL, "if left.triangles + right.triangles != rays - 2:", "if False:", TROPICAL_TESTS),
+    # _pair_loop: a kept pair's product is memoized by both factors' ids, and summed once per curve
+    Mutant("product-memo-key", TROPICAL, "key = id(a), id(cr.motivic)", "key = id(a), 0", TROPICAL_TESTS),
+    Mutant("product-curve-count", TROPICAL, "hit[3] += 1", "hit[3] = 1", TROPICAL_TESTS),
 ]
 
 

@@ -565,6 +565,17 @@ class TestTable:
         assert (code, out) == (2, "")
         assert err == f"error: --chain {chain!r} names no polygon\n"
 
+    @pytest.mark.parametrize("chain", [",p2:3", " ,p2:3", "p2:3,,bl2f1", "blf1, ,bl2f1,"])
+    def test_blank_chain_item_before_a_polygon_is_usage(self, capsys, chain):
+        # once skipped, so ",p2:3" ran chain_from(p2:3) and "p2:3,,bl2f1" read as "p2:3,bl2f1"
+        code, out, err = run(capsys, "table", "--chain", chain)
+        assert (code, out) == (2, "")
+        assert err == f"error: --chain {chain!r} has a blank item before a polygon\n"
+
+    @pytest.mark.parametrize("chain", ["p2:3,", "p2:3, ,"])
+    def test_trailing_blank_chain_items_are_skipped(self, capsys, chain):
+        assert run(capsys, "table", "--chain", chain) == run(capsys, "table", "--chain", "p2:3")
+
     @pytest.mark.parametrize("chain", ["p2:100000", "blf1,p2:100000"])
     def test_huge_chain_refused_before_building(self, capsys, chain):
         t0 = perf_counter()
