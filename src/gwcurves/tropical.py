@@ -688,17 +688,16 @@ def _invariants(total: GWElement) -> "Invariants":
 
 def _pair_loop(poly: LatticePolygon, paths, keep) -> tuple[Counter, GWElement]:
     """Drop tallies of ``paths``, id paths of ``poly`` (``_id_paths``), as
-    the module docstring says, and the sum of the kept pairs' multiplicities,
-    each product of two sides' formed once per pair of factors (found by
-    their ids; the memo holds the factors, so no id is reused) and summed
+    the module docstring says, and the sum of the kept pairs' multiplicities:
+    each product of two sides' is formed once per pair of factors, found by
+    their ids (the memo holds the factors, so no id is reused), and summed
     once, times its curve count.  Unless None, ``keep(p, kept)`` gets each
     path ``p`` with a pair that ``_pair_reason`` accepts, ``kept`` listing
-    each such left summary with its accepted right ones and their products.
-    The paths share one ``_Completer``, and the loop, ``keep`` included,
-    runs with the cyclic garbage collector paused.  A doomed path gets no
-    summary: ``_count_doomed`` counts its two sides in one pass; a live
-    path's counts come with its summaries.  Logs the ``-v`` lines: the drop
-    tallies, and the path count with the summary and count memos' entries."""
+    such left summaries with their accepted right ones and products.  The
+    paths share one ``_Completer``, and the loop, ``keep`` included, runs
+    with the collector paused.  A doomed path gets no summary: its two sides
+    are counted in one pass (``_count_doomed``).  Logs the ``-v`` lines: the
+    drop tallies, and the path count and the memos' entry counts."""
     with collector_paused():  # collections would only rescan the memo's live summaries
         dropped: Counter = Counter()
         comp = _Completer(poly)
@@ -735,9 +734,10 @@ def _pair_loop(poly: LatticePolygon, paths, keep) -> tuple[Counter, GWElement]:
                     kept.append((cl, rights))
             if kept and keep is not None:
                 keep(p, kept)
-        total: Counter = Counter()
+        total: dict[int, int] = {}
         for _, _, product, curves in products.values():
-            total.update({c: curves * k for c, k in product.terms})
+            for c, k in product.terms:
+                total[c] = total.get(c, 0) + curves * k
         if dropped:
             tallies = ", ".join(f"{k}={v}" for k, v in sorted(dropped.items()))
             _log("%s: dropped %d completions (%s)", poly, sum(dropped.values()), tallies)
