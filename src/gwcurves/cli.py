@@ -101,10 +101,13 @@ def _integer(text: str) -> int:
 
 
 def _integers(text: str) -> list[int]:
-    """A comma-separated ``_integer`` list; a blank item is refused unless only blanks follow it."""
+    """A comma-separated ``_integer`` list; a blank item is refused unless only
+    blanks follow it, and a list of blanks alone names no value."""
     items = [v.strip() for v in text.split(",")]
     while items and not items[-1]:
         items.pop()
+    if not items:
+        raise argparse.ArgumentTypeError("names no value")
     return [_integer(v) for v in items]
 
 

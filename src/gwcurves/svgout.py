@@ -1,15 +1,16 @@
 """Static SVG figures of enumerated curves: the polygon outline with each
 dual subdivision, triangles shaded by multiplicity class.
 
-Triangles whose multiplicity contains a rank-one summand (all edges odd)
-are filled differently from pure h-multiples, so real-count contributors
-stand out.  Output is plain SVG 1.1 text, deterministic for a given
-enumeration.
+Triangles whose multiplicity (``vertex_mult``) contains a rank-one summand
+(all edges odd) are filled differently from pure h-multiples, so real-count
+contributors stand out.  h has rank 2, so the summand is there exactly when
+the rank, the triangle's twice-area, is odd.  Output is plain SVG 1.1 text,
+deterministic for a given enumeration.
 """
 
 from __future__ import annotations
 
-from .tropical import Cell, Enumeration, triangle_edge_lengths
+from .tropical import Cell, Enumeration, vertex_mult
 
 _FILL_ODD = "#f4a460"  # rank-one summand present
 _FILL_H = "#9ec9e2"  # pure hyperbolic multiple
@@ -22,7 +23,7 @@ COLUMNS = 6  # thumbnails per row
 def _cell_fill(cell: Cell) -> str:
     if cell.kind == "parallelogram":
         return _FILL_PAR
-    return _FILL_ODD if all(l % 2 for l in triangle_edge_lengths(cell)) else _FILL_H
+    return _FILL_ODD if vertex_mult(cell).rank() % 2 else _FILL_H
 
 
 def render_svg(enum: Enumeration) -> str:

@@ -54,9 +54,10 @@ edges, so a light pair with B rays, on B - 1 path edges, has T = B - 2
 triangles and is a curve when connected.  T = B - 2 is checked; a heavy
 pair breaks it.  A curve's multiplicity is the product of its two sides',
 formed in the pair loop once per pair of factors, and the count sums each
-distinct product once, times its curve count.  A summary links the ids of
-its cells, and a light triangle's multiplicity comes from a cache keyed by
-its shape, so only ``enumerate_curves`` builds cells: those of the pairs it
+distinct product once, times its curve count.  The loop hands each kept pair
+over as one (left, right, product) triple.  A summary links the ids of its
+cells, and a light triangle's multiplicity comes from a cache keyed by its
+shape, so only ``enumerate_curves`` builds cells: those of the pairs it
 keeps, each once.  It sorts the curves of a path by integer cell keys, which
 order as the cells do, and the paths by their points, each once.
 ``validate_subdivision`` and ``curve_mult`` decide a whole tiling, end
@@ -172,11 +173,6 @@ def parallelogram(a: Point, b: Point, c: Point, d: Point) -> Cell:
 
 
 # -- motivic vertex and curve multiplicities -----------------------------------
-
-
-def triangle_edge_lengths(cell: Cell) -> tuple[int, int, int]:
-    a, b, c = cell.vertices
-    return (lattice_length(a, b), lattice_length(a, c), lattice_length(b, c))
 
 
 def _pick_interior(a2: int, boundary: int, where) -> int:
@@ -693,8 +689,8 @@ def _pair_loop(poly: LatticePolygon, paths, keep) -> tuple[Counter, GWElement]:
     their ids (the memo holds the factors, so no id is reused), and summed
     once, times its curve count.  Unless None, ``keep(p, kept)`` gets each
     path ``p`` with a pair that ``_pair_reason`` accepts, ``kept`` listing
-    such left summaries with their accepted right ones and products.  The
-    paths share one ``_Completer``, and the loop, ``keep`` included, runs
+    each such pair as one ``(left, right, product)`` triple.  The paths
+    share one ``_Completer``, and the loop, ``keep`` included, runs
     with the collector paused.  A doomed path gets no summary: its two sides
     are counted in one pass (``_count_doomed``).  Logs the ``-v`` lines: the
     drop tallies, and the path count and the memos' entry counts."""
@@ -718,7 +714,7 @@ def _pair_loop(poly: LatticePolygon, paths, keep) -> tuple[Counter, GWElement]:
                 dropped["boundary-weight"] += heavy
             kept = []
             for cl in left_ok:
-                a, rights = cl.motivic, []
+                a = cl.motivic
                 for cr in right_ok:
                     reason = _pair_reason(comp, p, cl, cr)
                     if reason is not None:
@@ -729,9 +725,7 @@ def _pair_loop(poly: LatticePolygon, paths, keep) -> tuple[Counter, GWElement]:
                     if hit is None:
                         products[key] = hit = [a, cr.motivic, a * cr.motivic, 0]
                     hit[3] += 1
-                    rights.append((cr, hit[2]))
-                if rights:
-                    kept.append((cl, rights))
+                    kept.append((cl, cr, hit[2]))
             if kept and keep is not None:
                 keep(p, kept)
         total: dict[int, int] = {}
@@ -753,13 +747,14 @@ def enumerate_curves(poly: LatticePolygon, jobs: int = 1) -> Enumeration:
     tuples: one per pair that ``_pair_loop`` keeps, with the product of its
     two sides' multiplicities and its cells in tuple order.  Dropped
     completions are tallied in ``Enumeration.dropped``.  ``jobs`` is ignored:
-    the enumeration runs in one process.  On each path, a kept summary's cell
-    link is walked and its integer cell keys sorted once, and a kept pair
-    merges its two sides' keys.  The keys order as the cells do, so a path's
-    curves are sorted by their merged keys, and the paths once by their
-    points.  A cell is built once per enumeration, when a kept pair first
-    holds it (checked by ``triangle`` or ``parallelogram``); a curve's
-    multiplicity is the product that ``_pair_loop`` hands over with its pair."""
+    the enumeration runs in one process.  On each path, the cell link of
+    each summary in a kept triple, of either side, is walked and its integer
+    cell keys sorted once, and a kept pair merges its two sides' keys.  The
+    keys order as the cells do, so a path's curves are sorted by their
+    merged keys, and the paths once by their points.  A cell is built once
+    per enumeration, when a kept pair first holds it (checked by
+    ``triangle`` or ``parallelogram``); a curve's multiplicity is the
+    product that ``_pair_loop`` hands over with its pair."""
     by_path: list[tuple[tuple[Point, ...], list[TropicalCurve]]] = []
     points = poly.lattice_points
     n, rank = len(points), {p: k for k, p in enumerate(sorted(points))}
@@ -785,13 +780,10 @@ def enumerate_curves(poly: LatticePolygon, jobs: int = 1) -> Enumeration:
 
     def keep(p, kept) -> None:
         path = tuple(map(points.__getitem__, p))
-        right_keys = {id(cr): cr for _, rights in kept for cr, _ in rights}  # each once
-        right_keys = {k: sorted_keys(cr) for k, cr in right_keys.items()}
-        pairs = []
-        for cl, rights in kept:
-            left_keys = sorted_keys(cl)
-            for cr, motivic in rights:  # sorting two sorted runs merges them
-                pairs.append((sorted(left_keys + right_keys[id(cr)]), motivic))
+        side_keys = {id(s): s for left, right, _ in kept for s in (left, right)}  # each once
+        side_keys = {k: sorted_keys(s) for k, s in side_keys.items()}
+        # sorting two sorted runs merges them
+        pairs = [(sorted(side_keys[id(left)] + side_keys[id(right)]), motivic) for left, right, motivic in kept]
         pairs.sort(key=itemgetter(0))  # key lists sort as the cell tuples they name
         curves = []
         for cell_keys, motivic in pairs:

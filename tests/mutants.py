@@ -46,6 +46,7 @@ class Mutant(NamedTuple):
 
 WALLCROSS, GW = "src/gwcurves/wallcross.py", "src/gwcurves/gw.py"
 POLYGON, TROPICAL = "src/gwcurves/polygon.py", "src/gwcurves/tropical.py"
+SVGOUT = "src/gwcurves/svgout.py"
 CHAIN_TESTS = ("tests/test_wallcross.py", "tests/test_cli.py")
 NORMAL_FORM_TESTS = ("tests/test_polygon.py",)
 TROPICAL_TESTS = ("tests/test_tropical.py",)
@@ -137,6 +138,14 @@ MUTANTS = [
     ),
     # enumerate_curves: no sort of all the curves follows the sort of each path's
     Mutant("keep-path-sort", TROPICAL, "pairs.sort(key=itemgetter(0))", "pass", TROPICAL_TESTS),
+    # enumerate_curves: a kept pair's cells are its left summary's and its right summary's
+    Mutant(
+        "kept-pair-side",
+        TROPICAL,
+        "sorted(side_keys[id(left)] + side_keys[id(right)])",
+        "sorted(side_keys[id(left)] + side_keys[id(left)])",
+        TROPICAL_TESTS,
+    ),
     # _shape_mult: the odd class of an all-odd triangle carries (-1)^I
     Mutant("vertex-mult-sign", TROPICAL, "sign = -1 if _pick_interior", "sign = 1 if _pick_interior", TROPICAL_TESTS),
     # _shape_mult: the odd class of an all-odd triangle is the product of all three edge lengths
@@ -188,6 +197,8 @@ MUTANTS = [
     # _pair_loop: a kept pair's product is memoized by both factors' ids, and summed once per curve
     Mutant("product-memo-key", TROPICAL, "key = id(a), id(cr.motivic)", "key = id(a), 0", TROPICAL_TESTS),
     Mutant("product-curve-count", TROPICAL, "hit[3] += 1", "hit[3] = 1", TROPICAL_TESTS),
+    # _cell_fill: a triangle with a rank-one summand is one of odd rank, since h has rank 2
+    Mutant("svg-fill-parity", SVGOUT, ".rank() % 2", ".rank() % 4", ("tests/test_cli.py",)),
 ]
 
 

@@ -47,7 +47,7 @@ from gwcurves.gw import (
     trace_form,
 )
 from gwcurves.polygon import _area2, _as_point, _cross, _sub, lattice_length, normal_form, polygon, primitive
-from gwcurves.tropical import _pick_interior, parallelogram, triangle, triangle_edge_lengths, vertex_mult
+from gwcurves.tropical import _pick_interior, parallelogram, triangle, vertex_mult
 
 PLACES = [None, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
@@ -110,7 +110,7 @@ def convex_hull(points):
 
 
 def triangle_interior_count(cell) -> int:
-    return _pick_interior(cell.area2(), sum(triangle_edge_lengths(cell)), cell.vertices)
+    return _pick_interior(cell.area2(), sum(lattice_length(*side) for side in cell.sides()), cell.vertices)
 
 
 def segment_on_boundary_scan(poly, p, q) -> bool:

@@ -103,10 +103,8 @@ REASONS = {
     "gw:GWElement.from_dict": PERFBENCH,
     "gw:GWElement.__reduce__": PROTOCOL,
     "gw:GWElement.__str__": PROTOCOL,
-    "tropical:lambda_key": REFERENCE,
     "tropical:Cell.area2": REFERENCE,
     "tropical:Cell.sides": PERFBENCH,
-    "tropical:vertex_mult": REFERENCE,
     "tropical:MarkedSubdivision.triangles": REFERENCE,
     "tropical:curve_mult": PERFBENCH,
     "tropical:enumerate_paths": PERFBENCH,

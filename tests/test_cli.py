@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import errno
+import functools
 import gc
 import hashlib
 import io
@@ -22,9 +23,11 @@ from hypothesis import strategies as st
 from gwcurves.cli import main
 from gwcurves.expr import ExprError, parse_expression
 from gwcurves.gw import DomainError, form, format_gw
+from gwcurves.polygon import preset
 
 from oracles import uncancelled_gw_equal
 from test_expr import expressions
+from test_polygon import affine_maps, image_of
 
 
 def run(capsys, *argv):
@@ -409,6 +412,19 @@ class TestTropical:
             "e0327ff97e11a44e09c9a5e485dd95fbe7055b839cddf0995881ac0a755f3a23"
         )
 
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("p2:4", "5ce089fe4913f77c7a808ee118f400ef2bbb5d1695a4717988660ae5b6333cd2"),
+            ("f1_4_2e", "7b6dcf43fc0a2efcda452586f891d86a3ac71d7f85ccb6453c857c72abd32083"),
+        ],
+    )
+    def test_svg_pinned(self, capsys, tmp_path, name, digest):
+        # a triangle's fill follows the parity of its multiplicity's rank
+        spath = tmp_path / "out.svg"
+        assert run(capsys, "tropical", "--polygon", name, "--svg", str(spath))[0] == 0
+        assert hashlib.sha256(spath.read_bytes()).hexdigest() == digest
+
     @pytest.mark.parametrize("flag", ["--json", "--svg"])
     def test_unwritable_output_is_refused_before_enumerating(self, capsys, tmp_path, monkeypatch, flag):
         def no_enumeration(*args, **kwargs):
@@ -497,6 +513,47 @@ class TestTropical:
         run(capsys, "tropical", "--polygon", "p2:3", "--json", str(p1))
         run(capsys, "tropical", "--polygon", "p2:3", "--json", str(p2_))
         assert p1.read_bytes() == p2_.read_bytes()
+
+
+def _printed(argv) -> list[str]:
+    """The stdout lines of ``main(argv)``, which must exit 0."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue().splitlines()
+
+
+def _answers(name: str) -> tuple[list[str], list[str]]:
+    """``invariant``'s line and ``tropical``'s ``motivic:`` line for the polygon ``name``."""
+    counted = _printed(["tropical", "--polygon", name])
+    return _printed(["invariant", "--polygon", name]), [line for line in counted if line.startswith("motivic:")]
+
+
+@functools.lru_cache(maxsize=None)
+def _preset_answers(name: str) -> tuple[list[str], list[str]]:
+    return _answers(name)
+
+
+class TestImages:
+    """A polygon file holding a lattice-affine image of a preset, mirrors
+    included, with its vertices in either orientation and from any start,
+    gets the preset's answers through ``main``, in-process.  Not its curve
+    count or drop tallies: the paths follow the order lambda, which no map
+    keeps, and the tropical curves through a configuration depend on it.  An
+    image of ``p2:4`` under a shear and the swap has 307 curves, where
+    ``p2:4`` has 303, as the reference enumeration finds too."""
+
+    @pytest.mark.parametrize("name", ["p2:2", "p2:3", "p2:4", "f1_4_2e", "blf1", "bl2f1"])
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(affine_maps, st.integers(0, 5), st.booleans())
+    def test_an_image_gets_the_answers_of_its_preset(self, tmp_path_factory, name, f, start, clockwise):
+        vertices = list(image_of(preset(name), *f).vertices)
+        vertices = vertices[start % len(vertices) :] + vertices[: start % len(vertices)]
+        if clockwise:
+            vertices.reverse()
+        ppath = tmp_path_factory.mktemp("image") / "poly.json"
+        ppath.write_text(json.dumps({"vertices": [list(v) for v in vertices]}))
+        assert _answers(str(ppath)) == _preset_answers(name)
 
 
 class TestTable:
@@ -773,6 +830,16 @@ class TestIntegerOptions:
         assert (exc.value.code, out) == (2, "")
         errors = [line for line in err.splitlines() if "error:" in line]
         assert errors == [f"gwcurves {argv[0]}: error: argument {option}: not an integer: {bad!r}"]
+
+    @pytest.mark.parametrize("value", ["", ",", " ", " , ,"])
+    def test_blank_list_names_no_value(self, capsys, value):
+        # each level's row s = 0 was printed, with exit 0
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "--chain", "p2:3", f"--specialize={value}"])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == ["gwcurves table: error: argument --specialize: names no value"]
 
     @pytest.mark.parametrize("option", ["--kontsevich", "--max-budget", "--specialize"])
     def test_overlong_integer(self, capsys, option):

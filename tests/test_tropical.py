@@ -40,7 +40,6 @@ from gwcurves.tropical import (
     lambda_key,
     parallelogram,
     triangle,
-    triangle_edge_lengths,
     validate_subdivision,
     vertex_mult,
 )
@@ -113,7 +112,7 @@ class TestVertexMult:
 
     def test_odd_edges_area_three(self):
         t = tri((0, 0), (1, 0), (0, 3))
-        assert sorted(triangle_edge_lengths(t)) == [1, 1, 3]
+        assert sorted(lattice_length(*side) for side in t.sides()) == [1, 1, 3]
         assert triangle_interior_count(t) == 0
         assert vertex_mult(t) == form(3) + H
 
@@ -378,7 +377,7 @@ class TestEnumerate:
         enum = enumerate_curves(p2(3))
         for curve in enum.curves:
             tris = curve.subdivision.triangles()
-            if any(any(l % 2 == 0 for l in triangle_edge_lengths(t)) for t in tris):
+            if any(lattice_length(*side) % 2 == 0 for t in tris for side in t.sides()):
                 assert curve.motivic.signature() == 0
             else:
                 want = 1
@@ -714,11 +713,10 @@ def _kept_curves(poly, paths):
 
     def keep(p, kept):
         path = tuple(comp.points[k] for k in p)
-        for left, rights in kept:
-            for right, motivic in rights:
-                assert motivic == left.motivic * right.motivic, comp.at(p)
-                cells = tuple(sorted(summary_cells(left, poly) + summary_cells(right, poly)))
-                curves.append(TropicalCurve(MarkedSubdivision(path, cells), motivic))
+        for left, right, motivic in kept:
+            assert motivic == left.motivic * right.motivic, comp.at(p)
+            cells = tuple(sorted(summary_cells(left, poly) + summary_cells(right, poly)))
+            curves.append(TropicalCurve(MarkedSubdivision(path, cells), motivic))
 
     return (curves, *_pair_loop(poly, [_ids(comp, path) for path in paths], keep))
 
