@@ -13,7 +13,14 @@ a multiple of h.  Trading each negative term -<a> of the difference for
 form e and a count m, and q1 == q2 iff e is isometric to m*h: signature 0,
 discriminant (-1)**m, and Hasse invariant +1 at every odd prime dividing a
 class of e.  The real place follows from the signature, 2 from Hilbert
-reciprocity, and every other odd prime gives +1 on both sides.
+reciprocity, and every other odd prime gives +1 on both sides.  At an odd
+prime p the Hasse invariant of e = sum n_i <c_i> has a closed form
+(``_hasse_odd``): with K the total weight of the classes divisible by p, U0
+the product of the classes prime to p and U1 that of c_i/p over the classes
+divisible by p, each over the classes of odd weight, it is
+(-1/p)**C(K, 2) (U0/p)**K (U1/p)**(K-1), one pass over the terms and one
+Jacobi symbol.  The real place and 2 keep the product of a Hilbert symbol
+per pair of entries (``_hilbert_int``), which only ``hasse_invariant`` asks.
 
 Factoring is needed only where an integer enters from outside: the square
 class of a given rational (``square_class``), the squarefree check on the
@@ -383,23 +390,39 @@ def _split(n: int, p: int) -> tuple[int, int]:
 
 
 def _hilbert_int(a: int, b: int, place: Place) -> int:
+    """The Hilbert symbol (a, b) at the real place or at 2, for nonzero
+    integers a and b.  Odd primes go to ``_hasse_odd``."""
     if place is REAL_PLACE:
         return -1 if a < 0 and b < 0 else 1
-    p = place
-    if p == 2:
-        al, u = _split(a, 2)
-        bl, w = _split(b, 2)
-        e = ((u - 1) // 2) * ((w - 1) // 2)
-        e += al * ((w * w - 1) // 8) + bl * ((u * u - 1) // 8)
-        return -1 if e % 2 else 1
-    al, u = _split(a, p)
-    bl, w = _split(b, p)
-    sym = _jacobi(-1, p) if al * bl % 2 else 1
-    if bl % 2:
-        sym *= _jacobi(u, p)
-    if al % 2:
-        sym *= _jacobi(w, p)
-    return sym
+    al, u = _split(a, 2)
+    bl, w = _split(b, 2)
+    e = ((u - 1) // 2) * ((w - 1) // 2)
+    e += al * ((w * w - 1) // 8) + bl * ((u * u - 1) // 8)
+    return -1 if e % 2 else 1
+
+
+def _hasse_odd(terms: tuple[tuple[int, int], ...], p: int) -> int:
+    """Hasse invariant at the odd prime p of the effective form with
+    (squarefree class, weight) ``terms``, in one pass over them.
+
+    At p, (a, b) = (-1/p)**(v(a)v(b)) (u/p)**v(b) (w/p)**v(a) for a = p**v(a) u,
+    b = p**v(b) w (Serre, A Course in Arithmetic, ch. III 1.2).  Over the
+    pairs of entries this is (-1/p)**C(K, 2) (U0/p)**K (U1/p)**(K-1), where
+    K counts the entries divisible by p, U0 is the product of the classes
+    prime to p of odd weight and U1 that of c/p over the classes divisible
+    by p of odd weight.  (-1/p) is read off p mod 4, and only one of K and
+    K - 1 is odd, so it takes one Jacobi symbol of a product kept mod p."""
+    k, u0, u1 = 0, 1, 1
+    for c, n in terms:
+        if c % p:
+            if n % 2:
+                u0 = u0 * c % p
+        else:
+            k += n
+            if n % 2:
+                u1 = u1 * (c // p) % p
+    sign = -1 if p % 4 == 3 and k % 4 > 1 else 1
+    return sign * _jacobi(u0 if k % 2 else u1, p)
 
 
 class GWElement(_Frozen):
@@ -513,11 +536,17 @@ class GWElement(_Frozen):
     def hasse_invariant(self, place: Place) -> int:
         """Product of pairwise Hilbert symbols (a, b) of the diagonal entries at
         ``place``, a prime number or REAL_PLACE (None): (a, b) is +1 iff
-        z^2 = a x^2 + b y^2 has a nontrivial solution in the completion, else -1."""
+        z^2 = a x^2 + b y^2 has a nontrivial solution in the completion, else -1.
+
+        At an odd prime p the product has the closed form of ``_hasse_odd``,
+        (-1/p)**C(K, 2) (U0/p)**K (U1/p)**(K-1), one pass over the terms; at
+        the real place and 2 it is taken pair by pair."""
         if place is not REAL_PLACE and not (type(place) is int and _is_prime(place)):
             raise DomainError(f"not a place of Q: {place!r}")
         if not self.is_effective():
             raise DomainError("Hasse invariant needs an effective form")
+        if place is not REAL_PLACE and place != 2:
+            return _hasse_odd(self.terms, place)
         out = 1
         for i, (c, n) in enumerate(self.terms):
             if comb(n, 2) % 2:
@@ -674,7 +703,11 @@ def gw_equal(q1: GWElement, q2: GWElement) -> bool:
     (-1)**m, and Hasse invariant +1 at each odd prime dividing a class of e.
     The real place agrees once the signatures do, 2 by Hilbert reciprocity,
     and an odd prime dividing no class gives +1 on both sides.  Only the
-    classes of e are factored, so a d made of +-c pairs needs none."""
+    classes of e are factored, so a d made of +-c pairs needs none.  Each
+    odd place p is a prime ``_factor`` found, so it is not tested again,
+    and its Hasse invariant is the closed form of ``_hasse_odd``: one pass
+    over the terms of e and one Jacobi symbol, where the pairwise product
+    takes a Hilbert symbol per pair of classes."""
     d = q1 - q2
     if d.rank():
         return False
@@ -684,7 +717,7 @@ def gw_equal(q1: GWElement, q2: GWElement) -> bool:
     if e.signature() or e.discriminant() != (-1) ** m:
         return False
     places = {p for c, _ in e.terms for p, _ in _factor(abs(c)) if p != 2}
-    return all(e.hasse_invariant(p) == 1 for p in places)
+    return all(_hasse_odd(e.terms, p) == 1 for p in places)
 
 
 # -- trace forms from quadratic extensions -------------------------------

@@ -77,7 +77,7 @@ MUTANTS = [
     # gw_equal: e has signature 0
     Mutant("gw-equal-signature", GW, "if e.signature() or e.discriminant()", "if e.discriminant()", ("tests/test_gw.py",)),
     # gw_equal: e has Hasse invariant +1 at each odd place dividing one of its classes
-    Mutant("gw-equal-hasse", GW, "return all(e.hasse_invariant(p) == 1 for p in places)", "return True", ("tests/test_gw.py",)),
+    Mutant("gw-equal-hasse", GW, "return all(_hasse_odd(e.terms, p) == 1 for p in places)", "return True", ("tests/test_gw.py",)),
     # normal_form: the least tuple over the cycle and its mirror
     Mutant("normal-form-mirror", POLYGON, "for s in (1, -1):", "for s in (1,):", NORMAL_FORM_TESTS),
     # normal_form: the incoming edge sheared to (a, b) with 0 <= a < b
@@ -112,8 +112,12 @@ MUTANTS = [
         "e += bl * ((u * u - 1) // 8)",
         ("tests/test_gw.py",),
     ),
-    # the Hilbert symbol at an odd prime: (-1/p) when both valuations are odd
-    Mutant("hilbert-odd-minus-one", GW, "sym = _jacobi(-1, p) if al * bl % 2 else 1", "sym = 1", ("tests/test_gw.py",)),
+    # the Hasse invariant at an odd prime: the sign (-1/p)**C(K, 2)
+    Mutant("hasse-odd-sign", GW, "sign = -1 if p % 4 == 3 and k % 4 > 1 else 1", "sign = 1", ("tests/test_gw.py",)),
+    # the Hasse invariant at an odd prime: (U0/p)**K when K is odd, (U1/p)**(K-1) when K is even
+    Mutant("hasse-odd-parity", GW, "_jacobi(u0 if k % 2 else u1, p)", "_jacobi(u1 if k % 2 else u0, p)", ("tests/test_gw.py",)),
+    # the Hasse invariant at an odd prime: a class divisible by p enters U1 as c/p
+    Mutant("hasse-odd-unit", GW, "u1 = u1 * (c // p) % p", "u1 = u1 * c % p", ("tests/test_gw.py",)),
     # hasse_invariant: a class of weight n pairs with itself comb(n, 2) times
     Mutant("hasse-self-pairs", GW, "if comb(n, 2) % 2:", "if False:", ("tests/test_gw.py",)),
     # _count_path: a whole path is the product over every piece with area, one step long too

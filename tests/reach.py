@@ -103,6 +103,8 @@ REASONS = {
     "gw:GWElement.from_dict": PERFBENCH,
     "gw:GWElement.__reduce__": PROTOCOL,
     "gw:GWElement.__str__": PROTOCOL,
+    "gw:GWElement.hasse_invariant": "public spelling of the Hilbert symbol that README names, form(a, b).hasse_invariant(place)",
+    "gw:_hilbert_int": "hasse_invariant's symbols at the real place and 2, where gw_equal needs none",
     "tropical:Cell.area2": REFERENCE,
     "tropical:Cell.sides": PERFBENCH,
     "tropical:MarkedSubdivision.triangles": REFERENCE,

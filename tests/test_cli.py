@@ -9,6 +9,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -19,7 +20,9 @@ from time import perf_counter
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import primefactors
 
+from gwcurves import gw, wallcross
 from gwcurves.cli import main
 from gwcurves.expr import ExprError, parse_expression
 from gwcurves.gw import DomainError, form, format_gw
@@ -224,6 +227,31 @@ class TestGwEqual:
         code, out, err = run(capsys, "gw-equal", f"2<{P}> * <{Q}>", "2")
         assert (code, out) == (2, "")
         assert err.startswith("error: cannot factor a 82-bit integer") and err.count("\n") == 1
+
+
+    def test_long_sums_are_checked_in_time(self, capsys, monkeypatch):
+        # 400 terms a side, equal pair by pair through <a> + <b> = <a+b> + <ab(a+b)>:
+        # each odd place is one pass over the classes, not a Hilbert symbol per
+        # pair of them, so the check is linear in the places, not cubic
+        rng = random.Random(400)
+        pairs = [(rng.randint(1, 9999), rng.randint(1, 9999)) for _ in range(200)]
+        left = " + ".join(f"<{a}> + <{b}>" for a, b in pairs)
+        right = " + ".join(f"<{a + b}> + <{a * b * (a + b)}>" for a, b in pairs)
+        calls = {"_hilbert_int": 0, "_jacobi": 0}
+        for name in calls:
+            real = getattr(gw, name)
+
+            def spy(*args, name=name, real=real):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(gw, name, spy)
+        t0 = perf_counter()
+        assert run(capsys, "gw-equal", left, right) == (0, "equal\n", "")
+        assert perf_counter() - t0 < 3.0
+        places = {p for a, b in pairs for p in primefactors(a * b * (a + b)) if p != 2}
+        assert calls["_hilbert_int"] == 0
+        assert calls["_jacobi"] <= 2 * len(places)
 
 
 class TestGwEqualProperty:
@@ -543,17 +571,46 @@ class TestImages:
     image of ``p2:4`` under a shear and the swap has 307 curves, where
     ``p2:4`` has 303, as the reference enumeration finds too."""
 
-    @pytest.mark.parametrize("name", ["p2:2", "p2:3", "p2:4", "f1_4_2e", "blf1", "bl2f1"])
-    @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(affine_maps, st.integers(0, 5), st.booleans())
-    def test_an_image_gets_the_answers_of_its_preset(self, tmp_path_factory, name, f, start, clockwise):
+    @staticmethod
+    def image_file(tmp_path_factory, name, f, start, clockwise) -> str:
+        """A polygon file of the image of the preset ``name`` under the map
+        ``f``, its vertices from ``start`` on, reversed when ``clockwise``."""
         vertices = list(image_of(preset(name), *f).vertices)
         vertices = vertices[start % len(vertices) :] + vertices[: start % len(vertices)]
         if clockwise:
             vertices.reverse()
         ppath = tmp_path_factory.mktemp("image") / "poly.json"
         ppath.write_text(json.dumps({"vertices": [list(v) for v in vertices]}))
-        assert _answers(str(ppath)) == _preset_answers(name)
+        return str(ppath)
+
+    @pytest.mark.parametrize("name", ["p2:2", "p2:3", "p2:4", "f1_4_2e", "blf1", "bl2f1"])
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(affine_maps, st.integers(0, 5), st.booleans())
+    def test_an_image_gets_the_answers_of_its_preset(self, tmp_path_factory, name, f, start, clockwise):
+        assert _answers(self.image_file(tmp_path_factory, name, f, start, clockwise)) == _preset_answers(name)
+
+    @pytest.mark.parametrize("name", ["p2:3", "f1_4_2e", "p2:4"])
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(affine_maps, st.integers(0, 5), st.booleans())
+    def test_an_image_gets_the_tables_of_its_preset(self, tmp_path_factory, name, f, start, clockwise):
+        # each chain counts its levels afresh, so that no count of the preset's stands in for the image's
+        chain = self.image_file(tmp_path_factory, name, f, start, clockwise)
+        wallcross._canonical_count.cache_clear()
+        assert _tables(chain) == _preset_tables(name)
+
+
+def _tables(chain: str) -> tuple[list[str], list]:
+    """``table --chain``'s signature ladders, and its ``--json`` tables
+    without their ``polygon`` entries: what an image of the chain keeps."""
+    ladders = [line.partition(": ")[2] for line in _printed(["table", "--chain", chain, "--signature", "neg"])]
+    tables = json.loads("".join(_printed(["table", "--chain", chain, "--json"])))["tables"]
+    return ladders, [{k: v for k, v in t.items() if k != "polygon"} for t in tables]
+
+
+@functools.lru_cache(maxsize=None)
+def _preset_tables(name: str) -> tuple[list[str], list]:
+    wallcross._canonical_count.cache_clear()
+    return _tables(name)
 
 
 class TestTable:

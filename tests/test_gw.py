@@ -356,6 +356,9 @@ class TestClassProduct:
 
 from oracles import PLACES, hilbert_oracle as oracle  # noqa: E402
 
+#: The odd places at which the brute-force oracle is cheap.
+ODD_PRIMES_TO_31 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+
 
 class TestHilbertSymbol:
     """The Hilbert symbol (a, b) at a place is the Hasse invariant of <a> + <b>."""
@@ -416,6 +419,34 @@ class TestHasseInvariant:
     def test_virtual_rejected(self):
         with pytest.raises(DomainError):
             (form(1) - form(2)).hasse_invariant(2)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([1, -1]),
+                st.booleans(),
+                st.lists(st.sampled_from(ODD_PRIMES_TO_31), max_size=3, unique=True),
+                st.integers(1, 3),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_odd_places_match_the_oracle(self, drawn):
+        # the closed form at odd places against brute-force Hilbert symbols
+        # over every pair of entries, a class of weight n with itself C(n, 2) times
+        weights: dict[int, int] = {}
+        for sign, two, primes, n in drawn:
+            c = sign * (2 if two else 1) * prod(primes)
+            weights[c] = weights.get(c, 0) + n
+        q = GWElement.from_dict(weights)
+        entries = [c for c, n in q.terms for _ in range(n)]
+        dividing = {p for c in entries for p in ODD_PRIMES_TO_31 if c % p == 0}
+        places = sorted(dividing) + [next(p for p in ODD_PRIMES_TO_31 + [37] if p not in dividing)]
+        for p in places:
+            want = prod(oracle(a, b, p) for i, a in enumerate(entries) for b in entries[i + 1 :])
+            assert q.hasse_invariant(p) == want, (q, p)
 
 
 #: Nonzero integers whose classes share primes often.
@@ -486,6 +517,27 @@ class TestGWEqual:
         assert gw_equal(c + form(-1) * c, H)
         assert gw_equal(H, c + form(-1) * c)
         assert rho == []
+
+    def test_odd_places_take_the_closed_form(self, monkeypatch):
+        # <a> + <b> = <a+b> + <ab(a+b)> with a place above 10**6: the places
+        # come out of _factor proven prime, and each costs at most two
+        # Jacobi symbols, not a Hilbert symbol per pair of classes
+        a, b = 1000003 * 3, 5 * 7 * 11
+        q1, q2 = form(a) + form(b), form(a + b) + form(a * b * (a + b))
+        assert gw_equal(q1, q2)  # fills _factor's cache, so that it calls no _is_prime below
+        calls = {"_is_prime": 0, "_hilbert_int": 0, "_jacobi": 0}
+        for name in calls:
+            real = getattr(gw, name)
+
+            def spy(*args, name=name, real=real):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(gw, name, spy)
+        assert gw_equal(q1, q2)
+        places = [p for p in sympy.primefactors(a * b * (a + b)) if p != 2]
+        assert calls["_is_prime"] == calls["_hilbert_int"] == 0
+        assert 0 < calls["_jacobi"] <= 2 * len(places)
 
     @settings(max_examples=300)
     @given(
