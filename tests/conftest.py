@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from gwcurves import build_tables, enumerate_curves, p2, quartic_chain, preset, wallcross
+from gwcurves import build_tables, enumerate_curves, gw, p2, quartic_chain, preset, wallcross
 
 
 @pytest.fixture(autouse=True)
@@ -14,6 +14,26 @@ def cold_base_counts():
     builds counts its levels and no entry of an earlier test can stand in for
     a count, or mask a patched one."""
     wallcross._canonical_count.cache_clear()
+
+
+@pytest.fixture
+def gw_calls(monkeypatch):
+    """A function that patches the named functions of ``gw`` with spies for
+    this test, and returns the dict of their call counts, by name."""
+
+    def spy_on(*names: str) -> dict[str, int]:
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            real = getattr(gw, name)
+
+            def spy(*args, name=name, real=real):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(gw, name, spy)
+        return calls
+
+    return spy_on
 
 
 @pytest.fixture

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import primefactors
 
-from gwcurves import gw, wallcross
+from gwcurves import wallcross
 from gwcurves.cli import main
 from gwcurves.expr import ExprError, parse_expression
 from gwcurves.gw import DomainError, form, format_gw
@@ -229,7 +229,7 @@ class TestGwEqual:
         assert err.startswith("error: cannot factor a 82-bit integer") and err.count("\n") == 1
 
 
-    def test_long_sums_are_checked_in_time(self, capsys, monkeypatch):
+    def test_long_sums_are_checked_in_time(self, capsys, gw_calls):
         # 400 terms a side, equal pair by pair through <a> + <b> = <a+b> + <ab(a+b)>:
         # each odd place is one pass over the classes, not a Hilbert symbol per
         # pair of them, so the check is linear in the places, not cubic
@@ -237,15 +237,7 @@ class TestGwEqual:
         pairs = [(rng.randint(1, 9999), rng.randint(1, 9999)) for _ in range(200)]
         left = " + ".join(f"<{a}> + <{b}>" for a, b in pairs)
         right = " + ".join(f"<{a + b}> + <{a * b * (a + b)}>" for a, b in pairs)
-        calls = {"_hilbert_int": 0, "_jacobi": 0}
-        for name in calls:
-            real = getattr(gw, name)
-
-            def spy(*args, name=name, real=real):
-                calls[name] += 1
-                return real(*args)
-
-            monkeypatch.setattr(gw, name, spy)
+        calls = gw_calls("_hilbert_int", "_jacobi")
         t0 = perf_counter()
         assert run(capsys, "gw-equal", left, right) == (0, "equal\n", "")
         assert perf_counter() - t0 < 3.0

@@ -518,22 +518,14 @@ class TestGWEqual:
         assert gw_equal(H, c + form(-1) * c)
         assert rho == []
 
-    def test_odd_places_take_the_closed_form(self, monkeypatch):
+    def test_odd_places_take_the_closed_form(self, gw_calls):
         # <a> + <b> = <a+b> + <ab(a+b)> with a place above 10**6: the places
         # come out of _factor proven prime, and each costs at most two
         # Jacobi symbols, not a Hilbert symbol per pair of classes
         a, b = 1000003 * 3, 5 * 7 * 11
         q1, q2 = form(a) + form(b), form(a + b) + form(a * b * (a + b))
         assert gw_equal(q1, q2)  # fills _factor's cache, so that it calls no _is_prime below
-        calls = {"_is_prime": 0, "_hilbert_int": 0, "_jacobi": 0}
-        for name in calls:
-            real = getattr(gw, name)
-
-            def spy(*args, name=name, real=real):
-                calls[name] += 1
-                return real(*args)
-
-            monkeypatch.setattr(gw, name, spy)
+        calls = gw_calls("_is_prime", "_hilbert_int", "_jacobi")
         assert gw_equal(q1, q2)
         places = [p for p in sympy.primefactors(a * b * (a + b)) if p != 2]
         assert calls["_is_prime"] == calls["_hilbert_int"] == 0
