@@ -228,11 +228,10 @@ class TestGwEqual:
         assert (code, out) == (2, "")
         assert err.startswith("error: cannot factor a 82-bit integer") and err.count("\n") == 1
 
-
     def test_long_sums_are_checked_in_time(self, capsys, gw_calls):
         # 400 terms a side, equal pair by pair through <a> + <b> = <a+b> + <ab(a+b)>:
         # each odd place is one pass over the classes, not a Hilbert symbol per
-        # pair of them, so the check is linear in the places, not cubic
+        # pair of them, which took about 26 s here
         rng = random.Random(400)
         pairs = [(rng.randint(1, 9999), rng.randint(1, 9999)) for _ in range(200)]
         left = " + ".join(f"<{a}> + <{b}>" for a, b in pairs)
